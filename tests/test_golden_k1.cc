@@ -1,14 +1,15 @@
 /**
  * @file
- * Golden-output regression for single-core replay: the full stats
- * tree and event ring of every protection scheme, replaying fixed
- * deterministic traces at the default one-core topology, must stay
- * byte-identical to the committed baselines under tests/data/golden_k1.
+ * Golden-output regression for replay: the full stats tree and event
+ * ring of every protection scheme, replaying fixed deterministic
+ * traces, must stay byte-identical to the committed baselines under
+ * tests/data/golden_k1. Each trace is pinned at the default one-core
+ * topology and at four cores; the open-loop KV server trace also pins
+ * the request-latency histograms and the slow-request digests.
  *
- * This is the safety net for the multi-core replay redesign: any
- * refactor of core::System, the schemes, or the stats wiring that
- * changes a single K=1 number — a cycle, a counter, an event — fails
- * here with a diffable payload.
+ * This is the safety net for any refactor of core::System, the
+ * schemes, or the stats wiring: a change to a single number — a
+ * cycle, a counter, an event — fails here with a diffable payload.
  *
  * Regenerate the baselines (only when an intentional model change
  * lands) with:
@@ -28,6 +29,7 @@
 #include "stats/export.hh"
 #include "trace/event_ring.hh"
 #include "workloads/micro/micro.hh"
+#include "workloads/server/server.hh"
 
 namespace pmodv
 {
@@ -137,6 +139,26 @@ multithreadTrace()
     return t;
 }
 
+/**
+ * A small seeded open-loop KV server trace: four worker threads, more
+ * tenants than MPK keys (so the key-based schemes evict), stamped
+ * arrivals for the request-latency and forensics layers.
+ */
+std::vector<TraceRecord>
+serverTrace()
+{
+    workloads::ServerParams params;
+    params.numTenants = 32;
+    params.numRequests = 400;
+    params.keysPerTenant = 16;
+    params.numThreads = 4;
+    params.seed = 7;
+    trace::VectorSink sink;
+    workloads::TraceCtx ctx(sink, params.seed);
+    workloads::ServerWorkload(params).run(ctx);
+    return sink.take();
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -156,14 +178,33 @@ writeFile(const std::string &path, const std::string &payload)
     out << payload;
 }
 
-void
-checkTrace(const char *trace_name,
-           const std::vector<TraceRecord> &records)
+/** The replay config of a baseline: @p cores cores, timeline on. */
+core::SimConfig
+goldenConfig(unsigned cores)
 {
     core::SimConfig cfg;
+    cfg.topology.numCores = cores;
     // Sample a timeline so its serialization is pinned too.
     cfg.samplingEpochCycles = 65536;
     cfg.samplingMaxEpochs = 256;
+    return cfg;
+}
+
+/** goldenConfig() plus request-latency tracking and forensics. */
+core::SimConfig
+serverConfig(unsigned cores)
+{
+    core::SimConfig cfg = goldenConfig(cores);
+    cfg.opClasses = workloads::ServerWorkload::kNumTenantClasses;
+    cfg.slowRequestK = 8;
+    return cfg;
+}
+
+void
+checkTrace(const std::string &trace_name,
+           const std::vector<TraceRecord> &records,
+           const core::SimConfig &cfg)
+{
     for (SchemeKind kind : kAllSchemes) {
         core::System sys(cfg, kind);
         sys.replayBatch(records);
@@ -184,7 +225,7 @@ checkTrace(const char *trace_name,
             << " (run with PMODV_GOLDEN_REGEN=1 to create it)";
         EXPECT_EQ(stats_json, want_stats)
             << arch::schemeName(kind) << " stats drifted on '"
-            << trace_name << "' — K=1 replay is no longer bit-identical";
+            << trace_name << "' — replay is no longer bit-identical";
         EXPECT_EQ(events_json, want_events)
             << arch::schemeName(kind) << " event ring drifted on '"
             << trace_name << "'";
@@ -193,12 +234,32 @@ checkTrace(const char *trace_name,
 
 TEST(GoldenK1, MicroAvlBitIdentical)
 {
-    checkTrace("avl", microTrace());
+    checkTrace("avl", microTrace(), goldenConfig(1));
 }
 
 TEST(GoldenK1, MultithreadTraceBitIdentical)
 {
-    checkTrace("mt", multithreadTrace());
+    checkTrace("mt", multithreadTrace(), goldenConfig(1));
+}
+
+TEST(GoldenK1, ServerTraceBitIdentical)
+{
+    checkTrace("kv", serverTrace(), serverConfig(1));
+}
+
+TEST(GoldenK4, MicroAvlBitIdentical)
+{
+    checkTrace("avl_k4", microTrace(), goldenConfig(4));
+}
+
+TEST(GoldenK4, MultithreadTraceBitIdentical)
+{
+    checkTrace("mt_k4", multithreadTrace(), goldenConfig(4));
+}
+
+TEST(GoldenK4, ServerTraceBitIdentical)
+{
+    checkTrace("kv_k4", serverTrace(), serverConfig(4));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/replay.hh"
 #include "core/system.hh"
@@ -190,6 +191,42 @@ TEST(System, ThreadSwitchRoutedToScheme)
         static_cast<stats::Group &>(sys).lookup(
             "domain_virt.context_switches"),
         1.0);
+}
+
+TEST(System, ThreadSwitchToRunningThreadDependsOnCoreCount)
+{
+    const auto setup = [](System &sys) {
+        sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+        sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    };
+    const auto lookup = [](System &sys, const std::string &path) {
+        return static_cast<stats::Group &>(sys).lookup(path);
+    };
+
+    // One core: every ThreadSwitch record is a context switch, even
+    // one naming the running thread (the runtime emits those).
+    System one(testConfig(), SchemeKind::DomainVirt);
+    setup(one);
+    one.put(TraceRecord::threadSwitch(0));
+    EXPECT_DOUBLE_EQ(lookup(one, "domain_virt.context_switches"), 1.0);
+
+    // Several cores: a switch to the thread already running on its
+    // home core is a no-op; a switch to another thread is not.
+    SimConfig cfg = testConfig();
+    cfg.topology.numCores = 2;
+    System two(cfg, SchemeKind::DomainVirt);
+    setup(two);
+    two.put(TraceRecord::threadSwitch(0));
+    EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 0.0);
+    EXPECT_DOUBLE_EQ(lookup(two, "core0.ctx_switches"), 0.0);
+    EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 0.0);
+    two.put(TraceRecord::threadSwitch(1));
+    EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 1.0);
+    EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 1.0);
+    two.put(TraceRecord::threadSwitch(1));
+    EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 1.0);
+    EXPECT_DOUBLE_EQ(lookup(two, "core0.ctx_switches"), 0.0);
+    EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 1.0);
 }
 
 TEST(System, SecondsMatchFrequency)
