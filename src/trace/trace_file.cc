@@ -177,14 +177,14 @@ TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
               version_);
     }
 
-    const std::uint64_t need =
-        headerBytes_ + count_ * sizeof(TraceRecord);
+    // Compare record counts, not byte sizes: a crafted count's byte
+    // size can wrap u64 and pass a size comparison.
     const std::uint64_t have = fileSize(file_, path_);
-    fatal_if(have < need,
+    fatal_if(have < headerBytes_ ||
+                 count_ > (have - headerBytes_) / sizeof(TraceRecord),
              "truncated trace file '%s': header promises %llu records "
-             "(%llu bytes) but only %llu bytes are present",
+             "but only %llu bytes are present",
              path.c_str(), static_cast<unsigned long long>(count_),
-             static_cast<unsigned long long>(need),
              static_cast<unsigned long long>(have));
 }
 

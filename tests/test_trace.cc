@@ -471,6 +471,68 @@ TEST_F(TraceFileTest, RejectsHeaderCountDisagreement)
                 ::testing::ExitedWithCode(1), "corrupt trace header");
 }
 
+/**
+ * A record count whose byte size wraps u64 back to exactly that of
+ * @p records records: records + 2^64 / (the largest power of two
+ * dividing sizeof(TraceRecord)).
+ */
+constexpr std::uint64_t
+wrappingCount(std::uint64_t records)
+{
+    constexpr std::uint64_t size = sizeof(TraceRecord);
+    constexpr std::uint64_t low_bit = size & (~size + 1);
+    return records + (~std::uint64_t{0} / low_bit + 1);
+}
+
+TEST_F(TraceFileTest, RejectsV1CountWhoseSizeWraps)
+{
+    const auto records = sampleRecords();
+    writeV1(records);
+    {
+        std::FILE *f = std::fopen(path_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const std::uint64_t count = wrappingCount(records.size());
+        std::fseek(f, 8, SEEK_SET);
+        std::fwrite(&count, sizeof(count), 1, f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            reader.view();
+        },
+        ::testing::ExitedWithCode(1), "truncated");
+}
+
+TEST_F(TraceFileTest, RejectsV2CountWhoseSizeWraps)
+{
+    {
+        TraceFileWriter writer(path_.string());
+        for (int i = 0; i < 4; ++i)
+            writer.put(TraceRecord::opBegin(0));
+    }
+    // Inflate both the record count and the OpBegin count by the same
+    // wrapping amount, so the per-type counts still sum to the count.
+    {
+        std::FILE *f = std::fopen(path_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const std::uint64_t count = wrappingCount(4);
+        std::fseek(f, 8, SEEK_SET);
+        std::fwrite(&count, sizeof(count), 1, f);
+        // Layout: magic+version (8) + count (8) + checksum (8), then
+        // typeCounts[10]; OpBegin is index 8.
+        std::fseek(f, 24 + 8 * 8, SEEK_SET);
+        std::fwrite(&count, sizeof(count), 1, f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            reader.view();
+        },
+        ::testing::ExitedWithCode(1), "truncated");
+}
+
 TEST_F(TraceFileTest, WriteAfterFinishIsFatal)
 {
     EXPECT_EXIT(
