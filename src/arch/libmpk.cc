@@ -106,10 +106,8 @@ LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
             pages = res.pages;
         } else {
             inval = topo_.tlbInvalidationCycles;
-            if (tlb_) {
-                pages += tlb_->flushRange(vst.base, vst.size);
-                pages += tlb_->flushRange(st.base, st.size);
-            }
+            pages += flushRangeAllCores(vst.base, vst.size);
+            pages += flushRangeAllCores(st.base, st.size);
         }
         cycles += inval;
         cycTlbInvalidation += static_cast<double>(inval);

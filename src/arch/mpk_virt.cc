@@ -214,8 +214,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
             pages = res.pages;
         } else {
             inval = topo_.tlbInvalidationCycles;
-            if (tlb_)
-                pages = tlb_->flushRange(vinfo.base, vinfo.size);
+            pages = flushRangeAllCores(vinfo.base, vinfo.size);
         }
         cycles += inval;
         cycTlbInvalidation += static_cast<double>(inval);

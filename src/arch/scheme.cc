@@ -89,8 +89,6 @@ ProtectionScheme::attachCore(CoreId core, tlb::TlbHierarchy *tlb)
     fatal_if(coreTlbs_[core] != nullptr,
              "attachCore: core %u attached twice", core);
     coreTlbs_[core] = tlb;
-    if (core == 0)
-        tlb_ = tlb;
     onCoreAttached(core, tlb);
 }
 

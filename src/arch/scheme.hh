@@ -64,7 +64,7 @@ struct AccessContext
  * keys/domains into TLB entries, or keep per-core translation caches
  * (DTTLB/PTLB), hook onCoreAttached(). Multi-core machines also
  * connect the shared ShootdownBus; single-core machines don't, and
- * schemes keep the legacy in-line flush path there.
+ * schemes flush their one core's TLB in line there.
  */
 class ProtectionScheme : public stats::Group
 {
@@ -116,10 +116,9 @@ class ProtectionScheme : public stats::Group
     void setEventRing(trace::EventRing *ring) { events_ = ring; }
 
     /**
-     * Connect core @p core's private data TLB (not owned). Core 0's
-     * TLB doubles as the legacy single-TLB alias used by every
-     * single-core path. Calls onCoreAttached() so schemes can install
-     * their fill policy and build per-core structures.
+     * Connect core @p core's private data TLB (not owned). Calls
+     * onCoreAttached() so schemes can install their fill policy and
+     * build per-core structures.
      */
     void attachCore(CoreId core, tlb::TlbHierarchy *tlb);
 
@@ -132,8 +131,8 @@ class ProtectionScheme : public stats::Group
 
     /**
      * Tell the scheme which core issues the next calls. The replay
-     * scheduler sets this before dispatching each record; single-core
-     * replay never calls it (core 0 is the default).
+     * loop sets this before dispatching each record that reaches the
+     * scheme (core 0 is the default).
      */
     void setActiveCore(CoreId core) { activeCore_ = core; }
 
@@ -270,8 +269,7 @@ class ProtectionScheme : public stats::Group
 
     /**
      * Hook for attachCore(): @p tlb is core @p core's hierarchy,
-     * already recorded in coreTlbs_ (and tlb_ for core 0). Default
-     * does nothing.
+     * already recorded in coreTlbs_. Default does nothing.
      */
     virtual void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb);
 
@@ -307,8 +305,6 @@ class ProtectionScheme : public stats::Group
     ProtParams params_;
     CoreTopology topo_;
     const tlb::AddressSpace &space_;
-    /** Core 0's TLB — the alias every single-core path uses. */
-    tlb::TlbHierarchy *tlb_ = nullptr;
     /** All attached cores' TLBs, indexed by CoreId. */
     std::vector<tlb::TlbHierarchy *> coreTlbs_;
     ShootdownBus *bus_ = nullptr;

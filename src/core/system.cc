@@ -26,6 +26,19 @@ constexpr std::size_t kVisTableSize = 1024;
  */
 constexpr std::size_t kMaxBlamedEvents = 16;
 
+/**
+ * Move @p pending into @p stat. A zero is skipped, which keeps a
+ * one-record batch (put()) from touching every counter.
+ */
+void
+drainInto(stats::Scalar &stat, std::uint64_t &pending)
+{
+    if (pending != 0) {
+        stat += static_cast<double>(pending);
+        pending = 0;
+    }
+}
+
 /** Fallback fast-check: plain virtual dispatch. */
 arch::CheckResult
 virtualCheck(arch::ProtectionScheme &scheme,
@@ -36,10 +49,11 @@ virtualCheck(arch::ProtectionScheme &scheme,
 
 } // namespace
 
-CoreContext::CoreContext(stats::Group *parent, unsigned idx,
-                         const SimConfig &config,
+CoreContext::CoreContext(stats::Group *system, unsigned idx,
+                         bool own_group, const SimConfig &config,
                          tlb::AddressSpace &space)
-    : stats::Group(parent, "core" + std::to_string(idx)),
+    : stats::Group(own_group ? system : nullptr,
+                   "core" + std::to_string(idx)),
       cycles(this, "cycles", "cycles accumulated on this core"),
       instructions(this, "instructions",
                    "instructions issued on this core"),
@@ -51,8 +65,19 @@ CoreContext::CoreContext(stats::Group *parent, unsigned idx,
                    "shootdown IPIs with nothing to flush"),
       index(idx)
 {
-    tlb = std::make_unique<tlb::TlbHierarchy>(this, config.tlb, space);
-    caches = std::make_unique<mem::CacheHierarchy>(this, config.memory);
+    stats::Group *home = own_group ? this : system;
+    tlb = std::make_unique<tlb::TlbHierarchy>(home, config.tlb, space);
+    caches = std::make_unique<mem::CacheHierarchy>(home, config.memory);
+}
+
+void
+CoreContext::flushPending()
+{
+    std::uint64_t fresh_cycles = cycleCount - flushedCycles;
+    drainInto(cycles, fresh_cycles);
+    flushedCycles = cycleCount;
+    drainInto(instructions, pendInstructions);
+    drainInto(memAccesses, pendMemAccesses);
 }
 
 System::System(const SimConfig &config, arch::SchemeKind scheme,
@@ -94,25 +119,18 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
     config_.topology.validate();
     events_.bindClock(&cycleCount_);
     const unsigned num_cores = config_.topology.numCores;
-    if (num_cores == 1) {
-        // The legacy flat machine: one TLB/cache pair directly under
-        // the System, no bus — bit-identical to the pre-topology
-        // model (tests/test_golden_k1.cc).
-        tlb_ = std::make_unique<tlb::TlbHierarchy>(this, config_.tlb,
-                                                   space_);
-        caches_ = std::make_unique<mem::CacheHierarchy>(this,
-                                                        config_.memory);
-        scheme_ = arch::makeScheme(scheme, this, config_.prot,
-                                   config_.topology, space_);
-        scheme_->attachCore(0, tlb_.get());
-    } else {
-        for (unsigned k = 0; k < num_cores; ++k)
-            cores_.push_back(std::make_unique<CoreContext>(
-                this, k, config_, space_));
-        scheme_ = arch::makeScheme(scheme, this, config_.prot,
-                                   config_.topology, space_);
-        for (unsigned k = 0; k < num_cores; ++k)
-            scheme_->attachCore(k, cores_[k]->tlb.get());
+    // A one-core machine has no per-core stats groups and no bus: its
+    // TLB and caches sit directly under the System and shootdowns
+    // stay local (tests/test_golden_k1.cc pins both layouts).
+    const bool multi_core = num_cores > 1;
+    for (unsigned k = 0; k < num_cores; ++k)
+        cores_.push_back(std::make_unique<CoreContext>(
+            this, k, multi_core, config_, space_));
+    scheme_ = arch::makeScheme(scheme, this, config_.prot,
+                               config_.topology, space_);
+    for (unsigned k = 0; k < num_cores; ++k)
+        scheme_->attachCore(k, cores_[k]->tlb.get());
+    if (multi_core) {
         bus_ = std::make_unique<arch::ShootdownBus>(this,
                                                     config_.topology);
         for (unsigned k = 0; k < num_cores; ++k)
@@ -208,8 +226,6 @@ System::finish()
 Cycles
 System::makespanCycles() const
 {
-    if (cores_.empty())
-        return cycleCount_;
     Cycles makespan = 0;
     for (const auto &core : cores_)
         makespan = std::max(makespan, core->cycleCount);
@@ -217,288 +233,9 @@ System::makespanCycles() const
 }
 
 void
-System::doAccess(const trace::TraceRecord &rec)
-{
-    const auto type = rec.type == trace::RecordType::Load
-                          ? AccessType::Read
-                          : AccessType::Write;
-    ++memAccesses;
-    instructions += 1;
-    if (rec.isPmoAccess())
-        ++pmoAccesses;
-
-    // 1. Translate (TLB hierarchy; protection fill runs inside).
-    auto xlate = tlb_->translate(rec.tid, rec.addr);
-
-    // 2. Domain permission check (parallel with the tag check on a
-    //    real machine; serialized costs surface via extraCycles).
-    arch::AccessContext ctx;
-    ctx.tid = rec.tid;
-    ctx.va = rec.addr;
-    ctx.type = type;
-    ctx.entry = xlate.entry;
-    auto check = scheme_->checkAccess(ctx);
-    if (!check.allowed)
-        ++deniedAccesses;
-
-    // 3. Data access. Denied accesses raise an exception instead of
-    //    touching the cache; workloads are well behaved, so model the
-    //    fault as a fixed pipeline-flush cost.
-    Cycles mem_latency = config_.memory.l1.hitLatency;
-    if (check.allowed) {
-        const MemClass cls = rec.isPmoAccess() ? MemClass::Nvm
-                                               : xlate.entry->memClass;
-        mem_latency = caches_->access(rec.addr, type, cls).latency;
-    }
-
-    // The OoO core hides part of the above-L1 latency; protection
-    // extras (walks, remaps, shootdowns, PTLB lookups) serialize.
-    const double visible =
-        1.0 + (1.0 - config_.memOverlap) *
-                  static_cast<double>(xlate.latency + mem_latency - 1);
-    addCycles(static_cast<Cycles>(std::llround(visible)), cycMem);
-    addCycles(xlate.fillExtra, cycProtFill);
-    addCycles(check.extraCycles, cycProtCheck);
-}
-
-void
-System::doAccessMulti(const trace::TraceRecord &rec, CoreContext &core)
-{
-    const auto type = rec.type == trace::RecordType::Load
-                          ? AccessType::Read
-                          : AccessType::Write;
-    ++memAccesses;
-    ++core.memAccesses;
-    instructions += 1;
-    core.instructions += 1;
-    if (rec.isPmoAccess())
-        ++pmoAccesses;
-
-    scheme_->setActiveCore(core.index);
-    auto xlate = core.tlb->translate(rec.tid, rec.addr);
-
-    arch::AccessContext ctx;
-    ctx.tid = rec.tid;
-    ctx.va = rec.addr;
-    ctx.type = type;
-    ctx.entry = xlate.entry;
-    auto check = scheme_->checkAccess(ctx);
-    if (!check.allowed)
-        ++deniedAccesses;
-
-    Cycles mem_latency = config_.memory.l1.hitLatency;
-    if (check.allowed) {
-        const MemClass cls = rec.isPmoAccess() ? MemClass::Nvm
-                                               : xlate.entry->memClass;
-        mem_latency = core.caches->access(rec.addr, type, cls).latency;
-    }
-
-    const Cycles lat = xlate.latency + mem_latency;
-    const Cycles vis =
-        lat < visTable_.size() ? visTable_[lat] : visibleCycles(lat);
-    addCoreCycles(core, vis, cycMem);
-    addCoreCycles(core, xlate.fillExtra, cycProtFill);
-    addCoreCycles(core, check.extraCycles, cycProtCheck);
-}
-
-void
-System::putMulti(const trace::TraceRecord &rec)
-{
-    using trace::RecordType;
-    // Threads are pinned: thread t runs on core t % K and never
-    // migrates, so every record is core-affine by its tid.
-    const unsigned num_cores = config_.topology.numCores;
-    switch (rec.type) {
-      case RecordType::InstBlock: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        instructions += static_cast<double>(rec.aux);
-        core.instructions += static_cast<double>(rec.aux);
-        const Cycles c = (rec.aux + config_.issueWidth - 1) /
-                         config_.issueWidth;
-        addCoreCycles(core, c, cycIssue);
-        break;
-      }
-      case RecordType::Load:
-      case RecordType::Store:
-        doAccessMulti(rec, *cores_[rec.tid % num_cores]);
-        break;
-      case RecordType::SetPerm: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        instructions += 1;
-        core.instructions += 1;
-        addCoreCycles(core, scheme_->setPerm(rec.tid, rec.aux,
-                                             rec.perm()),
-                      cycPermInstr);
-        break;
-      }
-      case RecordType::Wrpkru: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        instructions += 1;
-        core.instructions += 1;
-        addCoreCycles(core, scheme_->wrpkruRaw(
-                                rec.tid,
-                                static_cast<ProtKey>(rec.aux),
-                                rec.perm()),
-                      cycPermInstr);
-        break;
-      }
-      case RecordType::Attach: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        tlb::Region region;
-        region.base = rec.addr;
-        region.size = rec.value;
-        region.domain = rec.aux;
-        region.pagePerm = rec.perm();
-        region.memClass = MemClass::Nvm;
-        region.pageSize = rec.pageSize();
-        space_.map(region);
-        addCoreCycles(core,
-                      scheme_->attach(rec.tid, rec.aux, rec.addr,
-                                      rec.value, rec.perm()),
-                      cycSyscall);
-        break;
-      }
-      case RecordType::Detach: {
-        CoreContext &core = *cores_[rec.tid % num_cores];
-        scheme_->setActiveCore(core.index);
-        addCoreCycles(core, scheme_->detach(rec.tid, rec.aux),
-                      cycSyscall);
-        space_.unmapDomain(rec.aux);
-        break;
-      }
-      case RecordType::ThreadSwitch: {
-        // A thread-switch marker is core-affine scheduling: the named
-        // thread is (re)scheduled on its home core. If it is already
-        // running there the marker is a no-op — the other cores keep
-        // executing undisturbed.
-        const ThreadId to = rec.aux;
-        CoreContext &core = *cores_[to % num_cores];
-        if (core.curTid != to) {
-            scheme_->setActiveCore(core.index);
-            ++core.ctxSwitches;
-            addCoreCycles(core, scheme_->contextSwitch(core.curTid, to),
-                          cycCtxSwitch);
-            core.curTid = to;
-        }
-        break;
-      }
-      case RecordType::OpBegin: {
-        opStart_ = cycleCount_;
-        opInFlight_ = true;
-        if (opTrack_ && rec.hasArrival()) {
-            CoreContext &core = *cores_[rec.tid % num_cores];
-            beginTrackedOp(rec, core.cycleCount, core.idleSkew);
-            if (opForensics_)
-                beginForensics(rec, bucketCycles());
-        }
-        break;
-      }
-      case RecordType::OpEnd:
-        ++operations;
-        if (opInFlight_) {
-            opCycles.sample(cycleCount_ - opStart_);
-            events_.post(trace::EventKind::TxnCommit, rec.tid,
-                         static_cast<std::uint32_t>(rec.aux),
-                         cycleCount_ - opStart_);
-            opInFlight_ = false;
-        }
-        if (opHasArrival_) {
-            CoreContext &core = *cores_[rec.tid % num_cores];
-            if (opForensics_)
-                endForensics(rec, core.cycleCount, core.idleSkew,
-                             bucketCycles());
-            endTrackedOp(core.cycleCount, core.idleSkew);
-        }
-        break;
-    }
-}
-
-void
 System::put(const trace::TraceRecord &rec)
 {
-    using trace::RecordType;
-    if (config_.topology.numCores > 1) {
-        putMulti(rec);
-        timeline.tick(cycleCount_);
-        return;
-    }
-    switch (rec.type) {
-      case RecordType::InstBlock: {
-        instructions += static_cast<double>(rec.aux);
-        const Cycles c = (rec.aux + config_.issueWidth - 1) /
-                         config_.issueWidth;
-        addCycles(c, cycIssue);
-        break;
-      }
-      case RecordType::Load:
-      case RecordType::Store:
-        doAccess(rec);
-        break;
-      case RecordType::SetPerm:
-        instructions += 1;
-        addCycles(scheme_->setPerm(rec.tid, rec.aux, rec.perm()),
-                  cycPermInstr);
-        break;
-      case RecordType::Wrpkru:
-        instructions += 1;
-        addCycles(scheme_->wrpkruRaw(
-                      rec.tid, static_cast<ProtKey>(rec.aux),
-                      rec.perm()),
-                  cycPermInstr);
-        break;
-      case RecordType::Attach: {
-        tlb::Region region;
-        region.base = rec.addr;
-        region.size = rec.value;
-        region.domain = rec.aux;
-        region.pagePerm = rec.perm();
-        region.memClass = MemClass::Nvm;
-        region.pageSize = rec.pageSize();
-        space_.map(region);
-        addCycles(scheme_->attach(rec.tid, rec.aux, rec.addr, rec.value,
-                                  rec.perm()),
-                  cycSyscall);
-        break;
-      }
-      case RecordType::Detach:
-        addCycles(scheme_->detach(rec.tid, rec.aux), cycSyscall);
-        space_.unmapDomain(rec.aux);
-        break;
-      case RecordType::ThreadSwitch:
-        addCycles(scheme_->contextSwitch(currentThread_, rec.aux),
-                  cycCtxSwitch);
-        currentThread_ = rec.aux;
-        break;
-      case RecordType::OpBegin:
-        opStart_ = cycleCount_;
-        opInFlight_ = true;
-        if (opTrack_ && rec.hasArrival()) {
-            beginTrackedOp(rec, cycleCount_, idleSkew_);
-            if (opForensics_)
-                beginForensics(rec, bucketCycles());
-        }
-        break;
-      case RecordType::OpEnd:
-        ++operations;
-        if (opInFlight_) {
-            opCycles.sample(cycleCount_ - opStart_);
-            events_.post(trace::EventKind::TxnCommit, rec.tid,
-                         static_cast<std::uint32_t>(rec.aux),
-                         cycleCount_ - opStart_);
-            opInFlight_ = false;
-        }
-        if (opHasArrival_) {
-            if (opForensics_)
-                endForensics(rec, cycleCount_, idleSkew_,
-                             bucketCycles());
-            endTrackedOp(cycleCount_, idleSkew_);
-        }
-        break;
-    }
-    timeline.tick(cycleCount_);
+    replayBatch({&rec, 1});
 }
 
 void
@@ -533,29 +270,21 @@ System::beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
 std::array<std::uint64_t, stats::kSlowDigestBuckets>
 System::bucketCycles() const
 {
+    const BatchCounters &d = pending_;
     // Bucket values are integer cycle counts held in double Scalars;
     // they stay far below 2^53, so the casts are exact.
-    return {static_cast<std::uint64_t>(cycIssue.value()),
-            static_cast<std::uint64_t>(cycMem.value()),
-            static_cast<std::uint64_t>(cycProtFill.value()),
-            static_cast<std::uint64_t>(cycProtCheck.value()),
-            static_cast<std::uint64_t>(cycPermInstr.value()),
-            static_cast<std::uint64_t>(cycSyscall.value()),
-            static_cast<std::uint64_t>(cycCtxSwitch.value())};
-}
-
-void
-System::addPendingBuckets(
-    std::array<std::uint64_t, stats::kSlowDigestBuckets> &snap,
-    const BatchCounters &d)
-{
-    snap[0] += d.cycIssue;
-    snap[1] += d.cycMem;
-    snap[2] += d.cycProtFill;
-    snap[3] += d.cycProtCheck;
-    snap[4] += d.cycPermInstr;
-    snap[5] += d.cycSyscall;
-    snap[6] += d.cycCtxSwitch;
+    return {static_cast<std::uint64_t>(cycIssue.value()) + d.cycIssue,
+            static_cast<std::uint64_t>(cycMem.value()) + d.cycMem,
+            static_cast<std::uint64_t>(cycProtFill.value()) +
+                d.cycProtFill,
+            static_cast<std::uint64_t>(cycProtCheck.value()) +
+                d.cycProtCheck,
+            static_cast<std::uint64_t>(cycPermInstr.value()) +
+                d.cycPermInstr,
+            static_cast<std::uint64_t>(cycSyscall.value()) +
+                d.cycSyscall,
+            static_cast<std::uint64_t>(cycCtxSwitch.value()) +
+                d.cycCtxSwitch};
 }
 
 void
@@ -645,47 +374,44 @@ System::endTrackedOp(Cycles cycle_now, Cycles idle_skew)
 Cycles
 System::visibleCycles(Cycles lat) const
 {
-    // Must stay textually identical to the legacy doAccess() formula:
-    // the determinism tests compare batch and per-record replays
-    // bit for bit.
+    // The visible share of translate+memory latency @p lat: the OoO
+    // core hides part of the above-L1 latency (tests/test_system.cc
+    // mirrors this formula).
     const double visible =
         1.0 + (1.0 - config_.memOverlap) * static_cast<double>(lat - 1);
     return static_cast<Cycles>(std::llround(visible));
 }
 
 void
-System::flushBatch(BatchCounters &d)
+System::flushPending()
 {
-    const std::uint64_t total_cycles =
-        d.cycIssue + d.cycMem + d.cycProtFill + d.cycProtCheck +
-        d.cycPermInstr + d.cycSyscall + d.cycCtxSwitch;
-    cycles += static_cast<double>(total_cycles);
-    cycIssue += static_cast<double>(d.cycIssue);
-    cycMem += static_cast<double>(d.cycMem);
-    cycProtFill += static_cast<double>(d.cycProtFill);
-    cycProtCheck += static_cast<double>(d.cycProtCheck);
-    cycPermInstr += static_cast<double>(d.cycPermInstr);
-    cycSyscall += static_cast<double>(d.cycSyscall);
-    cycCtxSwitch += static_cast<double>(d.cycCtxSwitch);
-    instructions += static_cast<double>(d.instructions);
-    memAccesses += static_cast<double>(d.memAccesses);
-    pmoAccesses += static_cast<double>(d.pmoAccesses);
-    operations += static_cast<double>(d.operations);
-    deniedAccesses += static_cast<double>(d.denied);
-    d = BatchCounters{};
+    BatchCounters &d = pending_;
+    std::uint64_t total_cycles = d.cycIssue + d.cycMem + d.cycProtFill +
+                                 d.cycProtCheck + d.cycPermInstr +
+                                 d.cycSyscall + d.cycCtxSwitch;
+    drainInto(cycles, total_cycles);
+    drainInto(cycIssue, d.cycIssue);
+    drainInto(cycMem, d.cycMem);
+    drainInto(cycProtFill, d.cycProtFill);
+    drainInto(cycProtCheck, d.cycProtCheck);
+    drainInto(cycPermInstr, d.cycPermInstr);
+    drainInto(cycSyscall, d.cycSyscall);
+    drainInto(cycCtxSwitch, d.cycCtxSwitch);
+    drainInto(instructions, d.instructions);
+    drainInto(memAccesses, d.memAccesses);
+    drainInto(pmoAccesses, d.pmoAccesses);
+    drainInto(operations, d.operations);
+    drainInto(deniedAccesses, d.denied);
+    for (auto &core : cores_)
+        core->flushPending();
 }
 
 void
 System::setComponentStatsDeferred(bool defer)
 {
-    if (config_.topology.numCores == 1) {
-        tlb_->setStatsDeferred(defer);
-        caches_->setStatsDeferred(defer);
-    } else {
-        for (auto &core : cores_) {
-            core->tlb->setStatsDeferred(defer);
-            core->caches->setStatsDeferred(defer);
-        }
+    for (auto &core : cores_) {
+        core->tlb->setStatsDeferred(defer);
+        core->caches->setStatsDeferred(defer);
     }
     scheme_->setStatsDeferred(defer);
 }
@@ -693,14 +419,9 @@ System::setComponentStatsDeferred(bool defer)
 void
 System::flushComponentStats()
 {
-    if (config_.topology.numCores == 1) {
-        tlb_->flushDeferredStats();
-        caches_->flushDeferredStats();
-    } else {
-        for (auto &core : cores_) {
-            core->tlb->flushDeferredStats();
-            core->caches->flushDeferredStats();
-        }
+    for (auto &core : cores_) {
+        core->tlb->flushDeferredStats();
+        core->caches->flushDeferredStats();
     }
     scheme_->flushDeferredStats();
 }
@@ -710,28 +431,21 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
 {
     using trace::RecordType;
 
-    if (config_.topology.numCores > 1) {
-        // Multi-core replay interleaves the per-core streams record
-        // by record; the single-core batch fast path below stays
-        // untouched so K=1 remains bit-identical to the legacy loop.
-        // Component counters can still be deferred — but only when the
-        // timeline is off, since putMulti ticks after every record and
-        // an epoch snapshot must see exact component values.
-        const bool defer = !timeline.enabled();
-        if (defer)
-            setComponentStatsDeferred(true);
-        for (const trace::TraceRecord &rec : records) {
-            putMulti(rec);
-            timeline.tick(cycleCount_);
-        }
-        if (defer)
-            setComponentStatsDeferred(false);
-        return;
-    }
-
     // Invariants hoisted out of the record loop.
-    tlb::TlbHierarchy *const tlb = tlb_.get();
-    mem::CacheHierarchy *const caches = caches_.get();
+    const std::unique_ptr<CoreContext> *const cores = cores_.data();
+    const unsigned num_cores = numCores();
+    // Threads are pinned: thread t runs on core t % K and never
+    // migrates, so every record is core-affine by its tid. A
+    // power-of-two K (K=1 included) masks instead of dividing.
+    const bool pow2_cores = (num_cores & (num_cores - 1)) == 0;
+    const auto core_of = [&](std::uint64_t tid) -> CoreContext & {
+        return *cores[pow2_cores ? tid & (num_cores - 1)
+                                 : tid % num_cores];
+    };
+    // A one-core machine replays every ThreadSwitch record as a
+    // context switch, even one naming the running thread: the PMO
+    // runtime emits those, and the one-core model charges each.
+    const bool switch_always = num_cores == 1;
     arch::ProtectionScheme *const scheme = scheme_.get();
     const Cycles l1_hit = config_.memory.l1.hitLatency;
     const std::uint32_t issue_width = config_.issueWidth;
@@ -739,14 +453,30 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
     const arch::ProtectionScheme::FastCheckFn check_fn =
         scheme->fastCheck() ? scheme->fastCheck() : &virtualCheck;
 
-    BatchCounters d;
+    BatchCounters &d = pending_;
+    // Advance @p core's clock (and the machine's) by @p c cycles.
+    const auto advance = [&](CoreContext &core, Cycles c) {
+        cycleCount_ += c;
+        core.cycleCount += c;
+    };
+    // As advance(), charging the cycles to attribution bucket @p bucket.
+    const auto charge = [&](CoreContext &core, Cycles c,
+                            std::uint64_t &bucket) {
+        advance(core, c);
+        bucket += c;
+    };
     std::uint64_t boundary = timeline.nextBoundary();
-    setComponentStatsDeferred(true);
+    // Toggling the components' deferral cascades through every TLB,
+    // cache and scheme buffer; a one-record batch does not repay it.
+    const bool defer = records.size() > 1;
+    if (defer)
+        setComponentStatsDeferred(true);
 
     for (const trace::TraceRecord &rec : records) {
         switch (rec.type) {
           case RecordType::Load:
           case RecordType::Store: {
+            CoreContext &core = core_of(rec.tid);
             const auto type = rec.type == RecordType::Load
                                   ? AccessType::Read
                                   : AccessType::Write;
@@ -754,8 +484,11 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             ++d.memAccesses;
             ++d.instructions;
             d.pmoAccesses += pmo ? 1 : 0;
+            ++core.pendMemAccesses;
+            ++core.pendInstructions;
 
-            const auto xlate = tlb->translate(rec.tid, rec.addr);
+            scheme->setActiveCore(core.index);
+            const auto xlate = core.tlb->translate(rec.tid, rec.addr);
 
             bool allowed = true;
             Cycles check_extra = 0;
@@ -772,46 +505,61 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                     ++d.denied;
             }
 
+            // Denied accesses raise an exception instead of touching
+            // the cache; workloads are well behaved, so the fault is
+            // modelled as a fixed pipeline-flush cost.
             Cycles mem_latency = l1_hit;
             if (allowed) {
                 const MemClass cls =
                     pmo ? MemClass::Nvm : xlate.entry->memClass;
-                mem_latency = caches->access(rec.addr, type, cls).latency;
+                mem_latency =
+                    core.caches->access(rec.addr, type, cls).latency;
             }
 
+            // The OoO core hides part of the above-L1 latency;
+            // protection extras (walks, remaps, shootdowns, PTLB
+            // lookups) serialize.
             const Cycles lat = xlate.latency + mem_latency;
             const Cycles vis = lat < kVisTableSize ? visTable_[lat]
                                                    : visibleCycles(lat);
-            cycleCount_ += vis + xlate.fillExtra + check_extra;
+            advance(core, vis + xlate.fillExtra + check_extra);
             d.cycMem += vis;
             d.cycProtFill += xlate.fillExtra;
             d.cycProtCheck += check_extra;
             break;
           }
           case RecordType::InstBlock: {
+            CoreContext &core = core_of(rec.tid);
             d.instructions += rec.aux;
-            const Cycles c = (rec.aux + issue_width - 1) / issue_width;
-            cycleCount_ += c;
-            d.cycIssue += c;
+            core.pendInstructions += rec.aux;
+            charge(core, (rec.aux + issue_width - 1) / issue_width,
+                   d.cycIssue);
             break;
           }
           case RecordType::SetPerm: {
+            CoreContext &core = core_of(rec.tid);
             ++d.instructions;
-            const Cycles c = scheme->setPerm(rec.tid, rec.aux,
-                                             rec.perm());
-            cycleCount_ += c;
-            d.cycPermInstr += c;
+            ++core.pendInstructions;
+            scheme->setActiveCore(core.index);
+            charge(core, scheme->setPerm(rec.tid, rec.aux, rec.perm()),
+                   d.cycPermInstr);
             break;
           }
           case RecordType::Wrpkru: {
+            CoreContext &core = core_of(rec.tid);
             ++d.instructions;
-            const Cycles c = scheme->wrpkruRaw(
-                rec.tid, static_cast<ProtKey>(rec.aux), rec.perm());
-            cycleCount_ += c;
-            d.cycPermInstr += c;
+            ++core.pendInstructions;
+            scheme->setActiveCore(core.index);
+            charge(core,
+                   scheme->wrpkruRaw(rec.tid,
+                                     static_cast<ProtKey>(rec.aux),
+                                     rec.perm()),
+                   d.cycPermInstr);
             break;
           }
           case RecordType::Attach: {
+            CoreContext &core = core_of(rec.tid);
+            scheme->setActiveCore(core.index);
             tlb::Region region;
             region.base = rec.addr;
             region.size = rec.value;
@@ -820,40 +568,43 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             region.memClass = MemClass::Nvm;
             region.pageSize = rec.pageSize();
             space_.map(region);
-            const Cycles c = scheme->attach(rec.tid, rec.aux, rec.addr,
-                                            rec.value, rec.perm());
-            cycleCount_ += c;
-            d.cycSyscall += c;
+            charge(core,
+                   scheme->attach(rec.tid, rec.aux, rec.addr, rec.value,
+                                  rec.perm()),
+                   d.cycSyscall);
             break;
           }
           case RecordType::Detach: {
-            const Cycles c = scheme->detach(rec.tid, rec.aux);
-            cycleCount_ += c;
-            d.cycSyscall += c;
+            CoreContext &core = core_of(rec.tid);
+            scheme->setActiveCore(core.index);
+            charge(core, scheme->detach(rec.tid, rec.aux), d.cycSyscall);
             space_.unmapDomain(rec.aux);
             break;
           }
           case RecordType::ThreadSwitch: {
-            const Cycles c = scheme->contextSwitch(currentThread_,
-                                                   rec.aux);
-            cycleCount_ += c;
-            d.cycCtxSwitch += c;
-            currentThread_ = rec.aux;
+            // The named thread is (re)scheduled on its home core. On a
+            // multi-core machine a switch to the thread already
+            // running there is a no-op: the other cores keep executing
+            // undisturbed.
+            const ThreadId to = rec.aux;
+            CoreContext &core = core_of(to);
+            if (switch_always || core.curTid != to) {
+                scheme->setActiveCore(core.index);
+                ++core.ctxSwitches;
+                charge(core, scheme->contextSwitch(core.curTid, to),
+                       d.cycCtxSwitch);
+                core.curTid = to;
+            }
             break;
           }
           case RecordType::OpBegin:
             opStart_ = cycleCount_;
             opInFlight_ = true;
             if (opTrack_ && rec.hasArrival()) {
-                beginTrackedOp(rec, cycleCount_, idleSkew_);
-                if (opForensics_) {
-                    // The batch loop's Scalars lag behind by the
-                    // deferred counters; fold them in so the snapshot
-                    // equals what the per-record path would see.
-                    auto snap = bucketCycles();
-                    addPendingBuckets(snap, d);
-                    beginForensics(rec, snap);
-                }
+                CoreContext &core = core_of(rec.tid);
+                beginTrackedOp(rec, core.cycleCount, core.idleSkew);
+                if (opForensics_)
+                    beginForensics(rec, bucketCycles());
             }
             break;
           case RecordType::OpEnd:
@@ -866,31 +617,29 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 opInFlight_ = false;
             }
             if (opHasArrival_) {
-                if (opForensics_) {
-                    auto snap = bucketCycles();
-                    addPendingBuckets(snap, d);
-                    endForensics(rec, cycleCount_, idleSkew_, snap);
-                }
-                endTrackedOp(cycleCount_, idleSkew_);
+                CoreContext &core = core_of(rec.tid);
+                if (opForensics_)
+                    endForensics(rec, core.cycleCount, core.idleSkew,
+                                 bucketCycles());
+                endTrackedOp(core.cycleCount, core.idleSkew);
             }
             break;
         }
 
-        // The legacy path ticks the timeline after every record; the
-        // tick only has an effect once cycleCount_ passes the next
-        // epoch boundary, so an explicit boundary compare here is
-        // equivalent — provided the deferred counters are flushed
-        // first, so the epoch snapshot sees exactly the per-record
-        // Scalar values.
+        // A timeline tick only has an effect once cycleCount_ passes
+        // the next epoch boundary, so the loop compares against the
+        // boundary instead of ticking per record — after flushing the
+        // deferred counters, so the epoch snapshot sees exact values.
         if (cycleCount_ >= boundary) [[unlikely]] {
-            flushBatch(d);
+            flushPending();
             flushComponentStats();
             timeline.tick(cycleCount_);
             boundary = timeline.nextBoundary();
         }
     }
-    flushBatch(d);
-    setComponentStatsDeferred(false);
+    flushPending();
+    if (defer)
+        setComponentStatsDeferred(false);
 }
 
 } // namespace pmodv::core

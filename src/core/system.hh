@@ -32,17 +32,27 @@ namespace pmodv::core
 {
 
 /**
- * Private replay state of one core on a multi-core machine: its own
- * TLB hierarchy, caches, running thread and cycle attribution. The
- * PMO/domain registry, page tables, DTT/DRT, key-allocation state and
- * shootdown bus stay shared, inside the scheme / System. Single-core
- * machines skip this wrapper entirely and keep the legacy flat
- * layout, which is what the golden-replay tests pin down.
+ * Private replay state of one core: its own TLB hierarchy, caches,
+ * running thread and cycle attribution. The PMO/domain registry, page
+ * tables, DTT/DRT, key-allocation state and shootdown bus stay
+ * shared, inside the scheme / System.
+ *
+ * On a multi-core machine each core is a `core<k>` stats group under
+ * the System holding its counters, TLB and caches. A one-core machine
+ * registers no such group: its TLB and caches sit directly under the
+ * System (the layout the golden-replay tests pin down) and the
+ * per-core counters, which would repeat the System's, stay out of
+ * the tree.
  */
 class CoreContext : public stats::Group
 {
   public:
-    CoreContext(stats::Group *parent, unsigned idx,
+    /**
+     * Core @p idx of @p system. With @p own_group the core registers
+     * as the System's `core<idx>` child and parents its TLB and caches;
+     * without it, they are parented under @p system directly.
+     */
+    CoreContext(stats::Group *system, unsigned idx, bool own_group,
                 const SimConfig &config, tlb::AddressSpace &space);
 
     stats::Scalar cycles;        ///< Cycles accumulated on this core.
@@ -67,6 +77,15 @@ class CoreContext : public stats::Group
      * tracking only; never charged to any attribution bucket).
      */
     Cycles idleSkew = 0;
+
+    /** The part of cycleCount already added to `cycles`. */
+    Cycles flushedCycles = 0;
+    /** Counts the replay loop has not yet added to the Scalars. */
+    std::uint64_t pendInstructions = 0;
+    std::uint64_t pendMemAccesses = 0;
+
+    /** Add the pending counts to the Scalars (and reset them). */
+    void flushPending();
 };
 
 /** A full machine replaying a trace under one protection scheme. */
@@ -82,23 +101,25 @@ class System : public stats::Group, public trace::TraceSink
     ~System() override;
 
     // -- TraceSink --
+    /** Replay one record: a one-record replayBatch(). */
     void put(const trace::TraceRecord &rec) override;
     /** Ends the replay: closes the timeline's trailing epoch. */
     void finish() override;
 
     /**
-     * Replay a whole batch of records through the devirtualized hot
-     * loop. Produces exactly the same cycles, stats tree, event ring
-     * and timeline as feeding each record through put(): the loop
-     * hoists config/scheme lookups, skips or devirtualizes the
+     * Replay a batch of records. This is the System's only record
+     * loop, for every core count: thread t runs on core t % K. The
+     * loop hoists config/scheme lookups, skips or devirtualizes the
      * per-access protection check (ProtectionScheme::fastCheck) and
-     * defers the System's own Scalar updates into plain integer
-     * accumulators, flushing them before every timeline epoch
-     * boundary and at the end of the batch. All deferred quantities
-     * are integers well below 2^53, so the batched double adds are
-     * bit-identical to the per-record ones.
+     * defers the System's, the cores' and (for batches of more than
+     * one record) the components' counter updates into plain
+     * integers, flushing them before every timeline epoch boundary
+     * and at the end of the batch. All deferred quantities are
+     * integers well below 2^53, so the batched double adds are exact:
+     * however a trace is split into batches, the cycles, stats tree,
+     * event ring and timeline come out the same.
      *
-     * Call finish() after the last batch, exactly as with put().
+     * Call finish() after the last batch.
      */
     void replayBatch(std::span<const trace::TraceRecord> records);
 
@@ -106,8 +127,8 @@ class System : public stats::Group, public trace::TraceSink
     Cycles totalCycles() const { return cycleCount_; }
 
     /**
-     * Wall-clock makespan in cycles: the busiest core's counter on a
-     * multi-core machine, the plain total on a single core.
+     * Wall-clock makespan in cycles: the busiest core's counter (the
+     * plain total on a single core).
      */
     Cycles makespanCycles() const;
 
@@ -118,14 +139,15 @@ class System : public stats::Group, public trace::TraceSink
     arch::SchemeKind schemeKind() const { return schemeKind_; }
     arch::ProtectionScheme &scheme() { return *scheme_; }
     const arch::ProtectionScheme &scheme() const { return *scheme_; }
-    tlb::TlbHierarchy &tlbs() { return numCores() == 1 ? *tlb_ : *cores_[0]->tlb; }
-    mem::CacheHierarchy &caches() { return numCores() == 1 ? *caches_ : *cores_[0]->caches; }
+    /** Core 0's TLB hierarchy and caches. */
+    tlb::TlbHierarchy &tlbs() { return *cores_[0]->tlb; }
+    mem::CacheHierarchy &caches() { return *cores_[0]->caches; }
     tlb::AddressSpace &addressSpace() { return space_; }
 
     /** Core count of this machine. */
     unsigned numCores() const { return config_.topology.numCores; }
 
-    /** Core @p k's private state (multi-core machines only). */
+    /** Core @p k's private state. */
     CoreContext &coreAt(arch::CoreId k) { return *cores_.at(k); }
 
     /** The IPI broadcast fabric (null on single-core machines). */
@@ -148,8 +170,9 @@ class System : public stats::Group, public trace::TraceSink
     stats::Scalar deniedAccesses;
 
     // Where the cycles went. These buckets partition `cycles`: every
-    // addCycles() call names exactly one of them, so their sum always
-    // equals the total (asserted by tools/check_stats_schema.py).
+    // cycle the replay loop charges names exactly one of them, so their
+    // sum always equals the total (asserted by
+    // tools/check_stats_schema.py).
     stats::Scalar cycIssue;     ///< Instruction issue (InstBlock).
     stats::Scalar cycMem;       ///< Visible load/store latency.
     stats::Scalar cycProtFill;  ///< Protection fill work on TLB misses.
@@ -217,7 +240,7 @@ class System : public stats::Group, public trace::TraceSink
   private:
     /**
      * Integer accumulators for the System's own counters, filled by
-     * the replayBatch loop instead of bumping the Scalars per record.
+     * the replay loop instead of bumping the Scalars per record.
      */
     struct BatchCounters
     {
@@ -235,30 +258,9 @@ class System : public stats::Group, public trace::TraceSink
         std::uint64_t cycCtxSwitch = 0;
     };
 
-    void doAccess(const trace::TraceRecord &rec);
-    void addCycles(Cycles c, stats::Scalar &bucket)
-    {
-        cycleCount_ += c;
-        cycles += static_cast<double>(c);
-        bucket += static_cast<double>(c);
-    }
-
-    /** Charge @p c to @p core's clock and the machine-wide buckets. */
-    void addCoreCycles(CoreContext &core, Cycles c, stats::Scalar &bucket)
-    {
-        cycleCount_ += c;
-        core.cycleCount += c;
-        cycles += static_cast<double>(c);
-        core.cycles += static_cast<double>(c);
-        bucket += static_cast<double>(c);
-    }
-
-    /** Multi-core record dispatch (put() and replayBatch() at K>1). */
-    void putMulti(const trace::TraceRecord &rec);
-    void doAccessMulti(const trace::TraceRecord &rec, CoreContext &core);
-
-    /** Drain @p d into the Scalars (and reset it). */
-    void flushBatch(BatchCounters &d);
+    /** Drain pending_ and every core's pending counts into the
+     *  Scalars (and reset them). */
+    void flushPending();
 
     /**
      * Switch every owned component (TLBs, caches, memory, scheme) in
@@ -282,9 +284,7 @@ class System : public stats::Group, public trace::TraceSink
      * serving core's virtual clock (@p cycle_now + @p idle_skew) to
      * the stamped arrival if the core is ahead of the arrival
      * process (the jump moves only the idle offset — no attribution
-     * bucket is charged), then sample the queueing delay. The three
-     * dispatch paths (put, putMulti, replayBatch) all funnel here so
-     * their outputs stay bit-identical.
+     * bucket is charged), then sample the queueing delay.
      */
     void beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
                         Cycles &idle_skew);
@@ -292,15 +292,13 @@ class System : public stats::Group, public trace::TraceSink
     /** Sample arrival->completion latency at a stamped op's OpEnd. */
     void endTrackedOp(Cycles cycle_now, Cycles idle_skew);
 
-    /** Current values of the 7 attribution buckets, digest order. */
+    /**
+     * Current values of the 7 attribution buckets, digest order: the
+     * Scalars plus the not-yet-flushed pending_ cycles (the loop's
+     * Scalars lag behind by exactly these).
+     */
     std::array<std::uint64_t, stats::kSlowDigestBuckets>
     bucketCycles() const;
-
-    /** Fold @p d's not-yet-flushed bucket cycles into @p snap (the
-     *  batch loop's Scalars lag behind by exactly these). */
-    static void addPendingBuckets(
-        std::array<std::uint64_t, stats::kSlowDigestBuckets> &snap,
-        const BatchCounters &d);
 
     /**
      * Open a request blame window at a stamped OpBegin (forensics
@@ -327,15 +325,12 @@ class System : public stats::Group, public trace::TraceSink
     arch::SchemeKind schemeKind_;
     trace::EventRing events_;
     tlb::AddressSpace space_;
-    /** Single-core layout: TLB/caches directly under the System. */
-    std::unique_ptr<tlb::TlbHierarchy> tlb_;
-    std::unique_ptr<mem::CacheHierarchy> caches_;
-    /** Multi-core layout: one CoreContext per core instead. */
     std::vector<std::unique_ptr<CoreContext>> cores_;
     std::unique_ptr<arch::ShootdownBus> bus_;
     std::unique_ptr<arch::ProtectionScheme> scheme_;
     Cycles cycleCount_ = 0;
-    ThreadId currentThread_ = 0;
+    /** The replay loop's not-yet-flushed counts; zero between batches. */
+    BatchCounters pending_;
     /** visTable_[lat] = visible cycles for translate+mem latency lat. */
     std::vector<Cycles> visTable_;
     /** Cycle count at the most recent OpBegin (op in flight if set). */
@@ -345,8 +340,6 @@ class System : public stats::Group, public trace::TraceSink
     // ---- request-latency tracking (config.opClasses > 0) ----
     /** True when the op_lat/op_queue histograms exist. */
     bool opTrack_ = false;
-    /** Single-core idle offset (multi-core uses CoreContext's). */
-    Cycles idleSkew_ = 0;
     /** Arrival stamp / class of the in-flight tracked op. */
     Cycles opArrival_ = 0;
     std::uint32_t opClassCur_ = 0;
