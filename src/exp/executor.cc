@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <thread>
 
@@ -232,15 +233,17 @@ whisperKinds()
 
 /**
  * Poll-and-report loop: counts ready futures every ~200 ms and prints
- * one overwriting stderr line with done/total, elapsed and a linear
- * ETA. `run->replays` is only read for runs whose capture already
- * completed — before that the vector is still being populated by the
- * capture task.
+ * one overwriting stderr line with captures and replays done/total,
+ * elapsed and a linear ETA. `run->replays` is only read for runs
+ * whose capture already completed — before that the vector is still
+ * being populated by the capture task. An empty sweep prints nothing.
  */
 void
 awaitWithProgress(std::vector<std::future<void>> &captures,
                   std::vector<std::unique_ptr<PointRun>> &runs)
 {
+    if (captures.empty())
+        return;
     using clock = std::chrono::steady_clock;
     const auto start = clock::now();
     std::size_t total = 0;
@@ -279,9 +282,10 @@ awaitWithProgress(std::vector<std::future<void>> &captures,
                           static_cast<double>(total - replays_done) /
                           static_cast<double>(replays_done);
             std::fprintf(stderr,
-                         "\r[exp] replays %zu/%zu  elapsed %.1fs"
-                         "  eta %.1fs ",
-                         replays_done, total, elapsed, eta);
+                         "\r[exp] captures %zu/%zu  replays %zu/%zu"
+                         "  elapsed %.1fs  eta %.1fs ",
+                         captures_done, captures.size(), replays_done,
+                         total, elapsed, eta);
             std::fflush(stderr);
             printed = true;
         }
@@ -456,150 +460,153 @@ exportTracks(trace::PerfettoExporter *exporter, const PointRun &run,
     }
 }
 
+RawPointResult
+reduceRaw(const RawPointSpec &, const PointRun &run)
+{
+    RawPointResult res;
+    for (SchemeKind k : run.kinds) {
+        const core::System &sys = systemOf(run, k);
+        res.totalCycles[k] = sys.totalCycles();
+        res.deniedAccesses[k] = sys.deniedAccesses.value();
+        res.hotDomains[k] =
+            sys.scheme().domainProfile().topN(kHotDomainsTopN);
+    }
+    captureObservability(run, res.statsJson, res.eventsJson,
+                         res.hotDomainsJson);
+    return res;
+}
+
+/**
+ * One point of a sweep as the pipeline sees it: the schemes to
+ * replay, the replay config, the Perfetto track label prefix and the
+ * capture producing the trace.
+ */
+struct PointPlan
+{
+    std::vector<SchemeKind> kinds;
+    core::SimConfig config;
+    std::string label;
+    std::function<std::shared_ptr<const trace::TraceBuffer>()> capture;
+};
+
+/**
+ * The pipeline every run* entry point shares. One capture task per
+ * planned point captures the trace, then launches one replay task per
+ * scheme. Once everything is done, each point is reduced to a row and
+ * exported on this thread, in spec order.
+ */
+template <typename Spec, typename Row>
+std::vector<Row>
+runPipeline(common::ThreadPool &pool, bool progress,
+            trace::PerfettoExporter *perfetto,
+            const std::vector<Spec> &specs, std::vector<PointPlan> plans,
+            Row (*reduce)(const Spec &, const PointRun &))
+{
+    std::vector<std::unique_ptr<PointRun>> runs;
+    std::vector<std::future<void>> captures;
+    runs.reserve(plans.size());
+    captures.reserve(plans.size());
+    for (PointPlan &plan : plans) {
+        runs.push_back(std::make_unique<PointRun>());
+        PointRun *run = runs.back().get();
+        run->kinds = plan.kinds;
+        captures.push_back(pool.submit([&pool, run, &plan] {
+            run->buffer = plan.capture();
+            launchReplays(pool, *run, plan.config);
+        }));
+    }
+    awaitAll(captures, runs, progress);
+
+    std::vector<Row> rows;
+    rows.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        rows.push_back(reduce(specs[i], *runs[i]));
+        exportTracks(perfetto, *runs[i], plans[i].label);
+    }
+    return rows;
+}
+
 } // namespace
 
 std::vector<MicroPoint>
 Executor::runMicro(const std::vector<MicroPointSpec> &specs)
 {
-    std::vector<std::unique_ptr<PointRun>> runs;
-    std::vector<std::future<void>> captures;
-    runs.reserve(specs.size());
-    captures.reserve(specs.size());
+    std::vector<PointPlan> plans;
     for (const MicroPointSpec &spec : specs) {
-        runs.push_back(std::make_unique<PointRun>());
-        PointRun *run = runs.back().get();
-        run->kinds = microKinds(spec.schemes);
-        captures.push_back(pool_.submit([this, run, spec] {
-            trace::VectorSink buffer;
-            workloads::TraceCtx ctx(buffer, spec.params.seed);
-            auto workload =
-                workloads::makeMicro(spec.benchmark, spec.params);
-            workload->run(ctx);
-            run->buffer = trace::TraceBuffer::fromRecords(buffer.take());
-            launchReplays(pool_, *run, spec.config);
-        }));
+        plans.push_back(
+            {microKinds(spec.schemes), spec.config,
+             spec.benchmark + "/pmos=" +
+                 std::to_string(spec.params.numPmos),
+             [spec] {
+                 trace::VectorSink sink;
+                 workloads::TraceCtx ctx(sink, spec.params.seed);
+                 workloads::makeMicro(spec.benchmark, spec.params)
+                     ->run(ctx);
+                 return trace::TraceBuffer::fromRecords(sink.take());
+             }});
     }
-    awaitAll(captures, runs, progress_);
-
-    std::vector<MicroPoint> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        rows.push_back(reduceMicro(specs[i], *runs[i]));
-        exportTracks(perfetto_, *runs[i],
-                     specs[i].benchmark + "/pmos=" +
-                         std::to_string(specs[i].params.numPmos));
-    }
-    return rows;
+    return runPipeline(pool_, progress_, perfetto_, specs,
+                       std::move(plans), &reduceMicro);
 }
 
 std::vector<WhisperRow>
 Executor::runWhisper(const std::vector<WhisperPointSpec> &specs)
 {
-    std::vector<std::unique_ptr<PointRun>> runs;
-    std::vector<std::future<void>> captures;
-    runs.reserve(specs.size());
-    captures.reserve(specs.size());
+    std::vector<PointPlan> plans;
     for (const WhisperPointSpec &spec : specs) {
-        runs.push_back(std::make_unique<PointRun>());
-        PointRun *run = runs.back().get();
-        run->kinds = whisperKinds();
-        captures.push_back(pool_.submit([this, run, spec] {
-            trace::VectorSink buffer;
-            auto workload =
-                workloads::makeWhisper(spec.benchmark, spec.params);
-            pmo::Namespace ns; // In-memory: pools are ephemeral here.
-            workload->run(ns, buffer);
-            run->buffer = trace::TraceBuffer::fromRecords(buffer.take());
-            launchReplays(pool_, *run, spec.config);
-        }));
+        plans.push_back(
+            {whisperKinds(), spec.config, spec.benchmark, [spec] {
+                 trace::VectorSink sink;
+                 pmo::Namespace ns; // In-memory: pools are ephemeral.
+                 workloads::makeWhisper(spec.benchmark, spec.params)
+                     ->run(ns, sink);
+                 return trace::TraceBuffer::fromRecords(sink.take());
+             }});
     }
-    awaitAll(captures, runs, progress_);
-
-    std::vector<WhisperRow> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        rows.push_back(reduceWhisper(specs[i], *runs[i]));
-        exportTracks(perfetto_, *runs[i], specs[i].benchmark);
-    }
-    return rows;
+    return runPipeline(pool_, progress_, perfetto_, specs,
+                       std::move(plans), &reduceWhisper);
 }
 
 std::vector<ServerRow>
 Executor::runServer(const std::vector<ServerPointSpec> &specs)
 {
-    std::vector<std::unique_ptr<PointRun>> runs;
-    std::vector<std::future<void>> captures;
-    runs.reserve(specs.size());
-    captures.reserve(specs.size());
+    std::vector<PointPlan> plans;
     for (const ServerPointSpec &spec : specs) {
-        runs.push_back(std::make_unique<PointRun>());
-        PointRun *run = runs.back().get();
-        run->kinds = microKinds(spec.schemes);
         // Replays must grow the request-latency histograms the
         // reduction reads, whatever the caller's config says.
         core::SimConfig config = spec.config;
         config.opClasses = workloads::ServerWorkload::kNumTenantClasses;
-        captures.push_back(pool_.submit([this, run, spec, config] {
-            trace::VectorSink buffer;
-            workloads::TraceCtx ctx(buffer, spec.params.seed);
-            workloads::ServerWorkload workload(spec.params);
-            workload.run(ctx);
-            run->buffer = trace::TraceBuffer::fromRecords(buffer.take());
-            launchReplays(pool_, *run, config);
-        }));
+        plans.push_back(
+            {microKinds(spec.schemes), config,
+             ServerRow().benchmark + "/tenants=" +
+                 std::to_string(spec.params.numTenants),
+             [spec] {
+                 trace::VectorSink sink;
+                 workloads::TraceCtx ctx(sink, spec.params.seed);
+                 workloads::ServerWorkload(spec.params).run(ctx);
+                 return trace::TraceBuffer::fromRecords(sink.take());
+             }});
     }
-    awaitAll(captures, runs, progress_);
-
-    std::vector<ServerRow> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        rows.push_back(reduceServer(specs[i], *runs[i]));
-        exportTracks(perfetto_, *runs[i],
-                     rows.back().benchmark + "/tenants=" +
-                         std::to_string(specs[i].params.numTenants));
-    }
-    return rows;
+    return runPipeline(pool_, progress_, perfetto_, specs,
+                       std::move(plans), &reduceServer);
 }
 
 std::vector<RawPointResult>
 Executor::runRaw(const std::vector<RawPointSpec> &specs)
 {
-    std::vector<std::unique_ptr<PointRun>> runs;
-    std::vector<std::future<void>> captures;
-    runs.reserve(specs.size());
-    captures.reserve(specs.size());
+    std::vector<PointPlan> plans;
     for (const RawPointSpec &spec : specs) {
         panic_if(!spec.trace, "RawPointSpec without a trace buffer");
-        runs.push_back(std::make_unique<PointRun>());
-        PointRun *run = runs.back().get();
-        run->kinds = spec.schemes;
-        run->buffer = spec.trace;
-        // No workload to capture — go straight to the replays.
-        captures.push_back(pool_.submit([this, run, spec] {
-            launchReplays(pool_, *run, spec.config);
-        }));
+        // No workload to capture: the capture task hands over the
+        // given buffer and launches the replays.
+        plans.push_back({spec.schemes, spec.config,
+                         specs.size() == 1
+                             ? std::string()
+                             : "p" + std::to_string(plans.size()),
+                         [trace = spec.trace] { return trace; }});
     }
-    awaitAll(captures, runs, progress_);
-
-    std::vector<RawPointResult> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        RawPointResult res;
-        for (SchemeKind k : runs[i]->kinds) {
-            const core::System &sys = systemOf(*runs[i], k);
-            res.totalCycles[k] = sys.totalCycles();
-            res.deniedAccesses[k] = sys.deniedAccesses.value();
-            res.hotDomains[k] =
-                sys.scheme().domainProfile().topN(kHotDomainsTopN);
-        }
-        captureObservability(*runs[i], res.statsJson, res.eventsJson,
-                             res.hotDomainsJson);
-        exportTracks(perfetto_, *runs[i],
-                     specs.size() == 1 ? std::string()
-                                       : "p" + std::to_string(i));
-        rows.push_back(std::move(res));
-    }
-    return rows;
+    return runPipeline(pool_, progress_, perfetto_, specs,
+                       std::move(plans), &reduceRaw);
 }
 
 MicroPoint

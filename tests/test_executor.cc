@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "common/thread_pool.hh"
 #include "core/replay.hh"
@@ -280,6 +281,32 @@ TEST(ExperimentSuite, EmptySuiteRunsToCompletion)
     std::ostringstream os;
     suite.writeJson(os);
     EXPECT_NE(os.str().find("\"micro\": [\n  ]"), std::string::npos);
+}
+
+TEST(Executor, ProgressSkipsEmptySweepsAndCountsCaptures)
+{
+    common::ThreadPool pool(2);
+    Executor executor(pool);
+    executor.setProgress(true);
+
+    // Empty sub-sweeps (fig7_average has no whisper or server points)
+    // print no progress line at all.
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(executor.runWhisper(std::vector<WhisperPointSpec>{})
+                    .empty());
+    EXPECT_TRUE(executor.runServer(std::vector<ServerPointSpec>{})
+                    .empty());
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    // A real sweep reports captures beside replays; the final line
+    // shows both complete (avlSpec replays 5 schemes).
+    MicroPointSpec spec = avlSpec(16);
+    spec.params.numOps = 200;
+    ::testing::internal::CaptureStderr();
+    executor.runMicro(spec);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("captures 1/1  replays 5/5"), std::string::npos)
+        << err;
 }
 
 } // namespace
