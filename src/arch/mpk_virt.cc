@@ -202,7 +202,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
         // VA->key mapping survives. With a shootdown bus (multi-core
         // replay) the broadcast charges the initiator plus each
         // responding core that actually held stale entries; without
-        // one (single-core) the legacy flat cost applies.
+        // one (single-core) one flat invalidation charge applies.
         ++keyEvictions;
         ++shootdowns;
         Cycles inval = 0;

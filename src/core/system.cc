@@ -63,11 +63,9 @@ CoreContext::CoreContext(stats::Group *system, unsigned idx,
                     "shootdown IPIs answered with stale entries"),
       ipisFiltered(this, "ipis_filtered",
                    "shootdown IPIs with nothing to flush"),
-      index(idx)
+      tlb(own_group ? this : system, config.tlb, space),
+      caches(own_group ? this : system, config.memory), index(idx)
 {
-    stats::Group *home = own_group ? this : system;
-    tlb = std::make_unique<tlb::TlbHierarchy>(home, config.tlb, space);
-    caches = std::make_unique<mem::CacheHierarchy>(home, config.memory);
 }
 
 void
@@ -129,12 +127,12 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
     scheme_ = arch::makeScheme(scheme, this, config_.prot,
                                config_.topology, space_);
     for (unsigned k = 0; k < num_cores; ++k)
-        scheme_->attachCore(k, cores_[k]->tlb.get());
+        scheme_->attachCore(k, &cores_[k]->tlb);
     if (multi_core) {
         bus_ = std::make_unique<arch::ShootdownBus>(this,
                                                     config_.topology);
         for (unsigned k = 0; k < num_cores; ++k)
-            bus_->attachCore(k, cores_[k]->tlb.get(),
+            bus_->attachCore(k, &cores_[k]->tlb,
                              &cores_[k]->ipisResponded,
                              &cores_[k]->ipisFiltered);
         bus_->setEventRing(&events_);
@@ -410,8 +408,8 @@ void
 System::setComponentStatsDeferred(bool defer)
 {
     for (auto &core : cores_) {
-        core->tlb->setStatsDeferred(defer);
-        core->caches->setStatsDeferred(defer);
+        core->tlb.setStatsDeferred(defer);
+        core->caches.setStatsDeferred(defer);
     }
     scheme_->setStatsDeferred(defer);
 }
@@ -420,8 +418,8 @@ void
 System::flushComponentStats()
 {
     for (auto &core : cores_) {
-        core->tlb->flushDeferredStats();
-        core->caches->flushDeferredStats();
+        core->tlb.flushDeferredStats();
+        core->caches.flushDeferredStats();
     }
     scheme_->flushDeferredStats();
 }
@@ -488,7 +486,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             ++core.pendInstructions;
 
             scheme->setActiveCore(core.index);
-            const auto xlate = core.tlb->translate(rec.tid, rec.addr);
+            const auto xlate = core.tlb.translate(rec.tid, rec.addr);
 
             bool allowed = true;
             Cycles check_extra = 0;
@@ -513,7 +511,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 const MemClass cls =
                     pmo ? MemClass::Nvm : xlate.entry->memClass;
                 mem_latency =
-                    core.caches->access(rec.addr, type, cls).latency;
+                    core.caches.access(rec.addr, type, cls).latency;
             }
 
             // The OoO core hides part of the above-L1 latency;

@@ -62,8 +62,8 @@ class CoreContext : public stats::Group
     stats::Scalar ipisResponded; ///< Shootdown IPIs answered w/ stale entries.
     stats::Scalar ipisFiltered;  ///< Shootdown IPIs with nothing to flush.
 
-    std::unique_ptr<tlb::TlbHierarchy> tlb;
-    std::unique_ptr<mem::CacheHierarchy> caches;
+    tlb::TlbHierarchy tlb;
+    mem::CacheHierarchy caches;
 
     /** This core's id (== its position in System's core list). */
     const arch::CoreId index;
@@ -140,8 +140,8 @@ class System : public stats::Group, public trace::TraceSink
     arch::ProtectionScheme &scheme() { return *scheme_; }
     const arch::ProtectionScheme &scheme() const { return *scheme_; }
     /** Core 0's TLB hierarchy and caches. */
-    tlb::TlbHierarchy &tlbs() { return *cores_[0]->tlb; }
-    mem::CacheHierarchy &caches() { return *cores_[0]->caches; }
+    tlb::TlbHierarchy &tlbs() { return cores_[0]->tlb; }
+    mem::CacheHierarchy &caches() { return cores_[0]->caches; }
     tlb::AddressSpace &addressSpace() { return space_; }
 
     /** Core count of this machine. */
