@@ -254,9 +254,10 @@ class Executor
     explicit Executor(common::ThreadPool &pool) : pool_(pool) {}
 
     /**
-     * Emit a periodic progress line ("replays done/total, elapsed,
-     * ETA") to stderr while waiting for a batch. Off by default —
-     * reports stay clean for piped/CI output.
+     * Emit a periodic progress line ("captures done/total, replays
+     * done/total, elapsed, ETA") to stderr while waiting for a
+     * non-empty batch. Off by default — reports stay clean for
+     * piped/CI output.
      */
     void setProgress(bool on) { progress_ = on; }
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Cross-path determinism of the batch replay engine: for every
- * protection scheme, System::replayBatch must produce bit-identical
- * observable state — total cycles, the full stats tree (timeline
- * included), and the event ring — to feeding the same records one by
- * one through the legacy TraceSink::put() path.
+ * Batch-split invariance of the replay engine: for every protection
+ * scheme, one System::replayBatch over a whole trace must produce
+ * bit-identical observable state — total cycles, the full stats tree
+ * (timeline included), and the event ring — to feeding the same
+ * records one by one through TraceSink::put(), which replays each as
+ * a one-record batch. The reference outputs themselves are pinned by
+ * tests/test_golden_k1.cc.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +32,7 @@ constexpr SchemeKind kAllSchemes[] = {
     SchemeKind::MpkVirt,      SchemeKind::DomainVirt,
 };
 
-/** Replay @p records through the legacy per-record put() path. */
+/** Replay @p records one at a time through put(). */
 void
 replayLegacy(core::System &sys, const std::vector<TraceRecord> &records)
 {
