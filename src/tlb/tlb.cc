@@ -1,5 +1,8 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 
@@ -36,6 +39,18 @@ Tlb::Tlb(stats::Group *parent, const TlbParams &params)
     touchLut_ = TreePlru::makeTouchLut(params_.assoc);
     victimLut_ = TreePlru::makeVictimLut(params_.assoc);
     setValid_.assign(numSets_, 0);
+    // Every valid 4K entry may hash to one chunk slot.
+    fatal_if(params_.entries > UINT16_MAX,
+             "tlb '%s': more than %u entries", params_.name.c_str(),
+             unsigned{UINT16_MAX});
+    // One count slot per entry, rounded up to a power of two (and at
+    // least two, so the hash shift stays below 64): the valid 4K
+    // entries occupy at most that many chunks, so collisions between
+    // occupied chunks stay rare.
+    const std::size_t chunk_slots =
+        std::bit_ceil(std::max<std::size_t>(params_.entries, 2));
+    chunkValid_.assign(chunk_slots, 0);
+    chunkHashShift_ = 64 - floorLog2(chunk_slots);
 }
 
 template <unsigned A>
@@ -150,14 +165,17 @@ Tlb::insertImpl(const TlbEntry &entry)
             ++evictions;
     }
     const std::size_t flat = si * assoc + victim;
-    // Overwriting a valid way: only the per-size count needs fixing
-    // (the slot stays valid, the set count is unchanged); the full
-    // dropEntry stores would be overwritten right below anyway.
+    // Overwriting a valid way: only the per-size and chunk counts
+    // need fixing (the slot stays valid, the set count is unchanged);
+    // the full dropEntry stores would be overwritten right below.
     TlbEntry &slot = ways_[flat];
-    if (slot.valid)
+    if (slot.valid) {
         --sizeValid_[static_cast<unsigned>(slot.pageSize)];
-    else
+        if (slot.pageSize == PageSize::Size4K)
+            --chunkValid_[chunkSlot(slot.vpn >> kChunkShift)];
+    } else {
         ++setValid_[si];
+    }
     slot = entry;
     slot.valid = true;
     tags_[flat] = packTag(entry.vpn, entry.pageSize);
@@ -165,6 +183,7 @@ Tlb::insertImpl(const TlbEntry &entry)
     touchWay(si, static_cast<unsigned>(victim));
     ++gen_;
     if (entry.pageSize == PageSize::Size4K) {
+        ++chunkValid_[chunkSlot(entry.vpn >> kChunkShift)];
         // The freshly filled page is the likeliest next lookup.
         l0Gen_ = gen_;
         l0Tag_ = tags_[flat];
@@ -216,10 +235,7 @@ Tlb::flushIf(Pred pred)
             ++n;
         }
     }
-    if (defer_)
-        pend_.flushed += n;
-    else
-        flushedEntries += n;
+    countFlushed(n);
     ++gen_;
     return n;
 }
@@ -231,26 +247,74 @@ Tlb::flushAll()
 }
 
 unsigned
+Tlb::chunkBound(Addr lo, Addr hi) const
+{
+    const unsigned valid4k = sizeValid_[0];
+    const Addr first = lo >> kChunkShift;
+    const Addr span = (hi >> kChunkShift) - first;
+    // Past one count per entry, reading counts costs more than the
+    // tag scan it could save.
+    if (span >= params_.entries)
+        return valid4k;
+    unsigned bound = 0;
+    for (Addr i = 0; i <= span; ++i)
+        bound += chunkValid_[chunkSlot(first + i)];
+    return std::min(bound, valid4k);
+}
+
+unsigned
+Tlb::flushPages(PageSize ps, Addr lo, Addr hi, unsigned bound)
+{
+    // tag - packTag(lo, ps) is (vpn - lo) << 3 exactly when the tag is
+    // valid and of size ps; the rotate then yields vpn - lo (mod
+    // 2^61), which is <= hi - lo iff vpn lies in [lo, hi]. Any other
+    // tag (zero, padding, another size) leaves nonzero low bits that
+    // the rotate lifts above bit 60, far beyond any vpn span.
+    const std::uint64_t first = packTag(lo, ps);
+    const Addr span = hi - lo;
+    unsigned n = 0;
+    for (std::size_t flat = 0; flat < ways_.size(); ++flat) {
+        if (std::rotr(tags_[flat] - first, 3) <= span) {
+            dropEntry(flat, flat / params_.assoc);
+            if (++n == bound)
+                break;
+        }
+    }
+    return n;
+}
+
+unsigned
 Tlb::flushRange(Addr base, Addr size)
 {
-    return flushIf([base, size](const TlbEntry &e) {
-        const Addr page = pageBytes(e.pageSize);
-        const Addr va = e.vpn << pageShift(e.pageSize);
-        return va + page > base && va < base + size;
-    });
+    unsigned n = 0;
+    if (size != 0) {
+        // Last byte of the range, clamped so a range ending at (or
+        // running past) 2^64 does not wrap.
+        const Addr last = size - 1 > ~base ? ~Addr{0} : base + (size - 1);
+        for (PageSize ps :
+             {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
+            const unsigned valid = sizeValid_[static_cast<unsigned>(ps)];
+            if (valid == 0)
+                continue;
+            const Addr lo = base >> pageShift(ps);
+            const Addr hi = last >> pageShift(ps);
+            // 4K entries in range all sit in the range's chunks; a
+            // larger size is bounded by its valid count alone.
+            const unsigned bound =
+                ps == PageSize::Size4K ? chunkBound(lo, hi) : valid;
+            if (bound != 0)
+                n += flushPages(ps, lo, hi, bound);
+        }
+    }
+    countFlushed(n);
+    ++gen_;
+    return n;
 }
 
 unsigned
 Tlb::flushKey(ProtKey key)
 {
     return flushIf([key](const TlbEntry &e) { return e.key == key; });
-}
-
-unsigned
-Tlb::flushDomain(DomainId domain)
-{
-    return flushIf(
-        [domain](const TlbEntry &e) { return e.domain == domain; });
 }
 
 unsigned
@@ -262,6 +326,43 @@ Tlb::validCount() const
             ++n;
     }
     return n;
+}
+
+bool
+Tlb::consistent(std::string *why) const
+{
+    auto fail = [&](const std::string &what) {
+        if (why)
+            *why = "tlb '" + params_.name + "': mismatch in " + what;
+        return false;
+    };
+    unsigned size_valid[3] = {0, 0, 0};
+    std::vector<std::uint8_t> set_valid(numSets_, 0);
+    std::vector<std::uint16_t> chunk_valid(chunkValid_.size(), 0);
+    for (std::size_t flat = 0; flat < ways_.size(); ++flat) {
+        const TlbEntry &e = ways_[flat];
+        const std::size_t si = flat / params_.assoc;
+        if (tags_[flat] != (e.valid ? packTag(e.vpn, e.pageSize) : 0))
+            return fail("the packed tag of way " + std::to_string(flat));
+        if (!e.valid)
+            continue;
+        if (setIndexFor(e.vpn) != si)
+            return fail("the set of way " + std::to_string(flat));
+        ++size_valid[static_cast<unsigned>(e.pageSize)];
+        ++set_valid[si];
+        if (e.pageSize == PageSize::Size4K)
+            ++chunk_valid[chunkSlot(e.vpn >> kChunkShift)];
+    }
+    if (std::any_of(tags_.begin() + ways_.size(), tags_.end(),
+                    [](std::uint64_t t) { return t != 0; }))
+        return fail("the tag padding");
+    if (!std::equal(size_valid, size_valid + 3, sizeValid_))
+        return fail("the per-size valid counts");
+    if (set_valid != setValid_)
+        return fail("the per-set valid counts");
+    if (chunk_valid != chunkValid_)
+        return fail("the chunk counts");
+    return true;
 }
 
 void

@@ -11,6 +11,7 @@
 #define PMODV_TLB_TLB_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ struct TlbParams
  * contiguous arrays instead of chasing per-set heap blocks. A per
  * page-size count of valid entries lets lookups skip the 2M/1G index
  * probes entirely when no entry of that size is cached — the common
- * case for 4K-only traces.
+ * case for 4K-only traces. A hashed count of valid 4K entries per
+ * 2 MB chunk lets a range flush skip or cut short its tag scan.
  */
 class Tlb : public stats::Group
 {
@@ -93,17 +95,32 @@ class Tlb : public stats::Group
     /** Invalidate everything; returns the number of valid entries. */
     unsigned flushAll();
 
-    /** Invalidate translations inside [base, base+size). */
+    /**
+     * Invalidate every translation whose page overlaps
+     * [base, base+size); a range running past the top of the address
+     * space is clamped there, and an empty range flushes nothing.
+     * Reads only the packed tags. The 4K scan is skipped when the
+     * range touches no 2 MB chunk holding a 4K entry, and stops once
+     * the entries those chunks count are all dropped.
+     */
     unsigned flushRange(Addr base, Addr size);
 
     /** Invalidate translations carrying protection key @p key. */
     unsigned flushKey(ProtKey key);
 
-    /** Invalidate translations carrying domain @p domain. */
-    unsigned flushDomain(DomainId domain);
-
     /** Number of currently valid entries (O(entries)). */
     unsigned validCount() const;
+
+    /** Every way, valid or not, set-major (for checks and tests). */
+    std::span<const TlbEntry> entries() const { return ways_; }
+
+    /**
+     * Recompute the derived state (per-size and per-set valid counts,
+     * packed tags and padding, chunk counts) from the ways and compare
+     * it with what is kept. Returns false on a mismatch and, when
+     * @p why is given, describes the first one. Touches no stats.
+     */
+    bool consistent(std::string *why = nullptr) const;
 
     /**
      * Defer hot counters (hits/misses/evictions/flushed) into packed
@@ -157,12 +174,45 @@ class Tlb : public stats::Group
         return ways_.data() + si * params_.assoc;
     }
 
+    /** log2 of the 4K pages per chunk, the 2 MB span of one PMD. */
+    static constexpr unsigned kChunkShift = 9;
+
+    /** Count slot of 2 MB chunk @p chunk in chunkValid_ (Fibonacci
+     *  hash, so evenly strided PMO bases spread over the slots). */
+    std::size_t chunkSlot(Addr chunk) const
+    {
+        return static_cast<std::size_t>(
+            (chunk * 0x9e3779b97f4a7c15ULL) >> chunkHashShift_);
+    }
+
+    /** Upper bound on the valid 4K entries among pages [lo, hi]: the
+     *  summed counts of the chunk slots the pages hash to. */
+    unsigned chunkBound(Addr lo, Addr hi) const;
+
+    /**
+     * Drop every valid entry of page size @p ps whose vpn lies in
+     * [lo, hi], given that at most @p bound (> 0) such entries exist:
+     * the scan stops at the bound-th drop. Returns the count.
+     */
+    unsigned flushPages(PageSize ps, Addr lo, Addr hi, unsigned bound);
+
     void dropEntry(std::size_t flat, std::size_t si)
     {
-        ways_[flat].valid = false;
+        TlbEntry &e = ways_[flat];
+        if (e.pageSize == PageSize::Size4K)
+            --chunkValid_[chunkSlot(e.vpn >> kChunkShift)];
+        e.valid = false;
         tags_[flat] = 0;
-        --sizeValid_[static_cast<unsigned>(ways_[flat].pageSize)];
+        --sizeValid_[static_cast<unsigned>(e.pageSize)];
         --setValid_[si];
+    }
+
+    void countFlushed(unsigned n)
+    {
+        if (defer_)
+            pend_.flushed += n;
+        else
+            flushedEntries += n;
     }
 
     /**
@@ -210,6 +260,14 @@ class Tlb : public stats::Group
     unsigned sizeValid_[3] = {0, 0, 0};
     /** Valid-way count per set: a full set skips the free-way probe. */
     std::vector<std::uint8_t> setValid_;
+    /**
+     * Valid 4K entries per 2 MB chunk, hashed by chunkSlot(). Chunks
+     * that collide share a count, so a count only bounds the entries
+     * of a chunk from above: a collision costs a longer tag scan,
+     * never a missed entry.
+     */
+    std::vector<std::uint16_t> chunkValid_;
+    unsigned chunkHashShift_ = 0;
 
     /**
      * L0 filter: the last 4K translation, keyed by (generation,

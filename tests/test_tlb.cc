@@ -3,6 +3,12 @@
  * Unit tests for the address space, TLB and TLB hierarchy.
  */
 
+#include <cstdint>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "stats/stats.hh"
@@ -166,7 +172,7 @@ TEST(Tlb, FlushRangeIsExact)
     EXPECT_NE(tlb.probe(0x3000), nullptr);
 }
 
-TEST(Tlb, FlushKeyAndDomain)
+TEST(Tlb, FlushKey)
 {
     stats::Group root(nullptr, "");
     Tlb tlb(&root, smallTlb());
@@ -175,9 +181,6 @@ TEST(Tlb, FlushKeyAndDomain)
     tlb.insert(entryFor(0x3000, 3, 12));
     EXPECT_EQ(tlb.flushKey(3), 2u);
     EXPECT_EQ(tlb.validCount(), 1u);
-    tlb.insert(entryFor(0x4000, 5, 11));
-    EXPECT_EQ(tlb.flushDomain(11), 2u);
-    EXPECT_EQ(tlb.validCount(), 0u);
 }
 
 TEST(Tlb, LargePages)
@@ -191,6 +194,186 @@ TEST(Tlb, LargePages)
     // Any VA within the 2MB page hits.
     EXPECT_NE(tlb.lookup((Addr{1} << 30) + 0x12345), nullptr);
     EXPECT_EQ(tlb.lookup((Addr{1} << 30) + (Addr{1} << 21)), nullptr);
+}
+
+/**
+ * Reference for flushRange(): does the page of @p e overlap the
+ * non-empty range [base, base+size)? This is the per-entry predicate
+ * the range flush used to evaluate, computed in 128 bits so neither
+ * the range end nor the page end can wrap.
+ */
+bool
+overlapsRange(const TlbEntry &e, Addr base, Addr size)
+{
+    using U128 = unsigned __int128;
+    const U128 va = U128{e.vpn} << pageShift(e.pageSize);
+    return size != 0 && va + pageBytes(e.pageSize) > base &&
+           va < U128{base} + size;
+}
+
+/** Brute-force lookup over the ways: the entry translating @p va,
+ *  trying 4K, then 2M, then 1G pages, as Tlb::lookup() does. */
+const TlbEntry *
+referenceLookup(std::span<const TlbEntry> ways, Addr va)
+{
+    for (PageSize ps :
+         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
+        for (const TlbEntry &e : ways) {
+            if (e.valid && e.pageSize == ps &&
+                e.vpn == va >> pageShift(ps))
+                return &e;
+        }
+    }
+    return nullptr;
+}
+
+TEST(Tlb, TopOfAddressSpaceRangeFlushes)
+{
+    // A range ending exactly at 2^64 must reach the last page of
+    // every size, although base + size wraps to 0 in 64 bits.
+    stats::Group root(nullptr, "");
+    Tlb tlb(&root, smallTlb());
+    for (PageSize ps :
+         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
+        TlbEntry e;
+        e.pageSize = ps;
+        e.vpn = ~Addr{0} >> pageShift(ps);
+        tlb.insert(e);
+    }
+    ASSERT_EQ(tlb.validCount(), 3u);
+    const Addr base = ~Addr{0} - (Addr{1} << 21) + 1;
+    EXPECT_EQ(tlb.flushRange(base, Addr{0} - base), 3u);
+    EXPECT_EQ(tlb.validCount(), 0u);
+    EXPECT_TRUE(tlb.consistent());
+}
+
+TEST(Tlb, FlushRangeMatchesBruteForce)
+{
+    // Geometries cover the 4/6/8-way specializations and the runtime
+    // associativity fallback. The 8-entry TLB has 8 chunk count
+    // slots, so the 48 chunks drawn from below must alias into them.
+    const TlbParams geometries[] = {
+        {"t8x4", 8, 4, 0},  {"t24x6", 24, 6, 0}, {"t32x8", 32, 8, 0},
+        {"t12x3", 12, 3, 0}, {"t64x4", 64, 4, 0},
+    };
+    std::mt19937_64 rng(20201);
+    auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+
+    // Chunks (2 MB spans) the workload draws from: low memory, runs of
+    // neighbours, PMO-like 4 MB strides and the top of the address
+    // space.
+    std::vector<Addr> chunks;
+    for (Addr c = 0; c < 8; ++c)
+        chunks.push_back(c);
+    for (Addr i = 0; i < 24; ++i)
+        chunks.push_back(((Addr{1} << 33) >> 21) + 2 * i);
+    for (Addr i = 0; i < 8; ++i)
+        chunks.push_back((Addr{1} << 40 >> 21) + 3 * i);
+    for (Addr i = 1; i <= 8; ++i)
+        chunks.push_back((~Addr{0} >> 21) + 1 - i);
+    auto randomVa = [&]() {
+        const Addr chunk = chunks[pick(chunks.size())];
+        // Favour the pages at the chunk edges.
+        const Addr edge[] = {0, 1, 510, 511};
+        const Addr page = pick(2) ? edge[pick(4)] : pick(512);
+        return (chunk << 21) | (page << 12) | pick(4096);
+    };
+
+    for (const TlbParams &params : geometries) {
+        SCOPED_TRACE(params.name);
+        stats::Group root(nullptr, "");
+        Tlb tlb(&root, params);
+        unsigned flushes = 0, dropped = 0, large_dropped = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const unsigned op = static_cast<unsigned>(pick(100));
+            if (op < 40) { // Insert, mostly 4K pages.
+                TlbEntry e;
+                const unsigned sz = static_cast<unsigned>(pick(10));
+                e.pageSize = sz < 7   ? PageSize::Size4K
+                             : sz < 9 ? PageSize::Size2M
+                                      : PageSize::Size1G;
+                e.vpn = randomVa() >> pageShift(e.pageSize);
+                e.key = static_cast<ProtKey>(pick(4));
+                tlb.insert(e);
+            } else if (op < 70) { // Lookup; a miss fills the 4K page.
+                const Addr va = randomVa();
+                const TlbEntry *want =
+                    referenceLookup(tlb.entries(), va);
+                const TlbEntry *got = tlb.lookup(va);
+                ASSERT_EQ(got, want) << "lookup of 0x" << std::hex << va;
+                if (!got) {
+                    TlbEntry e;
+                    e.vpn = va >> 12;
+                    tlb.insertFresh(e);
+                }
+            } else if (op < 72) {
+                tlb.flushKey(static_cast<ProtKey>(pick(4)));
+            } else { // Range flush.
+                Addr base = randomVa();
+                if (pick(2))
+                    base &= ~Addr{4095}; // Page-aligned base.
+                Addr size = 0;
+                switch (pick(8)) {
+                  case 0:
+                    break; // Empty range.
+                  case 1:
+                    size = 1 + pick(4096);
+                    break;
+                  case 2:
+                    size = (1 + pick(4)) << 12;
+                    break;
+                  case 3: // Straddles into the next chunk(s).
+                    base |= (Addr{511} << 12);
+                    size = (1 + pick(1024)) << 12;
+                    break;
+                  case 4: // More chunks than any TLB here has entries.
+                    size = (64 + pick(64)) << 21;
+                    break;
+                  case 5: // Ends exactly at 2^64.
+                    size = Addr{0} - base;
+                    break;
+                  case 6: // Runs past 2^64.
+                    size = ~Addr{0} - pick(4096);
+                    break;
+                  default:
+                    size = pick(Addr{1} << 22);
+                    break;
+                }
+                const std::vector<TlbEntry> before(tlb.entries().begin(),
+                                                   tlb.entries().end());
+                unsigned want = 0;
+                std::vector<bool> drop(before.size());
+                for (std::size_t i = 0; i < before.size(); ++i) {
+                    drop[i] = before[i].valid &&
+                              overlapsRange(before[i], base, size);
+                    want += drop[i];
+                    large_dropped += drop[i] && before[i].pageSize !=
+                                                    PageSize::Size4K;
+                }
+                const std::uint64_t gen = tlb.generation();
+                ASSERT_EQ(tlb.flushRange(base, size), want)
+                    << "range 0x" << std::hex << base << "+0x" << size;
+                EXPECT_GT(tlb.generation(), gen);
+                const auto after = tlb.entries();
+                for (std::size_t i = 0; i < before.size(); ++i) {
+                    ASSERT_EQ(after[i].valid, before[i].valid && !drop[i])
+                        << "way " << i;
+                    if (after[i].valid) {
+                        ASSERT_EQ(after[i].vpn, before[i].vpn);
+                        ASSERT_EQ(after[i].pageSize, before[i].pageSize);
+                    }
+                }
+                ++flushes;
+                dropped += want;
+            }
+            std::string why;
+            ASSERT_TRUE(tlb.consistent(&why)) << "step " << step << ": "
+                                              << why;
+        }
+        EXPECT_GT(flushes, 5000u);
+        EXPECT_GT(dropped, 2000u);
+        EXPECT_GT(large_dropped, 500u);
+    }
 }
 
 class RecordingFillPolicy : public TlbFillPolicy
