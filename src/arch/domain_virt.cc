@@ -176,7 +176,7 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // SETPERM on an unattached domain is a no-op (as in every other
     // scheme): without this guard the PT/PTLB would accumulate
     // phantom grants a later attach of the same id would inherit.
-    if (domains_.find(domain) == domains_.end())
+    if (!domains_.find(domain))
         return cycles;
 
     profile_.setPerm(domain);
@@ -230,22 +230,20 @@ Cycles
 DomainVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                          Perm)
 {
-    panic_if(domains_.count(domain), "domain %u attached twice", domain);
-    auto info = std::make_shared<DrtInfo>();
-    info->domain = domain;
-    info->base = base;
-    info->size = size;
-    domains_[domain] = info;
-    drt_.insert(base, size, domain, info);
+    panic_if(domains_.find(domain), "domain %u attached twice", domain);
+    DrtInfo &info = domains_.claim(domain);
+    info = {domain, base, size};
+    drt_.insert(base, size, domain, &info);
     return 0;
 }
 
 Cycles
 DomainVirtScheme::detach(ThreadId tid, DomainId domain)
 {
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    DrtInfo *found = domains_.find(domain);
+    if (!found)
         return 0;
+    DrtInfo &info = *found;
     // Stale PTLB state for this domain is dropped on every core
     // (dirty values are dead: the domain is going away).
     for (auto &p : ptlbs_)
@@ -253,10 +251,10 @@ DomainVirtScheme::detach(ThreadId tid, DomainId domain)
     pt_.dropDomain(domain);
     // The unmap itself invalidates the translations on every core
     // (normal munmap shootdown, part of the detach syscall).
-    flushRangeAllCores(it->second->base, it->second->size);
+    flushRangeAllCores(info.base, info.size);
     (void)tid;
     drt_.remove(domain);
-    domains_.erase(it);
+    info = DrtInfo{};
     return 0;
 }
 
@@ -283,7 +281,7 @@ DomainVirtScheme::contextSwitch(ThreadId, ThreadId to)
 Perm
 DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    if (!domains_.count(domain))
+    if (!domains_.find(domain))
         return Perm::ReadWrite; // Not a domain: page permission rules.
     for (CoreId c = 0; c < curTid_.size(); ++c) {
         if (tid != curTid_[c])

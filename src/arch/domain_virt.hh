@@ -15,8 +15,9 @@
 #ifndef PMODV_ARCH_DOMAIN_VIRT_HH
 #define PMODV_ARCH_DOMAIN_VIRT_HH
 
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "arch/ptlb.hh"
 #include "arch/radix.hh"
@@ -28,7 +29,7 @@ namespace pmodv::arch
 /** Per-domain payload in DRT root entries (bounds for detach). */
 struct DrtInfo
 {
-    DomainId domain = kNullDomain;
+    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
     Addr base = 0;
     Addr size = 0;
 };
@@ -44,25 +45,40 @@ class PermissionTable
     Perm
     get(DomainId domain, ThreadId tid) const
     {
-        auto d = perms_.find(domain);
-        if (d == perms_.end())
-            return Perm::None;
-        auto t = d->second.find(tid);
-        return t == d->second.end() ? Perm::None : t->second;
+        return domain < rows_.size() && tid < rows_[domain].size()
+                   ? rows_[domain][tid]
+                   : Perm::None;
     }
 
-    void set(DomainId domain, ThreadId tid, Perm perm)
+    void
+    set(DomainId domain, ThreadId tid, Perm perm)
     {
-        perms_[domain][tid] = perm;
+        if (domain >= rows_.size())
+            rows_.resize(std::size_t{domain} + 1);
+        std::vector<Perm> &row = rows_[domain];
+        if (tid >= row.size())
+            row.resize(std::size_t{tid} + 1, Perm::None);
+        row[tid] = perm;
     }
 
-    void dropDomain(DomainId domain) { perms_.erase(domain); }
+    void
+    dropDomain(DomainId domain)
+    {
+        if (domain < rows_.size())
+            rows_[domain].clear();
+    }
 
-    std::size_t numDomains() const { return perms_.size(); }
+    /** Domains holding at least one (possibly None) entry. */
+    std::size_t
+    numDomains() const
+    {
+        return std::count_if(rows_.begin(), rows_.end(),
+                             [](const auto &row) { return !row.empty(); });
+    }
 
   private:
-    std::unordered_map<DomainId, std::unordered_map<ThreadId, Perm>>
-        perms_;
+    /** Indexed by DomainId, then ThreadId; empty rows hold nothing. */
+    std::vector<std::vector<Perm>> rows_;
 };
 
 /** Hardware domain virtualization. */
@@ -126,7 +142,7 @@ class DomainVirtScheme : public ProtectionScheme
 
     std::unique_ptr<FillPolicy> fillPolicyStorage_;
     VaRadixTree<DrtInfo> drt_;
-    std::unordered_map<DomainId, std::shared_ptr<DrtInfo>> domains_;
+    DomainTable<DrtInfo> domains_;
     PermissionTable pt_;
     /** Per-core PTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Ptlb>> ptlbs_;

@@ -32,12 +32,6 @@ struct DttlbEntry
     ProtKey key = kNullKey;
     bool valid = false; ///< Domain currently maps to `key`.
     bool dirty = false; ///< Mapping differs from the in-memory DTT.
-    /**
-     * Scheme-private memo riding along with the entry (mpk_virt
-     * caches its per-domain bookkeeping pointer here so a DTTLB hit
-     * skips the domain-map lookup). Never part of the modeled state.
-     */
-    void *payload = nullptr;
 
     bool contains(Addr va) const
     {

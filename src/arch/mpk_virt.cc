@@ -82,8 +82,7 @@ MpkVirtScheme::invalidateDomainAllDttlbs(DomainId domain)
 Perm
 MpkVirtScheme::permOf(const DttInfo &info, ThreadId tid) const
 {
-    auto it = info.perms.find(tid);
-    return it == info.perms.end() ? Perm::None : it->second;
+    return tid < info.perms.size() ? info.perms[tid] : Perm::None;
 }
 
 void
@@ -119,8 +118,8 @@ MpkVirtScheme::bindKey(ThreadId tid, DttInfo &info, ProtKey key)
         // the key's old grants are wiped and every thread's stored
         // permission for the new holder is reloaded from the DTT.
         pkrus_.resetKey(key);
-        for (const auto &[t, p] : info.perms)
-            pkrus_.forThread(t).setPerm(key, p);
+        for (ThreadId t = 0; t < info.perms.size(); ++t)
+            pkrus_.forThread(t).setPerm(key, info.perms[t]);
     } else {
         // PKRU of the running thread reflects the new domain
         // immediately; other threads reconstruct on their next
@@ -141,10 +140,6 @@ MpkVirtScheme::cacheInDttlb(DttInfo &info)
     entry.key = info.key == kInvalidKey ? kNullKey : info.key;
     entry.valid = info.key != kInvalidKey;
     entry.dirty = true;
-    // Host-perf memo: a later DTTLB hit reaches the payload without
-    // the domain-map lookup. Invalidation paths drop the whole entry,
-    // so the pointer can never outlive the DttInfo it names.
-    entry.payload = &info;
 
     DttlbEntry evicted;
     bool had_eviction = false;
@@ -179,10 +174,10 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
         // No free key: reassign the LRU victim's key.
         const ProtKey victim = victimKey();
         const DomainId victim_domain = keyHolder_[victim];
-        auto vit = domains_.find(victim_domain);
-        panic_if(vit == domains_.end(),
-                 "victim domain %u has no DTT payload", victim_domain);
-        DttInfo &vinfo = *vit->second;
+        DttInfo *victim_info = domains_.find(victim_domain);
+        panic_if(!victim_info, "victim domain %u has no DTT payload",
+                 victim_domain);
+        DttInfo &vinfo = *victim_info;
 
         // Unmap the victim: DTT payload updated, DTTLB entry marked
         // invalid + dirty.
@@ -252,14 +247,8 @@ MpkVirtScheme::FillPolicy::fill(ThreadId tid, Addr va,
     if (DttlbEntry *hit = dttlb.lookupVa(va)) {
         // DTTLB hit: its 1-cycle CAM lookup overlaps the page walk,
         // so no extra latency is charged (DESIGN.md §5).
-        info = static_cast<DttInfo *>(hit->payload);
-        if (!info) {
-            auto it = s.domains_.find(hit->domain);
-            panic_if(it == s.domains_.end(),
-                     "DTTLB caches unknown domain");
-            info = it->second.get();
-            hit->payload = info;
-        }
+        info = s.domains_.find(hit->domain);
+        panic_if(!info, "DTTLB caches unknown domain");
     } else {
         // DTTLB miss: walk the DTT (Table II: 30 cycles).
         if (s.statsDeferred())
@@ -308,12 +297,14 @@ MpkVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     perm = permNormalizeHw(perm);
     Cycles cycles = chargeSetPerm();
 
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    DttInfo *found = domains_.find(domain);
+    if (!found)
         return cycles; // SETPERM on an unattached domain: no-op.
 
     profile_.setPerm(domain);
-    DttInfo &info = *it->second;
+    DttInfo &info = *found;
+    if (tid >= info.perms.size())
+        info.perms.resize(std::size_t{tid} + 1, Perm::None);
     info.perms[tid] = perm;
 
     // The DTTLB entry (if cached) is invalidated so the next fill
@@ -332,23 +323,22 @@ Cycles
 MpkVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                       Perm)
 {
-    panic_if(domains_.count(domain), "domain %u attached twice", domain);
-    auto info = std::make_shared<DttInfo>();
-    info->domain = domain;
-    info->base = base;
-    info->size = size;
-    domains_[domain] = info;
-    dtt_.insert(base, size, domain, info);
+    panic_if(domains_.find(domain), "domain %u attached twice", domain);
+    DttInfo &info = domains_.claim(domain);
+    info.domain = domain;
+    info.base = base;
+    info.size = size;
+    dtt_.insert(base, size, domain, &info);
     return 0;
 }
 
 Cycles
 MpkVirtScheme::detach(ThreadId, DomainId domain)
 {
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    DttInfo *found = domains_.find(domain);
+    if (!found)
         return 0;
-    DttInfo &info = *it->second;
+    DttInfo &info = *found;
     if (info.key != kInvalidKey) {
         keyHolder_[info.key] = kNullDomain;
         keyAlloc_.free(info.key);
@@ -358,7 +348,7 @@ MpkVirtScheme::detach(ThreadId, DomainId domain)
     }
     invalidateDomainAllDttlbs(domain);
     dtt_.remove(domain);
-    domains_.erase(it);
+    info = DttInfo{};
     return 0;
 }
 
@@ -385,11 +375,8 @@ MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
     // key-holding domain, load the domain's permission for `to`.
     Pkru &pkru = pkrus_.forThread(to);
     for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (keyHolder_[k] == kNullDomain)
-            continue;
-        auto it = domains_.find(keyHolder_[k]);
-        if (it != domains_.end())
-            pkru.setPerm(k, permOf(*it->second, to));
+        if (const DttInfo *info = domains_.find(keyHolder_[k]))
+            pkru.setPerm(k, permOf(*info, to));
     }
     return cycles;
 }
@@ -397,10 +384,10 @@ MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
 Perm
 MpkVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    const DttInfo *info = domains_.find(domain);
+    if (!info)
         return Perm::ReadWrite; // Not a domain: page permission rules.
-    return permOf(*it->second, tid);
+    return permOf(*info, tid);
 }
 
 DomainId
@@ -412,8 +399,8 @@ MpkVirtScheme::domainOfKey(ProtKey key) const
 ProtKey
 MpkVirtScheme::keyOf(DomainId domain) const
 {
-    auto it = domains_.find(domain);
-    return it == domains_.end() ? kInvalidKey : it->second->key;
+    const DttInfo *info = domains_.find(domain);
+    return info ? info->key : kInvalidKey;
 }
 
 std::uint64_t

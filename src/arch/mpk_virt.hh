@@ -16,7 +16,7 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "arch/dttlb.hh"
 #include "arch/pkru.hh"
@@ -31,12 +31,12 @@ struct DttInfo
 {
     /** Key the domain currently maps to (kInvalidKey when unmapped). */
     ProtKey key = kInvalidKey;
-    /** Per-thread domain permission (absent threads have Perm::None). */
-    std::unordered_map<ThreadId, Perm> perms;
+    /** Per-thread domain permission by ThreadId (None past the end). */
+    std::vector<Perm> perms;
     /** Cached region bounds for shootdowns. */
     Addr base = 0;
     Addr size = 0;
-    DomainId domain = kNullDomain;
+    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
 };
 
 /** Hardware MPK virtualization. */
@@ -120,8 +120,7 @@ class MpkVirtScheme : public ProtectionScheme
 
     std::unique_ptr<FillPolicy> fillPolicyStorage_;
     VaRadixTree<DttInfo> dtt_;
-    /** Owning index of all DTT payloads by domain. */
-    std::unordered_map<DomainId, std::shared_ptr<DttInfo>> domains_;
+    DomainTable<DttInfo> domains_;
     /** Per-core DTTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Dttlb>> dttlbs_;
     KeyAllocator keyAlloc_;

@@ -11,15 +11,18 @@
  * The tree has four levels matching x86-64 paging (PML4/PDPT/PD/PT:
  * 512 GB / 1 GB / 2 MB / 4 KB slots). A slot is either empty, a
  * *directory entry* (next-level bit = 1) pointing to a child node, or
- * a *PMO root entry* (next-level bit = 0) holding the domain id and a
- * shared payload. A PMO whose VA reservation spans several aligned
- * slots installs one root entry per slot, all sharing one payload.
+ * a *PMO root entry* (next-level bit = 0) naming the domain id and its
+ * payload. A PMO whose VA reservation spans several aligned slots
+ * installs one root entry per slot, all naming one payload.
  */
 
 #ifndef PMODV_ARCH_RADIX_HH
 #define PMODV_ARCH_RADIX_HH
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -52,8 +55,16 @@ radixSlotIndex(Addr va, unsigned level)
 }
 
 /**
- * The VA-indexed radix tree. @tparam Payload per-domain data stored
- * in PMO root entries (may be empty for the DRT).
+ * The VA-indexed radix tree. @tparam Payload per-domain data named by
+ * PMO root entries (may be empty for the DRT); the tree stores only a
+ * pointer, so the caller keeps each payload at a stable address for
+ * as long as its root entries are installed.
+ *
+ * Host layout (DESIGN.md §8): a node is 512 8-byte slots, pooled with
+ * a free list. A slot holds a valid bit, a next-level bit and an index
+ * above them: the child node of a directory entry, or the domain whose
+ * root record {range, payload} a PMO root entry names. A domain is in
+ * the tree through at most one insert() at a time.
  */
 template <typename Payload>
 class VaRadixTree
@@ -69,209 +80,221 @@ class VaRadixTree
         unsigned depth = 0;
     };
 
-    VaRadixTree() : root_(std::make_unique<Node>()) {}
+    VaRadixTree() { newNode(); }
 
     /**
-     * Install root entries covering [base, base+size) for @p domain.
-     * The range must be 4 KB aligned; it is greedily decomposed into
-     * the largest aligned slots. All entries share @p payload.
+     * Install root entries covering [base, base+size) for @p domain,
+     * which must not be in the tree already. The range must be 4 KB
+     * aligned and lie below 2^48; it is greedily decomposed into the
+     * largest aligned slots. All entries name @p payload.
      */
     void
-    insert(Addr base, Addr size, DomainId domain,
-           std::shared_ptr<Payload> payload)
+    insert(Addr base, Addr size, DomainId domain, Payload *payload)
     {
         panic_if(domain == kNullDomain,
                  "cannot insert the NULL domain into a radix tree");
         panic_if(!isAligned(base, 4096) || !isAligned(size, 4096),
                  "radix insert range must be 4KB aligned");
         panic_if(size == 0, "radix insert of empty range");
-        Addr va = base;
-        const Addr end = base + size;
-        while (va < end) {
-            unsigned level = kRadixLevels - 1;
-            // Use the largest slot that is aligned and fits.
-            for (unsigned l = 1; l < kRadixLevels; ++l) {
-                const Addr span = Addr{1} << radixSlotShift(l);
-                if (isAligned(va, span) && va + span <= end) {
-                    level = l;
-                    break;
-                }
-            }
-            installRoot(va, level, domain, payload);
-            va += Addr{1} << radixSlotShift(level);
-        }
+        // The walk decodes VA bits 12-47 only.
+        constexpr Addr kVaLimit = Addr{1} << 48;
+        panic_if(size > kVaLimit || base > kVaLimit - size,
+                 "radix insert range leaves the 48-bit VA space");
+        if (domain >= records_.size())
+            records_.resize(std::size_t{domain} + 1);
+        panic_if(records_[domain].size != 0,
+                 "domain %u is already in the radix tree", domain);
+        records_[domain] = {base, size, payload};
+        fill(0, 0, base, base + size, (Slot{domain} << 2) | kValid);
     }
 
-    /**
-     * Walk the tree for @p va (the hardware walker's algorithm).
-     *
-     * The last walk is memoized by its slot path: every VA sharing the
-     * index path down to the level the walk stopped at resolves to the
-     * same slot, hence the same result (found or not). Any mutation
-     * invalidates the memo, so this is purely a pointer-chase saver —
-     * results are identical to an uncached walk.
-     */
+    /** Walk the tree for @p va (the hardware walker's algorithm). */
     WalkResult
     walk(Addr va) const
     {
-        if (memoValid_ && (va >> memoShift_) == memoKey_)
-            return memoRes_;
         WalkResult res;
-        const Node *node = root_.get();
-        unsigned level = 0;
-        for (; level < kRadixLevels; ++level) {
+        const Node *node = nodes_[0].get();
+        for (unsigned level = 0; level < kRadixLevels; ++level) {
             ++res.depth;
-            const Slot &slot = node->slots[radixSlotIndex(va, level)];
-            if (!slot.valid)
+            const Slot slot = node->slots[radixSlotIndex(va, level)];
+            if (!(slot & kValid))
                 break;
-            if (!slot.nextLevel) {
+            if (!(slot & kNextLevel)) {
                 res.found = true;
-                res.domain = slot.domain;
-                res.payload = slot.payload.get();
+                res.domain = static_cast<DomainId>(slot >> 2);
+                res.payload = records_[res.domain].payload;
                 break;
             }
-            node = slot.child.get();
+            node = nodes_[slot >> 2].get();
         }
-        memoShift_ = radixSlotShift(level < kRadixLevels
-                                        ? level
-                                        : kRadixLevels - 1);
-        memoKey_ = va >> memoShift_;
-        memoRes_ = res;
-        memoValid_ = true;
         return res;
     }
 
     /**
      * Remove every root entry of @p domain; returns the number of
-     * entries removed. Empty directory nodes are pruned.
+     * entries removed. Only the domain's recorded range is walked;
+     * nodes it leaves empty are pruned bottom-up.
      */
     unsigned
     remove(DomainId domain)
     {
-        memoValid_ = false;
-        return removeRec(*root_, domain);
+        if (domain >= records_.size() || records_[domain].size == 0)
+            return 0;
+        Record &rec = records_[domain];
+        const unsigned removed = clear(0, 0, rec.base, rec.base + rec.size);
+        rec = Record{};
+        roots_ -= removed;
+        return removed;
     }
 
     /** Number of allocated nodes (for the memory-usage model). */
     std::uint64_t
     nodeCount() const
     {
-        return countRec(*root_);
+        return nodes_.size() - freeNodes_.size();
     }
 
     /** Total root entries currently installed. */
-    std::uint64_t
-    rootEntryCount() const
-    {
-        return rootsRec(*root_);
-    }
+    std::uint64_t rootEntryCount() const { return roots_; }
 
   private:
-    struct Node;
-
-    struct Slot
-    {
-        bool valid = false;
-        bool nextLevel = false; ///< 1 = directory, 0 = PMO root entry.
-        DomainId domain = kNullDomain;
-        std::shared_ptr<Payload> payload;
-        std::unique_ptr<Node> child;
-    };
+    /** Bit 0 valid, bit 1 next level, bits 2.. node index or domain. */
+    using Slot = std::uint64_t;
+    static constexpr Slot kValid = 1;
+    static constexpr Slot kNextLevel = 2;
 
     struct Node
     {
-        std::array<Slot, kRadixFanout> slots;
+        std::array<Slot, kRadixFanout> slots{};
     };
 
-    void
-    installRoot(Addr va, unsigned level, DomainId domain,
-                std::shared_ptr<Payload> payload)
+    /** A domain's insert(): its range (size 0: none) and payload. */
+    struct Record
     {
-        memoValid_ = false;
-        Node *node = root_.get();
-        for (unsigned l = 0; l < level; ++l) {
-            Slot &slot = node->slots[radixSlotIndex(va, l)];
-            if (!slot.valid) {
-                slot.valid = true;
-                slot.nextLevel = true;
-                slot.child = std::make_unique<Node>();
+        Addr base = 0;
+        Addr size = 0;
+        Payload *payload = nullptr;
+    };
+
+    /**
+     * Install @p root over [va, end) below node @p n at @p level, in
+     * one pass over the node: a run of slots the range covers whole
+     * is filled in a loop, and only a partially covered slot (or a
+     * PML4 slot, which never holds a root entry) descends.
+     */
+    void
+    fill(std::uint32_t n, unsigned level, Addr va, Addr end, Slot root)
+    {
+        const unsigned shift = radixSlotShift(level);
+        const Addr span = Addr{1} << shift;
+        while (va < end) {
+            const unsigned idx = radixSlotIndex(va, level);
+            if (level > 0 && isAligned(va, span) && end - va >= span) {
+                const auto run = static_cast<unsigned>((end - va) >> shift);
+                Slot *slots = &nodes_[n]->slots[idx];
+                Slot taken = 0;
+                for (unsigned i = 0; i < run; ++i)
+                    taken |= slots[i];
+                panic_if(taken & kValid,
+                         "radix insert over an occupied slot");
+                std::fill(slots, slots + run, root);
+                roots_ += run;
+                va += Addr{run} << shift;
+                continue;
             }
-            panic_if(!slot.nextLevel,
+            Slot slot = nodes_[n]->slots[idx];
+            if (!(slot & kValid)) {
+                slot = (Slot{newNode()} << 2) | kNextLevel | kValid;
+                nodes_[n]->slots[idx] = slot;
+            }
+            panic_if(!(slot & kNextLevel),
                      "radix insert collides with an existing root entry");
-            node = slot.child.get();
+            const Addr next = std::min((va | (span - 1)) + 1, end);
+            fill(static_cast<std::uint32_t>(slot >> 2), level + 1, va,
+                 next, root);
+            va = next;
         }
-        Slot &slot = node->slots[radixSlotIndex(va, level)];
-        panic_if(slot.valid, "radix insert over an occupied slot");
-        slot.valid = true;
-        slot.nextLevel = false;
-        slot.domain = domain;
-        slot.payload = std::move(payload);
     }
 
+    /** Undo fill() of [va, end), pruning the nodes it empties. */
     unsigned
-    removeRec(Node &node, DomainId domain)
+    clear(std::uint32_t n, unsigned level, Addr va, Addr end)
     {
+        const Addr span = Addr{1} << radixSlotShift(level);
         unsigned removed = 0;
-        for (Slot &slot : node.slots) {
-            if (!slot.valid)
-                continue;
-            if (!slot.nextLevel) {
-                if (slot.domain == domain) {
-                    slot = Slot{};
-                    ++removed;
+        while (va < end) {
+            const Addr next = std::min((va | (span - 1)) + 1, end);
+            Slot &slot = nodes_[n]->slots[radixSlotIndex(va, level)];
+            if (level > 0 && next - va == span) {
+                slot = 0;
+                ++removed;
+            } else if (slot & kNextLevel) {
+                const auto child = static_cast<std::uint32_t>(slot >> 2);
+                removed += clear(child, level + 1, va, next);
+                const auto &slots = nodes_[child]->slots;
+                if (std::all_of(slots.begin(), slots.end(),
+                                [](Slot s) { return s == 0; })) {
+                    freeNodes_.push_back(child);
+                    slot = 0;
                 }
-            } else {
-                removed += removeRec(*slot.child, domain);
-                if (isEmpty(*slot.child))
-                    slot = Slot{};
             }
+            va = next;
         }
         return removed;
     }
 
-    static bool
-    isEmpty(const Node &node)
+    /** A zeroed node: recycled from the free list or appended. */
+    std::uint32_t
+    newNode()
     {
-        for (const Slot &slot : node.slots) {
-            if (slot.valid)
-                return false;
+        if (!freeNodes_.empty()) {
+            const std::uint32_t n = freeNodes_.back();
+            freeNodes_.pop_back();
+            return n;
         }
-        return true;
+        nodes_.push_back(std::make_unique<Node>());
+        return static_cast<std::uint32_t>(nodes_.size() - 1);
     }
 
-    std::uint64_t
-    countRec(const Node &node) const
+    /** Node pool; [0] is the PML4 root. Freed nodes are all-zero. */
+    std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<std::uint32_t> freeNodes_;
+    /** Root records, indexed by DomainId. */
+    std::vector<Record> records_;
+    std::uint64_t roots_ = 0;
+};
+
+/**
+ * Per-domain payloads indexed by DomainId (dense small integers, as in
+ * DomainProfile). A deque grows without moving its elements, so the
+ * pointers a radix tree's root records hold stay valid. A record whose
+ * `domain` is kNullDomain is not attached; detach resets it in place.
+ */
+template <typename T>
+class DomainTable
+{
+  public:
+    /** @p d's record, or nullptr when @p d is not attached. */
+    T *find(DomainId d) { return has(d) ? &rows_[d] : nullptr; }
+    const T *find(DomainId d) const { return has(d) ? &rows_[d] : nullptr; }
+
+    /** @p d's record slot, created on first use. */
+    T &
+    claim(DomainId d)
     {
-        std::uint64_t n = 1;
-        for (const Slot &slot : node.slots) {
-            if (slot.valid && slot.nextLevel)
-                n += countRec(*slot.child);
-        }
-        return n;
+        if (d >= rows_.size())
+            rows_.resize(std::size_t{d} + 1);
+        return rows_[d];
     }
 
-    std::uint64_t
-    rootsRec(const Node &node) const
+  private:
+    bool
+    has(DomainId d) const
     {
-        std::uint64_t n = 0;
-        for (const Slot &slot : node.slots) {
-            if (!slot.valid)
-                continue;
-            if (slot.nextLevel)
-                n += rootsRec(*slot.child);
-            else
-                ++n;
-        }
-        return n;
+        return d < rows_.size() && rows_[d].domain != kNullDomain;
     }
 
-    std::unique_ptr<Node> root_;
-
-    // Last-walk memo (see walk()); logically const, hence mutable.
-    mutable bool memoValid_ = false;
-    mutable unsigned memoShift_ = 0;
-    mutable Addr memoKey_ = 0;
-    mutable WalkResult memoRes_{};
+    std::deque<T> rows_;
 };
 
 } // namespace pmodv::arch

@@ -256,6 +256,9 @@ TEST(DomainVirt, DrtMemoryModel)
     const auto before = virt.drtMemoryBytes();
     h.attach(1, pmoBase(0), kSize);
     EXPECT_GT(virt.drtMemoryBytes(), before);
+    // Root, PDPT, PD and PT nodes of 512 8-byte slots each.
+    EXPECT_EQ(before, 4096u);
+    EXPECT_EQ(virt.drtMemoryBytes(), 4u * 4096);
 }
 
 } // namespace

@@ -172,11 +172,31 @@ class RadixFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
+/** The greedy decomposition of [base, end): (slot VA, level) pairs. */
+std::vector<std::pair<Addr, unsigned>>
+radixSlots(Addr base, Addr end)
+{
+    std::vector<std::pair<Addr, unsigned>> slots;
+    for (Addr va = base; va < end;) {
+        unsigned level = arch::kRadixLevels - 1;
+        for (unsigned l = 1; l < arch::kRadixLevels; ++l) {
+            const Addr span = Addr{1} << arch::radixSlotShift(l);
+            if (va % span == 0 && va + span <= end) {
+                level = l;
+                break;
+            }
+        }
+        slots.emplace_back(va, level);
+        va += Addr{1} << arch::radixSlotShift(level);
+    }
+    return slots;
+}
+
 TEST_P(RadixFuzz, WalkMatchesIntervalMap)
 {
     struct Payload
     {
-    };
+    } payload;
     arch::VaRadixTree<Payload> tree;
     std::map<Addr, std::pair<Addr, DomainId>> oracle; // base->(end,dom)
 
@@ -195,17 +215,32 @@ TEST_P(RadixFuzz, WalkMatchesIntervalMap)
                 overlaps |= base < es.first && b < base + size;
             if (overlaps)
                 continue;
-            tree.insert(base, size, next_domain,
-                        std::make_shared<Payload>());
+            tree.insert(base, size, next_domain, &payload);
             oracle[base] = {base + size, next_domain};
             ++next_domain;
         } else {
             // Remove a random domain.
             auto it = oracle.begin();
             std::advance(it, rng.next(oracle.size()));
-            EXPECT_GT(tree.remove(it->second.second), 0u);
+            EXPECT_EQ(tree.remove(it->second.second),
+                      radixSlots(it->first, it->second.first).size());
             oracle.erase(it);
         }
+
+        // Recompute the model from the intervals: one root entry per
+        // slot, and a node at level l (1..3) for every distinct VA
+        // prefix above a root entry at level >= l.
+        std::uint64_t roots = 0;
+        std::set<std::pair<unsigned, Addr>> nodes;
+        for (const auto &[b, es] : oracle) {
+            for (const auto &[va, level] : radixSlots(b, es.first)) {
+                ++roots;
+                for (unsigned l = 1; l <= level; ++l)
+                    nodes.emplace(l, va >> arch::radixSlotShift(l - 1));
+            }
+        }
+        ASSERT_EQ(tree.rootEntryCount(), roots) << "step " << i;
+        ASSERT_EQ(tree.nodeCount(), 1 + nodes.size()) << "step " << i;
 
         // Probe random addresses.
         for (int p = 0; p < 20; ++p) {
@@ -217,9 +252,14 @@ TEST_P(RadixFuzz, WalkMatchesIntervalMap)
                 if (va >= b && va < es.first)
                     expect = es.second;
             }
+            // The walk visits the root plus every node on va's path.
+            unsigned depth = 1;
+            for (unsigned l = 1; l < arch::kRadixLevels; ++l)
+                depth += nodes.count({l, va >> arch::radixSlotShift(l - 1)});
             const auto walk = tree.walk(va);
             ASSERT_EQ(walk.found ? walk.domain : kNullDomain, expect)
                 << "va 0x" << std::hex << va;
+            ASSERT_EQ(walk.depth, depth) << "va 0x" << std::hex << va;
         }
     }
 }

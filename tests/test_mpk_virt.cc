@@ -294,6 +294,9 @@ TEST(MpkVirt, DttMemoryModelGrowsWithDomains)
     for (unsigned i = 0; i < 8; ++i)
         h.attach(i + 1, pmoBase(i), kSize);
     EXPECT_GT(virt.dttMemoryBytes(), empty);
+    // Root, one PDPT, one PD and a PT per 1 MB PMO, 4 KB each.
+    EXPECT_EQ(empty, 4096u);
+    EXPECT_EQ(virt.dttMemoryBytes(), 11u * 4096);
 }
 
 } // namespace
