@@ -101,13 +101,13 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
       cycSyscall(this, "cyc_syscall", "cycles in attach/detach paths"),
       cycCtxSwitch(this, "cyc_ctx_switch",
                    "cycles processing context switches"),
-      opCycles(this, "op_cycles", "cycles per workload operation"),
       ipc(this, "ipc", "instructions per cycle",
           [this]() {
               return cycles.value() == 0
                          ? 0.0
                          : instructions.value() / cycles.value();
           }),
+      opCycles(this, "op_cycles", "cycles per workload operation"),
       timeline(this, "timeline",
                "per-epoch counter deltas (cycles per epoch in "
                "epoch_cycles)"),
@@ -305,13 +305,27 @@ System::endForensics(
     const trace::TraceRecord &rec, Cycles cycle_now, Cycles idle_skew,
     const std::array<std::uint64_t, stats::kSlowDigestBuckets> &snap)
 {
+    const std::uint64_t latency = cycle_now + idle_skew - opArrival_;
+    stats::SlowRequestDigest &global = *slowDigest_;
+    stats::SlowRequestDigest &cls = *slowDigestClass_[opClassCur_];
+    if (!global.admits(latency, reqId_) && !cls.admits(latency, reqId_)) {
+        // Neither digest would keep it: count the offer and skip the
+        // entry and its causal chain (a rejected offer changes nothing
+        // else, so the digests end up exactly as if it were built).
+        global.countRejected();
+        cls.countRejected();
+        events_.setCurrentRequest(0);
+        reqId_ = 0;
+        return;
+    }
+
     stats::SlowRequestEntry e;
     e.id = reqId_;
     e.tid = rec.tid;
     e.domain = reqDomain_;
     e.cls = opClassCur_;
     e.arrival = opArrival_;
-    e.latency = cycle_now + idle_skew - opArrival_;
+    e.latency = latency;
     e.queue = opQueueCur_;
     e.begin = reqBegin_;
     e.commit = cycleCount_;
@@ -354,8 +368,8 @@ System::endForensics(
     }
     e.events = std::move(chain);
 
-    slowDigest_->offer(e);
-    slowDigestClass_[e.cls]->offer(e);
+    global.offer(e);
+    cls.offer(e);
     events_.setCurrentRequest(0);
     reqId_ = 0;
 }

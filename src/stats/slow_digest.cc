@@ -40,31 +40,40 @@ SlowRequestDigest::SlowRequestDigest(Group *parent, std::string name,
 }
 
 bool
-SlowRequestDigest::before(const SlowRequestEntry &a,
-                          const SlowRequestEntry &b) const
+SlowRequestDigest::before(std::uint64_t lat_a, std::uint64_t id_a,
+                          std::uint64_t lat_b, std::uint64_t id_b) const
 {
-    if (a.latency != b.latency)
-        return a.latency > b.latency;
+    if (lat_a != lat_b)
+        return lat_a > lat_b;
     // Equal latencies: a seeded hash of the request id decides, so the
     // retained cohort under ties is arbitrary-but-deterministic rather
     // than biased toward early or late requests.
-    const std::uint64_t ha = mix(seed_ ^ a.id);
-    const std::uint64_t hb = mix(seed_ ^ b.id);
+    const std::uint64_t ha = mix(seed_ ^ id_a);
+    const std::uint64_t hb = mix(seed_ ^ id_b);
     if (ha != hb)
         return ha < hb;
-    return a.id < b.id;
+    return id_a < id_b;
+}
+
+bool
+SlowRequestDigest::admits(std::uint64_t latency, std::uint64_t id) const
+{
+    if (entries_.size() < k_)
+        return true;
+    const SlowRequestEntry &last = entries_.back();
+    return !before(last.latency, last.id, latency, id);
 }
 
 void
 SlowRequestDigest::offer(const SlowRequestEntry &entry)
 {
     ++offered_;
-    if (entries_.size() == k_ && before(entries_.back(), entry))
+    if (!admits(entry.latency, entry.id))
         return;
     const auto pos = std::upper_bound(
         entries_.begin(), entries_.end(), entry,
         [this](const SlowRequestEntry &a, const SlowRequestEntry &b) {
-            return before(a, b);
+            return before(a.latency, a.id, b.latency, b.id);
         });
     entries_.insert(pos, entry);
     if (entries_.size() > k_)

@@ -15,8 +15,8 @@
  * latency-descending with a seeded splitmix64 tie-break on the request
  * id, so the retained set and its order are independent of insertion
  * order and identical across --jobs counts and batch splits. offer()
- * is O(K) worst case and only runs once per tracked request, far off
- * the replay hot path.
+ * is O(K) worst case and only runs for requests admits() accepts: the
+ * replay builds no entry (nor its causal chain) for the rest.
  */
 
 #ifndef PMODV_STATS_SLOW_DIGEST_HH
@@ -96,6 +96,17 @@ class SlowRequestDigest : public StatBase
     /** Consider @p entry for the top K; keeps at most K entries. */
     void offer(const SlowRequestEntry &entry);
 
+    /**
+     * True when offer() would retain a request of @p latency and
+     * @p id right now. Depends only on those two and the current last
+     * entry, so a caller can skip building an entry the digest would
+     * drop (and count it with countRejected() instead).
+     */
+    bool admits(std::uint64_t latency, std::uint64_t id) const;
+
+    /** Count an offer admits() refused, without building its entry. */
+    void countRejected() { ++offered_; }
+
     /** Retained entries, slowest first (ties broken by seeded hash). */
     const std::vector<SlowRequestEntry> &entries() const
     {
@@ -118,9 +129,10 @@ class SlowRequestDigest : public StatBase
     }
 
   private:
-    /** True when @p a orders strictly before (is slower than) @p b. */
-    bool before(const SlowRequestEntry &a,
-                const SlowRequestEntry &b) const;
+    /** True when request (@p lat_a, @p id_a) orders strictly before
+     *  (is slower than) request (@p lat_b, @p id_b). */
+    bool before(std::uint64_t lat_a, std::uint64_t id_a,
+                std::uint64_t lat_b, std::uint64_t id_b) const;
 
     unsigned k_;
     std::uint64_t seed_;

@@ -15,6 +15,7 @@
 
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,17 +38,29 @@ struct Region
 };
 
 /**
- * The per-process address-space map. Regions never overlap; lookups
- * are O(log n).
+ * The per-process address-space map. Regions never overlap.
+ *
+ * The ordered map is the source of truth. find() — the page walk —
+ * first consults a hash index keyed by 2 MB chunk number, which holds
+ * the sole region touching each chunk, so a walk whose chunk has one
+ * region costs one hash probe instead of an ordered-tree search
+ * (DESIGN.md §8). Chunks shared by several regions, and regions
+ * spanning more than kMaxIndexedChunks chunks, fall back to the
+ * ordered search.
  */
 class AddressSpace
 {
   public:
+    AddressSpace() = default;
+    // The index points into regions_: a copy would alias its source.
+    AddressSpace(const AddressSpace &) = delete;
+    AddressSpace &operator=(const AddressSpace &) = delete;
+
     /**
      * Map a region. The VA range must be aligned to and sized as a
-     * multiple of the region's page size and must not overlap an
-     * existing region; panics otherwise (the attach syscall enforces
-     * this before calling in).
+     * multiple of the region's page size, must not wrap past 2^64 and
+     * must not overlap an existing region; panics otherwise (the
+     * attach syscall enforces this before calling in).
      */
     void map(const Region &region);
 
@@ -68,24 +81,39 @@ class AddressSpace
 
     std::size_t numRegions() const { return regions_.size(); }
 
-    /**
-     * Number of page-size pages in the region of @p domain (0 when
-     * the domain has no region). Used by the libmpk cost model.
-     */
-    std::uint64_t domainPages(DomainId domain) const;
+    /** log2 of the index's chunk size (2 MB). */
+    static constexpr unsigned kChunkShift = 21;
+    /** Regions spanning more chunks than this (1 GB) stay unindexed,
+     *  bounding the index at 512 entries per region. */
+    static constexpr Addr kMaxIndexedChunks = 512;
 
   private:
+    static Addr firstChunk(const Region &r) { return r.base >> kChunkShift; }
+    static Addr lastChunk(const Region &r)
+    {
+        return (r.end() - 1) >> kChunkShift;
+    }
+    static bool indexed(const Region &r)
+    {
+        return lastChunk(r) - firstChunk(r) < kMaxIndexedChunks;
+    }
+
+    /** Drop @p removed (already erased from regions_) from the index. */
+    void unindex(const Region &removed);
+
     /** Keyed by region base address. */
     std::map<Addr, Region> regions_;
 
     /**
-     * Memo of the last positive find(). std::map nodes are stable, so
-     * the pointer survives unrelated map()s; regions never overlap,
-     * so a contains() re-check fully validates it. Cleared on any
-     * unmap. One System drives one AddressSpace from one thread, so
-     * the mutable memo needs no synchronization.
+     * Chunk number -> the sole indexed region touching that chunk, or
+     * nullptr when several do. Chunks no indexed region touches have
+     * no entry. std::map nodes are stable, so the pointers survive
+     * unrelated map()s and unmap()s.
      */
-    mutable const Region *lastFind_ = nullptr;
+    std::unordered_map<Addr, const Region *> chunks_;
+    /** Regions too large to index; while non-zero, an index miss is
+     *  no proof that a VA is unmapped. */
+    std::size_t unindexed_ = 0;
 };
 
 } // namespace pmodv::tlb

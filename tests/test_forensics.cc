@@ -12,6 +12,8 @@
  *    blamed;
  *  * the digest bound — at most K entries, latency-sorted, counting
  *    every offered request;
+ *  * admission gating — skipping the entries admits() refuses keeps
+ *    exactly what offering every request keeps;
  *  * gating — slowRequestK = 0 (the default) leaves the stats tree
  *    without any forensics nodes, and suite rows without blame
  *    blocks or event id/req fields, so golden trees stay pinned;
@@ -24,6 +26,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -236,6 +239,75 @@ TEST(Forensics, DigestKeepsTheKSlowest)
     std::sort(lat.begin(), lat.end(), std::greater<>());
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(digest->entries()[i].latency, lat[i]) << i;
+}
+
+/**
+ * The replay's gate: a request neither the global nor its class digest
+ * admits is only counted. On random (latency, id) streams with heavy
+ * latency ties, that must retain exactly what offering every request
+ * to both digests retains, with the same offered() counts.
+ */
+TEST(Forensics, AdmissionGatingMatchesOfferingEverything)
+{
+    constexpr unsigned kClasses = 3;
+    for (unsigned k : {1u, 8u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE("k " + std::to_string(k) + " seed " +
+                         std::to_string(seed));
+            stats::Group root(nullptr, "");
+            auto makeDigests = [&](const std::string &tag) {
+                std::vector<std::unique_ptr<stats::SlowRequestDigest>> d;
+                for (unsigned c = 0; c <= kClasses; ++c)
+                    d.push_back(std::make_unique<stats::SlowRequestDigest>(
+                        &root, tag + std::to_string(c), "", k));
+                return d; // [0] global, [1 + c] class c.
+            };
+            auto all = makeDigests("all");
+            auto gated = makeDigests("gated");
+
+            std::mt19937_64 rng(seed);
+            unsigned skipped = 0;
+            for (std::uint64_t id = 1; id <= 5'000; ++id) {
+                // Mostly a handful of latencies (ties), sometimes a
+                // wide one.
+                const std::uint64_t latency =
+                    rng() % 4 == 0 ? rng() % 100'000 : 100 + rng() % 5;
+                const unsigned cls = 1 + rng() % kClasses;
+                stats::SlowRequestEntry e;
+                e.id = id;
+                e.latency = latency;
+                e.cls = cls - 1;
+
+                all[0]->offer(e);
+                all[cls]->offer(e);
+
+                if (!gated[0]->admits(latency, id) &&
+                    !gated[cls]->admits(latency, id)) {
+                    gated[0]->countRejected();
+                    gated[cls]->countRejected();
+                    ++skipped;
+                } else {
+                    gated[0]->offer(e);
+                    gated[cls]->offer(e);
+                }
+            }
+            EXPECT_GT(skipped, 4'000u);
+            for (unsigned c = 0; c <= kClasses; ++c) {
+                EXPECT_EQ(gated[c]->offered(), all[c]->offered()) << c;
+                ASSERT_EQ(gated[c]->entries().size(),
+                          all[c]->entries().size())
+                    << c;
+                for (std::size_t i = 0; i < all[c]->entries().size();
+                     ++i) {
+                    EXPECT_EQ(gated[c]->entries()[i].id,
+                              all[c]->entries()[i].id)
+                        << c << "/" << i;
+                    EXPECT_EQ(gated[c]->entries()[i].latency,
+                              all[c]->entries()[i].latency);
+                }
+            }
+        }
+    }
 }
 
 TEST(Forensics, OffByDefaultLeavesTreesUntouched)

@@ -52,7 +52,6 @@ TEST(AddressSpace, FindDomainAndPages)
     as.map(makeRegion(0x10000, 0x4000, 7));
     EXPECT_NE(as.findDomain(7), nullptr);
     EXPECT_EQ(as.findDomain(8), nullptr);
-    EXPECT_EQ(as.domainPages(7), 4u);
 }
 
 TEST(AddressSpace, UnmapVariants)
@@ -79,6 +78,138 @@ TEST(AddressSpaceDeathTest, RejectsMisalignment)
     AddressSpace as;
     EXPECT_DEATH(as.map(makeRegion(0x10001, 0x1000, 1)), "aligned");
     EXPECT_DEATH(as.map(makeRegion(0x10000, 0x1001, 1)), "multiple");
+}
+
+TEST(AddressSpaceDeathTest, RejectsWrappingRange)
+{
+    AddressSpace as;
+    // base + size reaches 2^64 exactly, and goes past it.
+    EXPECT_DEATH(as.map(makeRegion(~Addr{0xfff}, 0x1000, 1)), "wraps");
+    EXPECT_DEATH(as.map(makeRegion(~Addr{0xfff}, 0x3000, 1)), "wraps");
+    as.map(makeRegion(~Addr{0x1fff}, 0x1000, 1)); // Ends at 2^64 - 4K.
+    EXPECT_NE(as.find(~Addr{0x1000}), nullptr);
+    EXPECT_EQ(as.find(~Addr{0}), nullptr);
+}
+
+/** Brute-force scan of regions(): the oracle for find(). */
+const Region *
+oracleFind(const std::vector<Region> &regions, Addr va)
+{
+    for (const Region &r : regions) {
+        if (r.contains(va))
+            return &r;
+    }
+    return nullptr;
+}
+
+/**
+ * Random map/unmap/unmapDomain sequences, probing find() after every
+ * step against a brute-force scan: shared 2 MB chunks, chunk-straddling
+ * regions and regions past the 1 GB index limit all appear.
+ */
+TEST(AddressSpace, FindMatchesBruteForceOracle)
+{
+    constexpr Addr kPage = 0x1000;
+    constexpr Addr kChunk = Addr{1} << AddressSpace::kChunkShift;
+    constexpr Addr kWindow = Addr{16} << 30; // VAs in [0, 16 GB).
+
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        AddressSpace as;
+        unsigned big_mapped = 0;
+
+        auto fits = [&](Addr base, Addr size) {
+            if (base >= kWindow || size > kWindow - base)
+                return false;
+            for (const Region &r : as.regions()) {
+                if (base < r.end() && r.base < base + size)
+                    return false;
+            }
+            return true;
+        };
+        auto tryMap = [&](Addr base, Addr size, DomainId domain) {
+            if (!fits(base, size))
+                return;
+            as.map(makeRegion(base, size, domain));
+            if (size > AddressSpace::kMaxIndexedChunks * kChunk)
+                ++big_mapped;
+        };
+
+        // Fixtures: three regions inside one chunk, one straddling a
+        // chunk edge, one unindexed 1.5 GB region.
+        tryMap(0x200000, kPage, 1);
+        tryMap(0x203000, 2 * kPage, 2);
+        tryMap(0x3ff000, kPage, 3);
+        tryMap(0x5fe000, 4 * kPage, 4);
+        tryMap(Addr{4} << 30, Addr{3} << 29, 5);
+
+        auto probe = [&](const std::vector<Region> &regions, Addr va) {
+            const Region *want = oracleFind(regions, va);
+            const Region *got = as.find(va);
+            ASSERT_EQ(got != nullptr, want != nullptr)
+                << std::hex << "va 0x" << va;
+            if (got) {
+                EXPECT_EQ(got->base, want->base) << std::hex << "va 0x" << va;
+                EXPECT_EQ(got->domain, want->domain);
+            }
+        };
+        auto probeAll = [&]() {
+            const std::vector<Region> regions = as.regions();
+            for (const Region &r : regions) {
+                for (Addr va : {r.base - 1, r.base, r.end() - 1, r.end()})
+                    probe(regions, va);
+                const Addr first = r.base / kChunk;
+                const Addr last = (r.end() - 1) / kChunk;
+                for (Addr c = first; c <= last + 1; ++c) {
+                    probe(regions, c * kChunk - 1);
+                    probe(regions, c * kChunk);
+                }
+            }
+            for (int i = 0; i < 64; ++i)
+                probe(regions, rng() % kWindow);
+        };
+
+        probeAll();
+        for (int step = 0; step < 150; ++step) {
+            const unsigned op = rng() % 8;
+            const auto regions = as.regions();
+            if (op < 5 || regions.empty()) {
+                // Sizes 4 KB .. 2 GB, log-uniform in their page count.
+                const unsigned k = rng() % 20;
+                const Addr size = (1 + rng() % (Addr{1} << k)) * kPage;
+                Addr base;
+                const unsigned where = rng() % 3;
+                if (where == 0 && !regions.empty()) {
+                    // Right after a region: packs chunks.
+                    base = regions[rng() % regions.size()].end();
+                } else if (where == 1) {
+                    // Straddling a chunk edge.
+                    const Addr edge = (1 + rng() % (kWindow / kChunk)) *
+                                      kChunk;
+                    base = edge - (1 + rng() % 4) * kPage;
+                } else {
+                    base = (rng() % (kWindow / kPage)) * kPage;
+                }
+                tryMap(base, size, static_cast<DomainId>(1 + rng() % 6));
+            } else if (op < 7) {
+                const Region &victim = regions[rng() % regions.size()];
+                EXPECT_TRUE(as.unmap(victim.base));
+                EXPECT_FALSE(as.unmap(victim.base + kPage / 2));
+            } else {
+                const DomainId domain =
+                    regions[rng() % regions.size()].domain;
+                unsigned owned = 0;
+                for (const Region &r : regions)
+                    owned += r.domain == domain;
+                EXPECT_EQ(as.unmapDomain(domain), owned);
+            }
+            probeAll();
+            if (HasFatalFailure())
+                return;
+        }
+        EXPECT_GT(big_mapped, 0u);
+    }
 }
 
 TEST(AddressSpace, RegionsSortedByBase)
