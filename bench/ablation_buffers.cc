@@ -73,7 +73,7 @@ makeCtxSwitchTrace(unsigned span)
             base + d * stride + (a * 4096) % (Addr{1} << 20), 8,
             true));
     }
-    return trace::TraceBuffer::fromRecords(std::move(t));
+    return trace::TraceBuffer::copyOf(t);
 }
 
 } // namespace

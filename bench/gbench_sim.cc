@@ -122,7 +122,7 @@ BM_ReplayBatchThroughput(benchmark::State &state)
         records.push_back(
             TraceRecord::load(0, kBase + rng.next(range - 8), 8, true));
     }
-    const auto buf = trace::TraceBuffer::fromRecords(std::move(records));
+    const auto buf = trace::TraceBuffer::copyOf(records);
     for (auto _ : state)
         sys.replayBatch(buf->records());
     state.SetItemsProcessed(state.iterations() *
@@ -169,7 +169,7 @@ BM_L0FilterHitRate(benchmark::State &state)
                         (i % kPerPage) * 8;
         records.push_back(TraceRecord::load(0, va, 8, true));
     }
-    const auto buf = trace::TraceBuffer::fromRecords(std::move(records));
+    const auto buf = trace::TraceBuffer::copyOf(records);
     for (auto _ : state)
         sys.replayBatch(buf->records());
     state.SetItemsProcessed(state.iterations() *
@@ -213,7 +213,7 @@ BM_ReplayMultiCoreThroughput(benchmark::State &state)
         records.push_back(TraceRecord::load(
             t, kBase + t * stride + rng.next(kSize - 8), 8, true));
     }
-    const auto buf = trace::TraceBuffer::fromRecords(std::move(records));
+    const auto buf = trace::TraceBuffer::copyOf(records);
     for (auto _ : state)
         sys.replayBatch(buf->records());
     state.SetItemsProcessed(state.iterations() *

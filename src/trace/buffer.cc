@@ -1,33 +1,21 @@
 #include "trace/buffer.hh"
 
+#include <cerrno>
 #include <cstring>
-#include <new>
+#include <utility>
 
 #include <sys/mman.h>
-
-#include "common/logging.hh"
 
 namespace pmodv::trace
 {
 
-void
-TraceSummary::add(const TraceRecord &rec)
+namespace
 {
-    ++counts[static_cast<std::size_t>(rec.type)];
-    if (rec.type == RecordType::InstBlock)
-        instBlockInsts += rec.aux;
-    if (rec.isPmoAccess())
-        ++pmoAccesses;
 
-    // FNV-1a over the raw record bytes. TraceRecord is trivially
-    // copyable and padding-free (static_assert'ed to 24 bytes), so
-    // hashing the object representation is deterministic.
-    const auto *p = reinterpret_cast<const unsigned char *>(&rec);
-    for (std::size_t i = 0; i < sizeof(TraceRecord); ++i) {
-        checksum ^= p[i];
-        checksum *= kFnvPrime;
-    }
-}
+/** A RecordStore's first mapping; it doubles from here. */
+constexpr std::size_t kInitialStoreBytes = std::size_t{2} << 20;
+
+} // namespace
 
 std::uint64_t
 TraceSummary::totalRecords() const
@@ -41,8 +29,7 @@ TraceSummary::totalRecords() const
 bool
 TraceSummary::matches(const TraceSummary &other) const
 {
-    if (checksum != other.checksum ||
-        instBlockInsts != other.instBlockInsts ||
+    if (instBlockInsts != other.instBlockInsts ||
         pmoAccesses != other.pmoAccesses)
         return false;
     for (std::size_t i = 0; i < kNumRecordTypes; ++i) {
@@ -52,10 +39,54 @@ TraceSummary::matches(const TraceSummary &other) const
     return true;
 }
 
+RecordStore::~RecordStore()
+{
+    if (records_)
+        ::munmap(records_, mapBytes_);
+}
+
+RecordStore::RecordStore(RecordStore &&other) noexcept
+{
+    *this = std::move(other);
+}
+
+RecordStore &
+RecordStore::operator=(RecordStore &&other) noexcept
+{
+    if (this != &other) {
+        if (records_)
+            ::munmap(records_, mapBytes_);
+        records_ = std::exchange(other.records_, nullptr);
+        count_ = std::exchange(other.count_, 0);
+        capacity_ = std::exchange(other.capacity_, 0);
+        mapBytes_ = std::exchange(other.mapBytes_, 0);
+        summary_ = std::exchange(other.summary_, {});
+    }
+    return *this;
+}
+
+void
+RecordStore::makeRoom(std::size_t n)
+{
+    if (capacity_ - count_ >= n)
+        return;
+    std::size_t bytes = mapBytes_ ? mapBytes_ : kInitialStoreBytes;
+    while (bytes / sizeof(TraceRecord) - count_ < n)
+        bytes *= 2;
+    void *map = records_
+        ? ::mremap(records_, mapBytes_, bytes, MREMAP_MAYMOVE)
+        : ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(map == MAP_FAILED,
+             "cannot grow the trace record store to %zu bytes: %s", bytes,
+             std::strerror(errno));
+    records_ = static_cast<TraceRecord *>(map);
+    mapBytes_ = bytes;
+    capacity_ = bytes / sizeof(TraceRecord);
+}
+
 TraceBuffer::~TraceBuffer()
 {
-    if (arena_)
-        ::operator delete(arena_, std::align_val_t{kTraceBufferAlign});
     if (map_)
         ::munmap(map_, mapBytes_);
 }
@@ -63,24 +94,28 @@ TraceBuffer::~TraceBuffer()
 std::shared_ptr<const TraceBuffer>
 TraceBuffer::copyOf(std::span<const TraceRecord> records)
 {
-    auto buf = std::shared_ptr<TraceBuffer>(new TraceBuffer);
-    buf->count_ = records.size();
-    if (!records.empty()) {
-        const std::size_t bytes = records.size() * sizeof(TraceRecord);
-        buf->arena_ = ::operator new(
-            bytes, std::align_val_t{kTraceBufferAlign});
-        std::memcpy(buf->arena_, records.data(), bytes);
-        buf->records_ = static_cast<const TraceRecord *>(buf->arena_);
-    }
-    for (const TraceRecord &rec : records)
-        buf->summary_.add(rec);
-    return buf;
+    RecordStore store;
+    const std::size_t kept = store.appendInPlace(
+        records.size(), [&](TraceRecord *dst) {
+            if (!records.empty())
+                std::memcpy(dst, records.data(), records.size_bytes());
+        });
+    panic_if(kept != records.size(),
+             "record %zu copied into a trace buffer has unknown type %u",
+             kept, static_cast<unsigned>(records[kept].type));
+    return fromRecords(std::move(store));
 }
 
 std::shared_ptr<const TraceBuffer>
-TraceBuffer::fromRecords(std::vector<TraceRecord> records)
+TraceBuffer::fromRecords(RecordStore records)
 {
-    return copyOf(std::span<const TraceRecord>(records));
+    auto buf = std::shared_ptr<TraceBuffer>(new TraceBuffer);
+    buf->map_ = std::exchange(records.records_, nullptr);
+    buf->mapBytes_ = records.mapBytes_;
+    buf->records_ = static_cast<const TraceRecord *>(buf->map_);
+    buf->count_ = records.count_;
+    buf->summary_ = records.summary_;
+    return buf;
 }
 
 std::shared_ptr<const TraceBuffer>
@@ -95,6 +130,7 @@ TraceBuffer::adoptMapping(void *map, std::size_t map_bytes,
     buf->records_ = records;
     buf->count_ = count;
     buf->summary_ = summary;
+    buf->fileView_ = true;
     return buf;
 }
 

@@ -1,16 +1,15 @@
 #include "trace/sinks.hh"
 
+#include "common/logging.hh"
+
 namespace pmodv::trace
 {
 
 void
 CountingSink::put(const TraceRecord &rec)
 {
-    ++counts_[static_cast<std::size_t>(rec.type)];
-    if (rec.type == RecordType::InstBlock)
-        instBlockInsts_ += rec.aux;
-    if (rec.isPmoAccess())
-        ++pmoAccesses_;
+    panic_if(!summary_.add(rec), "counted record has unknown type %u",
+             static_cast<unsigned>(rec.type));
 }
 
 void
@@ -24,24 +23,15 @@ void
 CountingSink::addSummary(const TraceSummary &summary)
 {
     for (std::size_t i = 0; i < kNumRecordTypes; ++i)
-        counts_[i] += summary.counts[i];
-    instBlockInsts_ += summary.instBlockInsts;
-    pmoAccesses_ += summary.pmoAccesses;
+        summary_.counts[i] += summary.counts[i];
+    summary_.instBlockInsts += summary.instBlockInsts;
+    summary_.pmoAccesses += summary.pmoAccesses;
 }
 
 std::uint64_t
 CountingSink::totalInstructions() const
 {
-    return instBlockInsts_ + memAccesses() + permissionSwitches();
-}
-
-void
-CountingSink::reset()
-{
-    for (auto &c : counts_)
-        c = 0;
-    instBlockInsts_ = 0;
-    pmoAccesses_ = 0;
+    return summary_.instBlockInsts + memAccesses() + permissionSwitches();
 }
 
 } // namespace pmodv::trace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "trace/buffer.hh"
@@ -39,18 +40,25 @@ class NullSink : public TraceSink
     void put(const TraceRecord &) override {}
 };
 
-/** Buffers the whole trace in memory for repeated replay. */
+/**
+ * Buffers the whole trace in memory for repeated replay, straight
+ * into the RecordStore that TraceBuffer::fromRecords() adopts.
+ */
 class VectorSink : public TraceSink
 {
   public:
-    void put(const TraceRecord &rec) override { records_.push_back(rec); }
+    void put(const TraceRecord &rec) override { store_.push(rec); }
 
-    const std::vector<TraceRecord> &records() const { return records_; }
-    std::vector<TraceRecord> take() { return std::move(records_); }
-    void clear() { records_.clear(); }
+    std::span<const TraceRecord> records() const
+    {
+        return {store_.data(), store_.size()};
+    }
+
+    /** Hand over the records; the sink is left empty and reusable. */
+    RecordStore take() { return std::exchange(store_, {}); }
 
   private:
-    std::vector<TraceRecord> records_;
+    RecordStore store_;
 };
 
 /** Replicates each record to several downstream sinks. */
@@ -94,10 +102,7 @@ class CountingSink : public TraceSink
     /** Fold a precomputed TraceSummary (e.g. a TraceBuffer's). */
     void addSummary(const TraceSummary &summary);
 
-    std::uint64_t count(RecordType t) const
-    {
-        return counts_[static_cast<std::size_t>(t)];
-    }
+    std::uint64_t count(RecordType t) const { return summary_.count(t); }
 
     /** Total dynamic instructions: blocks + mem accesses + switches. */
     std::uint64_t totalInstructions() const;
@@ -109,7 +114,7 @@ class CountingSink : public TraceSink
     }
 
     /** Load+store records targeting PMO memory. */
-    std::uint64_t pmoAccesses() const { return pmoAccesses_; }
+    std::uint64_t pmoAccesses() const { return summary_.pmoAccesses; }
 
     /** SETPERM + WRPKRU records (the paper's "switches"). */
     std::uint64_t permissionSwitches() const
@@ -120,12 +125,10 @@ class CountingSink : public TraceSink
     /** Completed workload operations (OpEnd markers). */
     std::uint64_t operations() const { return count(RecordType::OpEnd); }
 
-    void reset();
+    void reset() { summary_ = {}; }
 
   private:
-    std::uint64_t counts_[kNumRecordTypes] = {};
-    std::uint64_t instBlockInsts_ = 0;
-    std::uint64_t pmoAccesses_ = 0;
+    TraceSummary summary_;
 };
 
 /**

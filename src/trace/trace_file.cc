@@ -14,6 +14,22 @@ namespace pmodv::trace
 namespace
 {
 
+/**
+ * Fold @p rec's bytes into FNV-1a @p hash. TraceRecord is trivially
+ * copyable and padding-free (static_assert'ed to 24 bytes), so hashing
+ * the object representation is deterministic.
+ */
+std::uint64_t
+fnv1a(std::uint64_t hash, const TraceRecord &rec)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(&rec);
+    for (std::size_t i = 0; i < sizeof(TraceRecord); ++i) {
+        hash ^= p[i];
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
 /** The legacy v1 on-disk header. */
 struct FileHeaderV1
 {
@@ -49,13 +65,13 @@ static_assert(kTraceHeaderBytesV2 % kTraceBufferAlign == 0,
               "v2 record body must start cache-line aligned");
 
 FileHeaderV2
-makeHeader(const TraceSummary &summary)
+makeHeader(const TraceSummary &summary, std::uint64_t checksum)
 {
     FileHeaderV2 hdr{};
     hdr.magic = kTraceMagic;
     hdr.version = kTraceVersion;
     hdr.count = summary.totalRecords();
-    hdr.checksum = summary.checksum;
+    hdr.checksum = checksum;
     for (std::size_t i = 0; i < kNumRecordTypes; ++i)
         hdr.typeCounts[i] = summary.counts[i];
     hdr.instBlockInsts = summary.instBlockInsts;
@@ -71,7 +87,6 @@ summaryOfHeader(const FileHeaderV2 &hdr)
         summary.counts[i] = hdr.typeCounts[i];
     summary.instBlockInsts = hdr.instBlockInsts;
     summary.pmoAccesses = hdr.pmoAccesses;
-    summary.checksum = hdr.checksum;
     return summary;
 }
 
@@ -116,7 +131,11 @@ TraceFileWriter::put(const TraceRecord &rec)
     fatal_if(std::fwrite(&rec, sizeof(rec), 1, file_) != 1,
              "short write to trace file '%s': %s", path_.c_str(),
              std::strerror(errno));
-    summary_.add(rec);
+    panic_if(!summary_.add(rec),
+             "record %llu written to '%s' has unknown type %u",
+             static_cast<unsigned long long>(summary_.totalRecords()),
+             path_.c_str(), static_cast<unsigned>(rec.type));
+    checksum_ = fnv1a(checksum_, rec);
 }
 
 void
@@ -125,7 +144,7 @@ TraceFileWriter::finish()
     if (finished_)
         return;
     finished_ = true;
-    FileHeaderV2 hdr = makeHeader(summary_);
+    FileHeaderV2 hdr = makeHeader(summary_, checksum_);
     fatal_if(std::fseek(file_, 0, SEEK_SET) != 0,
              "cannot seek to trace header in '%s': %s", path_.c_str(),
              std::strerror(errno));
@@ -163,6 +182,7 @@ TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
                             sizeof(hdr) - sizeof(base), 1, file_) != 1,
                  "truncated v2 trace header in '%s'", path.c_str());
         headerSummary_ = summaryOfHeader(hdr);
+        headerChecksum_ = hdr.checksum;
         fatal_if(headerSummary_.totalRecords() != count_,
                  "corrupt trace header in '%s': record count %llu "
                  "disagrees with per-type counts (%llu)",
@@ -194,21 +214,31 @@ TraceFileReader::~TraceFileReader()
         std::fclose(file_);
 }
 
-std::shared_ptr<const TraceBuffer>
-TraceFileReader::loadIntoArena()
+void
+TraceFileReader::unknownType(std::size_t index, RecordType type) const
 {
-    // Decode-on-load: stream every record through an arena copy.
+    fatal("trace file '%s' is corrupt: record %zu has unknown type %u",
+          path_.c_str(), index, static_cast<unsigned>(type));
+}
+
+std::shared_ptr<const TraceBuffer>
+TraceFileReader::loadIntoStore()
+{
+    // Decode-on-load: fread the body straight into a RecordStore.
     // Used for v1 files and as the fallback when mmap fails.
-    std::vector<TraceRecord> records;
-    records.reserve(count_);
+    RecordStore store;
     if (count_ != 0) {
         fatal_if(std::fseek(file_, static_cast<long>(headerBytes_),
                             SEEK_SET) != 0,
                  "cannot seek in trace file '%s'", path_.c_str());
-        records.resize(count_);
-        fatal_if(std::fread(records.data(), sizeof(TraceRecord), count_,
-                            file_) != count_,
-                 "truncated trace file '%s'", path_.c_str());
+        const std::size_t kept =
+            store.appendInPlace(count_, [&](TraceRecord *dst) {
+                fatal_if(std::fread(dst, sizeof(TraceRecord), count_,
+                                    file_) != count_,
+                         "truncated trace file '%s'", path_.c_str());
+            });
+        if (kept != count_)
+            unknownType(kept, store.data()[kept].type);
         fatal_if(std::fseek(file_,
                             static_cast<long>(
                                 headerBytes_ +
@@ -216,43 +246,48 @@ TraceFileReader::loadIntoArena()
                             SEEK_SET) != 0,
                  "cannot seek in trace file '%s'", path_.c_str());
     }
-    return TraceBuffer::fromRecords(std::move(records));
+    return TraceBuffer::fromRecords(std::move(store));
 }
 
 std::shared_ptr<const TraceBuffer>
 TraceFileReader::view()
 {
+    if (version_ != kTraceVersion)
+        return loadIntoStore();
+
     std::shared_ptr<const TraceBuffer> buf;
-    if (version_ == kTraceVersion) {
-        const std::size_t map_bytes =
-            headerBytes_ + count_ * sizeof(TraceRecord);
-        void *map = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE,
-                           ::fileno(file_), 0);
-        if (map != MAP_FAILED) {
-            const auto *records = reinterpret_cast<const TraceRecord *>(
-                static_cast<const char *>(map) + headerBytes_);
-            buf = TraceBuffer::adoptMapping(map, map_bytes, records,
-                                            count_, headerSummary_);
-        } else {
-            buf = loadIntoArena();
-        }
-        // Verify the body against the header before anyone replays
-        // from it. A full recompute also covers the arena fallback.
-        TraceSummary actual;
-        for (const TraceRecord &rec : buf->records())
-            actual.add(rec);
-        fatal_if(actual.checksum != headerSummary_.checksum,
-                 "trace file '%s' failed checksum verification "
-                 "(header %016llx, body %016llx)",
-                 path_.c_str(),
-                 static_cast<unsigned long long>(headerSummary_.checksum),
-                 static_cast<unsigned long long>(actual.checksum));
-        fatal_if(!actual.matches(headerSummary_),
-                 "trace file '%s' is corrupt: body statistics disagree "
-                 "with the header summary", path_.c_str());
+    const std::size_t map_bytes =
+        headerBytes_ + count_ * sizeof(TraceRecord);
+    void *map = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE,
+                       ::fileno(file_), 0);
+    if (map != MAP_FAILED) {
+        const auto *records = reinterpret_cast<const TraceRecord *>(
+            static_cast<const char *>(map) + headerBytes_);
+        buf = TraceBuffer::adoptMapping(map, map_bytes, records, count_,
+                                        headerSummary_);
     } else {
-        buf = loadIntoArena();
+        buf = loadIntoStore();
     }
+    // Verify the body against the header before anyone replays from
+    // it. A full recompute also covers the RecordStore fallback.
+    TraceSummary actual;
+    std::uint64_t checksum = kFnvOffsetBasis;
+    const auto body = buf->records();
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const TraceRecord &rec = body[i];
+        if (!actual.add(rec))
+            unknownType(i, rec.type);
+        checksum = fnv1a(checksum, rec);
+    }
+    fatal_if(checksum != headerChecksum_,
+             "trace file '%s' failed checksum verification "
+             "(header %016llx, body %016llx)",
+             path_.c_str(),
+             static_cast<unsigned long long>(headerChecksum_),
+             static_cast<unsigned long long>(checksum));
+    fatal_if(!actual.matches(headerSummary_),
+             "trace file '%s' is corrupt: body statistics disagree "
+             "with the header summary", path_.c_str());
     return buf;
 }
 

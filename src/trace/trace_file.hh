@@ -5,15 +5,16 @@
  * point), mirroring the paper's Pin-capture/Sniper-replay split.
  *
  * v2 format (current): a 128-byte section header {magic, version,
- * record count, full TraceSummary: per-type counts + instruction and
- * PMO-access totals + FNV-1a checksum} followed by packed
- * TraceRecords starting at a 64-byte-aligned offset. The body is
- * mmap-able: TraceFileReader::view() maps it read-only and wraps it
- * in a zero-copy TraceBuffer after verifying the checksum.
+ * record count, FNV-1a checksum of the body, full TraceSummary:
+ * per-type counts + instruction and PMO-access totals} followed by
+ * packed TraceRecords starting at a 64-byte-aligned offset. The body
+ * is mmap-able: TraceFileReader::view() maps it read-only and wraps
+ * it in a zero-copy TraceBuffer after verifying the checksum. The
+ * checksum guards the file only; in-memory buffers carry none.
  *
  * v1 format (legacy, still readable): a 16-byte header {magic,
  * version, record count} followed by packed records. view() falls
- * back to decode-on-load, building an arena-backed TraceBuffer.
+ * back to decode-on-load, reading the body into a RecordStore.
  */
 
 #ifndef PMODV_TRACE_TRACE_FILE_HH
@@ -21,7 +22,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "trace/buffer.hh"
 #include "trace/sinks.hh"
@@ -43,6 +43,11 @@ inline constexpr std::size_t kTraceHeaderBytesV2 = 128;
 
 /** Byte size of the legacy v1 header. */
 inline constexpr std::size_t kTraceHeaderBytesV1 = 16;
+
+/** FNV-1a 64-bit offset basis: the checksum of an empty v2 body. */
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+/** FNV-1a 64-bit prime. */
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /**
  * A TraceSink that streams records to a binary v2 trace file. Every
@@ -77,6 +82,7 @@ class TraceFileWriter : public TraceSink
     std::FILE *file_ = nullptr;
     std::string path_;
     TraceSummary summary_;
+    std::uint64_t checksum_ = kFnvOffsetBasis; ///< FNV-1a of the body.
     bool finished_ = false;
 };
 
@@ -115,9 +121,10 @@ class TraceFileReader
     /**
      * Load the whole trace as an immutable shared TraceBuffer,
      * independent of the next() cursor. v2 bodies are mmap'ed
-     * zero-copy (arena fallback when mmap is unavailable); v1 bodies
-     * are decoded into an arena. fatal() on checksum or count
-     * mismatch. May be called once per reader.
+     * zero-copy (read into a RecordStore when mmap is unavailable);
+     * v1 bodies are read into a RecordStore. fatal() on a record of
+     * unknown type, a checksum or a count mismatch. May be called
+     * once per reader.
      */
     std::shared_ptr<const TraceBuffer> view();
 
@@ -125,7 +132,11 @@ class TraceFileReader
     bool next(TraceRecord &rec);
 
   private:
-    std::shared_ptr<const TraceBuffer> loadIntoArena();
+    std::shared_ptr<const TraceBuffer> loadIntoStore();
+
+    /** fatal(): record @p index of this file has @p type. */
+    [[noreturn]] void unknownType(std::size_t index,
+                                  RecordType type) const;
 
     std::FILE *file_ = nullptr;
     std::string path_;
@@ -134,6 +145,7 @@ class TraceFileReader
     std::uint64_t readSoFar_ = 0;
     std::size_t headerBytes_ = 0;
     TraceSummary headerSummary_; ///< Valid for v2 files only.
+    std::uint64_t headerChecksum_ = 0; ///< Valid for v2 files only.
 };
 
 } // namespace pmodv::trace

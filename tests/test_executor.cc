@@ -141,7 +141,7 @@ TEST(Executor, RawReplayMatchesMultiReplay)
     for (unsigned i = 0; i < 500; ++i)
         records.push_back(
             TraceRecord::load(0, base + i * 64, 8, true));
-    const auto buf = trace::TraceBuffer::fromRecords(std::move(records));
+    const auto buf = trace::TraceBuffer::copyOf(records);
 
     const std::vector<SchemeKind> kinds{SchemeKind::NoProtection,
                                         SchemeKind::MpkVirt,

@@ -91,7 +91,8 @@ microTrace()
     trace::VectorSink sink;
     workloads::TraceCtx ctx(sink, params.seed);
     workloads::makeMicro("avl", params)->run(ctx);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 /**
@@ -156,7 +157,8 @@ serverTrace()
     trace::VectorSink sink;
     workloads::TraceCtx ctx(sink, params.seed);
     workloads::ServerWorkload(params).run(ctx);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 std::string

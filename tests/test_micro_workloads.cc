@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "trace/sinks.hh"
 #include "workloads/micro/workloads.hh"
 
@@ -205,7 +207,7 @@ TEST_P(MicroTraceShape, DeterministicAcrossRuns)
         workload->run(ctx);
         return sink.take();
     };
-    EXPECT_EQ(run(), run());
+    EXPECT_TRUE(std::ranges::equal(run(), run()));
 }
 
 TEST_P(MicroTraceShape, AccessesFallInsideAttachedRanges)

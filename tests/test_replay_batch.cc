@@ -91,7 +91,8 @@ captureMicro(const char *name)
     trace::VectorSink sink;
     workloads::TraceCtx ctx(sink, params.seed);
     workloads::makeMicro(name, params)->run(ctx);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 std::vector<TraceRecord>
@@ -104,7 +105,8 @@ captureWhisper(const char *name)
     trace::VectorSink sink;
     pmo::Namespace ns;
     workloads::makeWhisper(name, params)->run(ns, sink);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 /**

@@ -47,7 +47,8 @@ capture(const workloads::ServerParams &params)
     workloads::TraceCtx ctx(sink, params.seed);
     workloads::ServerWorkload workload(params);
     workload.run(ctx);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 workloads::ServerParams
@@ -161,8 +162,7 @@ TEST(ServerReplay, LatencyHistogramsAreBatchSplitInvariant)
 {
     const auto params = smallParams();
     const auto recs = capture(params);
-    const auto buffer = trace::TraceBuffer::fromRecords(
-        std::vector<trace::TraceRecord>(recs));
+    const auto buffer = trace::TraceBuffer::copyOf(recs);
 
     for (SchemeKind kind : {SchemeKind::LibMpk, SchemeKind::DomainVirt}) {
         core::System whole(latencyConfig(), kind);
@@ -188,7 +188,7 @@ TEST(ServerReplay, ClassHistogramsPartitionTheTotal)
 {
     const auto params = smallParams();
     const auto buffer =
-        trace::TraceBuffer::fromRecords(capture(params));
+        trace::TraceBuffer::copyOf(capture(params));
 
     core::System sys(latencyConfig(), SchemeKind::DomainVirt);
     sys.replayBatch(buffer->records());
@@ -227,7 +227,7 @@ TEST(ServerReplay, LegacyConfigIgnoresStampsBitIdentically)
     // keep the legacy shape (no op_lat nodes).
     const auto params = smallParams();
     const auto buffer =
-        trace::TraceBuffer::fromRecords(capture(params));
+        trace::TraceBuffer::copyOf(capture(params));
 
     core::SimConfig legacy;
     core::System plain(legacy, SchemeKind::LibMpk);
@@ -251,7 +251,7 @@ TEST(ServerReplay, MultiCoreTracksEveryRequest)
     auto params = smallParams();
     params.numThreads = 2;
     const auto buffer =
-        trace::TraceBuffer::fromRecords(capture(params));
+        trace::TraceBuffer::copyOf(capture(params));
 
     core::System sys(latencyConfig(2), SchemeKind::DomainVirt);
     sys.replayBatch(buffer->records());

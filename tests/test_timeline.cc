@@ -279,7 +279,8 @@ captureAvl(unsigned pmos = 24, std::uint64_t ops = 3000)
     trace::VectorSink sink;
     workloads::TraceCtx ctx(sink, params.seed);
     workloads::makeMicro("avl", params)->run(ctx);
-    return sink.take();
+    const auto records = sink.records();
+    return {records.begin(), records.end()};
 }
 
 core::SimConfig
@@ -438,7 +439,7 @@ TEST(Perfetto, EscapesQuotesAndHandlesEmptyDocument)
 TEST(Perfetto, ExecutorExportIsIdenticalAcrossWorkerCounts)
 {
     exp::RawPointSpec spec;
-    spec.trace = trace::TraceBuffer::fromRecords(captureAvl());
+    spec.trace = trace::TraceBuffer::copyOf(captureAvl());
     spec.config = sampledConfig();
     spec.schemes = {SchemeKind::NoProtection, SchemeKind::MpkVirt,
                     SchemeKind::DomainVirt};

@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for the trace substrate: records, sinks, the immutable
- * TraceBuffer and v1/v2 file I/O (round-trips, zero-copy views,
- * backward compatibility and corruption detection).
+ * Unit tests for the trace substrate: records, sinks, the capture
+ * RecordStore, the immutable TraceBuffer and v1/v2 file I/O
+ * (round-trips, zero-copy views, backward compatibility and
+ * corruption detection).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include "trace/buffer.hh"
 #include "trace/record.hh"
@@ -109,6 +112,81 @@ TEST(VectorSink, BuffersInOrder)
     EXPECT_EQ(taken.size(), 2u);
 }
 
+TEST(VectorSink, TakeLeavesSinkEmptyAndReusable)
+{
+    VectorSink sink;
+    sink.put(TraceRecord::opBegin(0));
+    const RecordStore first = sink.take();
+    EXPECT_TRUE(sink.records().empty());
+    EXPECT_EQ(sink.take().summary().totalRecords(), 0u);
+
+    sink.put(TraceRecord::load(0, 0x40, 8, true));
+    const RecordStore second = sink.take();
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].type, RecordType::Load);
+    EXPECT_EQ(second.summary().totalRecords(), 1u);
+    EXPECT_EQ(second.summary().pmoAccesses, 1u);
+    ASSERT_EQ(first.size(), 1u); // The first hand-over is untouched.
+    EXPECT_EQ(first[0].type, RecordType::OpBegin);
+}
+
+/** Record @p i of a type-diverse synthetic stream. */
+TraceRecord
+syntheticRecord(std::uint64_t i)
+{
+    switch (i % 4) {
+      case 0:
+        return TraceRecord::instBlock(0, static_cast<std::uint32_t>(i));
+      case 1:
+        return TraceRecord::load(1, i * 8, 8, i % 3 == 0);
+      case 2:
+        return TraceRecord::store(2, i * 8, 8, true);
+      default:
+        return TraceRecord::setPerm(3, static_cast<std::uint32_t>(i),
+                                    Perm::Read);
+    }
+}
+
+TEST(RecordStore, GrowthAcrossRemapsKeepsEveryRecordAndCount)
+{
+    // 400k records are 9.6 MB: the 2 MB first mapping is remapped to
+    // 4, 8 and 16 MB on the way.
+    constexpr std::uint64_t kRecords = 400'000;
+    static_assert(kRecords * sizeof(TraceRecord) > (std::size_t{8} << 20));
+    RecordStore store;
+    TraceSummary expected;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        const TraceRecord rec = syntheticRecord(i);
+        store.push(rec);
+        ASSERT_TRUE(expected.add(rec));
+    }
+    ASSERT_EQ(store.size(), kRecords);
+    for (std::uint64_t i = 0; i < kRecords; ++i)
+        ASSERT_EQ(store[i], syntheticRecord(i)) << "record " << i;
+    EXPECT_TRUE(store.summary().matches(expected));
+    EXPECT_EQ(store.summary().count(RecordType::Load), kRecords / 4);
+    EXPECT_EQ(std::distance(store.begin(), store.end()),
+              static_cast<std::ptrdiff_t>(kRecords));
+}
+
+TEST(RecordStore, UnknownTypeIsABug)
+{
+    TraceRecord rec = TraceRecord::opBegin(0);
+    rec.type = static_cast<RecordType>(0xff);
+    EXPECT_DEATH(
+        {
+            RecordStore store;
+            store.push(rec);
+        },
+        "unknown type 255");
+    EXPECT_DEATH(
+        {
+            CountingSink sink;
+            sink.put(rec);
+        },
+        "unknown type 255");
+}
+
 TEST(FanoutSink, ReplicatesToAll)
 {
     VectorSink a, b;
@@ -119,7 +197,7 @@ TEST(FanoutSink, ReplicatesToAll)
     fan.put(TraceRecord::opEnd(0));
     fan.finish();
     EXPECT_EQ(a.records().size(), 2u);
-    EXPECT_EQ(b.records(), a.records());
+    EXPECT_TRUE(std::ranges::equal(b.records(), a.records()));
 }
 
 TEST(CountingSink, CountsByType)
@@ -164,7 +242,8 @@ TEST(TraceBuffer, CopyIsAlignedAndSummarized)
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf->data()) %
                   kTraceBufferAlign,
               0u);
-    EXPECT_FALSE(buf->zeroCopy());
+    EXPECT_FALSE(buf->fileView());
+    EXPECT_TRUE(std::ranges::equal(buf->records(), records));
     const TraceSummary &s = buf->summary();
     EXPECT_EQ(s.totalRecords(), 3u);
     EXPECT_EQ(s.count(RecordType::InstBlock), 1u);
@@ -172,7 +251,6 @@ TEST(TraceBuffer, CopyIsAlignedAndSummarized)
     EXPECT_EQ(s.count(RecordType::Store), 1u);
     EXPECT_EQ(s.instBlockInsts, 50u);
     EXPECT_EQ(s.pmoAccesses, 1u);
-    EXPECT_NE(s.checksum, kFnvOffsetBasis); // Not the empty hash.
 }
 
 TEST(TraceBuffer, EmptyBufferIsValid)
@@ -180,7 +258,39 @@ TEST(TraceBuffer, EmptyBufferIsValid)
     const auto buf = TraceBuffer::fromRecords({});
     EXPECT_TRUE(buf->empty());
     EXPECT_EQ(buf->summary().totalRecords(), 0u);
-    EXPECT_EQ(buf->summary().checksum, kFnvOffsetBasis);
+}
+
+TEST(TraceBuffer, EmptyStoreAdoptsCleanly)
+{
+    VectorSink sink;
+    const auto buf = TraceBuffer::fromRecords(sink.take());
+    EXPECT_TRUE(buf->empty());
+    EXPECT_TRUE(buf->records().empty());
+    EXPECT_FALSE(buf->fileView());
+    EXPECT_EQ(buf->summary().totalRecords(), 0u);
+}
+
+TEST(TraceBuffer, FromRecordsAdoptsTheCaptureWithoutACopy)
+{
+    VectorSink sink;
+    for (std::uint64_t i = 0; i < 100'000; ++i)
+        sink.put(syntheticRecord(i));
+    const TraceRecord *captured = sink.records().data();
+    TraceSummary expected;
+    for (const TraceRecord &rec : sink.records())
+        ASSERT_TRUE(expected.add(rec));
+
+    const auto buf = TraceBuffer::fromRecords(sink.take());
+    // Same address: the buffer owns the very pages the capture wrote,
+    // and its counts are the ones folded in during capture.
+    EXPECT_EQ(buf->data(), captured);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf->data()) %
+                  kTraceBufferAlign,
+              0u);
+    ASSERT_EQ(buf->size(), 100'000u);
+    EXPECT_EQ(buf->records()[99'999], syntheticRecord(99'999));
+    EXPECT_TRUE(buf->summary().matches(expected));
+    EXPECT_FALSE(buf->fileView());
 }
 
 class TraceFileTest : public ::testing::Test
@@ -260,7 +370,7 @@ TEST_F(TraceFileTest, ViewIsZeroCopyAndAligned)
     }
     TraceFileReader reader(path_.string());
     const auto buf = reader.view();
-    EXPECT_TRUE(buf->zeroCopy());
+    EXPECT_TRUE(buf->fileView());
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf->data()) %
                   kTraceBufferAlign,
               0u);
@@ -294,7 +404,7 @@ TEST_F(TraceFileTest, V1FileReadableViaFallback)
     ASSERT_EQ(buf->size(), records.size());
     EXPECT_TRUE(std::equal(records.begin(), records.end(),
                            buf->records().begin()));
-    EXPECT_FALSE(buf->zeroCopy()); // Decode-on-load, not mmap.
+    EXPECT_FALSE(buf->fileView()); // Decode-on-load, not mmap.
     // The recomputed summary is identical to what a v2 writer would
     // have put in the header.
     EXPECT_EQ(buf->summary().totalRecords(), records.size());
@@ -446,6 +556,81 @@ TEST_F(TraceFileTest, RejectsChecksumMismatch)
             reader.view();
         },
         ::testing::ExitedWithCode(1), "checksum");
+}
+
+TEST_F(TraceFileTest, HeaderChecksumIsFnv1aOfTheBody)
+{
+    const std::vector<TraceRecord> records{
+        TraceRecord::attach(0, 1, 0x10000, 0x4000, Perm::ReadWrite),
+        TraceRecord::load(0, 0x10010, 8, true),
+        TraceRecord::instBlock(0, 7),
+    };
+    {
+        TraceFileWriter writer(path_.string());
+        for (const auto &rec : records)
+            writer.put(rec);
+    }
+    // FNV-1a 64 over the 72 body bytes, computed here from its
+    // published constants.
+    std::uint64_t expected = 0xcbf29ce484222325ull;
+    const auto *bytes = reinterpret_cast<const unsigned char *>(
+        records.data());
+    for (std::size_t i = 0; i < records.size() * sizeof(TraceRecord);
+         ++i) {
+        expected ^= bytes[i];
+        expected *= 0x100000001b3ull;
+    }
+    // Layout: magic+version (8) + count (8), then the checksum.
+    std::uint64_t stored = 0;
+    std::FILE *f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 16, SEEK_SET);
+    ASSERT_EQ(std::fread(&stored, sizeof(stored), 1, f), 1u);
+    std::fclose(f);
+    EXPECT_EQ(stored, expected);
+}
+
+/** Overwrite the type byte of record @p index in the file body. */
+void
+corruptType(const std::filesystem::path &path, std::size_t header_bytes,
+            std::size_t index)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f,
+               static_cast<long>(header_bytes + index * sizeof(TraceRecord)),
+               SEEK_SET);
+    const unsigned char bad = 0xff;
+    std::fwrite(&bad, 1, 1, f);
+    std::fclose(f);
+}
+
+TEST_F(TraceFileTest, RejectsUnknownRecordTypeInV2Body)
+{
+    {
+        TraceFileWriter writer(path_.string());
+        for (const auto &rec : sampleRecords())
+            writer.put(rec);
+    }
+    corruptType(path_, kTraceHeaderBytesV2, 3);
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            reader.view();
+        },
+        ::testing::ExitedWithCode(1), "record 3 has unknown type 255");
+}
+
+TEST_F(TraceFileTest, RejectsUnknownRecordTypeInV1Body)
+{
+    writeV1(sampleRecords());
+    corruptType(path_, kTraceHeaderBytesV1, 4);
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            reader.view();
+        },
+        ::testing::ExitedWithCode(1), "record 4 has unknown type 255");
 }
 
 TEST_F(TraceFileTest, RejectsHeaderCountDisagreement)
