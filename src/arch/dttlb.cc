@@ -1,5 +1,8 @@
 #include "arch/dttlb.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace pmodv::arch
@@ -12,36 +15,42 @@ Dttlb::Dttlb(stats::Group *parent, unsigned entries, std::string name)
       evictions(this, "evictions", "slots evicted by capacity"),
       missLatency(this, "miss_latency",
                   "cycles spent servicing each DTTLB miss"),
-      slots_(entries), plru_(entries),
+      slots_(entries), base_(entries, 0), size_(entries, 0),
+      tags_(entries + simd::kTagPad, 0), plru_(entries),
       touchLut_(TreePlru::makeTouchLut(entries))
 {
     fatal_if(entries == 0, "DTTLB needs at least one entry");
 }
 
+void
+Dttlb::clearSlot(unsigned i)
+{
+    slots_[i] = DttlbEntry{};
+    base_[i] = 0;
+    size_[i] = 0;
+    tags_[i] = 0;
+}
+
 DttlbEntry *
 Dttlb::lookupVa(Addr va)
 {
-    // L0 fast path: consecutive accesses inside the same PMO range
-    // re-verify the memoized slot instead of scanning the CAM.
-    if (l0Gen_ == gen_ && slots_[l0Slot_].contains(va)) {
-        ++l0Hits_;
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
-        touchSlot(l0Slot_);
-        return &slots_[l0Slot_];
-    }
-
-    for (unsigned i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].contains(va)) {
+    // va - base < size holds exactly when va lies in [base, base +
+    // size). Each 64-slot block (the whole CAM in every shipped
+    // configuration) ORs its compares into one mask.
+    const unsigned n = numEntries();
+    for (unsigned first = 0; first < n; first += 64) {
+        const unsigned end = std::min(n, first + 64);
+        std::uint64_t match = 0;
+        for (unsigned i = first; i < end; ++i)
+            match |= std::uint64_t{va - base_[i] < size_[i]} << (i - first);
+        if (match) {
+            const unsigned i =
+                first + static_cast<unsigned>(std::countr_zero(match));
             if (defer_)
                 ++pend_.hits;
             else
                 ++hits;
             touchSlot(i);
-            l0Gen_ = gen_;
-            l0Slot_ = i;
             return &slots_[i];
         }
     }
@@ -55,11 +64,8 @@ Dttlb::lookupVa(Addr va)
 DttlbEntry *
 Dttlb::findDomain(DomainId domain)
 {
-    for (auto &slot : slots_) {
-        if (slot.used && slot.domain == domain)
-            return &slot;
-    }
-    return nullptr;
+    const int i = simd::findU64(tags_.data(), numEntries(), packTag(domain));
+    return i >= 0 ? &slots_[i] : nullptr;
 }
 
 DttlbEntry &
@@ -69,17 +75,12 @@ Dttlb::insert(const DttlbEntry &entry, DttlbEntry &evicted,
     had_eviction = false;
     // Reuse the slot already caching this domain, else a free slot,
     // else the pseudo-LRU victim.
-    unsigned slot = static_cast<unsigned>(slots_.size());
-    for (unsigned i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].used && slots_[i].domain == entry.domain) {
-            slot = i;
-            break;
-        }
-        if (slot == slots_.size() && !slots_[i].used)
-            slot = i;
-    }
-    if (slot == slots_.size()) {
-        slot = plru_.victim();
+    const unsigned n = numEntries();
+    int slot = simd::findU64(tags_.data(), n, packTag(entry.domain));
+    if (slot < 0)
+        slot = simd::findU64(tags_.data(), n, 0);
+    if (slot < 0) {
+        slot = static_cast<int>(plru_.victim());
         evicted = slots_[slot];
         had_eviction = true;
         if (defer_)
@@ -89,36 +90,32 @@ Dttlb::insert(const DttlbEntry &entry, DttlbEntry &evicted,
     }
     slots_[slot] = entry;
     slots_[slot].used = true;
-    touchSlot(slot);
-    ++gen_;
-    l0Gen_ = gen_;
-    l0Slot_ = slot;
+    base_[slot] = entry.base;
+    size_[slot] = entry.size;
+    tags_[slot] = packTag(entry.domain);
+    touchSlot(static_cast<unsigned>(slot));
     return slots_[slot];
 }
 
 bool
 Dttlb::invalidateDomain(DomainId domain)
 {
-    for (auto &slot : slots_) {
-        if (slot.used && slot.domain == domain) {
-            slot = DttlbEntry{};
-            ++gen_;
-            return true;
-        }
-    }
-    return false;
+    const int i = simd::findU64(tags_.data(), numEntries(), packTag(domain));
+    if (i < 0)
+        return false;
+    clearSlot(static_cast<unsigned>(i));
+    return true;
 }
 
 void
 Dttlb::flushAll(std::vector<DttlbEntry> &dirty_out)
 {
-    for (auto &slot : slots_) {
-        if (slot.used && slot.dirty)
-            dirty_out.push_back(slot);
-        slot = DttlbEntry{};
+    for (unsigned i = 0; i < numEntries(); ++i) {
+        if (slots_[i].used && slots_[i].dirty)
+            dirty_out.push_back(slots_[i]);
+        clearSlot(i);
     }
     plru_.reset();
-    ++gen_;
 }
 
 unsigned

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/plru.hh"
+#include "common/simd.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 
@@ -32,14 +33,17 @@ struct DttlbEntry
     ProtKey key = kNullKey;
     bool valid = false; ///< Domain currently maps to `key`.
     bool dirty = false; ///< Mapping differs from the in-memory DTT.
-
-    bool contains(Addr va) const
-    {
-        return used && va >= base && va < base + size;
-    }
 };
 
-/** The DTTLB CAM with tree-PLRU slot replacement. */
+/**
+ * The DTTLB CAM with tree-PLRU slot replacement.
+ *
+ * Each probe compares every slot and ORs the outcomes into one bit
+ * mask, so it never branches on where (or whether) a slot matched.
+ * The range and domain tags live in packed rows next to the slot
+ * payloads; callers may mutate key/valid/dirty through returned
+ * pointers, but never the tags.
+ */
 class Dttlb : public stats::Group
 {
   public:
@@ -89,18 +93,18 @@ class Dttlb : public stats::Group
     /** Flush deferred counters into the stats tree now. */
     void flushDeferredStats();
 
-    /** Lookups answered by the one-entry L0 filter (raw counter). */
-    std::uint64_t l0Hits() const { return l0Hits_; }
-
-    /** Monotonic structure generation (L0 self-invalidation). */
-    std::uint64_t generation() const { return gen_; }
-
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions;
     stats::Histogram missLatency; ///< Cycles per miss (DTT walk).
 
   private:
+    /** Packed domain tag mirrored per slot (0 = unused slot). */
+    static std::uint64_t packTag(DomainId domain)
+    {
+        return (static_cast<std::uint64_t>(domain) << 1) | 1;
+    }
+
     void touchSlot(unsigned slot)
     {
         if (!touchLut_.empty())
@@ -109,23 +113,23 @@ class Dttlb : public stats::Group
             plru_.touch(slot);
     }
 
+    /** Empty slot @p i and its tags. */
+    void clearSlot(unsigned i);
+
     std::vector<DttlbEntry> slots_;
+    /**
+     * Range tag per slot. An unused slot has size 0, so the one
+     * unsigned compare va - base < size can never match it. Used
+     * ranges are disjoint (AddressSpace rejects overlapping maps), so
+     * at most one slot contains a VA.
+     */
+    std::vector<Addr> base_;
+    std::vector<Addr> size_;
+    /** Packed domain tag per slot (+simd::kTagPad zero slots). A
+     *  domain occupies at most one slot (insert dedupes). */
+    std::vector<std::uint64_t> tags_;
     TreePlru plru_;
     std::vector<TreePlru::TouchOp> touchLut_;
-
-    /**
-     * L0 filter: the slot that matched the previous VA lookup,
-     * re-verified with contains() before use. Used slots tag disjoint
-     * VA ranges (AddressSpace rejects overlapping maps), so a
-     * containing slot is unique and index order cannot matter.
-     * In-place key/valid/dirty mutation through returned pointers
-     * leaves the range->slot mapping intact; structural changes
-     * (insert/invalidate/flush) bump gen_.
-     */
-    std::uint64_t gen_ = 1;
-    std::uint64_t l0Gen_ = 0;
-    unsigned l0Slot_ = 0;
-    std::uint64_t l0Hits_ = 0;
 
     struct Pending
     {

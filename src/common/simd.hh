@@ -61,7 +61,8 @@ unsigned argminU64Scalar(const std::uint64_t *a, unsigned n);
 /** True when the CPU supports AVX2 (detected once at startup). */
 extern const bool gHaveAvx2;
 
-/** AVX2 variant, compiled with target("avx2"); only call if gHaveAvx2. */
+/** AVX2 variant, compiled with target("avx2"); only call if gHaveAvx2
+ *  and n <= 64 (the width of its match mask). */
 int findU64Avx2(const std::uint64_t *a, unsigned n, std::uint64_t target);
 
 /** AVX2 argmin over a multiple-of-4-sized row; only if gHaveAvx2. */
@@ -90,16 +91,19 @@ argminU64(const std::uint64_t *a, unsigned n)
 inline int
 findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)
 {
-    if (gForceScalar) [[unlikely]]
+    // Rows wider than one 64-bit match mask (only buffer-size sweeps
+    // build them) take the scalar loop.
+    if (gForceScalar || n > 64) [[unlikely]]
         return findU64Scalar(a, n, target);
     // The out-of-line AVX2 variant only pays for itself on long rows;
     // short rows stay in the inline SSE2 loop below.
     if (n > 8 && gHaveAvx2)
         return findU64Avx2(a, n, target);
-    // Two tags per step with an early exit on match: hit-heavy
-    // regimes (small working sets) stop at the matching chunk, and a
-    // full-row miss is still only n/2 well-predicted branches.
+    // Compare the whole row and OR each step's match bits into one
+    // mask. There is no early exit: a hit costs what a miss costs, so
+    // the host never predicts where (or whether) the row matched.
     const __m128i want = _mm_set1_epi64x(static_cast<long long>(target));
+    std::uint64_t found = 0;
     for (unsigned i = 0; i < n; i += 2) {
         const __m128i row = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(a + i));
@@ -109,15 +113,13 @@ findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)
         const __m128i eq32 = _mm_cmpeq_epi32(row, want);
         const __m128i swapped = _mm_shuffle_epi32(eq32, 0xB1);
         const __m128i eq64 = _mm_and_si128(eq32, swapped);
-        const int mask = _mm_movemask_pd(_mm_castsi128_pd(eq64));
-        if (mask) {
-            const unsigned idx =
-                i + static_cast<unsigned>(__builtin_ctz(mask));
-            // Over-read lanes (odd n, padding) filtered here.
-            return idx < n ? static_cast<int>(idx) : -1;
-        }
+        found |= static_cast<std::uint64_t>(
+                     _mm_movemask_pd(_mm_castsi128_pd(eq64)))
+                 << i;
     }
-    return -1;
+    // Over-read lanes (odd n, padding) filtered here; lowest index wins.
+    found &= n < 64 ? (std::uint64_t{1} << n) - 1 : ~std::uint64_t{0};
+    return found ? __builtin_ctzll(found) : -1;
 }
 
 #elif defined(__aarch64__) && !defined(PMODV_FORCE_SCALAR)

@@ -95,24 +95,7 @@ Cache::touchWay(std::size_t si, unsigned way)
 CacheResult
 Cache::access(Addr addr, AccessType type)
 {
-    const Addr tag = lineTag(addr);
-    const std::uint64_t ptag = packTag(tag);
-
-    // L0 fast path: same line as the previous access. The packed tag
-    // carries the set bits, so equality pins the exact line; gen_
-    // guards against any intervening fill/invalidate.
-    if (l0Gen_ == gen_ && l0Tag_ == ptag) {
-        ++l0Hits_;
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
-        if (type == AccessType::Write)
-            lines_[l0Flat_].dirty = true;
-        touchWay(l0Si_, l0Way_);
-        return {true, false};
-    }
-
+    const std::uint64_t ptag = packTag(lineTag(addr));
     const std::size_t si = setIndex(addr);
     const int w = simd::findU64(tags_.data() + si * params_.assoc,
                                 params_.assoc, ptag);
@@ -125,11 +108,6 @@ Cache::access(Addr addr, AccessType type)
         if (type == AccessType::Write)
             lines_[flat].dirty = true;
         touchWay(si, static_cast<unsigned>(w));
-        l0Gen_ = gen_;
-        l0Tag_ = ptag;
-        l0Flat_ = flat;
-        l0Si_ = si;
-        l0Way_ = static_cast<unsigned>(w);
         return {true, false};
     }
 
@@ -159,12 +137,6 @@ Cache::access(Addr addr, AccessType type)
     line.dirty = (type == AccessType::Write);
     tags_[flat] = ptag;
     touchWay(si, victim);
-    ++gen_;
-    l0Gen_ = gen_;
-    l0Tag_ = ptag;
-    l0Flat_ = flat;
-    l0Si_ = si;
-    l0Way_ = victim;
     return {false, wb};
 }
 
@@ -189,7 +161,6 @@ Cache::invalidateAll()
             ++invalidations;
         }
     }
-    ++gen_;
 }
 
 bool
@@ -206,7 +177,6 @@ Cache::invalidate(Addr addr)
     tags_[flat] = 0;
     --setValid_[si];
     ++invalidations;
-    ++gen_;
     return true;
 }
 

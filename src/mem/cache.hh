@@ -84,12 +84,6 @@ class Cache : public stats::Group
     /** Flush deferred counters into the stats tree now. */
     void flushDeferredStats();
 
-    /** Accesses answered by the one-entry L0 filter (raw counter). */
-    std::uint64_t l0Hits() const { return l0Hits_; }
-
-    /** Monotonic structure generation (L0 self-invalidation). */
-    std::uint64_t generation() const { return gen_; }
-
     // Stats (public so formulas above can reference them).
     stats::Scalar hits;
     stats::Scalar misses;
@@ -159,19 +153,6 @@ class Cache : public stats::Group
     TreePlru::VictimLut victimLut_;
     /** Valid-way count per set: a full set skips the free-way probe. */
     std::vector<std::uint8_t> setValid_;
-
-    /**
-     * L0 filter: the last line hit or filled, keyed by (generation,
-     * packed tag). The packed tag embeds the full line tag — which
-     * includes the set bits — so tag equality implies same line.
-     */
-    std::uint64_t gen_ = 1;
-    std::uint64_t l0Gen_ = 0;
-    std::uint64_t l0Tag_ = 0;
-    std::size_t l0Flat_ = 0;
-    std::size_t l0Si_ = 0;
-    unsigned l0Way_ = 0;
-    std::uint64_t l0Hits_ = 0;
 
     /** Packed deferred counters (see setStatsDeferred). */
     struct Pending

@@ -58,20 +58,6 @@ TlbEntry *
 Tlb::lookupImpl(Addr va)
 {
     const unsigned assoc = A ? A : params_.assoc;
-    // L0 fast path: repeated access to the last-translated 4K page
-    // skips the set probes. Any structural change bumps gen_, so a
-    // stale filter can never hit.
-    const Addr vpn4k = va >> pageShift(PageSize::Size4K);
-    const std::uint64_t tag4k = packTag(vpn4k, PageSize::Size4K);
-    if (l0Gen_ == gen_ && l0Tag_ == tag4k) {
-        ++l0Hits_;
-        bumpHit();
-        // Replacement state must still be modeled: another way may
-        // have been touched since the filter was last refreshed.
-        touchWay(l0Si_, l0Way_);
-        return &ways_[l0Flat_];
-    }
-
     // Pages of different sizes index differently; try each supported
     // size (smallest first — by far the common case). Sizes with no
     // valid entry anywhere are skipped outright.
@@ -86,15 +72,7 @@ Tlb::lookupImpl(Addr va)
         if (w >= 0) {
             bumpHit();
             touchWay(si, static_cast<unsigned>(w));
-            const std::size_t flat = si * assoc + w;
-            if (ps == PageSize::Size4K) {
-                l0Gen_ = gen_;
-                l0Tag_ = tag4k;
-                l0Flat_ = flat;
-                l0Si_ = si;
-                l0Way_ = static_cast<unsigned>(w);
-            }
-            return &ways_[flat];
+            return &ways_[si * assoc + w];
         }
     }
     if (defer_)
@@ -181,16 +159,8 @@ Tlb::insertImpl(const TlbEntry &entry)
     tags_[flat] = packTag(entry.vpn, entry.pageSize);
     ++sizeValid_[static_cast<unsigned>(entry.pageSize)];
     touchWay(si, static_cast<unsigned>(victim));
-    ++gen_;
-    if (entry.pageSize == PageSize::Size4K) {
+    if (entry.pageSize == PageSize::Size4K)
         ++chunkValid_[chunkSlot(entry.vpn >> kChunkShift)];
-        // The freshly filled page is the likeliest next lookup.
-        l0Gen_ = gen_;
-        l0Tag_ = tags_[flat];
-        l0Flat_ = flat;
-        l0Si_ = si;
-        l0Way_ = static_cast<unsigned>(victim);
-    }
     return ways_[flat];
 }
 
@@ -236,7 +206,6 @@ Tlb::flushIf(Pred pred)
         }
     }
     countFlushed(n);
-    ++gen_;
     return n;
 }
 
@@ -307,7 +276,6 @@ Tlb::flushRange(Addr base, Addr size)
         }
     }
     countFlushed(n);
-    ++gen_;
     return n;
 }
 

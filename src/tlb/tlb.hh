@@ -132,14 +132,6 @@ class Tlb : public stats::Group
     /** Flush deferred counters into the stats tree now. */
     void flushDeferredStats();
 
-    /** Lookups answered by the one-entry L0 filter (raw, unregistered
-     *  host-perf counter — never part of the dumped stats tree). */
-    std::uint64_t l0Hits() const { return l0Hits_; }
-
-    /** Monotonic structure generation; bumped on any insert/flush so
-     *  the L0 filter self-invalidates. Exposed for regression tests. */
-    std::uint64_t generation() const { return gen_; }
-
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions; ///< Valid entries displaced by capacity.
@@ -268,20 +260,6 @@ class Tlb : public stats::Group
      */
     std::vector<std::uint16_t> chunkValid_;
     unsigned chunkHashShift_ = 0;
-
-    /**
-     * L0 filter: the last 4K translation, keyed by (generation,
-     * packed tag). Only 4K entries are cached — the full lookup
-     * probes 4K first and at most one valid 4K entry exists per vpn,
-     * so an L0 hit provably returns what the full probe would.
-     */
-    std::uint64_t gen_ = 1;
-    std::uint64_t l0Gen_ = 0;
-    std::uint64_t l0Tag_ = 0;
-    std::size_t l0Flat_ = 0;
-    std::size_t l0Si_ = 0;
-    unsigned l0Way_ = 0;
-    std::uint64_t l0Hits_ = 0;
 
     /** Packed deferred counters (see setStatsDeferred). */
     struct Pending

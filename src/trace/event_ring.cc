@@ -52,11 +52,11 @@ EventRing::post(EventKind kind, ThreadId tid, std::uint32_t arg,
     if (count_ == ring_.size()) {
         // Full: overwrite the oldest slot and advance the head.
         ring_[head_] = ev;
-        head_ = (head_ + 1) % ring_.size();
+        head_ = slotOf(1);
         ++dropped;
         return;
     }
-    ring_[(head_ + count_) % ring_.size()] = ev;
+    ring_[slotOf(count_)] = ev;
     ++count_;
 }
 
@@ -66,7 +66,7 @@ EventRing::snapshot() const
     std::vector<Event> out;
     out.reserve(count_);
     for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(head_ + i) % ring_.size()]);
+        out.push_back(at(i));
     return out;
 }
 

@@ -124,10 +124,7 @@ class EventRing : public stats::Group
     bool empty() const { return count_ == 0; }
 
     /** The @p i-th buffered event, oldest first (i < size()). */
-    const Event &at(std::size_t i) const
-    {
-        return ring_[(head_ + i) % ring_.size()];
-    }
+    const Event &at(std::size_t i) const { return ring_[slotOf(i)]; }
 
     /** The buffered events, oldest first. */
     std::vector<Event> snapshot() const;
@@ -139,6 +136,14 @@ class EventRing : public stats::Group
     stats::Scalar dropped;  ///< Events overwritten before being read.
 
   private:
+    /** Ring index of the @p i-th oldest slot (i < capacity()): one
+     *  compare-and-wrap, since head_ + i < 2 * capacity(). */
+    std::size_t slotOf(std::size_t i) const
+    {
+        const std::size_t j = head_ + i;
+        return j < ring_.size() ? j : j - ring_.size();
+    }
+
     std::vector<Event> ring_;
     std::size_t head_ = 0; ///< Index of the oldest buffered event.
     std::size_t count_ = 0;

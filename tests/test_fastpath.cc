@@ -2,14 +2,15 @@
  * @file
  * Unit regressions for the model-bound fast path:
  *
- *  - L0 translation filters: any structural change (capacity
- *    eviction, flush/shootdown, invalidation) must bump the
- *    component's generation so a stale filter entry can never answer
- *    a lookup.
+ *  - Probes after invalidation: a lookup after any flush,
+ *    invalidation or capacity eviction reflects the real contents.
+ *  - The PTLB's L0 filter: any structural change must bump its
+ *    generation so a stale filter entry can never answer a lookup.
  *  - TreePlru LUTs: touchMasked/victimMasked must track touch()/
  *    victim() exactly over random sequences.
  *  - SIMD probes: findU64/argminU64 must equal the scalar references
- *    on random rows.
+ *    on random rows, and findU64 on every match position of every
+ *    row width up to 16.
  *  - Packed-rank LRU: touchRank/victimRank must name the same victim
  *    as the timestamp reference once a set is full.
  */
@@ -57,40 +58,32 @@ entryFor(Addr vpn)
     return e;
 }
 
-TEST(FastPathL0, TlbFlushBumpsGeneration)
+TEST(FastPathProbe, TlbProbeAfterInvalidate)
 {
     stats::Group root(nullptr, "");
     tlb::Tlb t(&root, {"t", 64, 4, 0});
     t.insert(entryFor(100));
     const std::uint64_t va = Addr{100} << 12;
     ASSERT_NE(t.lookup(va), nullptr);
-    ASSERT_NE(t.lookup(va), nullptr); // L0-serviced repeat.
-    EXPECT_GE(t.l0Hits(), 1u);
+    ASSERT_NE(t.lookup(va), nullptr);
 
-    // Every invalidation flavor must advance the generation, or a
-    // stale L0 entry could answer the next lookup.
-    std::uint64_t gen = t.generation();
+    // Every invalidation flavor must make the next lookup miss.
     t.flushRange(va, 4096);
-    EXPECT_GT(t.generation(), gen) << "flushRange left generation";
     EXPECT_EQ(t.lookup(va), nullptr)
-        << "stale L0 hit after the page was flushed";
+        << "lookup hit after the page was flushed";
 
     t.insert(entryFor(100));
     ASSERT_NE(t.lookup(va), nullptr);
-    gen = t.generation();
     t.flushKey(0);
-    EXPECT_GT(t.generation(), gen) << "flushKey left generation";
     EXPECT_EQ(t.lookup(va), nullptr);
 
     t.insert(entryFor(100));
     ASSERT_NE(t.lookup(va), nullptr);
-    gen = t.generation();
     t.flushAll();
-    EXPECT_GT(t.generation(), gen) << "flushAll left generation";
     EXPECT_EQ(t.lookup(va), nullptr);
 }
 
-TEST(FastPathL0, TlbCapacityEvictionNeverLeavesStaleL0)
+TEST(FastPathProbe, TlbProbeAfterCapacityEviction)
 {
     stats::Group root(nullptr, "");
     // 4 entries, 2-way: trivially overflowed.
@@ -105,30 +98,25 @@ TEST(FastPathL0, TlbCapacityEvictionNeverLeavesStaleL0)
     // Whatever got evicted, a lookup must reflect the real contents.
     const bool present = t.probe(va) != nullptr;
     EXPECT_EQ(t.lookup(va) != nullptr, present)
-        << "L0 answer disagrees with the actual TLB contents";
+        << "lookup disagrees with the actual TLB contents";
     std::string why;
     EXPECT_TRUE(t.consistent(&why)) << why;
 }
 
-TEST(FastPathL0, CacheInvalidateBumpsGeneration)
+TEST(FastPathProbe, CacheProbeAfterInvalidate)
 {
     stats::Group root(nullptr, "");
     mem::Cache c(&root, {"c", 4096, 2, 64, 1, mem::ReplPolicy::Lru});
     const Addr addr = 0x1000;
     c.access(addr, AccessType::Read);
-    c.access(addr, AccessType::Read);
-    EXPECT_GE(c.l0Hits(), 1u);
+    EXPECT_TRUE(c.access(addr, AccessType::Read).hit);
 
-    std::uint64_t gen = c.generation();
     ASSERT_TRUE(c.invalidate(addr));
-    EXPECT_GT(c.generation(), gen) << "invalidate left generation";
     EXPECT_FALSE(c.access(addr, AccessType::Read).hit)
-        << "stale L0 hit after the line was invalidated";
+        << "access hit after the line was invalidated";
 
     c.access(addr, AccessType::Read);
-    gen = c.generation();
     c.invalidateAll();
-    EXPECT_GT(c.generation(), gen) << "invalidateAll left generation";
     EXPECT_FALSE(c.access(addr, AccessType::Read).hit);
 }
 
@@ -187,6 +175,65 @@ TEST(FastPathSimd, FindU64MatchesScalar)
                       simd::findU64Scalar(row.data(), n, target))
                 << "n=" << n;
         }
+    }
+}
+
+/** findU64 and the scalar reference on one row, both ways round. */
+void
+expectFind(const std::vector<std::uint64_t> &row, unsigned n,
+           std::uint64_t target, int want)
+{
+    ASSERT_EQ(simd::findU64Scalar(row.data(), n, target), want)
+        << "n=" << n << " target=" << target;
+    ASSERT_EQ(simd::findU64(row.data(), n, target), want)
+        << "n=" << n << " target=" << target;
+}
+
+TEST(FastPathSimd, FindU64ExhaustiveSmallRows)
+{
+    // Tags differ from each other in both 32-bit halves or in only
+    // one, so a lane must match in full, not half by half.
+    auto tag = [](unsigned i) {
+        return (std::uint64_t{i % 3} << 32) | (2 * i + 1);
+    };
+    for (unsigned n = 1; n <= 16; ++n) {
+        std::vector<std::uint64_t> row(n + simd::kTagPad, 0);
+        for (unsigned i = 0; i < n; ++i)
+            row[i] = tag(i);
+        for (unsigned p = 0; p < n; ++p)
+            expectFind(row, n, row[p], static_cast<int>(p));
+        expectFind(row, n, tag(n), -1);
+        expectFind(row, n, row[0] ^ (std::uint64_t{1} << 32), -1);
+        // Target 0 (the free-way search) never matches the padding.
+        expectFind(row, n, 0, -1);
+        for (unsigned p = 0; p < n; ++p) {
+            const std::uint64_t saved = row[p];
+            row[p] = 0;
+            expectFind(row, n, 0, static_cast<int>(p));
+            // Duplicates: the lowest matching index wins.
+            for (unsigned q = p + 1; q < n; ++q) {
+                row[q] = 0;
+                expectFind(row, n, 0, static_cast<int>(p));
+                row[q] = tag(q);
+            }
+            row[p] = saved;
+        }
+    }
+}
+
+TEST(FastPathSimd, FindU64WideRows)
+{
+    // Buffer-size sweeps build fully associative rows of up to 128
+    // slots; every position must still be found at its own index.
+    for (unsigned n : {24u, 63u, 64u, 65u, 128u}) {
+        std::vector<std::uint64_t> row(n + simd::kTagPad, 0);
+        for (unsigned i = 0; i < n; ++i)
+            row[i] = 2 * i + 1;
+        for (unsigned p = 0; p < n; ++p)
+            expectFind(row, n, row[p], static_cast<int>(p));
+        expectFind(row, n, 0, -1);
+        row[n - 1] = 0;
+        expectFind(row, n, 0, static_cast<int>(n - 1));
     }
 }
 

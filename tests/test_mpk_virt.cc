@@ -5,10 +5,15 @@
  * PKRU reconstruction.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "arch/dttlb.hh"
 #include "arch/mpk_virt.hh"
+#include "common/plru.hh"
+#include "common/rng.hh"
 #include "scheme_test_util.hh"
 
 namespace pmodv
@@ -116,6 +121,231 @@ TEST(Dttlb, FlushCollectsDirtyEntries)
     ASSERT_EQ(dirty.size(), 1u);
     EXPECT_EQ(dirty[0].domain, 1u);
     EXPECT_EQ(dttlb.usedCount(), 0u);
+}
+
+/**
+ * The DTTLB as a plain linear scan, with the range rule written out
+ * as va >= base && va < base + size: the reference the CAM probes are
+ * checked against.
+ */
+class LinearDttlb
+{
+  public:
+    explicit LinearDttlb(unsigned entries) : slots_(entries), plru_(entries)
+    {}
+
+    int
+    lookupVa(Addr va)
+    {
+        for (unsigned i = 0; i < slots_.size(); ++i) {
+            const DttlbEntry &e = slots_[i];
+            if (e.used && va >= e.base && va < e.base + e.size) {
+                ++hits;
+                plru_.touch(i);
+                return static_cast<int>(i);
+            }
+        }
+        ++misses;
+        return -1;
+    }
+
+    int
+    findDomain(DomainId domain) const
+    {
+        for (unsigned i = 0; i < slots_.size(); ++i) {
+            if (slots_[i].used && slots_[i].domain == domain)
+                return static_cast<int>(i);
+        }
+        return -1;
+    }
+
+    unsigned
+    insert(const DttlbEntry &entry, DttlbEntry &evicted, bool &had)
+    {
+        had = false;
+        int slot = findDomain(entry.domain);
+        for (unsigned i = 0; slot < 0 && i < slots_.size(); ++i) {
+            if (!slots_[i].used)
+                slot = static_cast<int>(i);
+        }
+        if (slot < 0) {
+            slot = static_cast<int>(plru_.victim());
+            evicted = slots_[slot];
+            had = true;
+            ++evictions;
+        }
+        slots_[slot] = entry;
+        slots_[slot].used = true;
+        plru_.touch(static_cast<unsigned>(slot));
+        return static_cast<unsigned>(slot);
+    }
+
+    bool
+    invalidateDomain(DomainId domain)
+    {
+        const int i = findDomain(domain);
+        if (i < 0)
+            return false;
+        slots_[i] = DttlbEntry{};
+        return true;
+    }
+
+    void
+    flushAll(std::vector<DttlbEntry> &dirty_out)
+    {
+        for (DttlbEntry &e : slots_) {
+            if (e.used && e.dirty)
+                dirty_out.push_back(e);
+            e = DttlbEntry{};
+        }
+        plru_.reset();
+    }
+
+    DttlbEntry &slot(unsigned i) { return slots_[i]; }
+
+    unsigned hits = 0;
+    unsigned misses = 0;
+    unsigned evictions = 0;
+
+  private:
+    std::vector<DttlbEntry> slots_;
+    TreePlru plru_;
+};
+
+void
+expectSameEntry(const DttlbEntry &a, const DttlbEntry &b)
+{
+    EXPECT_EQ(a.used, b.used);
+    EXPECT_EQ(a.base, b.base);
+    EXPECT_EQ(a.size, b.size);
+    EXPECT_EQ(a.domain, b.domain);
+    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.dirty, b.dirty);
+}
+
+TEST(Dttlb, MatchesLinearScanReference)
+{
+    constexpr Addr kTop = Addr{1} << 48;
+    constexpr unsigned kDomains = 24;
+    // Domain d owns the d-th 2^43-byte window of the 48-bit space and
+    // draws each range it inserts from inside it, so used ranges stay
+    // disjoint. The last domain's ranges end exactly at 2^48.
+    constexpr unsigned kWindowShift = 43;
+    for (unsigned entries : {1u, 3u, 16u, 64u, 80u}) {
+        SCOPED_TRACE("entries=" + std::to_string(entries));
+        stats::Group root(nullptr, "");
+        Dttlb cam(&root, entries);
+        LinearDttlb ref(entries);
+        // Reference slot index -> the CAM's entry for that slot, so
+        // "same slot" is checked by address without widening the API.
+        std::vector<DttlbEntry *> slotPtr(entries, nullptr);
+        std::vector<DttlbEntry> ranges(kDomains);
+        Rng rng(0xd771b + entries);
+        auto pick = [&](std::uint64_t n) { return rng.next(n); };
+
+        EXPECT_EQ(cam.lookupVa(0), nullptr);
+        EXPECT_EQ(ref.lookupVa(0), -1);
+
+        auto expectSlot = [&](DttlbEntry *got, int want) {
+            if (want < 0) {
+                EXPECT_EQ(got, nullptr);
+                return;
+            }
+            ASSERT_NE(got, nullptr);
+            ASSERT_NE(slotPtr[want], nullptr);
+            EXPECT_EQ(got, slotPtr[want]);
+            expectSameEntry(*got, ref.slot(static_cast<unsigned>(want)));
+        };
+
+        for (unsigned step = 0; step < 20000; ++step) {
+            const unsigned op = static_cast<unsigned>(pick(100));
+            const DomainId d = static_cast<DomainId>(pick(kDomains));
+            if (op < 30) {
+                DttlbEntry e;
+                const Addr window = Addr{d} << kWindowShift;
+                e.size = (1 + pick(1024)) << 12;
+                e.base = d == kDomains - 1
+                             ? kTop - e.size
+                             : window + (pick(1024) << 12);
+                e.domain = d;
+                e.key = static_cast<ProtKey>(pick(16));
+                e.valid = pick(2);
+                e.dirty = pick(2);
+                ranges[d] = e;
+                DttlbEntry ev_cam, ev_ref;
+                bool had_cam = false, had_ref = false;
+                DttlbEntry *got = &cam.insert(e, ev_cam, had_cam);
+                const unsigned want = ref.insert(e, ev_ref, had_ref);
+                ASSERT_EQ(had_cam, had_ref) << "step " << step;
+                if (had_ref)
+                    expectSameEntry(ev_cam, ev_ref);
+                if (!slotPtr[want]) {
+                    for (DttlbEntry *p : slotPtr)
+                        ASSERT_NE(p, got) << "two slots, one entry";
+                    slotPtr[want] = got;
+                }
+                expectSlot(got, static_cast<int>(want));
+            } else if (op < 75) {
+                // Around a range the domain used: inside, at both
+                // ends, just outside, or anywhere.
+                const DttlbEntry &r = ranges[d];
+                Addr va = 0;
+                switch (pick(6)) {
+                  case 0:
+                    va = r.base;
+                    break;
+                  case 1:
+                    va = r.base + r.size - 1;
+                    break;
+                  case 2:
+                    va = r.base + r.size;
+                    break;
+                  case 3:
+                    va = r.base - 1;
+                    break;
+                  case 4:
+                    va = r.base + pick(r.size + 1);
+                    break;
+                  default:
+                    va = pick(kTop);
+                    break;
+                }
+                expectSlot(cam.lookupVa(va), ref.lookupVa(va));
+            } else if (op < 85) {
+                const int want = ref.findDomain(d);
+                DttlbEntry *got = cam.findDomain(d);
+                expectSlot(got, want);
+                // Mutate the payload in place, as MPK virtualization
+                // does on a key remap.
+                if (got) {
+                    const ProtKey key = static_cast<ProtKey>(pick(16));
+                    got->key = ref.slot(want).key = key;
+                    got->valid = ref.slot(want).valid = true;
+                    got->dirty = ref.slot(want).dirty = true;
+                }
+            } else if (op < 98) {
+                ASSERT_EQ(cam.invalidateDomain(d), ref.invalidateDomain(d));
+            } else {
+                std::vector<DttlbEntry> dirty_cam, dirty_ref;
+                cam.flushAll(dirty_cam);
+                ref.flushAll(dirty_ref);
+                ASSERT_EQ(dirty_cam.size(), dirty_ref.size());
+                for (std::size_t i = 0; i < dirty_ref.size(); ++i)
+                    expectSameEntry(dirty_cam[i], dirty_ref[i]);
+                EXPECT_EQ(cam.lookupVa(0), nullptr);
+                EXPECT_EQ(ref.lookupVa(0), -1);
+            }
+            ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
+        }
+        ASSERT_DOUBLE_EQ(cam.hits.value(), ref.hits);
+        ASSERT_DOUBLE_EQ(cam.misses.value(), ref.misses);
+        ASSERT_DOUBLE_EQ(cam.evictions.value(), ref.evictions);
+        ASSERT_GT(ref.hits, 100u);
+        if (entries < kDomains) {
+            ASSERT_GT(ref.evictions, 100u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------
