@@ -80,8 +80,9 @@ main()
                     (cycles - base) / base * 100.0,
                     (cycles - lower) / lower * 100.0);
         if (sys.deniedAccesses.value() != 0)
-            std::printf("  (!) %g denied accesses\n",
-                        sys.deniedAccesses.value());
+            std::printf("  (!) %llu denied accesses\n",
+                        static_cast<unsigned long long>(
+                            sys.deniedAccesses.value()));
     }
 
     std::printf("\nper-operation latency (mean / max cycles):\n");

@@ -31,30 +31,6 @@ DomainVirtScheme::registerTimelineTracks(stats::TimeSeries &timeline)
 }
 
 void
-DomainVirtScheme::setStatsDeferred(bool defer)
-{
-    ProtectionScheme::setStatsDeferred(defer);
-    if (!defer && pendDrtWalks_) {
-        drtWalks += pendDrtWalks_;
-        pendDrtWalks_ = 0;
-    }
-    for (auto &p : ptlbs_)
-        p->setStatsDeferred(defer);
-}
-
-void
-DomainVirtScheme::flushDeferredStats()
-{
-    ProtectionScheme::flushDeferredStats();
-    if (pendDrtWalks_) {
-        drtWalks += pendDrtWalks_;
-        pendDrtWalks_ = 0;
-    }
-    for (auto &p : ptlbs_)
-        p->flushDeferredStats();
-}
-
-void
 DomainVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 {
     if (!fillPolicyStorage_)
@@ -82,10 +58,7 @@ DomainVirtScheme::FillPolicy::fill(ThreadId, Addr va,
     }
     // DRT walk, performed in parallel with the page table walk; the
     // DRT is shallower than the page table, so no extra latency.
-    if (s.statsDeferred())
-        ++s.pendDrtWalks_;
-    else
-        ++s.drtWalks;
+    ++s.drtWalks;
     auto walk = s.drt_.walk(va);
     entry.domain = walk.found ? walk.domain : kNullDomain;
     entry.key = kNullKey; // This design has no protection keys.
@@ -117,7 +90,7 @@ DomainVirtScheme::lookupPerm(ThreadId tid, DomainId domain,
     // table lookup), then install the entry.
     profile_.fillMiss(domain);
     cycles += params_.ptlbMissCycles;
-    chargeTableMissCyc(params_.ptlbMissCycles);
+    cycTableMiss += params_.ptlbMissCycles;
     ptlb.missLatency.sample(params_.ptlbMissCycles);
     postEvent(trace::EventKind::PtlbRefill, tid, domain,
               params_.ptlbMissCycles);
@@ -132,11 +105,11 @@ DomainVirtScheme::lookupPerm(ThreadId tid, DomainId domain,
     bool had_eviction = false;
     ptlb.insert(entry, evicted, had_eviction);
     cycles += params_.ptlbEntryOpCycles;
-    cycEntryChange += static_cast<double>(params_.ptlbEntryOpCycles);
+    cycEntryChange += params_.ptlbEntryOpCycles;
     if (had_eviction && evicted.dirty) {
         writeback(tid, evicted);
         cycles += params_.ptlbEntryOpCycles;
-        cycEntryChange += static_cast<double>(params_.ptlbEntryOpCycles);
+        cycEntryChange += params_.ptlbEntryOpCycles;
     }
     return entry.perm;
 }
@@ -158,7 +131,7 @@ DomainVirtScheme::checkAccess(const AccessContext &ctx)
     // even when the data hits in the cache (paper §VI-A).
     profile_.access(domain, activeCore_);
     Cycles cycles = params_.ptlbAccessCycles;
-    chargeAccessLatencyCyc(params_.ptlbAccessCycles);
+    cycAccessLatency += params_.ptlbAccessCycles;
 
     const Perm domain_perm = lookupPerm(ctx.tid, domain, cycles);
     CheckResult res = judge(ctx, domain_perm, cycles);
@@ -203,7 +176,7 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
         hit->perm = perm;
         hit->dirty = true;
         cycles += params_.ptlbEntryOpCycles;
-        cycEntryChange += static_cast<double>(params_.ptlbEntryOpCycles);
+        cycEntryChange += params_.ptlbEntryOpCycles;
         return cycles;
     }
 
@@ -217,11 +190,11 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     bool had_eviction = false;
     ptlb.insert(entry, evicted, had_eviction);
     cycles += params_.ptlbEntryOpCycles;
-    cycEntryChange += static_cast<double>(params_.ptlbEntryOpCycles);
+    cycEntryChange += params_.ptlbEntryOpCycles;
     if (had_eviction && evicted.dirty) {
         writeback(tid, evicted);
         cycles += params_.ptlbEntryOpCycles;
-        cycEntryChange += static_cast<double>(params_.ptlbEntryOpCycles);
+        cycEntryChange += params_.ptlbEntryOpCycles;
     }
     return cycles;
 }
@@ -271,8 +244,7 @@ DomainVirtScheme::contextSwitch(ThreadId, ThreadId to)
     for (const PtlbEntry &e : dirty) {
         writeback(curTid_[activeCore_], e);
         cycles += params_.contextSwitchWritebackCycles;
-        cycEntryChange +=
-            static_cast<double>(params_.contextSwitchWritebackCycles);
+        cycEntryChange += params_.contextSwitchWritebackCycles;
     }
     curTid_[activeCore_] = to;
     return cycles;

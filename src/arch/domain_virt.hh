@@ -91,9 +91,6 @@ class DomainVirtScheme : public ProtectionScheme
 
     void registerTimelineTracks(stats::TimeSeries &timeline) override;
 
-    void setStatsDeferred(bool defer) override;
-    void flushDeferredStats() override;
-
     CheckResult checkAccess(const AccessContext &ctx) override;
     Cycles setPerm(ThreadId tid, DomainId domain, Perm perm) override;
     Cycles attach(ThreadId tid, DomainId domain, Addr base, Addr size,
@@ -148,8 +145,6 @@ class DomainVirtScheme : public ProtectionScheme
     std::vector<std::unique_ptr<Ptlb>> ptlbs_;
     /** Per core: the thread whose permissions its PTLB caches. */
     std::vector<ThreadId> curTid_;
-    /** Deferred DRT-walk count (see setStatsDeferred). */
-    std::uint64_t pendDrtWalks_ = 0;
 };
 
 } // namespace pmodv::arch

@@ -46,18 +46,12 @@ Dttlb::lookupVa(Addr va)
         if (match) {
             const unsigned i =
                 first + static_cast<unsigned>(std::countr_zero(match));
-            if (defer_)
-                ++pend_.hits;
-            else
-                ++hits;
+            ++hits;
             touchSlot(i);
             return &slots_[i];
         }
     }
-    if (defer_)
-        ++pend_.misses;
-    else
-        ++misses;
+    ++misses;
     return nullptr;
 }
 
@@ -83,10 +77,7 @@ Dttlb::insert(const DttlbEntry &entry, DttlbEntry &evicted,
         slot = static_cast<int>(plru_.victim());
         evicted = slots_[slot];
         had_eviction = true;
-        if (defer_)
-            ++pend_.evictions;
-        else
-            ++evictions;
+        ++evictions;
     }
     slots_[slot] = entry;
     slots_[slot].used = true;
@@ -127,31 +118,6 @@ Dttlb::usedCount() const
             ++n;
     }
     return n;
-}
-
-void
-Dttlb::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-}
-
-void
-Dttlb::flushDeferredStats()
-{
-    if (pend_.hits) {
-        hits += pend_.hits;
-        pend_.hits = 0;
-    }
-    if (pend_.misses) {
-        misses += pend_.misses;
-        pend_.misses = 0;
-    }
-    if (pend_.evictions) {
-        evictions += pend_.evictions;
-        pend_.evictions = 0;
-    }
 }
 
 } // namespace pmodv::arch

@@ -87,12 +87,6 @@ class Dttlb : public stats::Group
     /** Occupied slot count. */
     unsigned usedCount() const;
 
-    /** Defer hot counters into packed locals; disabling flushes. */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    void flushDeferredStats();
-
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions;
@@ -130,15 +124,6 @@ class Dttlb : public stats::Group
     std::vector<std::uint64_t> tags_;
     TreePlru plru_;
     std::vector<TreePlru::TouchOp> touchLut_;
-
-    struct Pending
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-    Pending pend_;
-    bool defer_ = false;
 };
 
 } // namespace pmodv::arch

@@ -110,8 +110,8 @@ LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
             pages += flushRangeAllCores(st.base, st.size);
         }
         cycles += inval;
-        cycTlbInvalidation += static_cast<double>(inval);
-        shootdownPages += static_cast<double>(pages);
+        cycTlbInvalidation += inval;
+        shootdownPages += pages;
         profile_.eviction(victim_domain, pages, activeCore_);
         postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
                   victim);
@@ -125,13 +125,13 @@ LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
     // libmpk unscalable (constants calibrated per DESIGN.md §6; the
     // incoming domain's pages keep their lazily cached pkey).
     cycles += params_.libmpkSyscallCycles;
-    cycSoftware += static_cast<double>(params_.libmpkSyscallCycles);
+    cycSoftware += params_.libmpkSyscallCycles;
 
-    ptePatches += static_cast<double>(patched_pages);
+    ptePatches += patched_pages;
     const Cycles patch_cycles =
         params_.libmpkPtePatchCycles * patched_pages;
     cycles += patch_cycles;
-    cycSoftware += static_cast<double>(patch_cycles);
+    cycSoftware += patch_cycles;
 
     st.key = key;
     keyHolder_[key] = domain;
@@ -173,7 +173,7 @@ LibMpkScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // libmpk's user-level bookkeeping (domain hash lookup) runs on
     // every mpk_begin/end call.
     cycles += params_.libmpkFastPathCycles;
-    cycSoftware += static_cast<double>(params_.libmpkFastPathCycles);
+    cycSoftware += params_.libmpkFastPathCycles;
 
     auto it = domains_.find(domain);
     if (it == domains_.end())

@@ -34,30 +34,6 @@ MpkVirtScheme::registerTimelineTracks(stats::TimeSeries &timeline)
 }
 
 void
-MpkVirtScheme::setStatsDeferred(bool defer)
-{
-    ProtectionScheme::setStatsDeferred(defer);
-    if (!defer && pendDttWalks_) {
-        dttWalks += pendDttWalks_;
-        pendDttWalks_ = 0;
-    }
-    for (auto &d : dttlbs_)
-        d->setStatsDeferred(defer);
-}
-
-void
-MpkVirtScheme::flushDeferredStats()
-{
-    ProtectionScheme::flushDeferredStats();
-    if (pendDttWalks_) {
-        dttWalks += pendDttWalks_;
-        pendDttWalks_ = 0;
-    }
-    for (auto &d : dttlbs_)
-        d->flushDeferredStats();
-}
-
-void
 MpkVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 {
     if (!fillPolicyStorage_)
@@ -146,12 +122,12 @@ MpkVirtScheme::cacheInDttlb(DttInfo &info)
     dttlbs_[activeCore_]->insert(entry, evicted, had_eviction);
 
     Cycles cycles = params_.dttlbEntryOpCycles;
-    cycEntryChange += static_cast<double>(params_.dttlbEntryOpCycles);
+    cycEntryChange += params_.dttlbEntryOpCycles;
     if (had_eviction && evicted.dirty) {
         // Lazy DTT update: the dirty mapping is written back now.
         ++dttlbWritebacks;
         cycles += params_.dttlbEntryOpCycles;
-        cycEntryChange += static_cast<double>(params_.dttlbEntryOpCycles);
+        cycEntryChange += params_.dttlbEntryOpCycles;
     }
     return cycles;
 }
@@ -168,7 +144,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
 
     // Check the free-key structure.
     cycles += params_.freeKeyCheckCycles;
-    cycEntryChange += static_cast<double>(params_.freeKeyCheckCycles);
+    cycEntryChange += params_.freeKeyCheckCycles;
     ProtKey key = keyAlloc_.alloc();
     if (key == kInvalidKey) {
         // No free key: reassign the LRU victim's key.
@@ -191,7 +167,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
             }
         }
         cycles += params_.dttlbEntryOpCycles;
-        cycEntryChange += static_cast<double>(params_.dttlbEntryOpCycles);
+        cycEntryChange += params_.dttlbEntryOpCycles;
 
         // Ranged TLB shootdown of the victim's pages, so no stale
         // VA->key mapping survives. With a shootdown bus (multi-core
@@ -212,8 +188,8 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
             pages = flushRangeAllCores(vinfo.base, vinfo.size);
         }
         cycles += inval;
-        cycTlbInvalidation += static_cast<double>(inval);
-        shootdownPages += static_cast<double>(pages);
+        cycTlbInvalidation += inval;
+        shootdownPages += pages;
         profile_.eviction(victim_domain, pages, activeCore_);
         postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
                   victim);
@@ -225,7 +201,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
 
     bindKey(tid, info, key);
     cycles += params_.pkruUpdateCycles;
-    cycEntryChange += static_cast<double>(params_.pkruUpdateCycles);
+    cycEntryChange += params_.pkruUpdateCycles;
     return cycles;
 }
 
@@ -251,13 +227,10 @@ MpkVirtScheme::FillPolicy::fill(ThreadId tid, Addr va,
         panic_if(!info, "DTTLB caches unknown domain");
     } else {
         // DTTLB miss: walk the DTT (Table II: 30 cycles).
-        if (s.statsDeferred())
-            ++s.pendDttWalks_;
-        else
-            ++s.dttWalks;
+        ++s.dttWalks;
         cycles += s.params_.dttWalkCycles;
         s.profile_.fillMiss(region->domain);
-        s.chargeTableMissCyc(s.params_.dttWalkCycles);
+        s.cycTableMiss += s.params_.dttWalkCycles;
         dttlb.missLatency.sample(s.params_.dttWalkCycles);
         auto walk = s.dtt_.walk(va);
         panic_if(!walk.found,
@@ -367,8 +340,7 @@ MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
         (void)e; // DTT payloads are kept in sync eagerly; charge only.
         ++dttlbWritebacks;
         cycles += params_.contextSwitchWritebackCycles;
-        cycEntryChange +=
-            static_cast<double>(params_.contextSwitchWritebackCycles);
+        cycEntryChange += params_.contextSwitchWritebackCycles;
     }
 
     // Reconstruct the incoming thread's PKRU from the DTT: for every

@@ -49,9 +49,6 @@ class MpkVirtScheme : public ProtectionScheme
 
     void registerTimelineTracks(stats::TimeSeries &timeline) override;
 
-    void setStatsDeferred(bool defer) override;
-    void flushDeferredStats() override;
-
     CheckResult checkAccess(const AccessContext &ctx) override;
     Cycles setPerm(ThreadId tid, DomainId domain, Perm perm) override;
     Cycles attach(ThreadId tid, DomainId domain, Addr base, Addr size,
@@ -130,8 +127,6 @@ class MpkVirtScheme : public ProtectionScheme
     std::array<std::uint64_t, kNumProtKeys> keyStamp_{};
     std::uint64_t keyClock_ = 0;
     ThreadId currentThread_ = 0;
-    /** Deferred DTT-walk count (see setStatsDeferred). */
-    std::uint64_t pendDttWalks_ = 0;
 };
 
 } // namespace pmodv::arch

@@ -25,10 +25,7 @@ Ptlb::lookup(DomainId domain)
     // one PMO repeatedly) never rescans the slot array.
     if (l0Gen_ == gen_ && l0Domain_ == domain) {
         ++l0Hits_;
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
+        ++hits;
         touchSlot(l0Slot_);
         return &slots_[l0Slot_];
     }
@@ -37,20 +34,14 @@ Ptlb::lookup(DomainId domain)
                                 static_cast<unsigned>(slots_.size()),
                                 packTag(domain));
     if (i >= 0) {
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
+        ++hits;
         touchSlot(static_cast<unsigned>(i));
         l0Gen_ = gen_;
         l0Domain_ = domain;
         l0Slot_ = static_cast<unsigned>(i);
         return &slots_[i];
     }
-    if (defer_)
-        ++pend_.misses;
-    else
-        ++misses;
+    ++misses;
     return nullptr;
 }
 
@@ -76,10 +67,7 @@ Ptlb::insert(const PtlbEntry &entry, PtlbEntry &evicted,
         slot = static_cast<int>(plru_.victim());
         evicted = slots_[slot];
         had_eviction = true;
-        if (defer_)
-            ++pend_.evictions;
-        else
-            ++evictions;
+        ++evictions;
     }
     slots_[slot] = entry;
     slots_[slot].used = true;
@@ -128,31 +116,6 @@ Ptlb::usedCount() const
             ++n;
     }
     return n;
-}
-
-void
-Ptlb::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-}
-
-void
-Ptlb::flushDeferredStats()
-{
-    if (pend_.hits) {
-        hits += pend_.hits;
-        pend_.hits = 0;
-    }
-    if (pend_.misses) {
-        misses += pend_.misses;
-        pend_.misses = 0;
-    }
-    if (pend_.evictions) {
-        evictions += pend_.evictions;
-        pend_.evictions = 0;
-    }
 }
 
 } // namespace pmodv::arch

@@ -65,12 +65,6 @@ class Ptlb : public stats::Group
 
     unsigned usedCount() const;
 
-    /** Defer hot counters into packed locals; disabling flushes. */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    void flushDeferredStats();
-
     /** Lookups answered by the one-entry L0 filter (raw counter). */
     std::uint64_t l0Hits() const { return l0Hits_; }
 
@@ -115,15 +109,6 @@ class Ptlb : public stats::Group
     DomainId l0Domain_ = kNullDomain;
     unsigned l0Slot_ = 0;
     std::uint64_t l0Hits_ = 0;
-
-    struct Pending
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-    };
-    Pending pend_;
-    bool defer_ = false;
 };
 
 } // namespace pmodv::arch

@@ -134,33 +134,12 @@ ProtectionScheme::registerTimelineTracks(stats::TimeSeries &timeline)
     timeline.track(permChanges, "perm_changes");
 }
 
-void
-ProtectionScheme::setStatsDeferred(bool defer)
-{
-    if (!defer && statsDeferred_)
-        ProtectionScheme::flushDeferredStats();
-    statsDeferred_ = defer;
-}
-
-void
-ProtectionScheme::flushDeferredStats()
-{
-    if (pendCycAccessLatency_) {
-        cycAccessLatency += pendCycAccessLatency_;
-        pendCycAccessLatency_ = 0;
-    }
-    if (pendCycTableMiss_) {
-        cycTableMiss += pendCycTableMiss_;
-        pendCycTableMiss_ = 0;
-    }
-}
-
 Cycles
 ProtectionScheme::chargeSetPerm()
 {
     ++permChanges;
     ++setperms;
-    cycPermissionChange += static_cast<double>(params_.wrpkruCycles);
+    cycPermissionChange += params_.wrpkruCycles;
     return params_.wrpkruCycles;
 }
 
@@ -169,7 +148,7 @@ ProtectionScheme::chargeWrpkru()
 {
     ++permChanges;
     ++wrpkrus;
-    cycPermissionChange += static_cast<double>(params_.wrpkruCycles);
+    cycPermissionChange += params_.wrpkruCycles;
     return params_.wrpkruCycles;
 }
 

@@ -196,17 +196,6 @@ class ProtectionScheme : public stats::Group
      */
     virtual void registerTimelineTracks(stats::TimeSeries &timeline);
 
-    /**
-     * Defer the scheme's hot-path counters (per-access cycle buckets,
-     * per-core buffer hit/miss counts) into packed locals. Schemes
-     * with private buffers (DTTLB/PTLB) override to cascade, calling
-     * the base. Disabling flushes.
-     */
-    virtual void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    virtual void flushDeferredStats();
-
     // ---- Table VII overhead buckets (cycles) ----
     stats::Scalar cycPermissionChange; ///< SETPERM/WRPKRU instructions.
     stats::Scalar cycEntryChange;      ///< DTTLB/PTLB entry operations.
@@ -245,27 +234,6 @@ class ProtectionScheme : public stats::Group
 
     /** As chargeSetPerm(), for a raw WRPKRU. */
     Cycles chargeWrpkru();
-
-    /** Charge @p c to the access-latency bucket (deferral-aware). */
-    void chargeAccessLatencyCyc(Cycles c)
-    {
-        if (statsDeferred_)
-            pendCycAccessLatency_ += c;
-        else
-            cycAccessLatency += c;
-    }
-
-    /** Charge @p c to the table-miss bucket (deferral-aware). */
-    void chargeTableMissCyc(Cycles c)
-    {
-        if (statsDeferred_)
-            pendCycTableMiss_ += c;
-        else
-            cycTableMiss += c;
-    }
-
-    /** True while hot counters are being deferred. */
-    bool statsDeferred() const { return statsDeferred_; }
 
     /**
      * Hook for attachCore(): @p tlb is core @p core's hierarchy,
@@ -311,11 +279,6 @@ class ProtectionScheme : public stats::Group
     CoreId activeCore_ = 0;
     trace::EventRing *events_ = nullptr;
     DomainProfile profile_;
-
-    /** Deferred-cycle accumulators (see setStatsDeferred). */
-    bool statsDeferred_ = false;
-    std::uint64_t pendCycAccessLatency_ = 0;
-    std::uint64_t pendCycTableMiss_ = 0;
 
   private:
     std::string label_;

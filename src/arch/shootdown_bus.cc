@@ -89,7 +89,7 @@ ShootdownBus::broadcast(CoreId initiator, ThreadId tid,
                 ++*cores_[core].filtered;
         }
     }
-    pagesInvalidated += static_cast<double>(result.pages);
+    pagesInvalidated += result.pages;
     return result;
 }
 

@@ -26,19 +26,6 @@ constexpr std::size_t kVisTableSize = 1024;
  */
 constexpr std::size_t kMaxBlamedEvents = 16;
 
-/**
- * Move @p pending into @p stat. A zero is skipped, which keeps a
- * one-record batch (put()) from touching every counter.
- */
-void
-drainInto(stats::Scalar &stat, std::uint64_t &pending)
-{
-    if (pending != 0) {
-        stat += static_cast<double>(pending);
-        pending = 0;
-    }
-}
-
 /** Fallback fast-check: plain virtual dispatch. */
 arch::CheckResult
 virtualCheck(arch::ProtectionScheme &scheme,
@@ -68,16 +55,6 @@ CoreContext::CoreContext(stats::Group *system, unsigned idx,
 {
 }
 
-void
-CoreContext::flushPending()
-{
-    std::uint64_t fresh_cycles = cycleCount - flushedCycles;
-    drainInto(cycles, fresh_cycles);
-    flushedCycles = cycleCount;
-    drainInto(instructions, pendInstructions);
-    drainInto(memAccesses, pendMemAccesses);
-}
-
 System::System(const SimConfig &config, arch::SchemeKind scheme,
                std::string name)
     : stats::Group(nullptr,
@@ -105,7 +82,8 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
           [this]() {
               return cycles.value() == 0
                          ? 0.0
-                         : instructions.value() / cycles.value();
+                         : static_cast<double>(instructions.value()) /
+                               static_cast<double>(cycles.value());
           }),
       opCycles(this, "op_cycles", "cycles per workload operation"),
       timeline(this, "timeline",
@@ -268,21 +246,9 @@ System::beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
 std::array<std::uint64_t, stats::kSlowDigestBuckets>
 System::bucketCycles() const
 {
-    const BatchCounters &d = pending_;
-    // Bucket values are integer cycle counts held in double Scalars;
-    // they stay far below 2^53, so the casts are exact.
-    return {static_cast<std::uint64_t>(cycIssue.value()) + d.cycIssue,
-            static_cast<std::uint64_t>(cycMem.value()) + d.cycMem,
-            static_cast<std::uint64_t>(cycProtFill.value()) +
-                d.cycProtFill,
-            static_cast<std::uint64_t>(cycProtCheck.value()) +
-                d.cycProtCheck,
-            static_cast<std::uint64_t>(cycPermInstr.value()) +
-                d.cycPermInstr,
-            static_cast<std::uint64_t>(cycSyscall.value()) +
-                d.cycSyscall,
-            static_cast<std::uint64_t>(cycCtxSwitch.value()) +
-                d.cycCtxSwitch};
+    return {cycIssue.value(),     cycMem.value(),     cycProtFill.value(),
+            cycProtCheck.value(), cycPermInstr.value(), cycSyscall.value(),
+            cycCtxSwitch.value()};
 }
 
 void
@@ -395,50 +361,6 @@ System::visibleCycles(Cycles lat) const
 }
 
 void
-System::flushPending()
-{
-    BatchCounters &d = pending_;
-    std::uint64_t total_cycles = d.cycIssue + d.cycMem + d.cycProtFill +
-                                 d.cycProtCheck + d.cycPermInstr +
-                                 d.cycSyscall + d.cycCtxSwitch;
-    drainInto(cycles, total_cycles);
-    drainInto(cycIssue, d.cycIssue);
-    drainInto(cycMem, d.cycMem);
-    drainInto(cycProtFill, d.cycProtFill);
-    drainInto(cycProtCheck, d.cycProtCheck);
-    drainInto(cycPermInstr, d.cycPermInstr);
-    drainInto(cycSyscall, d.cycSyscall);
-    drainInto(cycCtxSwitch, d.cycCtxSwitch);
-    drainInto(instructions, d.instructions);
-    drainInto(memAccesses, d.memAccesses);
-    drainInto(pmoAccesses, d.pmoAccesses);
-    drainInto(operations, d.operations);
-    drainInto(deniedAccesses, d.denied);
-    for (auto &core : cores_)
-        core->flushPending();
-}
-
-void
-System::setComponentStatsDeferred(bool defer)
-{
-    for (auto &core : cores_) {
-        core->tlb.setStatsDeferred(defer);
-        core->caches.setStatsDeferred(defer);
-    }
-    scheme_->setStatsDeferred(defer);
-}
-
-void
-System::flushComponentStats()
-{
-    for (auto &core : cores_) {
-        core->tlb.flushDeferredStats();
-        core->caches.flushDeferredStats();
-    }
-    scheme_->flushDeferredStats();
-}
-
-void
 System::replayBatch(std::span<const trace::TraceRecord> records)
 {
     using trace::RecordType;
@@ -465,24 +387,20 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
     const arch::ProtectionScheme::FastCheckFn check_fn =
         scheme->fastCheck() ? scheme->fastCheck() : &virtualCheck;
 
-    BatchCounters &d = pending_;
     // Advance @p core's clock (and the machine's) by @p c cycles.
     const auto advance = [&](CoreContext &core, Cycles c) {
         cycleCount_ += c;
         core.cycleCount += c;
+        cycles += c;
+        core.cycles += c;
     };
     // As advance(), charging the cycles to attribution bucket @p bucket.
     const auto charge = [&](CoreContext &core, Cycles c,
-                            std::uint64_t &bucket) {
+                            stats::Scalar &bucket) {
         advance(core, c);
         bucket += c;
     };
     std::uint64_t boundary = timeline.nextBoundary();
-    // Toggling the components' deferral cascades through every TLB,
-    // cache and scheme buffer; a one-record batch does not repay it.
-    const bool defer = records.size() > 1;
-    if (defer)
-        setComponentStatsDeferred(true);
 
     for (const trace::TraceRecord &rec : records) {
         switch (rec.type) {
@@ -493,11 +411,11 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                                   ? AccessType::Read
                                   : AccessType::Write;
             const bool pmo = rec.flags & trace::kFlagPmo;
-            ++d.memAccesses;
-            ++d.instructions;
-            d.pmoAccesses += pmo ? 1 : 0;
-            ++core.pendMemAccesses;
-            ++core.pendInstructions;
+            ++memAccesses;
+            ++instructions;
+            pmoAccesses += pmo ? 1 : 0;
+            ++core.memAccesses;
+            ++core.instructions;
 
             scheme->setActiveCore(core.index);
             const auto xlate = core.tlb.translate(rec.tid, rec.addr);
@@ -514,7 +432,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 allowed = check.allowed;
                 check_extra = check.extraCycles;
                 if (!allowed)
-                    ++d.denied;
+                    ++deniedAccesses;
             }
 
             // Denied accesses raise an exception instead of touching
@@ -535,38 +453,38 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             const Cycles vis = lat < kVisTableSize ? visTable_[lat]
                                                    : visibleCycles(lat);
             advance(core, vis + xlate.fillExtra + check_extra);
-            d.cycMem += vis;
-            d.cycProtFill += xlate.fillExtra;
-            d.cycProtCheck += check_extra;
+            cycMem += vis;
+            cycProtFill += xlate.fillExtra;
+            cycProtCheck += check_extra;
             break;
           }
           case RecordType::InstBlock: {
             CoreContext &core = core_of(rec.tid);
-            d.instructions += rec.aux;
-            core.pendInstructions += rec.aux;
+            instructions += rec.aux;
+            core.instructions += rec.aux;
             charge(core, (rec.aux + issue_width - 1) / issue_width,
-                   d.cycIssue);
+                   cycIssue);
             break;
           }
           case RecordType::SetPerm: {
             CoreContext &core = core_of(rec.tid);
-            ++d.instructions;
-            ++core.pendInstructions;
+            ++instructions;
+            ++core.instructions;
             scheme->setActiveCore(core.index);
             charge(core, scheme->setPerm(rec.tid, rec.aux, rec.perm()),
-                   d.cycPermInstr);
+                   cycPermInstr);
             break;
           }
           case RecordType::Wrpkru: {
             CoreContext &core = core_of(rec.tid);
-            ++d.instructions;
-            ++core.pendInstructions;
+            ++instructions;
+            ++core.instructions;
             scheme->setActiveCore(core.index);
             charge(core,
                    scheme->wrpkruRaw(rec.tid,
                                      static_cast<ProtKey>(rec.aux),
                                      rec.perm()),
-                   d.cycPermInstr);
+                   cycPermInstr);
             break;
           }
           case RecordType::Attach: {
@@ -583,13 +501,13 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             charge(core,
                    scheme->attach(rec.tid, rec.aux, rec.addr, rec.value,
                                   rec.perm()),
-                   d.cycSyscall);
+                   cycSyscall);
             break;
           }
           case RecordType::Detach: {
             CoreContext &core = core_of(rec.tid);
             scheme->setActiveCore(core.index);
-            charge(core, scheme->detach(rec.tid, rec.aux), d.cycSyscall);
+            charge(core, scheme->detach(rec.tid, rec.aux), cycSyscall);
             space_.unmapDomain(rec.aux);
             break;
           }
@@ -604,7 +522,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 scheme->setActiveCore(core.index);
                 ++core.ctxSwitches;
                 charge(core, scheme->contextSwitch(core.curTid, to),
-                       d.cycCtxSwitch);
+                       cycCtxSwitch);
                 core.curTid = to;
             }
             break;
@@ -620,7 +538,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             }
             break;
           case RecordType::OpEnd:
-            ++d.operations;
+            ++operations;
             if (opInFlight_) {
                 opCycles.sample(cycleCount_ - opStart_);
                 events_.post(trace::EventKind::TxnCommit, rec.tid,
@@ -640,18 +558,12 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
 
         // A timeline tick only has an effect once cycleCount_ passes
         // the next epoch boundary, so the loop compares against the
-        // boundary instead of ticking per record — after flushing the
-        // deferred counters, so the epoch snapshot sees exact values.
+        // boundary instead of ticking per record.
         if (cycleCount_ >= boundary) [[unlikely]] {
-            flushPending();
-            flushComponentStats();
             timeline.tick(cycleCount_);
             boundary = timeline.nextBoundary();
         }
     }
-    flushPending();
-    if (defer)
-        setComponentStatsDeferred(false);
 }
 
 } // namespace pmodv::core

@@ -77,15 +77,6 @@ class CoreContext : public stats::Group
      * tracking only; never charged to any attribution bucket).
      */
     Cycles idleSkew = 0;
-
-    /** The part of cycleCount already added to `cycles`. */
-    Cycles flushedCycles = 0;
-    /** Counts the replay loop has not yet added to the Scalars. */
-    std::uint64_t pendInstructions = 0;
-    std::uint64_t pendMemAccesses = 0;
-
-    /** Add the pending counts to the Scalars (and reset them). */
-    void flushPending();
 };
 
 /** A full machine replaying a trace under one protection scheme. */
@@ -111,13 +102,10 @@ class System : public stats::Group, public trace::TraceSink
      * loop, for every core count: thread t runs on core t % K. The
      * loop hoists config/scheme lookups, skips or devirtualizes the
      * per-access protection check (ProtectionScheme::fastCheck) and
-     * defers the System's, the cores' and (for batches of more than
-     * one record) the components' counter updates into plain
-     * integers, flushing them before every timeline epoch boundary
-     * and at the end of the batch. All deferred quantities are
-     * integers well below 2^53, so the batched double adds are exact:
-     * however a trace is split into batches, the cycles, stats tree,
-     * event ring and timeline come out the same.
+     * bumps every counter in place. Counters are exact integers and
+     * the loop keeps no state between records beyond the machine's,
+     * so however a trace is split into batches, the cycles, stats
+     * tree, event ring and timeline come out the same.
      *
      * Call finish() after the last batch.
      */
@@ -238,44 +226,6 @@ class System : public stats::Group, public trace::TraceSink
     stats::TimeSeries timeline;
 
   private:
-    /**
-     * Integer accumulators for the System's own counters, filled by
-     * the replay loop instead of bumping the Scalars per record.
-     */
-    struct BatchCounters
-    {
-        std::uint64_t instructions = 0;
-        std::uint64_t memAccesses = 0;
-        std::uint64_t pmoAccesses = 0;
-        std::uint64_t operations = 0;
-        std::uint64_t denied = 0;
-        std::uint64_t cycIssue = 0;
-        std::uint64_t cycMem = 0;
-        std::uint64_t cycProtFill = 0;
-        std::uint64_t cycProtCheck = 0;
-        std::uint64_t cycPermInstr = 0;
-        std::uint64_t cycSyscall = 0;
-        std::uint64_t cycCtxSwitch = 0;
-    };
-
-    /** Drain pending_ and every core's pending counts into the
-     *  Scalars (and reset them). */
-    void flushPending();
-
-    /**
-     * Switch every owned component (TLBs, caches, memory, scheme) in
-     * or out of deferred-stats mode. Disabling flushes any pending
-     * counts, so toggling is always exact.
-     */
-    void setComponentStatsDeferred(bool defer);
-
-    /**
-     * Flush the components' deferred counters into their Scalars
-     * without leaving deferred mode. Must run before every
-     * timeline.tick() so epoch snapshots see exact values.
-     */
-    void flushComponentStats();
-
     /** The visible-latency formula (slow path / table filler). */
     Cycles visibleCycles(Cycles lat) const;
 
@@ -292,11 +242,7 @@ class System : public stats::Group, public trace::TraceSink
     /** Sample arrival->completion latency at a stamped op's OpEnd. */
     void endTrackedOp(Cycles cycle_now, Cycles idle_skew);
 
-    /**
-     * Current values of the 7 attribution buckets, digest order: the
-     * Scalars plus the not-yet-flushed pending_ cycles (the loop's
-     * Scalars lag behind by exactly these).
-     */
+    /** Current values of the 7 attribution buckets, digest order. */
     std::array<std::uint64_t, stats::kSlowDigestBuckets>
     bucketCycles() const;
 
@@ -329,8 +275,6 @@ class System : public stats::Group, public trace::TraceSink
     std::unique_ptr<arch::ShootdownBus> bus_;
     std::unique_ptr<arch::ProtectionScheme> scheme_;
     Cycles cycleCount_ = 0;
-    /** The replay loop's not-yet-flushed counts; zero between batches. */
-    BatchCounters pending_;
     /** visTable_[lat] = visible cycles for translate+mem latency lat. */
     std::vector<Cycles> visTable_;
     /** Cycle count at the most recent OpBegin (op in flight if set). */

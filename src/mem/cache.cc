@@ -16,8 +16,12 @@ Cache::Cache(stats::Group *parent, const CacheParams &params)
       invalidations(this, "invalidations", "lines invalidated"),
       missRate(this, "miss_rate", "misses / accesses",
                [this]() {
-                   const double total = hits.value() + misses.value();
-                   return total == 0 ? 0.0 : misses.value() / total;
+                   const std::uint64_t total =
+                       hits.value() + misses.value();
+                   return total == 0
+                              ? 0.0
+                              : static_cast<double>(misses.value()) /
+                                    static_cast<double>(total);
                }),
       params_(params)
 {
@@ -100,10 +104,7 @@ Cache::access(Addr addr, AccessType type)
     const int w = simd::findU64(tags_.data() + si * params_.assoc,
                                 params_.assoc, ptag);
     if (w >= 0) {
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
+        ++hits;
         const std::size_t flat = si * params_.assoc + w;
         if (type == AccessType::Write)
             lines_[flat].dirty = true;
@@ -111,26 +112,15 @@ Cache::access(Addr addr, AccessType type)
         return {true, false};
     }
 
-    if (defer_)
-        ++pend_.misses;
-    else
-        ++misses;
+    ++misses;
     const unsigned victim = victimWay(si);
     const std::size_t flat = si * params_.assoc + victim;
     Line &line = lines_[flat];
-    if (line.valid) {
-        if (defer_)
-            ++pend_.evictions;
-        else
-            ++evictions;
-    }
+    if (line.valid)
+        ++evictions;
     const bool wb = line.valid && line.dirty;
-    if (wb) {
-        if (defer_)
-            ++pend_.writebacks;
-        else
-            ++writebacks;
-    }
+    if (wb)
+        ++writebacks;
     if (!line.valid)
         ++setValid_[si];
     line.valid = true;
@@ -178,35 +168,6 @@ Cache::invalidate(Addr addr)
     --setValid_[si];
     ++invalidations;
     return true;
-}
-
-void
-Cache::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-}
-
-void
-Cache::flushDeferredStats()
-{
-    if (pend_.hits) {
-        hits += pend_.hits;
-        pend_.hits = 0;
-    }
-    if (pend_.misses) {
-        misses += pend_.misses;
-        pend_.misses = 0;
-    }
-    if (pend_.evictions) {
-        evictions += pend_.evictions;
-        pend_.evictions = 0;
-    }
-    if (pend_.writebacks) {
-        writebacks += pend_.writebacks;
-        pend_.writebacks = 0;
-    }
 }
 
 } // namespace pmodv::mem

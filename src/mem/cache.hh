@@ -78,12 +78,6 @@ class Cache : public stats::Group
     /** Invalidate the line containing @p addr if present. */
     bool invalidate(Addr addr);
 
-    /** Defer hot counters into packed locals; disabling flushes. */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    void flushDeferredStats();
-
     // Stats (public so formulas above can reference them).
     stats::Scalar hits;
     stats::Scalar misses;
@@ -153,17 +147,6 @@ class Cache : public stats::Group
     TreePlru::VictimLut victimLut_;
     /** Valid-way count per set: a full set skips the free-way probe. */
     std::vector<std::uint8_t> setValid_;
-
-    /** Packed deferred counters (see setStatsDeferred). */
-    struct Pending
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t writebacks = 0;
-    };
-    Pending pend_;
-    bool defer_ = false;
 };
 
 } // namespace pmodv::mem

@@ -38,20 +38,4 @@ CacheHierarchy::invalidateAll()
     l2_->invalidateAll();
 }
 
-void
-CacheHierarchy::setStatsDeferred(bool defer)
-{
-    l1_->setStatsDeferred(defer);
-    l2_->setStatsDeferred(defer);
-    memory_->setStatsDeferred(defer);
-}
-
-void
-CacheHierarchy::flushDeferredStats()
-{
-    l1_->flushDeferredStats();
-    l2_->flushDeferredStats();
-    memory_->flushDeferredStats();
-}
-
 } // namespace pmodv::mem

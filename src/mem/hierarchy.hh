@@ -51,12 +51,6 @@ class CacheHierarchy : public stats::Group
     /** Drop every cached line (e.g. between independent runs). */
     void invalidateAll();
 
-    /** Defer hot counters in both levels and main memory. */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters now. */
-    void flushDeferredStats();
-
   private:
     HierarchyParams params_;
     std::unique_ptr<Cache> l1_;

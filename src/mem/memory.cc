@@ -16,16 +16,6 @@ MainMemory::MainMemory(stats::Group *parent, const MemoryParams &params)
 Cycles
 MainMemory::access(MemClass cls, AccessType type)
 {
-    if (defer_) {
-        ++pend_[static_cast<unsigned>(cls)][static_cast<unsigned>(type)];
-        if (cls == MemClass::Dram)
-            return params_.dramLatency;
-        if (type == AccessType::Read)
-            return params_.nvmLatency;
-        return static_cast<Cycles>(
-            static_cast<double>(params_.nvmLatency) *
-            params_.nvmWritePenalty);
-    }
     if (cls == MemClass::Dram) {
         if (type == AccessType::Read)
             ++dramReads;
@@ -40,31 +30,6 @@ MainMemory::access(MemClass cls, AccessType type)
     ++nvmWrites;
     return static_cast<Cycles>(static_cast<double>(params_.nvmLatency) *
                                params_.nvmWritePenalty);
-}
-
-void
-MainMemory::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-}
-
-void
-MainMemory::flushDeferredStats()
-{
-    stats::Scalar *const counters[2][2] = {
-        {&dramReads, &dramWrites},
-        {&nvmReads, &nvmWrites},
-    };
-    for (unsigned c = 0; c < 2; ++c) {
-        for (unsigned t = 0; t < 2; ++t) {
-            if (pend_[c][t]) {
-                *counters[c][t] += pend_[c][t];
-                pend_[c][t] = 0;
-            }
-        }
-    }
 }
 
 } // namespace pmodv::mem

@@ -34,12 +34,6 @@ class MainMemory : public stats::Group
     /** Latency of one memory access of the given class and type. */
     Cycles access(MemClass cls, AccessType type);
 
-    /** Defer the four class/type counters into packed locals. */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    void flushDeferredStats();
-
     stats::Scalar dramReads;
     stats::Scalar dramWrites;
     stats::Scalar nvmReads;
@@ -47,9 +41,6 @@ class MainMemory : public stats::Group
 
   private:
     MemoryParams params_;
-    /** Deferred counts indexed [MemClass][AccessType]. */
-    std::uint64_t pend_[2][2] = {{0, 0}, {0, 0}};
-    bool defer_ = false;
 };
 
 } // namespace pmodv::mem

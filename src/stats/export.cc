@@ -53,8 +53,9 @@ jsonEscape(const std::string &s)
 
 // ------------------------------------------------------------- text
 
+template <typename T>
 void
-TextVisitor::line(const std::string &full_name, double value,
+TextVisitor::line(const std::string &full_name, T value,
                   const std::string &desc)
 {
     os_ << std::left << std::setw(48) << full_name << " "
@@ -81,15 +82,6 @@ void
 TextVisitor::visitScalar(const Scalar &stat)
 {
     line(prefixes_.back() + stat.name(), stat.value(), stat.desc());
-}
-
-void
-TextVisitor::visitVector(const Vector &stat)
-{
-    const std::string base = prefixes_.back() + stat.name();
-    for (std::size_t i = 0; i < stat.size(); ++i)
-        line(base + "::" + stat.subname(i), stat.at(i), stat.desc());
-    line(base + "::total", stat.total(), stat.desc());
 }
 
 void
@@ -172,6 +164,12 @@ JsonVisitor::number(double value)
 }
 
 void
+JsonVisitor::number(std::uint64_t value)
+{
+    os_ << value;
+}
+
+void
 JsonVisitor::beginGroup(const Group &group)
 {
     if (depth_ == 0) {
@@ -206,22 +204,6 @@ JsonVisitor::visitScalar(const Scalar &stat)
 {
     key(stat.name());
     number(stat.value());
-}
-
-void
-JsonVisitor::visitVector(const Vector &stat)
-{
-    key(stat.name());
-    os_ << "{";
-    first_.push_back(true);
-    for (std::size_t i = 0; i < stat.size(); ++i) {
-        key(stat.subname(i));
-        number(stat.at(i));
-    }
-    key("total");
-    number(stat.total());
-    first_.pop_back();
-    os_ << "}";
 }
 
 void
@@ -347,11 +329,23 @@ CsvVisitor::CsvVisitor(std::ostream &os) : os_(os)
 void
 CsvVisitor::row(const std::string &name, double value)
 {
+    cell(name, formatNumber(value));
+}
+
+void
+CsvVisitor::row(const std::string &name, std::uint64_t value)
+{
+    cell(name, std::to_string(value));
+}
+
+void
+CsvVisitor::cell(const std::string &name, const std::string &value)
+{
     if (name.find(',') != std::string::npos)
         os_ << '"' << name << '"';
     else
         os_ << name;
-    os_ << ',' << formatNumber(value) << "\n";
+    os_ << ',' << value << "\n";
 }
 
 void
@@ -374,15 +368,6 @@ void
 CsvVisitor::visitScalar(const Scalar &stat)
 {
     row(prefixes_.back() + stat.name(), stat.value());
-}
-
-void
-CsvVisitor::visitVector(const Vector &stat)
-{
-    const std::string base = prefixes_.back() + stat.name();
-    for (std::size_t i = 0; i < stat.size(); ++i)
-        row(base + "::" + stat.subname(i), stat.at(i));
-    row(base + "::total", stat.total());
 }
 
 void

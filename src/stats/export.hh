@@ -24,9 +24,8 @@ namespace pmodv::stats
 
 /**
  * The text dump: one "dotted.path value # desc" line per statistic.
- * Vectors expand to ::sub lines plus ::total; histograms to
- * ::samples/::mean/::min/::max plus one ::[lo,hi) line per non-empty
- * bucket.
+ * Histograms expand to ::samples/::mean/::min/::max plus one
+ * ::[lo,hi) line per non-empty bucket.
  */
 class TextVisitor : public Visitor
 {
@@ -36,14 +35,14 @@ class TextVisitor : public Visitor
     void beginGroup(const Group &group) override;
     void endGroup(const Group &group) override;
     void visitScalar(const Scalar &stat) override;
-    void visitVector(const Vector &stat) override;
     void visitHistogram(const Histogram &stat) override;
     void visitFormula(const Formula &stat) override;
     void visitTimeSeries(const TimeSeries &stat) override;
     void visitSlowDigest(const SlowRequestDigest &stat) override;
 
   private:
-    void line(const std::string &full_name, double value,
+    template <typename T>
+    void line(const std::string &full_name, T value,
               const std::string &desc);
 
     std::ostream &os_;
@@ -54,15 +53,16 @@ class TextVisitor : public Visitor
 /**
  * A compact JSON object mirroring the group tree: groups become
  * nested objects keyed by their name (unnamed groups merge into their
- * parent), scalars/formulas become numbers, vectors objects of
- * sub-buckets plus "total", histograms objects with the moments and a
- * "buckets" array of {"bin", "count"} pairs (non-empty buckets only).
+ * parent), scalars/formulas become numbers, histograms objects with
+ * the moments and a "buckets" array of {"bin", "count"} pairs
+ * (non-empty buckets only).
  * Time series become objects with "epoch_cycles"/"epochs" and a
  * "tracks" object mapping each track label to its per-epoch delta
  * array (disabled series emit epoch_cycles 0 and no tracks).
- * Numbers round-trip: integral values print without a fraction,
- * others with 17 significant digits; non-finite values are emitted as
- * 0 so the document always parses.
+ * Numbers round-trip: scalars and epoch deltas print as exact
+ * integers, other integral values without a fraction, the rest with
+ * 17 significant digits; non-finite values are emitted as 0 so the
+ * document always parses.
  */
 class JsonVisitor : public Visitor
 {
@@ -72,7 +72,6 @@ class JsonVisitor : public Visitor
     void beginGroup(const Group &group) override;
     void endGroup(const Group &group) override;
     void visitScalar(const Scalar &stat) override;
-    void visitVector(const Vector &stat) override;
     void visitHistogram(const Histogram &stat) override;
     void visitFormula(const Formula &stat) override;
     void visitTimeSeries(const TimeSeries &stat) override;
@@ -81,6 +80,7 @@ class JsonVisitor : public Visitor
   private:
     void key(const std::string &name);
     void number(double value);
+    void number(std::uint64_t value);
 
     std::ostream &os_;
     unsigned depth_ = 0;
@@ -91,7 +91,7 @@ class JsonVisitor : public Visitor
 };
 
 /**
- * Flat "stat,value" CSV (one header row). Vector and histogram
+ * Flat "stat,value" CSV (one header row). Histogram and time-series
  * sub-values use the same ::suffix naming as the text dump; fields
  * containing commas (histogram bucket labels) are quoted.
  */
@@ -103,7 +103,6 @@ class CsvVisitor : public Visitor
     void beginGroup(const Group &group) override;
     void endGroup(const Group &group) override;
     void visitScalar(const Scalar &stat) override;
-    void visitVector(const Vector &stat) override;
     void visitHistogram(const Histogram &stat) override;
     void visitFormula(const Formula &stat) override;
     void visitTimeSeries(const TimeSeries &stat) override;
@@ -111,6 +110,8 @@ class CsvVisitor : public Visitor
 
   private:
     void row(const std::string &name, double value);
+    void row(const std::string &name, std::uint64_t value);
+    void cell(const std::string &name, const std::string &value);
 
     std::ostream &os_;
     std::vector<std::string> prefixes_;

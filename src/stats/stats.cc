@@ -18,15 +18,6 @@ StatBase::StatBase(Group *parent, std::string name, std::string desc)
     parent->registerStat(this);
 }
 
-double
-Vector::total() const
-{
-    double t = 0;
-    for (double v : values_)
-        t += v;
-    return t;
-}
-
 void
 Histogram::sample(std::uint64_t value)
 {
@@ -225,11 +216,9 @@ Group::lookup(const std::string &dotted_path) const
     if (!s)
         return 0.0;
     if (auto *sc = dynamic_cast<const Scalar *>(s))
-        return sc->value();
+        return static_cast<double>(sc->value());
     if (auto *f = dynamic_cast<const Formula *>(s))
         return f->value();
-    if (auto *v = dynamic_cast<const Vector *>(s))
-        return v->total();
     if (auto *h = dynamic_cast<const Histogram *>(s))
         return static_cast<double>(h->samples());
     return 0.0;

@@ -4,8 +4,8 @@
  *
  * Every timing component owns a stats::Group; individual statistics
  * register themselves with the group at construction. Groups nest, so
- * a whole system can be dumped with one call. Scalar, Vector,
- * Histogram and Formula statistics are provided.
+ * a whole system can be dumped with one call. Scalar (an exact integer
+ * counter), Histogram and Formula statistics are provided.
  *
  * Output goes through the Visitor interface (see stats/export.hh for
  * the text/JSON/CSV exporters): a visitor walks the group tree in
@@ -27,7 +27,6 @@ namespace pmodv::stats
 
 class Group;
 class Scalar;
-class Vector;
 class Histogram;
 class Formula;
 class TimeSeries;
@@ -47,7 +46,6 @@ class Visitor
     virtual void beginGroup(const Group &group) = 0;
     virtual void endGroup(const Group &group) = 0;
     virtual void visitScalar(const Scalar &stat) = 0;
-    virtual void visitVector(const Vector &stat) = 0;
     virtual void visitHistogram(const Histogram &stat) = 0;
     virtual void visitFormula(const Formula &stat) = 0;
     /** Defaulted (not pure) so visitors predating epoch sampling —
@@ -82,7 +80,11 @@ class StatBase
     std::string desc_;
 };
 
-/** A simple accumulating counter / value. */
+/**
+ * An exact event or cycle counter. Every count the model reports is an
+ * integer, so the counter is one: it never rounds, and hot paths bump
+ * it in place.
+ */
 class Scalar : public StatBase
 {
   public:
@@ -98,20 +100,20 @@ class Scalar : public StatBase
     }
 
     Scalar &
-    operator+=(double v)
+    operator+=(std::uint64_t v)
     {
         value_ += v;
         return *this;
     }
 
     Scalar &
-    operator=(double v)
+    operator=(std::uint64_t v)
     {
         value_ = v;
         return *this;
     }
 
-    double value() const { return value_; }
+    std::uint64_t value() const { return value_; }
 
     void accept(Visitor &visitor) const override
     {
@@ -120,49 +122,7 @@ class Scalar : public StatBase
     void reset() override { value_ = 0; }
 
   private:
-    double value_ = 0;
-};
-
-/** A fixed-size vector of counters with per-bucket names. */
-class Vector : public StatBase
-{
-  public:
-    Vector(Group *parent, std::string name, std::string desc,
-           std::size_t size)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          values_(size, 0.0)
-    {
-    }
-
-    /** Optionally name each bucket (defaults to its index). */
-    void
-    subnames(std::vector<std::string> names)
-    {
-        subnames_ = std::move(names);
-    }
-
-    /** The display name of bucket @p i (its index when unnamed). */
-    std::string subname(std::size_t i) const
-    {
-        return i < subnames_.size() ? subnames_[i] : std::to_string(i);
-    }
-
-    double &operator[](std::size_t i) { return values_.at(i); }
-    double at(std::size_t i) const { return values_.at(i); }
-    std::size_t size() const { return values_.size(); }
-
-    /** Sum over all buckets. */
-    double total() const;
-
-    void accept(Visitor &visitor) const override
-    {
-        visitor.visitVector(*this);
-    }
-    void reset() override { values_.assign(values_.size(), 0.0); }
-
-  private:
-    std::vector<double> values_;
-    std::vector<std::string> subnames_;
+    std::uint64_t value_ = 0;
 };
 
 /**

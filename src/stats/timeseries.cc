@@ -42,10 +42,10 @@ TimeSeries::advance(std::uint64_t now)
 void
 TimeSeries::closeEpoch()
 {
-    std::vector<double> row;
+    std::vector<std::uint64_t> row;
     row.reserve(tracks_.size());
     for (Track &t : tracks_) {
-        const double now = t.stat->value();
+        const std::uint64_t now = t.stat->value();
         row.push_back(now - t.last);
         t.last = now;
     }
@@ -61,8 +61,8 @@ TimeSeries::coalesce()
     for (std::size_t i = 0; i < half; ++i) {
         // Steal the even row first — rows_[i] aliases rows_[2*i] at
         // i == 0, so assigning through it directly would self-move.
-        std::vector<double> dst = std::move(rows_[2 * i]);
-        const std::vector<double> &src = rows_[2 * i + 1];
+        std::vector<std::uint64_t> dst = std::move(rows_[2 * i]);
+        const std::vector<std::uint64_t> &src = rows_[2 * i + 1];
         for (std::size_t t = 0; t < dst.size(); ++t)
             dst[t] += src[t];
         rows_[i] = std::move(dst);
@@ -97,11 +97,11 @@ TimeSeries::finalize(std::uint64_t now)
     }
 }
 
-double
+std::uint64_t
 TimeSeries::trackTotal(std::size_t t) const
 {
-    double sum = 0;
-    for (const std::vector<double> &row : rows_)
+    std::uint64_t sum = 0;
+    for (const std::vector<std::uint64_t> &row : rows_)
         sum += row[t];
     return sum;
 }

@@ -80,9 +80,8 @@ class TimeSeries : public StatBase
 
     /**
      * The cycle at which the next epoch closes (the saturated
-     * disabled sentinel while sampling is off). Batch replay loops
-     * cache this to know when deferred counters must be flushed into
-     * their Scalars before tick() snapshots them.
+     * disabled sentinel while sampling is off). Replay loops cache
+     * this and call tick() only once their clock reaches it.
      */
     std::uint64_t nextBoundary() const { return nextEpochEnd_; }
 
@@ -95,12 +94,12 @@ class TimeSeries : public StatBase
         return tracks_[t].label;
     }
     /** Delta of track @p t over epoch @p e. */
-    double sample(std::size_t t, std::size_t e) const
+    std::uint64_t sample(std::size_t t, std::size_t e) const
     {
         return rows_[e][t];
     }
     /** Sum of track @p t over all closed epochs. */
-    double trackTotal(std::size_t t) const;
+    std::uint64_t trackTotal(std::size_t t) const;
 
     void accept(Visitor &visitor) const override
     {
@@ -113,7 +112,7 @@ class TimeSeries : public StatBase
     {
         const Scalar *stat = nullptr;
         std::string label;
-        double last = 0; ///< Value at the previous epoch boundary.
+        std::uint64_t last = 0; ///< Value at the previous boundary.
     };
 
     void advance(std::uint64_t now);
@@ -124,7 +123,7 @@ class TimeSeries : public StatBase
 
     std::vector<Track> tracks_;
     /** rows_[epoch][track] = counter delta over that epoch. */
-    std::vector<std::vector<double>> rows_;
+    std::vector<std::vector<std::uint64_t>> rows_;
     std::uint64_t cyclesPerEpoch_ = 0;
     std::uint64_t nextEpochEnd_ = kDisabled;
     unsigned maxEpochs_ = 256;

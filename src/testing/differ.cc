@@ -1,7 +1,6 @@
 #include "testing/differ.hh"
 
 #include <array>
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -529,14 +528,14 @@ class Runner
     {
         for (auto &m : machines_) {
             const arch::ProtectionScheme &s = m->scheme();
-            const double sum = s.cycPermissionChange.value() +
-                               s.cycEntryChange.value() +
-                               s.cycTableMiss.value() +
-                               s.cycTlbInvalidation.value() +
-                               s.cycAccessLatency.value() +
-                               s.cycSoftware.value();
-            const auto total = static_cast<double>(m->schemeCycles());
-            if (std::llround(sum) != std::llround(total)) {
+            const std::uint64_t sum = s.cycPermissionChange.value() +
+                                      s.cycEntryChange.value() +
+                                      s.cycTableMiss.value() +
+                                      s.cycTlbInvalidation.value() +
+                                      s.cycAccessLatency.value() +
+                                      s.cycSoftware.value();
+            const Cycles total = m->schemeCycles();
+            if (sum != total) {
                 std::ostringstream detail;
                 detail << "buckets sum to " << sum
                        << " but scheme cycles are " << total;
@@ -556,13 +555,13 @@ class Runner
                 trace::EventKind::KeyEviction)];
             const auto shots = counts[static_cast<std::size_t>(
                 trace::EventKind::Shootdown)];
-            if (static_cast<double>(evictions) != s.keyEvictions.value()) {
+            if (evictions != s.keyEvictions.value()) {
                 std::ostringstream detail;
                 detail << evictions << " KeyEviction events vs "
                        << s.keyEvictions.value() << " key_evictions";
                 violate("events", m.name(), detail.str());
             }
-            if (static_cast<double>(shots) != s.shootdowns.value()) {
+            if (shots != s.shootdowns.value()) {
                 std::ostringstream detail;
                 detail << shots << " Shootdown events vs "
                        << s.shootdowns.value() << " shootdowns";
@@ -570,9 +569,9 @@ class Runner
             }
             const auto ipis = counts[static_cast<std::size_t>(
                 trace::EventKind::Ipi)];
-            const double responded =
-                m.bus() ? m.bus()->ipisResponded.value() : 0.0;
-            if (static_cast<double>(ipis) != responded) {
+            const std::uint64_t responded =
+                m.bus() ? m.bus()->ipisResponded.value() : 0;
+            if (ipis != responded) {
                 std::ostringstream detail;
                 detail << ipis << " Ipi events vs " << responded
                        << " bus ipis_responded";

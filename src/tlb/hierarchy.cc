@@ -39,10 +39,7 @@ TlbHierarchy::translate(ThreadId tid, Addr va)
     }
 
     // Full miss: page walk.
-    if (defer_)
-        ++pendWalks_;
-    else
-        ++walks;
+    ++walks;
     res.walked = true;
     res.latency += params_.walkLatency;
 
@@ -91,27 +88,6 @@ unsigned
 TlbHierarchy::flushAll()
 {
     return l1_->flushAll() + l2_->flushAll();
-}
-
-void
-TlbHierarchy::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-    l1_->setStatsDeferred(defer);
-    l2_->setStatsDeferred(defer);
-}
-
-void
-TlbHierarchy::flushDeferredStats()
-{
-    if (pendWalks_) {
-        walks += pendWalks_;
-        pendWalks_ = 0;
-    }
-    l1_->flushDeferredStats();
-    l2_->flushDeferredStats();
 }
 
 } // namespace pmodv::tlb

@@ -106,13 +106,6 @@ class TlbHierarchy : public stats::Group
     Tlb &l2() { return *l2_; }
     const TlbHierarchyParams &params() const { return params_; }
 
-    /** Defer hot counters here and in both levels. Histogram samples
-     *  stay immediate (per-sample bucketing cannot be batched). */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters (both levels and walks) now. */
-    void flushDeferredStats();
-
     stats::Scalar walks;
     stats::Histogram missLatency; ///< Cycles added per L1 miss.
 
@@ -123,8 +116,6 @@ class TlbHierarchy : public stats::Group
     PlainFillPolicy defaultPolicy_;
     std::unique_ptr<Tlb> l1_;
     std::unique_ptr<Tlb> l2_;
-    std::uint64_t pendWalks_ = 0;
-    bool defer_ = false;
 };
 
 } // namespace pmodv::tlb

@@ -19,8 +19,12 @@ Tlb::Tlb(stats::Group *parent, const TlbParams &params)
                      "entries dropped by invalidations"),
       missRate(this, "miss_rate", "misses / lookups",
                [this]() {
-                   const double total = hits.value() + misses.value();
-                   return total == 0 ? 0.0 : misses.value() / total;
+                   const std::uint64_t total =
+                       hits.value() + misses.value();
+                   return total == 0
+                              ? 0.0
+                              : static_cast<double>(misses.value()) /
+                                    static_cast<double>(total);
                }),
       params_(params)
 {
@@ -70,15 +74,12 @@ Tlb::lookupImpl(Addr va)
         const int w = simd::findU64(tags_.data() + si * assoc, assoc,
                                     packTag(vpn, ps));
         if (w >= 0) {
-            bumpHit();
+            ++hits;
             touchWay(si, static_cast<unsigned>(w));
             return &ways_[si * assoc + w];
         }
     }
-    if (defer_)
-        ++pend_.misses;
-    else
-        ++misses;
+    ++misses;
     return nullptr;
 }
 
@@ -137,10 +138,7 @@ Tlb::insertImpl(const TlbEntry &entry)
         victim = static_cast<int>(victimLut_.valid()
                                       ? plru_[si].victimMasked(victimLut_)
                                       : plru_[si].victim());
-        if (defer_)
-            ++pend_.evictions;
-        else
-            ++evictions;
+        ++evictions;
     }
     const std::size_t flat = si * assoc + victim;
     // Overwriting a valid way: only the per-size and chunk counts
@@ -205,7 +203,7 @@ Tlb::flushIf(Pred pred)
             ++n;
         }
     }
-    countFlushed(n);
+    flushedEntries += n;
     return n;
 }
 
@@ -275,7 +273,7 @@ Tlb::flushRange(Addr base, Addr size)
                 n += flushPages(ps, lo, hi, bound);
         }
     }
-    countFlushed(n);
+    flushedEntries += n;
     return n;
 }
 
@@ -331,35 +329,6 @@ Tlb::consistent(std::string *why) const
     if (chunk_valid != chunkValid_)
         return fail("the chunk counts");
     return true;
-}
-
-void
-Tlb::setStatsDeferred(bool defer)
-{
-    if (!defer && defer_)
-        flushDeferredStats();
-    defer_ = defer;
-}
-
-void
-Tlb::flushDeferredStats()
-{
-    if (pend_.hits) {
-        hits += pend_.hits;
-        pend_.hits = 0;
-    }
-    if (pend_.misses) {
-        misses += pend_.misses;
-        pend_.misses = 0;
-    }
-    if (pend_.evictions) {
-        evictions += pend_.evictions;
-        pend_.evictions = 0;
-    }
-    if (pend_.flushed) {
-        flushedEntries += pend_.flushed;
-        pend_.flushed = 0;
-    }
 }
 
 } // namespace pmodv::tlb

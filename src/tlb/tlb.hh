@@ -122,16 +122,6 @@ class Tlb : public stats::Group
      */
     bool consistent(std::string *why = nullptr) const;
 
-    /**
-     * Defer hot counters (hits/misses/evictions/flushed) into packed
-     * locals instead of the stats tree; disabling flushes. The final
-     * Scalar values are identical either way (exact integer sums).
-     */
-    void setStatsDeferred(bool defer);
-
-    /** Flush deferred counters into the stats tree now. */
-    void flushDeferredStats();
-
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions; ///< Valid entries displaced by capacity.
@@ -199,14 +189,6 @@ class Tlb : public stats::Group
         --setValid_[si];
     }
 
-    void countFlushed(unsigned n)
-    {
-        if (defer_)
-            pend_.flushed += n;
-        else
-            flushedEntries += n;
-    }
-
     /**
      * Bodies of lookup()/insert()/insertFresh(), specialized on the
      * associativity (A == 0 reads params_.assoc at runtime). The
@@ -225,14 +207,6 @@ class Tlb : public stats::Group
             plru_[si].touchMasked(touchLut_[way]);
         else
             plru_[si].touch(way);
-    }
-
-    void bumpHit()
-    {
-        if (defer_)
-            ++pend_.hits;
-        else
-            ++hits;
     }
 
     template <typename Pred>
@@ -260,17 +234,6 @@ class Tlb : public stats::Group
      */
     std::vector<std::uint16_t> chunkValid_;
     unsigned chunkHashShift_ = 0;
-
-    /** Packed deferred counters (see setStatsDeferred). */
-    struct Pending
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t flushed = 0;
-    };
-    Pending pend_;
-    bool defer_ = false;
 };
 
 } // namespace pmodv::tlb

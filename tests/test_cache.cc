@@ -229,7 +229,8 @@ TEST_P(CacheWorkingSet, FitDeterminesHitRate)
             c.access(Addr{i} * 64, AccessType::Read);
     }
     const double hit_rate =
-        c.hits.value() / (c.hits.value() + c.misses.value());
+        static_cast<double>(c.hits.value()) /
+        static_cast<double>(c.hits.value() + c.misses.value());
     if (lines <= 16)
         EXPECT_GE(hit_rate, 0.49); // Second sweep all hits.
     else

@@ -189,10 +189,10 @@ TEST(ReplayBatch, AdversarialTraceBitIdenticalAcrossPaths)
 
 TEST(ReplayBatch, TimelineSamplingBitIdenticalAcrossPaths)
 {
-    // With epoch sampling on, the batch engine must flush its
-    // deferred counters at exactly the same epoch boundaries the
-    // per-record path ticks at — TimeSeries rows are part of the
-    // stats JSON, so any divergence fails the comparison.
+    // With epoch sampling on, the batch engine must close epochs at
+    // exactly the same boundaries the per-record path ticks at —
+    // TimeSeries rows are part of the stats JSON, so any divergence
+    // fails the comparison.
     core::SimConfig cfg;
     cfg.samplingEpochCycles = 2048;
     cfg.samplingMaxEpochs = 512;
@@ -224,8 +224,8 @@ TEST(ReplayBatch, CommittedV1FixtureBitIdenticalAcrossPaths)
 TEST(ReplayBatch, SplitBatchesMatchSingleBatch)
 {
     // Replaying a trace as several replayBatch() calls must equal one
-    // call over the whole span (the deferred counters flush at batch
-    // end, which is invisible in the final totals).
+    // call over the whole span (the loop keeps no counter state
+    // between calls, so a split is invisible in the final totals).
     const auto records = adversarialTrace();
     for (SchemeKind kind : kAllSchemes) {
         core::SimConfig cfg;
