@@ -131,9 +131,10 @@ main(int argc, char **argv)
         }
         const auto rows = executor.runMicro(specs);
         for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::printf("%12u %18.1f %14.0f\n", entries[i],
+            std::printf("%12u %18.1f %14llu\n", entries[i],
                         rows[i].overheadPct.at(SchemeKind::MpkVirt),
-                        rows[i].keyRemaps.at(SchemeKind::MpkVirt));
+                        static_cast<unsigned long long>(
+                            rows[i].keyRemaps.at(SchemeKind::MpkVirt)));
         }
     }
 
@@ -202,9 +203,9 @@ main(int argc, char **argv)
         const auto rows = executor.runRaw(specs);
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const double lb = static_cast<double>(
-                rows[i].totalCycles.at(SchemeKind::Lowerbound));
+                rows[i].schemes.at(SchemeKind::Lowerbound).cycles);
             auto over = [&](SchemeKind k) {
-                return (static_cast<double>(rows[i].totalCycles.at(k)) -
+                return (static_cast<double>(rows[i].schemes.at(k).cycles) -
                         lb) /
                        lb * 100.0;
             };
@@ -234,11 +235,12 @@ main(int argc, char **argv)
         }
         const auto rows = executor.runMicro(specs);
         for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::printf("%12s %14.1f %16.1f %14.0f\n",
+            std::printf("%12s %14.1f %16.1f %14llu\n",
                         sizes[i] == PageSize::Size4K ? "4KB" : "2MB",
                         rows[i].overheadPct.at(SchemeKind::MpkVirt),
                         rows[i].overheadPct.at(SchemeKind::DomainVirt),
-                        rows[i].keyRemaps.at(SchemeKind::MpkVirt));
+                        static_cast<unsigned long long>(
+                            rows[i].keyRemaps.at(SchemeKind::MpkVirt)));
         }
     }
 

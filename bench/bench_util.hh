@@ -9,6 +9,8 @@
 #ifndef PMODV_BENCH_BENCH_UTIL_HH
 #define PMODV_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -82,8 +84,10 @@ parseOptions(int argc, char **argv)
         } else if (arg == "--ops" && i + 1 < argc) {
             opt.ops = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            // Saturate, not wrap: "-1" or 2^32 must reach the
+            // ThreadPool bound check rather than become 0 or huge.
+            opt.jobs = static_cast<unsigned>(std::min<unsigned long>(
+                std::strtoul(argv[++i], nullptr, 10), UINT_MAX));
         } else if (arg == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (arg == "--dump-stats") {
@@ -221,23 +225,23 @@ dumpStatsIfRequested(const exp::ExperimentSuite &suite,
     if (!opt.dumpStats)
         return;
     for (const exp::MicroPoint &pt : suite.microRows()) {
-        for (const auto &[kind, json] : pt.statsJson) {
+        for (const auto &[kind, r] : pt.schemes) {
             std::printf("# stats %s pmos=%u %s\n%s\n",
                         pt.benchmark.c_str(), pt.numPmos,
-                        arch::schemeName(kind), json.c_str());
+                        arch::schemeName(kind), r.statsJson.c_str());
         }
     }
     for (const exp::WhisperRow &row : suite.whisperRows()) {
-        for (const auto &[kind, json] : row.statsJson) {
+        for (const auto &[kind, r] : row.schemes) {
             std::printf("# stats %s %s\n%s\n", row.benchmark.c_str(),
-                        arch::schemeName(kind), json.c_str());
+                        arch::schemeName(kind), r.statsJson.c_str());
         }
     }
     for (const exp::ServerRow &row : suite.serverRows()) {
-        for (const auto &[kind, json] : row.statsJson) {
+        for (const auto &[kind, r] : row.schemes) {
             std::printf("# stats %s tenants=%u %s\n%s\n",
                         row.benchmark.c_str(), row.numTenants,
-                        arch::schemeName(kind), json.c_str());
+                        arch::schemeName(kind), r.statsJson.c_str());
         }
     }
 }

@@ -62,18 +62,22 @@ main(int argc, char **argv)
                     "libmpk_ipis,mpk_virt_ipis,domain_virt_ipis\n");
         for (const exp::MicroPoint &pt : suite.microRows()) {
             std::printf(
-                "%s,%u,%u,%.3f,%.3f,%.3f,%.3f,%.3f,%.0f,%.0f,%.0f,"
-                "%.0f\n",
+                "%s,%u,%u,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu,%llu,"
+                "%llu\n",
                 pt.benchmark.c_str(), pt.numPmos, pt.cores,
                 pt.overheadPct.at(SchemeKind::LibMpk),
                 pt.overheadPct.at(SchemeKind::MpkVirt),
                 pt.overheadPct.at(SchemeKind::DomainVirt),
                 pt.breakdown.at(SchemeKind::LibMpk).tlbInvalidationPct,
                 pt.breakdown.at(SchemeKind::MpkVirt).tlbInvalidationPct,
-                pt.keyRemaps.at(SchemeKind::MpkVirt),
-                pt.ipisResponded.at(SchemeKind::LibMpk),
-                pt.ipisResponded.at(SchemeKind::MpkVirt),
-                pt.ipisResponded.at(SchemeKind::DomainVirt));
+                static_cast<unsigned long long>(
+                    pt.keyRemaps.at(SchemeKind::MpkVirt)),
+                static_cast<unsigned long long>(
+                    pt.ipisResponded.at(SchemeKind::LibMpk)),
+                static_cast<unsigned long long>(
+                    pt.ipisResponded.at(SchemeKind::MpkVirt)),
+                static_cast<unsigned long long>(
+                    pt.ipisResponded.at(SchemeKind::DomainVirt)));
         }
     } else {
         for (unsigned pmos : sweep.pmoCounts) {
@@ -87,13 +91,16 @@ main(int argc, char **argv)
                 if (pt.numPmos != pmos)
                     continue;
                 std::printf(
-                    "%7u %12.1f %12.1f %14.1f | %13.0f %13.0f %13.0f\n",
+                    "%7u %12.1f %12.1f %14.1f | %13llu %13llu %13llu\n",
                     pt.cores, pt.overheadPct.at(SchemeKind::LibMpk),
                     pt.overheadPct.at(SchemeKind::MpkVirt),
                     pt.overheadPct.at(SchemeKind::DomainVirt),
-                    pt.ipisResponded.at(SchemeKind::LibMpk),
-                    pt.ipisResponded.at(SchemeKind::MpkVirt),
-                    pt.ipisResponded.at(SchemeKind::DomainVirt));
+                    static_cast<unsigned long long>(
+                        pt.ipisResponded.at(SchemeKind::LibMpk)),
+                    static_cast<unsigned long long>(
+                        pt.ipisResponded.at(SchemeKind::MpkVirt)),
+                    static_cast<unsigned long long>(
+                        pt.ipisResponded.at(SchemeKind::DomainVirt)));
             }
         }
         std::printf(

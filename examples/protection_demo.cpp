@@ -7,11 +7,13 @@
  */
 
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/replay.hh"
+#include "core/system.hh"
 #include "pmo/api.hh"
 
 using namespace pmodv;
@@ -22,20 +24,26 @@ int
 main()
 {
     // Build the replay pipelines first so the trace streams straight
-    // into all of them (one pass, six simulated machines).
+    // into all of them (one pass, six simulated machines): a System
+    // is a trace sink, and a FanoutSink copies each record to all.
     core::SimConfig config;
-    const std::vector<SchemeKind> schemes{
-        SchemeKind::NoProtection, SchemeKind::Lowerbound,
-        SchemeKind::Mpk,          SchemeKind::LibMpk,
-        SchemeKind::MpkVirt,      SchemeKind::DomainVirt};
-    core::MultiReplay replay(config, schemes);
+    std::map<SchemeKind, std::unique_ptr<core::System>> systems;
+    trace::FanoutSink fanout;
+    for (SchemeKind kind :
+         {SchemeKind::NoProtection, SchemeKind::Lowerbound,
+          SchemeKind::Mpk, SchemeKind::LibMpk, SchemeKind::MpkVirt,
+          SchemeKind::DomainVirt}) {
+        auto &sys = systems[kind];
+        sys = std::make_unique<core::System>(config, kind);
+        fanout.addSink(sys.get());
+    }
 
     // A session store: 48 PMOs (one per session), random updates with
     // a SETPERM window per operation.
     pmo::Namespace ns;
     pmo::PmoApi api(ns, 1000, 1);
     pmo::Runtime &rt = api.runtime();
-    rt.setTraceSink(&replay.sink());
+    rt.setTraceSink(&fanout);
 
     constexpr unsigned kSessions = 48;
     constexpr unsigned kOps = 3'000;
@@ -62,6 +70,7 @@ main()
         rt.opEnd(0);
     }
     rt.setTraceSink(nullptr);
+    fanout.finish();
 
     // Report.
     std::printf("=== protection_demo: %u sessions, %u operations ===\n",
@@ -69,11 +78,11 @@ main()
     std::printf("%-14s %14s %16s %18s\n", "scheme", "cycles",
                 "vs baseline(%)", "vs lowerbound(%)");
     const double base = static_cast<double>(
-        replay.system(SchemeKind::NoProtection).totalCycles());
+        systems.at(SchemeKind::NoProtection)->totalCycles());
     const double lower = static_cast<double>(
-        replay.system(SchemeKind::Lowerbound).totalCycles());
-    for (SchemeKind kind : schemes) {
-        const auto &sys = replay.system(kind);
+        systems.at(SchemeKind::Lowerbound)->totalCycles());
+    for (const auto &[kind, sys_ptr] : systems) {
+        const core::System &sys = *sys_ptr;
         const double cycles = static_cast<double>(sys.totalCycles());
         std::printf("%-14s %14.0f %16.2f %18.2f\n",
                     arch::schemeName(kind), cycles,
@@ -86,8 +95,8 @@ main()
     }
 
     std::printf("\nper-operation latency (mean / max cycles):\n");
-    for (SchemeKind kind : schemes) {
-        const auto &h = replay.system(kind).opCycles;
+    for (const auto &[kind, sys] : systems) {
+        const auto &h = sys->opCycles;
         std::printf("%-14s %10.0f %10llu\n", arch::schemeName(kind),
                     h.mean(),
                     static_cast<unsigned long long>(h.max()));
@@ -96,7 +105,7 @@ main()
                 "sessions went unprotected (key_exhausted).\n",
                 kSessions,
                 static_cast<const stats::Group &>(
-                    replay.system(SchemeKind::Mpk))
+                    *systems.at(SchemeKind::Mpk))
                     .lookup("mpk.key_exhausted"));
     std::printf("The two proposed schemes protect all %u domains; "
                 "compare their overhead columns with libmpk's.\n",

@@ -36,11 +36,12 @@ struct DomainCounters
     std::uint64_t shootdownPages = 0; ///< TLB entries lost to them.
     std::uint64_t setperms = 0;   ///< SETPERMs targeting the domain.
 
+    bool operator==(const DomainCounters &) const = default;
+
     bool
     zero() const
     {
-        return accesses == 0 && fillMisses == 0 && evictions == 0 &&
-               shootdownPages == 0 && setperms == 0;
+        return *this == DomainCounters{};
     }
 };
 
@@ -49,6 +50,8 @@ struct HotDomain
 {
     DomainId domain = kNullDomain;
     DomainCounters counters;
+
+    bool operator==(const HotDomain &) const = default;
 };
 
 /**

@@ -1,17 +1,24 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
+
+#include "common/logging.hh"
+
 namespace pmodv::common
 {
 
 unsigned
 ThreadPool::defaultThreads()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1u;
+    return std::clamp(std::thread::hardware_concurrency(), 1u,
+                      kMaxThreads);
 }
 
 ThreadPool::ThreadPool(unsigned threads)
 {
+    if (threads > kMaxThreads)
+        fatal("cannot start %u worker threads (at most %u)", threads,
+              kMaxThreads);
     if (threads == 0)
         threads = defaultThreads();
     workers_.reserve(threads);

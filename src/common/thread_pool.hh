@@ -35,9 +35,13 @@ namespace pmodv::common
 class ThreadPool
 {
   public:
+    /** Most workers one pool may spawn. */
+    static constexpr unsigned kMaxThreads = 1024;
+
     /**
      * Spawn @p threads workers; 0 means defaultThreads() (the
-     * hardware concurrency, never less than one).
+     * hardware concurrency, never less than one). More than
+     * kMaxThreads is a fatal error, raised before any worker starts.
      */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -53,7 +57,10 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** What `threads == 0` resolves to: hardware concurrency, >= 1. */
+    /**
+     * What `threads == 0` resolves to: the hardware concurrency,
+     * clamped to [1, kMaxThreads].
+     */
     static unsigned defaultThreads();
 
     /**

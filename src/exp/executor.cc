@@ -1,5 +1,6 @@
 #include "exp/executor.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -23,13 +24,24 @@ log2Pct(double pct)
     return pct <= 0 ? 0.0 : std::log2(pct);
 }
 
+std::vector<SchemeKind>
+uniqueSchemes(const std::vector<SchemeKind> &kinds)
+{
+    std::vector<SchemeKind> out;
+    for (SchemeKind k : kinds) {
+        if (std::find(out.begin(), out.end(), k) == out.end())
+            out.push_back(k);
+    }
+    return out;
+}
+
 namespace
 {
 
 /**
- * The in-flight state of one experiment point. The capture task
- * populates everything except `rows`; each replay task drives exactly
- * one System. Futures synchronize: the coordinating thread reads
+ * The in-flight state of one experiment point. The coordinating
+ * thread sets `kinds` (distinct schemes), the capture task populates
+ * the rest; each replay task drives exactly one System. Futures synchronize: the coordinating thread reads
  * `replays` only after the capture future completed, and `systems`
  * only after every replay future completed.
  */
@@ -80,13 +92,24 @@ systemOf(const PointRun &run, SchemeKind kind)
 }
 
 double
-overheadOver(const PointRun &run, SchemeKind kind, SchemeKind baseline)
+overheadOver(const SchemeResults &schemes, SchemeKind kind,
+             SchemeKind baseline)
 {
-    const double base =
-        static_cast<double>(systemOf(run, baseline).totalCycles());
-    const double val =
-        static_cast<double>(systemOf(run, kind).totalCycles());
+    const double base = static_cast<double>(schemes.at(baseline).cycles);
+    const double val = static_cast<double>(schemes.at(kind).cycles);
     return base == 0 ? 0.0 : (val - base) / base;
+}
+
+/** Permission switches per simulated second of the baseline replay. */
+double
+switchesPerSec(const PointRun &run)
+{
+    const double seconds =
+        systemOf(run, SchemeKind::NoProtection).seconds();
+    return seconds == 0
+               ? 0
+               : static_cast<double>(run.counter.permissionSwitches()) /
+                     seconds;
 }
 
 Breakdown
@@ -191,35 +214,22 @@ summarizeBlame(const stats::SlowRequestDigest &digest, double p99)
     return b;
 }
 
-/**
- * Capture the per-scheme observability payloads (stats tree + event
- * ring) into @p stats_json / @p events_json. Must run while the
- * point's Systems are still alive, i.e. during row reduction.
- */
-void
-captureObservability(const PointRun &run,
-                     std::map<SchemeKind, std::string> &stats_json,
-                     std::map<SchemeKind, std::string> &events_json,
-                     std::map<SchemeKind, std::string> &hot_json)
+/** What a finished replay reports; the one System -> row bridge. */
+SchemeResult
+resultOf(const core::System &sys)
 {
-    for (SchemeKind k : run.kinds) {
-        const core::System &sys = systemOf(run, k);
-        stats_json[k] = stats::toJsonString(sys);
-        events_json[k] = eventsToJson(sys);
-        hot_json[k] = hotDomainsJson(sys.scheme().domainProfile());
-    }
+    return {sys.totalCycles(), sys.deniedAccesses.value(),
+            stats::toJsonString(sys), eventsToJson(sys),
+            sys.scheme().domainProfile().topN(kHotDomainsTopN)};
 }
 
-/** The full scheme list of a micro point: baseline + lowerbound + extras. */
+/** The scheme list of a micro point: baseline + lowerbound + extras. */
 std::vector<SchemeKind>
 microKinds(const std::vector<SchemeKind> &schemes)
 {
     std::vector<SchemeKind> all{SchemeKind::NoProtection,
                                 SchemeKind::Lowerbound};
-    for (SchemeKind k : schemes) {
-        if (k != SchemeKind::NoProtection && k != SchemeKind::Lowerbound)
-            all.push_back(k);
-    }
+    all.insert(all.end(), schemes.begin(), schemes.end());
     return all;
 }
 
@@ -322,68 +332,48 @@ awaitAll(std::vector<std::future<void>> &captures,
     }
 }
 
-MicroPoint
-reduceMicro(const MicroPointSpec &spec, const PointRun &run)
+void
+reduceMicro(const MicroPointSpec &spec, const PointRun &run,
+            MicroPoint &point)
 {
-    MicroPoint point;
     point.benchmark = spec.benchmark;
     point.numPmos = spec.params.numPmos;
     point.cores = spec.config.topology.numCores;
-
-    const auto &baseline = systemOf(run, SchemeKind::NoProtection);
-    const double seconds = baseline.seconds();
-    point.switchesPerSec =
-        seconds == 0
-            ? 0
-            : static_cast<double>(run.counter.permissionSwitches()) /
-                  seconds;
+    point.switchesPerSec = switchesPerSec(run);
     point.lowerboundOverheadPct =
-        overheadOver(run, SchemeKind::Lowerbound,
+        overheadOver(point.schemes, SchemeKind::Lowerbound,
                      SchemeKind::NoProtection) * 100.0;
 
+    const auto &baseline = systemOf(run, SchemeKind::NoProtection);
     for (SchemeKind k : run.kinds) {
-        point.totalCycles[k] = systemOf(run, k).totalCycles();
         if (k == SchemeKind::NoProtection || k == SchemeKind::Lowerbound)
             continue;
         const auto &sys = systemOf(run, k);
         point.overheadPct[k] =
-            overheadOver(run, k, SchemeKind::Lowerbound) * 100.0;
+            overheadOver(point.schemes, k, SchemeKind::Lowerbound) *
+            100.0;
         point.breakdown[k] = computeBreakdown(sys, baseline);
         point.keyRemaps[k] = sys.scheme().keyRemaps.value();
         const auto *bus = sys.shootdownBus();
         point.ipisResponded[k] = bus ? bus->ipisResponded.value() : 0;
     }
-    captureObservability(run, point.statsJson, point.eventsJson,
-                         point.hotDomainsJson);
-    return point;
 }
 
-WhisperRow
-reduceWhisper(const WhisperPointSpec &spec, const PointRun &run)
+void
+reduceWhisper(const WhisperPointSpec &spec, const PointRun &run,
+              WhisperRow &row)
 {
-    WhisperRow row;
     row.benchmark = spec.benchmark;
-    const auto &baseline = systemOf(run, SchemeKind::NoProtection);
-    const double seconds = baseline.seconds();
-    row.switchesPerSec =
-        seconds == 0
-            ? 0
-            : static_cast<double>(run.counter.permissionSwitches()) /
-                  seconds;
+    row.switchesPerSec = switchesPerSec(run);
     row.overheadMpkPct =
-        overheadOver(run, SchemeKind::Mpk,
+        overheadOver(row.schemes, SchemeKind::Mpk,
                      SchemeKind::NoProtection) * 100.0;
     row.overheadMpkVirtPct =
-        overheadOver(run, SchemeKind::MpkVirt,
+        overheadOver(row.schemes, SchemeKind::MpkVirt,
                      SchemeKind::NoProtection) * 100.0;
     row.overheadDomainVirtPct =
-        overheadOver(run, SchemeKind::DomainVirt,
+        overheadOver(row.schemes, SchemeKind::DomainVirt,
                      SchemeKind::NoProtection) * 100.0;
-    for (SchemeKind k : run.kinds)
-        row.totalCycles[k] = systemOf(run, k).totalCycles();
-    captureObservability(run, row.statsJson, row.eventsJson,
-                         row.hotDomainsJson);
-    return row;
 }
 
 /** Quantile summary of one live latency/queue histogram pair. */
@@ -406,17 +396,16 @@ summarizeLatency(const stats::Histogram *lat, const stats::Histogram *q,
     }
 }
 
-ServerRow
-reduceServer(const ServerPointSpec &spec, const PointRun &run)
+void
+reduceServer(const ServerPointSpec &spec, const PointRun &run,
+             ServerRow &row)
 {
-    ServerRow row;
     row.numTenants = spec.params.numTenants;
     row.cores = std::max(1u, spec.config.topology.numCores);
     row.requests = spec.params.numRequests;
     row.meanInterArrivalCycles = spec.params.meanInterArrivalCycles;
     for (SchemeKind k : run.kinds) {
         const core::System &sys = systemOf(run, k);
-        row.totalCycles[k] = sys.totalCycles();
         ServerLatency lat;
         summarizeLatency(sys.opLatHist(), sys.opQueueHist(), lat.samples,
                          lat.mean, lat.p50, lat.p99, lat.p999,
@@ -435,9 +424,6 @@ reduceServer(const ServerPointSpec &spec, const PointRun &run)
             row.blame[k] = summarizeBlame(*sys.slowDigest(), lat.p99);
         row.latency[k] = std::move(lat);
     }
-    captureObservability(run, row.statsJson, row.eventsJson,
-                         row.hotDomainsJson);
-    return row;
 }
 
 /**
@@ -460,22 +446,6 @@ exportTracks(trace::PerfettoExporter *exporter, const PointRun &run,
     }
 }
 
-RawPointResult
-reduceRaw(const RawPointSpec &, const PointRun &run)
-{
-    RawPointResult res;
-    for (SchemeKind k : run.kinds) {
-        const core::System &sys = systemOf(run, k);
-        res.totalCycles[k] = sys.totalCycles();
-        res.deniedAccesses[k] = sys.deniedAccesses.value();
-        res.hotDomains[k] =
-            sys.scheme().domainProfile().topN(kHotDomainsTopN);
-    }
-    captureObservability(run, res.statsJson, res.eventsJson,
-                         res.hotDomainsJson);
-    return res;
-}
-
 /**
  * One point of a sweep as the pipeline sees it: the schemes to
  * replay, the replay config, the Perfetto track label prefix and the
@@ -492,15 +462,17 @@ struct PointPlan
 /**
  * The pipeline every run* entry point shares. One capture task per
  * planned point captures the trace, then launches one replay task per
- * scheme. Once everything is done, each point is reduced to a row and
- * exported on this thread, in spec order.
+ * distinct scheme. Once everything is done, each point's row gets one
+ * SchemeResult per System, @p reduce (if any) adds the row-level
+ * numbers, and the Systems are exported — on this thread, in spec
+ * order.
  */
 template <typename Spec, typename Row>
 std::vector<Row>
 runPipeline(common::ThreadPool &pool, bool progress,
             trace::PerfettoExporter *perfetto,
             const std::vector<Spec> &specs, std::vector<PointPlan> plans,
-            Row (*reduce)(const Spec &, const PointRun &))
+            void (*reduce)(const Spec &, const PointRun &, Row &))
 {
     std::vector<std::unique_ptr<PointRun>> runs;
     std::vector<std::future<void>> captures;
@@ -509,7 +481,7 @@ runPipeline(common::ThreadPool &pool, bool progress,
     for (PointPlan &plan : plans) {
         runs.push_back(std::make_unique<PointRun>());
         PointRun *run = runs.back().get();
-        run->kinds = plan.kinds;
+        run->kinds = uniqueSchemes(plan.kinds);
         captures.push_back(pool.submit([&pool, run, &plan] {
             run->buffer = plan.capture();
             launchReplays(pool, *run, plan.config);
@@ -517,11 +489,14 @@ runPipeline(common::ThreadPool &pool, bool progress,
     }
     awaitAll(captures, runs, progress);
 
-    std::vector<Row> rows;
-    rows.reserve(specs.size());
+    std::vector<Row> rows(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        rows.push_back(reduce(specs[i], *runs[i]));
-        exportTracks(perfetto, *runs[i], plans[i].label);
+        const PointRun &run = *runs[i];
+        for (std::size_t s = 0; s < run.kinds.size(); ++s)
+            rows[i].schemes[run.kinds[s]] = resultOf(*run.systems[s]);
+        if (reduce)
+            reduce(specs[i], run, rows[i]);
+        exportTracks(perfetto, run, plans[i].label);
     }
     return rows;
 }
@@ -605,8 +580,8 @@ Executor::runRaw(const std::vector<RawPointSpec> &specs)
                              : "p" + std::to_string(plans.size()),
                          [trace = spec.trace] { return trace; }});
     }
-    return runPipeline(pool_, progress_, perfetto_, specs,
-                       std::move(plans), &reduceRaw);
+    return runPipeline<RawPointSpec, RawPointResult>(
+        pool_, progress_, perfetto_, specs, std::move(plans), nullptr);
 }
 
 MicroPoint

@@ -15,13 +15,15 @@
  *
  * Every System is constructed, fed and finished by exactly one task,
  * and rows are reduced on the coordinating thread in registration
- * order — so all reported numbers are bit-identical to the serial
- * MultiReplay path regardless of the worker count.
+ * order — so all reported numbers are bit-identical to replaying the
+ * same trace through plain core::System objects one after another,
+ * regardless of the worker count.
  */
 
 #ifndef PMODV_EXP_EXECUTOR_HH
 #define PMODV_EXP_EXECUTOR_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,7 +31,7 @@
 
 #include "arch/domain_profile.hh"
 #include "common/thread_pool.hh"
-#include "core/replay.hh"
+#include "core/system.hh"
 #include "trace/buffer.hh"
 #include "workloads/micro/micro.hh"
 #include "workloads/server/server.hh"
@@ -45,6 +47,28 @@ namespace pmodv::exp
 
 // ---------------------------------------------------------------- rows
 
+/**
+ * What one finished replay of a point's trace under one scheme
+ * reports. Every row type holds one per replayed scheme, baseline
+ * included; row-level numbers (overheads, latencies) derive from them.
+ */
+struct SchemeResult
+{
+    Cycles cycles = 0;
+    std::uint64_t denied = 0; ///< Accesses the scheme refused.
+    /** Full stats tree, serialized as compact JSON. */
+    std::string statsJson;
+    /** Tail of the event ring, as a JSON array. */
+    std::string eventsJson;
+    /** The scheme's top-N hot domains, ranked. */
+    std::vector<arch::HotDomain> hotDomains;
+
+    bool operator==(const SchemeResult &) const = default;
+};
+
+/** One result per replayed scheme, ordered by SchemeKind. */
+using SchemeResults = std::map<arch::SchemeKind, SchemeResult>;
+
 /** One WHISPER benchmark's Table V row. */
 struct WhisperRow
 {
@@ -53,14 +77,8 @@ struct WhisperRow
     double overheadMpkPct = 0;
     double overheadMpkVirtPct = 0;
     double overheadDomainVirtPct = 0;
-    /** Raw cycle counts per scheme (incl. the unprotected baseline). */
-    std::map<arch::SchemeKind, Cycles> totalCycles;
-    /** Full stats tree per scheme, serialized as compact JSON. */
-    std::map<arch::SchemeKind, std::string> statsJson;
-    /** Event-ring snapshot per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> eventsJson;
-    /** Top-N hot-domain table per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> hotDomainsJson;
+    /** Per scheme, incl. the unprotected baseline. */
+    SchemeResults schemes;
 };
 
 /** Tail-latency summary of one tenant class under one scheme. */
@@ -120,16 +138,11 @@ struct ServerRow
     unsigned cores = 1;
     std::uint64_t requests = 0;
     double meanInterArrivalCycles = 0;
-    std::map<arch::SchemeKind, Cycles> totalCycles;
+    /** Per scheme, incl. baseline and lowerbound. */
+    SchemeResults schemes;
     std::map<arch::SchemeKind, ServerLatency> latency;
     /** Per-scheme blame summaries (present only with forensics on). */
     std::map<arch::SchemeKind, ServerBlame> blame;
-    /** Full stats tree per scheme, serialized as compact JSON. */
-    std::map<arch::SchemeKind, std::string> statsJson;
-    /** Event-ring snapshot per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> eventsJson;
-    /** Top-N hot-domain table per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> hotDomainsJson;
 };
 
 /** Table VII-style overhead breakdown (percent over lowerbound). */
@@ -157,17 +170,11 @@ struct MicroPoint
     /** Breakdown per proposed scheme. */
     std::map<arch::SchemeKind, Breakdown> breakdown;
     /** Eviction/shootdown counts per scheme (diagnostics). */
-    std::map<arch::SchemeKind, double> keyRemaps;
+    std::map<arch::SchemeKind, std::uint64_t> keyRemaps;
     /** Remote cores charged by shootdown broadcasts (0 on 1 core). */
-    std::map<arch::SchemeKind, double> ipisResponded;
-    /** Raw cycle counts per scheme (incl. baseline and lowerbound). */
-    std::map<arch::SchemeKind, Cycles> totalCycles;
-    /** Full stats tree per scheme, serialized as compact JSON. */
-    std::map<arch::SchemeKind, std::string> statsJson;
-    /** Event-ring snapshot per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> eventsJson;
-    /** Top-N hot-domain table per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> hotDomainsJson;
+    std::map<arch::SchemeKind, std::uint64_t> ipisResponded;
+    /** Per scheme, incl. baseline and lowerbound. */
+    SchemeResults schemes;
 };
 
 // --------------------------------------------------------------- specs
@@ -175,7 +182,8 @@ struct MicroPoint
 /**
  * One microbenchmark sweep point: @p benchmark at @p params under
  * @p schemes. The unprotected baseline and the lowerbound pipelines
- * are always replayed in addition to @p schemes.
+ * are always replayed in addition to @p schemes. Every point replays
+ * a scheme once, however often it is listed.
  */
 struct MicroPointSpec
 {
@@ -211,9 +219,10 @@ struct ServerPointSpec
 };
 
 /**
- * A pre-captured trace replayed under @p schemes verbatim (no
- * baseline/lowerbound is added). Lets ad-hoc experiments (ablations,
- * tools) share the parallel replay machinery.
+ * A pre-captured trace replayed under @p schemes (no
+ * baseline/lowerbound is added; a repeated scheme replays once). Lets
+ * ad-hoc experiments (ablations, tools) share the parallel replay
+ * machinery.
  */
 struct RawPointSpec
 {
@@ -223,23 +232,18 @@ struct RawPointSpec
     std::vector<arch::SchemeKind> schemes;
 };
 
-/** Result of a RawPointSpec: cycle counts per scheme. */
+/** Result of a RawPointSpec: one result per replayed scheme. */
 struct RawPointResult
 {
-    std::map<arch::SchemeKind, Cycles> totalCycles;
-    std::map<arch::SchemeKind, double> deniedAccesses;
-    /** Full stats tree per scheme, serialized as compact JSON. */
-    std::map<arch::SchemeKind, std::string> statsJson;
-    /** Event-ring snapshot per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> eventsJson;
-    /** Top-N hot-domain table per scheme, as a JSON array. */
-    std::map<arch::SchemeKind, std::string> hotDomainsJson;
-    /** The same table, typed (for tools printing text reports). */
-    std::map<arch::SchemeKind, std::vector<arch::HotDomain>> hotDomains;
+    SchemeResults schemes;
 };
 
 /** log2 of an overhead percentage, the paper's Figure 6 y-axis. */
 double log2Pct(double pct);
+
+/** @p kinds without repeats, in first-occurrence order. */
+std::vector<arch::SchemeKind>
+uniqueSchemes(const std::vector<arch::SchemeKind> &kinds);
 
 // ------------------------------------------------------------ executor
 

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "exp/trace_export.hh"
+
 namespace pmodv::exp
 {
 
@@ -135,89 +137,80 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/**
+ * Emit @p m as a JSON object keyed by scheme name, in SchemeKind
+ * order; @p write emits one value.
+ */
+template <typename Map, typename Write>
 void
-writeSchemeDoubles(std::ostream &os,
-                   const std::map<SchemeKind, double> &m)
+writeSchemeMap(std::ostream &os, const Map &m, Write write)
 {
     os << "{";
     bool first = true;
     for (const auto &[kind, value] : m) {
         os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-           << "\": " << value;
+           << "\": ";
+        write(value);
         first = false;
     }
     os << "}";
 }
 
 void
-writeSchemeCycles(std::ostream &os,
-                  const std::map<SchemeKind, Cycles> &m)
+writeTotalCycles(std::ostream &os, const SchemeResults &schemes)
 {
-    os << "{";
-    bool first = true;
-    for (const auto &[kind, value] : m) {
-        os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-           << "\": " << value;
-        first = false;
-    }
-    os << "}";
+    os << ",\n     \"total_cycles\": ";
+    writeSchemeMap(os, schemes,
+                   [&os](const SchemeResult &r) { os << r.cycles; });
 }
 
 /**
- * Emit a map of scheme -> pre-serialized JSON (the stats trees and
- * event arrays captured by the executor) as a JSON object. The values
- * are already JSON, so they are spliced in verbatim.
+ * The trailing per-scheme observability blocks every row ends with:
+ * stats trees and event rings (already JSON, spliced in verbatim) and
+ * the hot-domain tables. Closes the row object.
  */
 void
-writeSchemeJson(std::ostream &os,
-                const std::map<SchemeKind, std::string> &m)
+writeObservability(std::ostream &os, const SchemeResults &schemes)
 {
-    os << "{";
-    bool first = true;
-    for (const auto &[kind, json] : m) {
-        os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-           << "\": " << json;
-        first = false;
-    }
+    os << ",\n     \"stats\": ";
+    writeSchemeMap(os, schemes,
+                   [&os](const SchemeResult &r) { os << r.statsJson; });
+    os << ",\n     \"events\": ";
+    writeSchemeMap(os, schemes,
+                   [&os](const SchemeResult &r) { os << r.eventsJson; });
+    os << ",\n     \"hot_domains\": ";
+    writeSchemeMap(os, schemes, [&os](const SchemeResult &r) {
+        os << hotDomainsJson(r.hotDomains);
+    });
     os << "}";
 }
 
 void
 writeMicroRow(std::ostream &os, const MicroPoint &pt)
 {
+    const auto number = [&os](const auto &v) { os << v; };
     os << "    {\"benchmark\": \"" << jsonEscape(pt.benchmark)
        << "\", \"pmos\": " << pt.numPmos
        << ", \"cores\": " << pt.cores
        << ", \"switches_per_sec\": " << pt.switchesPerSec
        << ", \"lowerbound_overhead_pct\": " << pt.lowerboundOverheadPct
        << ",\n     \"overhead_pct\": ";
-    writeSchemeDoubles(os, pt.overheadPct);
+    writeSchemeMap(os, pt.overheadPct, number);
     os << ",\n     \"key_remaps\": ";
-    writeSchemeDoubles(os, pt.keyRemaps);
+    writeSchemeMap(os, pt.keyRemaps, number);
     os << ",\n     \"ipis_responded\": ";
-    writeSchemeDoubles(os, pt.ipisResponded);
-    os << ",\n     \"total_cycles\": ";
-    writeSchemeCycles(os, pt.totalCycles);
-    os << ",\n     \"breakdown\": {";
-    bool first = true;
-    for (const auto &[kind, b] : pt.breakdown) {
-        os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-           << "\": {\"permission_change_pct\": " << b.permissionChangePct
+    writeSchemeMap(os, pt.ipisResponded, number);
+    writeTotalCycles(os, pt.schemes);
+    os << ",\n     \"breakdown\": ";
+    writeSchemeMap(os, pt.breakdown, [&os](const Breakdown &b) {
+        os << "{\"permission_change_pct\": " << b.permissionChangePct
            << ", \"entry_changes_pct\": " << b.entryChangesPct
            << ", \"table_miss_pct\": " << b.tableMissPct
            << ", \"tlb_invalidation_pct\": " << b.tlbInvalidationPct
            << ", \"access_latency_pct\": " << b.accessLatencyPct
            << ", \"total_pct\": " << b.totalPct << "}";
-        first = false;
-    }
-    os << "}";
-    os << ",\n     \"stats\": ";
-    writeSchemeJson(os, pt.statsJson);
-    os << ",\n     \"events\": ";
-    writeSchemeJson(os, pt.eventsJson);
-    os << ",\n     \"hot_domains\": ";
-    writeSchemeJson(os, pt.hotDomainsJson);
-    os << "}";
+    });
+    writeObservability(os, pt.schemes);
 }
 
 void
@@ -228,15 +221,9 @@ writeWhisperRow(std::ostream &os, const WhisperRow &row)
        << ", \"overhead_mpk_pct\": " << row.overheadMpkPct
        << ", \"overhead_mpk_virt_pct\": " << row.overheadMpkVirtPct
        << ", \"overhead_domain_virt_pct\": "
-       << row.overheadDomainVirtPct << ",\n     \"total_cycles\": ";
-    writeSchemeCycles(os, row.totalCycles);
-    os << ",\n     \"stats\": ";
-    writeSchemeJson(os, row.statsJson);
-    os << ",\n     \"events\": ";
-    writeSchemeJson(os, row.eventsJson);
-    os << ",\n     \"hot_domains\": ";
-    writeSchemeJson(os, row.hotDomainsJson);
-    os << "}";
+       << row.overheadDomainVirtPct;
+    writeTotalCycles(os, row.schemes);
+    writeObservability(os, row.schemes);
 }
 
 void
@@ -247,13 +234,11 @@ writeServerRow(std::ostream &os, const ServerRow &row)
        << ", \"cores\": " << row.cores
        << ", \"requests\": " << row.requests
        << ", \"mean_interarrival_cycles\": "
-       << row.meanInterArrivalCycles << ",\n     \"total_cycles\": ";
-    writeSchemeCycles(os, row.totalCycles);
-    os << ",\n     \"latency\": {";
-    bool first = true;
-    for (const auto &[kind, lat] : row.latency) {
-        os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-           << "\": {\"samples\": " << lat.samples
+       << row.meanInterArrivalCycles;
+    writeTotalCycles(os, row.schemes);
+    os << ",\n     \"latency\": ";
+    writeSchemeMap(os, row.latency, [&os](const ServerLatency &lat) {
+        os << "{\"samples\": " << lat.samples
            << ", \"mean\": " << lat.mean << ", \"p50\": " << lat.p50
            << ", \"p99\": " << lat.p99 << ", \"p999\": " << lat.p999
            << ", \"queue_p50\": " << lat.queueP50
@@ -270,17 +255,13 @@ writeServerRow(std::ostream &os, const ServerRow &row)
                << ", \"queue_p99\": " << cls.queueP99 << "}";
         }
         os << "]}";
-        first = false;
-    }
-    os << "}";
+    });
     if (!row.blame.empty()) {
         // Emitted only when the point ran with forensics on, so rows
         // from forensics-off runs keep their pre-blame byte layout.
-        os << ",\n     \"blame\": {";
-        first = true;
-        for (const auto &[kind, b] : row.blame) {
-            os << (first ? "" : ", ") << '"' << arch::schemeName(kind)
-               << "\": {\"k\": " << b.k << ", \"entries\": " << b.entries
+        os << ",\n     \"blame\": ";
+        writeSchemeMap(os, row.blame, [&os](const ServerBlame &b) {
+            os << "{\"k\": " << b.k << ", \"entries\": " << b.entries
                << ", \"cohort\": " << b.cohort
                << ", \"cohort_queue_share\": " << b.cohortQueueShare
                << ", \"blamed_events\": " << b.blamedEvents
@@ -294,17 +275,9 @@ writeServerRow(std::ostream &os, const ServerRow &row)
             os << "}, \"top_domain\": " << b.topDomain
                << ", \"top_domain_entries\": " << b.topDomainEntries
                << "}";
-            first = false;
-        }
-        os << "}";
+        });
     }
-    os << ",\n     \"stats\": ";
-    writeSchemeJson(os, row.statsJson);
-    os << ",\n     \"events\": ";
-    writeSchemeJson(os, row.eventsJson);
-    os << ",\n     \"hot_domains\": ";
-    writeSchemeJson(os, row.hotDomainsJson);
-    os << "}";
+    writeObservability(os, row.schemes);
 }
 
 } // namespace

@@ -109,11 +109,11 @@ appendSystemTrack(trace::PerfettoExporter &exporter,
 }
 
 std::string
-hotDomainsJson(const arch::DomainProfile &profile, std::size_t n)
+hotDomainsJson(const std::vector<arch::HotDomain> &rows)
 {
     std::string out = "[";
     bool first = true;
-    for (const arch::HotDomain &row : profile.topN(n)) {
+    for (const arch::HotDomain &row : rows) {
         if (!first)
             out += ",";
         first = false;
@@ -128,13 +128,6 @@ hotDomainsJson(const arch::DomainProfile &profile, std::size_t n)
     }
     out += "]";
     return out;
-}
-
-void
-printHotDomains(std::ostream &os, const arch::DomainProfile &profile,
-                std::size_t n)
-{
-    printHotDomains(os, profile.topN(n));
 }
 
 void

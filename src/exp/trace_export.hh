@@ -10,9 +10,9 @@
  *    shootdowns and PTLB/DTTLB refills, and one counter series per
  *    timeline track when epoch sampling was enabled.
  *
- *  - hotDomainsJson()/printHotDomains() render a scheme's
- *    DomainProfile as the top-N "hot domains" table (JSON array for
- *    suite reports, aligned text for pmodv-trace).
+ *  - hotDomainsJson()/printHotDomains() render a scheme's ranked
+ *    top-N "hot domains" (DomainProfile::topN) as a JSON array for
+ *    suite reports or an aligned text table for pmodv-trace.
  *
  * These live in exp (not trace) because they depend on core::System;
  * trace::PerfettoExporter itself stays pure format.
@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "arch/domain_profile.hh"
 #include "core/system.hh"
@@ -46,19 +47,13 @@ void appendSystemTrack(trace::PerfettoExporter &exporter,
 /** A PerfettoExporter timed for @p config's core clock. */
 trace::PerfettoExporter makeExporter(const core::SimConfig &config);
 
-/** @p profile's top-@p n domains as a JSON array of objects. */
-std::string hotDomainsJson(const arch::DomainProfile &profile,
-                           std::size_t n = kHotDomainsTopN);
+/** Pre-ranked hot-domain rows as a JSON array of objects. */
+std::string hotDomainsJson(const std::vector<arch::HotDomain> &rows);
 
 /** Aligned text table of pre-ranked hot-domain rows (header
  *  included); prints a placeholder line when @p rows is empty. */
 void printHotDomains(std::ostream &os,
                      const std::vector<arch::HotDomain> &rows);
-
-/** As above, ranking @p profile's top-@p n domains first. */
-void printHotDomains(std::ostream &os,
-                     const arch::DomainProfile &profile,
-                     std::size_t n = kHotDomainsTopN);
 
 } // namespace pmodv::exp
 

@@ -2,19 +2,24 @@
  * @file
  * Tests of the parallel experiment executor and the declarative
  * SweepSpec/ExperimentSuite API. The load-bearing property is
- * determinism: per-scheme cycle counts must be bit-identical to the
- * serial MultiReplay path and independent of the worker count.
+ * determinism: per-scheme cycle counts must be bit-identical to
+ * replaying the trace through plain Systems one after another, and
+ * independent of the worker count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "common/thread_pool.hh"
-#include "core/replay.hh"
 #include "exp/suite.hh"
+#include "exp/trace_export.hh"
+#include "stats/export.hh"
 #include "workloads/trace_ctx.hh"
 
 namespace pmodv::exp
@@ -39,40 +44,47 @@ avlSpec(unsigned pmos = 64)
     return spec;
 }
 
-/** Serial reference: capture the trace, replay through MultiReplay. */
-std::map<SchemeKind, Cycles>
-serialCycles(const MicroPointSpec &spec,
+/**
+ * Serial reference: replay @p records through one plain System per
+ * scheme, one after another on this thread.
+ */
+std::map<SchemeKind, std::unique_ptr<core::System>>
+serialReplay(std::span<const trace::TraceRecord> records,
+             const core::SimConfig &config,
              const std::vector<SchemeKind> &kinds)
 {
-    trace::VectorSink buffer;
-    workloads::TraceCtx ctx(buffer, spec.params.seed);
-    workloads::makeMicro(spec.benchmark, spec.params)->run(ctx);
-
-    core::MultiReplay replay(spec.config, kinds);
-    replay.replayBatch(buffer.records());
-
-    std::map<SchemeKind, Cycles> cycles;
-    for (SchemeKind k : kinds)
-        cycles[k] = replay.system(k).totalCycles();
-    return cycles;
+    std::map<SchemeKind, std::unique_ptr<core::System>> systems;
+    for (SchemeKind k : kinds) {
+        auto sys = std::make_unique<core::System>(config, k);
+        sys->replayBatch(records);
+        sys->finish();
+        systems[k] = std::move(sys);
+    }
+    return systems;
 }
 
-TEST(Executor, MatchesSerialMultiReplayBitForBit)
+TEST(Executor, MatchesSerialReplayBitForBit)
 {
     const MicroPointSpec spec = avlSpec();
     const std::vector<SchemeKind> kinds{
         SchemeKind::NoProtection, SchemeKind::Lowerbound,
         SchemeKind::LibMpk, SchemeKind::MpkVirt,
         SchemeKind::DomainVirt};
-    const auto serial = serialCycles(spec, kinds);
+    trace::VectorSink capture;
+    workloads::TraceCtx ctx(capture, spec.params.seed);
+    workloads::makeMicro(spec.benchmark, spec.params)->run(ctx);
+    const auto serial = serialReplay(capture.records(), spec.config, kinds);
 
     common::ThreadPool pool(4);
     Executor executor(pool);
     const MicroPoint pt = executor.runMicro(spec);
 
-    ASSERT_EQ(pt.totalCycles.size(), kinds.size());
+    ASSERT_EQ(pt.schemes.size(), kinds.size());
     for (SchemeKind k : kinds) {
-        EXPECT_EQ(pt.totalCycles.at(k), serial.at(k))
+        EXPECT_EQ(pt.schemes.at(k).cycles, serial.at(k)->totalCycles())
+            << arch::schemeName(k);
+        EXPECT_EQ(pt.schemes.at(k).statsJson,
+                  stats::toJsonString(*serial.at(k)))
             << arch::schemeName(k);
     }
 }
@@ -91,18 +103,17 @@ TEST(Executor, JobCountDoesNotChangeAnyRow)
     for (std::size_t i = 0; i < rows1.size(); ++i) {
         EXPECT_EQ(rows1[i].benchmark, rows4[i].benchmark);
         EXPECT_EQ(rows1[i].numPmos, rows4[i].numPmos);
-        EXPECT_EQ(rows1[i].totalCycles, rows4[i].totalCycles);
         EXPECT_EQ(rows1[i].overheadPct, rows4[i].overheadPct);
         EXPECT_EQ(rows1[i].keyRemaps, rows4[i].keyRemaps);
+        EXPECT_EQ(rows1[i].ipisResponded, rows4[i].ipisResponded);
         EXPECT_DOUBLE_EQ(rows1[i].switchesPerSec,
                          rows4[i].switchesPerSec);
         EXPECT_DOUBLE_EQ(rows1[i].lowerboundOverheadPct,
                          rows4[i].lowerboundOverheadPct);
-        // The embedded observability payloads are byte-identical too:
-        // the full stats tree and the event ring must not depend on
-        // the worker count.
-        EXPECT_EQ(rows1[i].statsJson, rows4[i].statsJson);
-        EXPECT_EQ(rows1[i].eventsJson, rows4[i].eventsJson);
+        // Every per-scheme result is identical too — cycles, the
+        // full stats tree, the event ring and the hot domains must
+        // not depend on the worker count.
+        EXPECT_EQ(rows1[i].schemes, rows4[i].schemes);
     }
 }
 
@@ -119,18 +130,16 @@ TEST(Executor, WhisperDeterministicAcrossJobCounts)
     const WhisperRow row1 = Executor(serial).runWhisper(spec);
     const WhisperRow row4 = Executor(wide).runWhisper(spec);
 
-    EXPECT_EQ(row1.totalCycles, row4.totalCycles);
+    EXPECT_EQ(row1.schemes, row4.schemes);
     EXPECT_DOUBLE_EQ(row1.switchesPerSec, row4.switchesPerSec);
     EXPECT_DOUBLE_EQ(row1.overheadMpkPct, row4.overheadMpkPct);
     EXPECT_DOUBLE_EQ(row1.overheadMpkVirtPct, row4.overheadMpkVirtPct);
     EXPECT_DOUBLE_EQ(row1.overheadDomainVirtPct,
                      row4.overheadDomainVirtPct);
-    EXPECT_GT(row1.totalCycles.at(SchemeKind::NoProtection), 0u);
-    EXPECT_EQ(row1.statsJson, row4.statsJson);
-    EXPECT_EQ(row1.eventsJson, row4.eventsJson);
+    EXPECT_GT(row1.schemes.at(SchemeKind::NoProtection).cycles, 0u);
 }
 
-TEST(Executor, RawReplayMatchesMultiReplay)
+TEST(Executor, RawReplayMatchesSerialReplay)
 {
     using trace::TraceRecord;
     std::vector<TraceRecord> records;
@@ -146,8 +155,7 @@ TEST(Executor, RawReplayMatchesMultiReplay)
     const std::vector<SchemeKind> kinds{SchemeKind::NoProtection,
                                         SchemeKind::MpkVirt,
                                         SchemeKind::DomainVirt};
-    core::MultiReplay replay({}, kinds);
-    replay.replayBuffer(*buf);
+    const auto serial = serialReplay(buf->records(), {}, kinds);
 
     RawPointSpec spec;
     spec.trace = buf;
@@ -155,13 +163,51 @@ TEST(Executor, RawReplayMatchesMultiReplay)
     common::ThreadPool pool(3);
     const RawPointResult res = Executor(pool).runRaw(spec);
 
+    ASSERT_EQ(res.schemes.size(), kinds.size());
     for (SchemeKind k : kinds) {
-        EXPECT_EQ(res.totalCycles.at(k),
-                  replay.system(k).totalCycles())
-            << arch::schemeName(k);
-        EXPECT_DOUBLE_EQ(res.deniedAccesses.at(k),
-                         replay.system(k).deniedAccesses.value());
+        const core::System &sys = *serial.at(k);
+        const SchemeResult &r = res.schemes.at(k);
+        EXPECT_EQ(r.cycles, sys.totalCycles()) << arch::schemeName(k);
+        EXPECT_EQ(r.denied, sys.deniedAccesses.value());
+        EXPECT_EQ(r.hotDomains,
+                  sys.scheme().domainProfile().topN(kHotDomainsTopN));
     }
+}
+
+TEST(Executor, DuplicateSchemesReplayOnce)
+{
+    using trace::TraceRecord;
+    constexpr Addr base = Addr{1} << 33;
+    std::vector<TraceRecord> records{
+        TraceRecord::attach(0, 1, base, Addr{1} << 20, Perm::ReadWrite),
+        TraceRecord::setPerm(0, 1, Perm::ReadWrite),
+        TraceRecord::load(0, base, 8, true)};
+
+    RawPointSpec spec;
+    spec.trace = trace::TraceBuffer::copyOf(records);
+    spec.schemes = {SchemeKind::NoProtection, SchemeKind::MpkVirt,
+                    SchemeKind::MpkVirt};
+    common::ThreadPool pool(2);
+    Executor executor(pool);
+    trace::PerfettoExporter exporter = makeExporter(spec.config);
+    executor.setPerfettoExporter(&exporter);
+    const RawPointResult res = executor.runRaw(spec);
+    EXPECT_EQ(res.schemes.size(), 2u);
+    EXPECT_EQ(exporter.numTracks(), 2u);
+
+    // Extra schemes of a micro point that repeat each other or the
+    // always-added baseline/lowerbound replay once as well.
+    MicroPointSpec micro = avlSpec(16);
+    micro.params.numOps = 200;
+    micro.schemes = {SchemeKind::MpkVirt, SchemeKind::Lowerbound,
+                     SchemeKind::MpkVirt};
+    executor.setPerfettoExporter(nullptr);
+    executor.setProgress(true);
+    ::testing::internal::CaptureStderr();
+    const MicroPoint pt = executor.runMicro(micro);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(pt.schemes.size(), 3u);
+    EXPECT_NE(err.find("replays 3/3"), std::string::npos) << err;
 }
 
 TEST(SweepSpec, ExpandsBenchmarkMajor)
@@ -250,7 +296,8 @@ TEST(Executor, StatsAttributionSumsToTotalCycles)
 {
     common::ThreadPool pool(2);
     const MicroPoint pt = Executor(pool).runMicro(avlSpec(64));
-    for (const auto &[kind, json] : pt.statsJson) {
+    for (const auto &[kind, r] : pt.schemes) {
+        const std::string &json = r.statsJson;
         // Extract a top-level scalar from the compact JSON payload.
         const auto grab = [&json](const std::string &key) {
             const std::string needle = "\"" + key + "\":";
@@ -266,7 +313,7 @@ TEST(Executor, StatsAttributionSumsToTotalCycles)
                            grab("cyc_perm_instr") + grab("cyc_syscall") +
                            grab("cyc_ctx_switch");
         EXPECT_DOUBLE_EQ(sum, total) << arch::schemeName(kind);
-        EXPECT_EQ(static_cast<Cycles>(total), pt.totalCycles.at(kind))
+        EXPECT_EQ(static_cast<Cycles>(total), r.cycles)
             << arch::schemeName(kind);
     }
 }

@@ -125,7 +125,7 @@ TEST(MicroPoint, DomainVirtNeverShootsDown)
 {
     auto pt = runMicroPoint("avl", sweepParams(64), config(),
                             {SchemeKind::DomainVirt});
-    EXPECT_DOUBLE_EQ(pt.keyRemaps[SchemeKind::DomainVirt], 0.0);
+    EXPECT_EQ(pt.keyRemaps[SchemeKind::DomainVirt], 0u);
 }
 
 TEST(MicroPoint, BreakdownRowsSumToTotal)

@@ -11,7 +11,7 @@
 #include <filesystem>
 #include <span>
 
-#include "core/replay.hh"
+#include "common/thread_pool.hh"
 #include "exp/executor.hh"
 #include "pmo/api.hh"
 #include "pmo/txn.hh"
@@ -25,6 +25,17 @@ namespace
 {
 
 using arch::SchemeKind;
+
+/** Replay the trace captured in @p sink under each of @p kinds. */
+exp::SchemeResults
+replayAll(trace::VectorSink &sink, std::vector<SchemeKind> kinds)
+{
+    exp::RawPointSpec spec;
+    spec.trace = trace::TraceBuffer::fromRecords(sink.take());
+    spec.schemes = std::move(kinds);
+    common::ThreadPool pool(2);
+    return exp::Executor(pool).runRaw(spec).schemes;
+}
 
 TEST(Integration, FileTraceReplayEqualsLiveReplay)
 {
@@ -50,9 +61,10 @@ TEST(Integration, FileTraceReplayEqualsLiveReplay)
 
     core::SimConfig cfg;
     auto replay_records = [&](std::span<const trace::TraceRecord> v) {
-        core::MultiReplay replay(cfg, {SchemeKind::MpkVirt});
-        replay.replayBatch(v);
-        return replay.system(SchemeKind::MpkVirt).totalCycles();
+        core::System sys(cfg, SchemeKind::MpkVirt);
+        sys.replayBatch(v);
+        sys.finish();
+        return sys.totalCycles();
     };
 
     trace::TraceFileReader reader(path.string());
@@ -70,18 +82,16 @@ TEST(Integration, WellFormedWorkloadsNeverFault)
     params.pmoBytes = Addr{1} << 20;
     params.numOps = 500;
     params.initialNodes = 64;
-    core::SimConfig cfg;
-    core::MultiReplay replay(cfg,
-                             {SchemeKind::Mpk, SchemeKind::LibMpk,
-                              SchemeKind::MpkVirt,
-                              SchemeKind::DomainVirt});
-    workloads::TraceCtx ctx(replay.sink(), params.seed);
+    trace::VectorSink sink;
+    workloads::TraceCtx ctx(sink, params.seed);
     workloads::makeMicro("rbt", params)->run(ctx);
 
-    for (auto *sys : replay.systems()) {
-        EXPECT_DOUBLE_EQ(sys->deniedAccesses.value(), 0.0)
-            << arch::schemeName(sys->schemeKind());
-    }
+    const auto results =
+        replayAll(sink, {SchemeKind::Mpk, SchemeKind::LibMpk,
+                         SchemeKind::MpkVirt, SchemeKind::DomainVirt});
+    EXPECT_EQ(results.size(), 4u);
+    for (const auto &[kind, r] : results)
+        EXPECT_EQ(r.denied, 0u) << arch::schemeName(kind);
 }
 
 TEST(Integration, WhisperTraceFaultFree)
@@ -90,13 +100,14 @@ TEST(Integration, WhisperTraceFaultFree)
     wp.numTxns = 100;
     wp.poolBytes = std::size_t{4} << 20;
     wp.initialKeys = 200;
-    core::SimConfig cfg;
-    core::MultiReplay replay(cfg, {SchemeKind::Mpk,
-                                   SchemeKind::DomainVirt});
+    trace::VectorSink sink;
     pmo::Namespace ns;
-    workloads::makeWhisper("redis", wp)->run(ns, replay.sink());
-    for (auto *sys : replay.systems())
-        EXPECT_DOUBLE_EQ(sys->deniedAccesses.value(), 0.0);
+    workloads::makeWhisper("redis", wp)->run(ns, sink);
+    const auto results =
+        replayAll(sink, {SchemeKind::Mpk, SchemeKind::DomainVirt});
+    EXPECT_EQ(results.size(), 2u);
+    for (const auto &[kind, r] : results)
+        EXPECT_EQ(r.denied, 0u) << arch::schemeName(kind);
 }
 
 TEST(Integration, CrashRecoveryAcrossNamespaceReload)
@@ -146,12 +157,11 @@ TEST(Integration, SchemeStatsConsistentAfterReplay)
     params.pmoBytes = Addr{1} << 20;
     params.numOps = 400;
     params.initialNodes = 64;
-    core::SimConfig cfg;
-    core::MultiReplay replay(cfg, {SchemeKind::MpkVirt});
-    workloads::TraceCtx ctx(replay.sink(), params.seed);
+    // A System is itself a TraceSink: the capture streams into it.
+    core::System sys(core::SimConfig{}, SchemeKind::MpkVirt);
+    workloads::TraceCtx ctx(sys, params.seed);
     workloads::makeMicro("ll", params)->run(ctx);
 
-    auto &sys = replay.system(SchemeKind::MpkVirt);
     auto &scheme = sys.scheme();
     // Every shootdown belongs to a key remap.
     EXPECT_LE(scheme.shootdowns.value(), scheme.keyRemaps.value());

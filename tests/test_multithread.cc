@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/replay.hh"
+#include <map>
+
 #include "core/system.hh"
 
 namespace pmodv
@@ -102,21 +103,30 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(arch::schemeName(info.param));
     });
 
+/** Total cycles of @p trace under lowerbound and both proposals. */
+std::map<SchemeKind, Cycles>
+regimeCycles(const std::vector<TraceRecord> &trace)
+{
+    std::map<SchemeKind, Cycles> cycles;
+    for (SchemeKind kind : {SchemeKind::Lowerbound, SchemeKind::MpkVirt,
+                            SchemeKind::DomainVirt}) {
+        core::System sys(core::SimConfig{}, kind);
+        sys.replayBatch(trace);
+        sys.finish();
+        cycles[kind] = sys.totalCycles();
+    }
+    return cycles;
+}
+
 TEST(MultiThread, FewDomainsFavourMpkVirt)
 {
     // With 2 domains both hold keys forever: MPK virt never remaps
     // and rides TLB hits, while domain virt pays PTLB refills after
     // every context switch — the paper's small-PMO-count regime.
-    core::SimConfig cfg;
-    core::MultiReplay replay(cfg, {SchemeKind::Lowerbound,
-                                   SchemeKind::MpkVirt,
-                                   SchemeKind::DomainVirt});
-    replay.replayBatch(pingPongTrace(200, 4, 1));
-    const auto lb =
-        replay.system(SchemeKind::Lowerbound).totalCycles();
-    const auto mpkv = replay.system(SchemeKind::MpkVirt).totalCycles();
-    const auto domv =
-        replay.system(SchemeKind::DomainVirt).totalCycles();
+    const auto cycles = regimeCycles(pingPongTrace(200, 4, 1));
+    const Cycles lb = cycles.at(SchemeKind::Lowerbound);
+    const Cycles mpkv = cycles.at(SchemeKind::MpkVirt);
+    const Cycles domv = cycles.at(SchemeKind::DomainVirt);
     EXPECT_GE(mpkv, lb);
     EXPECT_GT(domv, lb);
     EXPECT_LT(mpkv, domv);
@@ -127,16 +137,10 @@ TEST(MultiThread, ManyDomainsFavourDomainVirt)
     // 40 domains over 15 keys: MPK virt remaps (and shoots down)
     // constantly; domain virt stays at PTLB-miss cost — the paper's
     // large-PMO-count regime.
-    core::SimConfig cfg;
-    core::MultiReplay replay(cfg, {SchemeKind::Lowerbound,
-                                   SchemeKind::MpkVirt,
-                                   SchemeKind::DomainVirt});
-    replay.replayBatch(pingPongTrace(100, 20, 20));
-    const auto lb =
-        replay.system(SchemeKind::Lowerbound).totalCycles();
-    const auto mpkv = replay.system(SchemeKind::MpkVirt).totalCycles();
-    const auto domv =
-        replay.system(SchemeKind::DomainVirt).totalCycles();
+    const auto cycles = regimeCycles(pingPongTrace(100, 20, 20));
+    const Cycles lb = cycles.at(SchemeKind::Lowerbound);
+    const Cycles mpkv = cycles.at(SchemeKind::MpkVirt);
+    const Cycles domv = cycles.at(SchemeKind::DomainVirt);
     EXPECT_GT(mpkv, lb);
     EXPECT_GT(domv, lb);
     EXPECT_LT(domv, mpkv);

@@ -1,16 +1,15 @@
 /**
  * @file
- * Unit tests for the replay System and MultiReplay: exact cycle
- * accounting for known record sequences, record semantics, and
- * determinism.
+ * Unit tests for the replay System: exact cycle accounting for known
+ * record sequences, record semantics, live fan-out, and determinism.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <vector>
 
-#include "core/replay.hh"
 #include "core/system.hh"
 
 namespace pmodv::core
@@ -252,45 +251,50 @@ TEST(System, Determinism)
     EXPECT_EQ(run(), run());
 }
 
-TEST(MultiReplay, FansOutToAllSchemes)
+TEST(System, FanoutSinkFeedsEverySchemeLive)
 {
-    MultiReplay replay(testConfig(),
-                       {SchemeKind::NoProtection,
-                        SchemeKind::Lowerbound, SchemeKind::DomainVirt});
-    std::vector<TraceRecord> trace{
-        TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite),
-        TraceRecord::setPerm(0, 1, Perm::ReadWrite),
-        TraceRecord::load(0, kBase, 8, true),
-        TraceRecord::instBlock(0, 40),
-    };
-    replay.replayBatch(trace);
-    EXPECT_GT(replay.system(SchemeKind::NoProtection).totalCycles(), 0u);
-    EXPECT_GT(replay.system(SchemeKind::Lowerbound).totalCycles(),
-              replay.system(SchemeKind::NoProtection).totalCycles());
-    EXPECT_EQ(replay.counter().permissionSwitches(), 1u);
-    EXPECT_EQ(replay.counter().memAccesses(), 1u);
+    // Streaming one live trace into several Systems (and a counter)
+    // through a FanoutSink replays it under every scheme.
+    System none(testConfig(), SchemeKind::NoProtection);
+    System lower(testConfig(), SchemeKind::Lowerbound);
+    System virt(testConfig(), SchemeKind::DomainVirt);
+    trace::CountingSink counter;
+    trace::FanoutSink fan;
+    fan.addSink(&counter);
+    fan.addSink(&none);
+    fan.addSink(&lower);
+    fan.addSink(&virt);
+    for (const TraceRecord &rec :
+         {TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite),
+          TraceRecord::setPerm(0, 1, Perm::ReadWrite),
+          TraceRecord::load(0, kBase, 8, true),
+          TraceRecord::instBlock(0, 40)})
+        fan.put(rec);
+    fan.finish();
+    EXPECT_GT(none.totalCycles(), 0u);
+    EXPECT_GT(lower.totalCycles(), none.totalCycles());
+    EXPECT_EQ(virt.deniedAccesses.value(), 0u);
+    EXPECT_GT(virt.totalCycles(), none.totalCycles());
+    EXPECT_EQ(counter.permissionSwitches(), 1u);
+    EXPECT_EQ(counter.memAccesses(), 1u);
 }
 
-TEST(MultiReplay, OverheadComputation)
+TEST(System, LowerboundOverheadIsPermissionChangeCost)
 {
-    MultiReplay replay(testConfig(), {SchemeKind::NoProtection,
-                                      SchemeKind::Lowerbound});
     std::vector<TraceRecord> trace;
     trace.push_back(TraceRecord::instBlock(0, 27 * 4 * 100));
     for (int i = 0; i < 100; ++i)
         trace.push_back(TraceRecord::setPerm(0, 1, Perm::Read));
-    replay.replayBatch(trace);
+    System none(testConfig(), SchemeKind::NoProtection);
+    System lower(testConfig(), SchemeKind::Lowerbound);
+    for (System *sys : {&none, &lower}) {
+        sys->replayBatch(trace);
+        sys->finish();
+    }
     // Lowerbound adds 27 cycles x 100 over a 2700-cycle baseline:
     // 100% overhead.
-    EXPECT_NEAR(replay.overheadOver(SchemeKind::Lowerbound,
-                                    SchemeKind::NoProtection),
-                1.0, 1e-9);
-}
-
-TEST(MultiReplayDeathTest, UnknownSchemeLookupPanics)
-{
-    MultiReplay replay(testConfig(), {SchemeKind::NoProtection});
-    EXPECT_DEATH(replay.system(SchemeKind::Mpk), "no system");
+    EXPECT_EQ(none.totalCycles(), 2700u);
+    EXPECT_EQ(lower.totalCycles(), 2u * none.totalCycles());
 }
 
 } // namespace

@@ -34,6 +34,16 @@ TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency)
     ThreadPool pool(0);
     EXPECT_EQ(pool.size(), ThreadPool::defaultThreads());
     EXPECT_GE(pool.size(), 1u);
+    EXPECT_LE(pool.size(), ThreadPool::kMaxThreads);
+}
+
+TEST(ThreadPoolDeathTest, OversizedPoolIsRejectedBeforeAnyWorkerStarts)
+{
+    // The bound check fires in the constructor before the first
+    // worker is spawned, so this starts no thread at all.
+    EXPECT_EXIT(
+        { ThreadPool pool(ThreadPool::kMaxThreads + 1); },
+        ::testing::ExitedWithCode(1), "at most 1024");
 }
 
 TEST(ThreadPool, WaitBlocksUntilAllTasksFinished)

@@ -387,7 +387,7 @@ TEST(HotDomains, ProfiledSchemeReportsActivity)
     ASSERT_FALSE(top.empty());
     EXPECT_GT(top[0].counters.accesses, 0u);
 
-    const std::string json = exp::hotDomainsJson(profile);
+    const std::string json = exp::hotDomainsJson(top);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"accesses\""), std::string::npos);
     EXPECT_NE(json.find("\"evictions\""), std::string::npos);
@@ -487,10 +487,12 @@ TEST(SuiteReport, EmbedsTimelineAndHotDomains)
 
     ASSERT_FALSE(suite.microRows().empty());
     const exp::MicroPoint &pt = suite.microRows().front();
-    const auto it = pt.hotDomainsJson.find(SchemeKind::MpkVirt);
-    ASSERT_NE(it, pt.hotDomainsJson.end());
-    EXPECT_TRUE(JsonChecker(it->second).valid()) << it->second;
-    EXPECT_NE(it->second.find("\"domain\""), std::string::npos);
+    const auto it = pt.schemes.find(SchemeKind::MpkVirt);
+    ASSERT_NE(it, pt.schemes.end());
+    ASSERT_FALSE(it->second.hotDomains.empty());
+    const std::string hot = exp::hotDomainsJson(it->second.hotDomains);
+    EXPECT_TRUE(JsonChecker(hot).valid()) << hot;
+    EXPECT_NE(hot.find("\"domain\""), std::string::npos);
 }
 
 } // namespace

@@ -42,6 +42,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -64,6 +65,18 @@ using namespace pmodv;
 
 namespace
 {
+
+/**
+ * A --jobs value, saturated rather than wrapped to unsigned, so "-1"
+ * or 2^32 reaches the ThreadPool bound check instead of becoming a
+ * huge or zero worker count.
+ */
+unsigned
+parseJobs(const char *arg)
+{
+    return static_cast<unsigned>(std::min<unsigned long>(
+        std::strtoul(arg, nullptr, 10), UINT_MAX));
+}
 
 int
 usage()
@@ -224,8 +237,7 @@ cmdReplay(int argc, char **argv)
         if (!std::strcmp(argv[i], "--scheme") && i + 1 < argc)
             schemes.push_back(arch::schemeFromName(argv[++i]));
         else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            jobs = parseJobs(argv[++i]);
         else if (!std::strcmp(argv[i], "--trace-out") && i + 1 < argc)
             trace_out = argv[++i];
         else if (!std::strcmp(argv[i], "--epoch") && i + 1 < argc)
@@ -247,12 +259,14 @@ cmdReplay(int argc, char **argv)
                    arch::SchemeKind::MpkVirt,
                    arch::SchemeKind::DomainVirt};
     }
-    // Always include the baseline so overheads are reportable.
+    // Always include the baseline so overheads are reportable, and
+    // report a repeated scheme once, as the executor replays it once.
     if (std::find(schemes.begin(), schemes.end(),
                   arch::SchemeKind::NoProtection) == schemes.end()) {
         schemes.insert(schemes.begin(),
                        arch::SchemeKind::NoProtection);
     }
+    schemes = exp::uniqueSchemes(schemes);
 
     // Load the trace once (zero-copy mmap for v2 files), then fan the
     // scheme pipelines out over the pool (one worker per System).
@@ -295,27 +309,27 @@ cmdReplay(int argc, char **argv)
     std::printf("%-14s %16s %16s %10s\n", "scheme", "cycles",
                 "vs baseline(%)", "denied");
     const double base = static_cast<double>(
-        res.totalCycles.at(arch::SchemeKind::NoProtection));
+        res.schemes.at(arch::SchemeKind::NoProtection).cycles);
     for (arch::SchemeKind kind : schemes) {
-        const double cycles =
-            static_cast<double>(res.totalCycles.at(kind));
-        std::printf("%-14s %16llu %16.2f %10.0f\n",
+        const exp::SchemeResult &r = res.schemes.at(kind);
+        const double cycles = static_cast<double>(r.cycles);
+        std::printf("%-14s %16llu %16.2f %10llu\n",
                     arch::schemeName(kind),
-                    static_cast<unsigned long long>(
-                        res.totalCycles.at(kind)),
+                    static_cast<unsigned long long>(r.cycles),
                     base == 0 ? 0.0 : (cycles - base) / base * 100.0,
-                    res.deniedAccesses.at(kind));
+                    static_cast<unsigned long long>(r.denied));
     }
     // Where did the protection overhead land?  The baseline scheme
     // tracks no domains, so skip it.
     for (arch::SchemeKind kind : schemes) {
         if (kind == arch::SchemeKind::NoProtection)
             continue;
-        const auto it = res.hotDomains.find(kind);
-        if (it == res.hotDomains.end() || it->second.empty())
+        const std::vector<arch::HotDomain> &hot =
+            res.schemes.at(kind).hotDomains;
+        if (hot.empty())
             continue;
         std::printf("\nhot domains (%s):\n", arch::schemeName(kind));
-        exp::printHotDomains(std::cout, it->second);
+        exp::printHotDomains(std::cout, hot);
     }
     return 0;
 }
@@ -626,8 +640,7 @@ cmdExplain(int argc, char **argv)
             only_scheme = argv[++i];
             schemes.push_back(arch::schemeFromName(only_scheme));
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            jobs = parseJobs(argv[++i]);
         else if (!std::strcmp(argv[i], "--k") && i + 1 < argc)
             k = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
@@ -647,6 +660,7 @@ cmdExplain(int argc, char **argv)
                        arch::SchemeKind::MpkVirt,
                        arch::SchemeKind::DomainVirt};
         }
+        schemes = exp::uniqueSchemes(schemes);
         exp::RawPointSpec spec;
         {
             trace::TraceFileReader reader(replay_trc);
@@ -663,7 +677,7 @@ cmdExplain(int argc, char **argv)
             const std::string name = arch::schemeName(kind);
             std::string error;
             const auto tree =
-                common::parseJson(res.statsJson.at(kind), &error);
+                common::parseJson(res.schemes.at(kind).statsJson, &error);
             if (!tree) {
                 std::fprintf(stderr, "error: bad stats JSON (%s): %s\n",
                              name.c_str(), error.c_str());
