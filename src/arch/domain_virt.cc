@@ -33,9 +33,7 @@ DomainVirtScheme::registerTimelineTracks(stats::TimeSeries &timeline)
 void
 DomainVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 {
-    if (!fillPolicyStorage_)
-        fillPolicyStorage_ = std::make_unique<FillPolicy>(*this);
-    tlb->setFillPolicy(fillPolicyStorage_.get());
+    tlb->setFillPolicy(this);
     // Core 0's PTLB is built in the constructor ("ptlb"); each
     // further core gets a private one caching its running thread.
     while (ptlbs_.size() <= core) {
@@ -47,29 +45,35 @@ DomainVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 }
 
 Cycles
-DomainVirtScheme::FillPolicy::fill(ThreadId, Addr va,
-                                   const tlb::Region *region,
-                                   tlb::TlbEntry &entry)
+DomainVirtScheme::fill(ThreadId, Addr va, const tlb::Region *region,
+                       tlb::TlbEntry &entry)
 {
-    DomainVirtScheme &s = owner_;
     if (!region) {
         entry.domain = kNullDomain;
         return 0;
     }
     // DRT walk, performed in parallel with the page table walk; the
     // DRT is shallower than the page table, so no extra latency.
-    ++s.drtWalks;
-    auto walk = s.drt_.walk(va);
+    ++drtWalks;
+    auto walk = drt_.walk(va);
     entry.domain = walk.found ? walk.domain : kNullDomain;
     entry.key = kNullKey; // This design has no protection keys.
     return 0;
+}
+
+Perm
+DomainVirtScheme::ptGet(DomainId domain, ThreadId tid) const
+{
+    const DrtInfo *info = domains_.find(domain);
+    return info ? info->perms.get(tid) : Perm::None;
 }
 
 void
 DomainVirtScheme::writeback(ThreadId tid, const PtlbEntry &entry)
 {
     ++ptlbWritebacks;
-    pt_.set(entry.domain, tid, entry.perm);
+    if (DrtInfo *info = domains_.find(entry.domain))
+        info->perms.set(tid, entry.perm);
 }
 
 Perm
@@ -81,7 +85,7 @@ DomainVirtScheme::lookupPerm(ThreadId tid, DomainId domain,
         // Accesses are normally issued by the core's running thread;
         // a mismatch means the harness skipped the context switch, so
         // consult the PT directly (functional correctness first).
-        return pt_.get(domain, tid);
+        return ptGet(domain, tid);
     }
     if (PtlbEntry *hit = ptlb.lookup(domain))
         return hit->perm;
@@ -98,7 +102,7 @@ DomainVirtScheme::lookupPerm(ThreadId tid, DomainId domain,
     PtlbEntry entry;
     entry.used = true;
     entry.domain = domain;
-    entry.perm = pt_.get(domain, tid);
+    entry.perm = ptGet(domain, tid);
     entry.dirty = false;
 
     PtlbEntry evicted;
@@ -149,7 +153,8 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // SETPERM on an unattached domain is a no-op (as in every other
     // scheme): without this guard the PT/PTLB would accumulate
     // phantom grants a later attach of the same id would inherit.
-    if (!domains_.find(domain))
+    DrtInfo *info = domains_.find(domain);
+    if (!info)
         return cycles;
 
     profile_.setPerm(domain);
@@ -161,7 +166,7 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // its next access refetches the new value.
     Ptlb &ptlb = *ptlbs_[activeCore_];
     if (tid != curTid_[activeCore_]) {
-        pt_.set(domain, tid, perm);
+        info->perms.set(tid, perm);
         for (CoreId c = 0; c < curTid_.size(); ++c)
             if (curTid_[c] == tid)
                 ptlbs_[c]->invalidate(domain);
@@ -203,15 +208,15 @@ Cycles
 DomainVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                          Perm)
 {
-    panic_if(domains_.find(domain), "domain %u attached twice", domain);
     DrtInfo &info = domains_.claim(domain);
-    info = {domain, base, size};
+    info.base = base;
+    info.size = size;
     drt_.insert(base, size, domain, &info);
     return 0;
 }
 
 Cycles
-DomainVirtScheme::detach(ThreadId tid, DomainId domain)
+DomainVirtScheme::detach(ThreadId, DomainId domain)
 {
     DrtInfo *found = domains_.find(domain);
     if (!found)
@@ -221,11 +226,9 @@ DomainVirtScheme::detach(ThreadId tid, DomainId domain)
     // (dirty values are dead: the domain is going away).
     for (auto &p : ptlbs_)
         p->invalidate(domain);
-    pt_.dropDomain(domain);
     // The unmap itself invalidates the translations on every core
     // (normal munmap shootdown, part of the detach syscall).
     flushRangeAllCores(info.base, info.size);
-    (void)tid;
     drt_.remove(domain);
     info = DrtInfo{};
     return 0;
@@ -253,7 +256,8 @@ DomainVirtScheme::contextSwitch(ThreadId, ThreadId to)
 Perm
 DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    if (!domains_.find(domain))
+    const DrtInfo *info = domains_.find(domain);
+    if (!info)
         return Perm::ReadWrite; // Not a domain: page permission rules.
     for (CoreId c = 0; c < curTid_.size(); ++c) {
         if (tid != curTid_[c])
@@ -261,7 +265,7 @@ DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
         if (const PtlbEntry *e = ptlbs_[c]->probe(domain))
             return e->perm;
     }
-    return pt_.get(domain, tid);
+    return info->perms.get(tid);
 }
 
 std::uint64_t

@@ -15,7 +15,6 @@
 #ifndef PMODV_ARCH_DOMAIN_VIRT_HH
 #define PMODV_ARCH_DOMAIN_VIRT_HH
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -26,63 +25,24 @@
 namespace pmodv::arch
 {
 
-/** Per-domain payload in DRT root entries (bounds for detach). */
+/**
+ * Per-domain payload in DRT root entries: bounds for detach, and the
+ * domain's row of the OS-managed Permission Table (PT), the
+ * (domain, thread) -> 2-bit permission map. The PT is plain cacheable
+ * memory in the paper; it is modelled functionally, with a footprint
+ * estimate for Table VIII.
+ */
 struct DrtInfo
 {
     DomainId domain = kNullDomain; ///< kNullDomain: not attached.
     Addr base = 0;
     Addr size = 0;
-};
-
-/**
- * The OS-managed Permission Table: (domain, thread) -> 2-bit
- * permission. Plain cacheable memory in the paper; modelled
- * functionally with a footprint estimate for Table VIII.
- */
-class PermissionTable
-{
-  public:
-    Perm
-    get(DomainId domain, ThreadId tid) const
-    {
-        return domain < rows_.size() && tid < rows_[domain].size()
-                   ? rows_[domain][tid]
-                   : Perm::None;
-    }
-
-    void
-    set(DomainId domain, ThreadId tid, Perm perm)
-    {
-        if (domain >= rows_.size())
-            rows_.resize(std::size_t{domain} + 1);
-        std::vector<Perm> &row = rows_[domain];
-        if (tid >= row.size())
-            row.resize(std::size_t{tid} + 1, Perm::None);
-        row[tid] = perm;
-    }
-
-    void
-    dropDomain(DomainId domain)
-    {
-        if (domain < rows_.size())
-            rows_[domain].clear();
-    }
-
-    /** Domains holding at least one (possibly None) entry. */
-    std::size_t
-    numDomains() const
-    {
-        return std::count_if(rows_.begin(), rows_.end(),
-                             [](const auto &row) { return !row.empty(); });
-    }
-
-  private:
-    /** Indexed by DomainId, then ThreadId; empty rows hold nothing. */
-    std::vector<std::vector<Perm>> rows_;
+    PermRow perms;
 };
 
 /** Hardware domain virtualization. */
-class DomainVirtScheme : public ProtectionScheme
+class DomainVirtScheme : public ProtectionScheme,
+                         private tlb::TlbFillPolicy
 {
   public:
     DomainVirtScheme(stats::Group *parent, const ProtParams &params,
@@ -103,7 +63,6 @@ class DomainVirtScheme : public ProtectionScheme
     Ptlb &ptlb() { return *ptlbs_[0]; }
     /** Core @p core's private PTLB. */
     Ptlb &ptlbAt(CoreId core) { return *ptlbs_[core]; }
-    const PermissionTable &pt() const { return pt_; }
     const VaRadixTree<DrtInfo> &drt() const { return drt_; }
 
     /** DRT memory footprint in bytes (Table VIII model). */
@@ -117,16 +76,8 @@ class DomainVirtScheme : public ProtectionScheme
     void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb) override;
 
   private:
-    class FillPolicy : public tlb::TlbFillPolicy
-    {
-      public:
-        explicit FillPolicy(DomainVirtScheme &owner) : owner_(owner) {}
-        Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
-                    tlb::TlbEntry &entry) override;
-
-      private:
-        DomainVirtScheme &owner_;
-    };
+    Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
+                tlb::TlbEntry &entry) override;
 
     /**
      * Look the domain up in the PTLB, filling from the PT on a miss.
@@ -134,13 +85,14 @@ class DomainVirtScheme : public ProtectionScheme
      */
     Perm lookupPerm(ThreadId tid, DomainId domain, Cycles &cycles);
 
+    /** @p tid's permission for @p domain in the PT (None if unattached). */
+    Perm ptGet(DomainId domain, ThreadId tid) const;
+
     /** Write @p entry's permission back to the PT. */
     void writeback(ThreadId tid, const PtlbEntry &entry);
 
-    std::unique_ptr<FillPolicy> fillPolicyStorage_;
     VaRadixTree<DrtInfo> drt_;
     DomainTable<DrtInfo> domains_;
-    PermissionTable pt_;
     /** Per-core PTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Ptlb>> ptlbs_;
     /** Per core: the thread whose permissions its PTLB caches. */

@@ -1,5 +1,7 @@
 #include "arch/libmpk.hh"
 
+#include <array>
+
 #include "arch/shootdown_bus.hh"
 #include "common/logging.hh"
 
@@ -12,25 +14,21 @@ LibMpkScheme::LibMpkScheme(stats::Group *parent, const ProtParams &params,
     : ProtectionScheme(parent, "libmpk", params, topo, space),
       ptePatches(this, "pte_patches", "PTE pkey fields rewritten")
 {
-    keyHolder_.fill(kNullDomain);
-    keyStamp_.fill(0);
     setFastCheck(&fastCheckThunk<LibMpkScheme>);
 }
 
 void
 LibMpkScheme::onCoreAttached(CoreId, tlb::TlbHierarchy *tlb)
 {
-    if (!fillPolicyStorage_)
-        fillPolicyStorage_ = std::make_unique<FillPolicy>(*this);
-    tlb->setFillPolicy(fillPolicyStorage_.get());
+    tlb->setFillPolicy(this);
 }
 
 Cycles
-LibMpkScheme::FillPolicy::fill(ThreadId tid, Addr,
-                               const tlb::Region *region,
-                               tlb::TlbEntry &entry)
+LibMpkScheme::fill(ThreadId tid, Addr, const tlb::Region *region,
+                   tlb::TlbEntry &entry)
 {
-    if (!region || region->domain == kNullDomain) {
+    DomainState *st = region ? domains_.find(region->domain) : nullptr;
+    if (!st) {
         entry.key = kNullKey;
         return 0;
     }
@@ -39,85 +37,37 @@ LibMpkScheme::FillPolicy::fill(ThreadId tid, Addr,
     // accesses an unmapped domain, an exception is triggered, and the
     // exception handler selects a domain to unmap and reassigns the
     // key to the new domain").
-    Cycles cycles = 0;
-    auto it = owner_.domains_.find(region->domain);
-    if (it != owner_.domains_.end()) {
-        DomainState &st = it->second;
-        if (st.key == kInvalidKey)
-            cycles = owner_.mapDomain(tid, st, region->domain);
-        entry.key = st.key;
-    } else {
-        entry.key = kNullKey;
-    }
+    const Cycles cycles = st->key == kInvalidKey ? mapDomain(tid, *st) : 0;
+    entry.key = st->key;
     return cycles;
 }
 
-ProtKey
-LibMpkScheme::victimKey() const
-{
-    ProtKey best = kInvalidKey;
-    for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (keyHolder_[k] == kNullDomain)
-            continue;
-        if (best == kInvalidKey || keyStamp_[k] < keyStamp_[best])
-            best = k;
-    }
-    panic_if(best == kInvalidKey,
-             "victimKey() called with no key holders");
-    return best;
-}
-
 Cycles
-LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
+LibMpkScheme::mapDomain(ThreadId tid, DomainState &st)
 {
     Cycles cycles = 0;
 
     // The remap trap is the incoming domain's protection-fill miss.
-    profile_.fillMiss(domain);
+    profile_.fillMiss(st.domain);
 
-    ProtKey key = keyAlloc_.alloc();
+    ProtKey key = keys_.claim(st.domain);
     std::uint64_t patched_pages = 0;
 
     if (key == kInvalidKey) {
         // Evict the LRU key holder: pkey_mprotect() strips the key
         // from every page of the victim domain.
-        ++keyEvictions;
-        const ProtKey victim = victimKey();
-        const DomainId victim_domain = keyHolder_[victim];
-        DomainState &vst = domains_.at(victim_domain);
+        const ProtKey victim = keys_.victim();
+        DomainState &vst = *domains_.find(keys_.holder(victim));
         vst.key = kInvalidKey;
-        keyHolder_[victim] = kNullDomain;
-
         patched_pages += vst.size / 4096;
         // The kernel's PTE rewrites invalidate stale translations of
-        // both ranges on every core. With a shootdown bus the two
-        // ranges go out as one broadcast; responding cores that held
-        // stale entries each add an invalidation charge.
-        ++shootdowns;
-        Cycles inval = 0;
-        std::uint64_t pages = 0;
-        if (bus_) {
-            const std::array<ShootdownRange, 2> ranges{
-                ShootdownRange{vst.base, vst.size},
-                ShootdownRange{st.base, st.size}};
-            const ShootdownResult res =
-                bus_->broadcast(activeCore_, tid, ranges);
-            inval = res.cycles;
-            pages = res.pages;
-        } else {
-            inval = topo_.tlbInvalidationCycles;
-            pages += flushRangeAllCores(vst.base, vst.size);
-            pages += flushRangeAllCores(st.base, st.size);
-        }
-        cycles += inval;
-        cycTlbInvalidation += inval;
-        shootdownPages += pages;
-        profile_.eviction(victim_domain, pages, activeCore_);
-        postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
-                  victim);
-        postEvent(trace::EventKind::Shootdown, tid, victim_domain,
-                  pages);
-        key = victim;
+        // both ranges on every core.
+        const std::array<ShootdownRange, 2> ranges{
+            ShootdownRange{vst.base, vst.size},
+            ShootdownRange{st.base, st.size}};
+        cycles += evictKey(tid, vst.domain, victim, ranges);
+        keys_.release(victim);
+        key = keys_.claim(st.domain); // The only free key: the victim's.
     }
 
     // Trap + pkey_mprotect syscall path, with per-PTE pkey rewrites
@@ -134,16 +84,12 @@ LibMpkScheme::mapDomain(ThreadId tid, DomainState &st, DomainId domain)
     cycSoftware += patch_cycles;
 
     st.key = key;
-    keyHolder_[key] = domain;
-    touchKey(key);
+    keys_.touch(key);
     ++keyRemaps;
-    // The key changed hands: clear its bits in every thread's PKRU
-    // (the victim's grants must not leak to the incoming domain),
-    // then restore each thread's recorded permission for the new
-    // holder — libmpk has no context-switch hook to fix them lazily.
-    pkrus_.resetKey(key);
-    for (const auto &[t, p] : st.perms)
-        pkrus_.forThread(t).setPerm(key, p);
+    // The key changed hands: the victim's grants must not leak to the
+    // incoming domain, and libmpk has no context-switch hook to fix
+    // each thread's recorded permission lazily.
+    pkrus_.loadKey(key, st.perms.threads());
     return cycles;
 }
 
@@ -153,9 +99,10 @@ LibMpkScheme::checkAccess(const AccessContext &ctx)
     const ProtKey key = ctx.entry->key;
     Perm domain_perm = Perm::ReadWrite; // Domainless: page perm only.
     if (key != kNullKey) {
-        touchKey(key);
-        if (keyHolder_[key] != kNullDomain)
-            profile_.access(keyHolder_[key], activeCore_);
+        keys_.touch(key);
+        if (const DomainId holder = keys_.holder(key);
+            holder != kNullDomain)
+            profile_.access(holder, activeCore_);
         domain_perm = pkrus_.forThread(ctx.tid).permFor(key);
     }
     CheckResult res = judge(ctx, domain_perm, 0);
@@ -175,20 +122,19 @@ LibMpkScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     cycles += params_.libmpkFastPathCycles;
     cycSoftware += params_.libmpkFastPathCycles;
 
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    DomainState *st = domains_.find(domain);
+    if (!st)
         return cycles;
     profile_.setPerm(domain);
-    DomainState &st = it->second;
-    st.perms[tid] = perm;
+    st->perms.set(tid, perm);
 
     // Granting access to an unmapped domain triggers the slow path.
-    if (st.key == kInvalidKey && perm != Perm::None)
-        cycles += mapDomain(tid, st, domain);
+    if (st->key == kInvalidKey && perm != Perm::None)
+        cycles += mapDomain(tid, *st);
 
-    if (st.key != kInvalidKey) {
-        pkrus_.forThread(tid).setPerm(st.key, perm);
-        touchKey(st.key);
+    if (st->key != kInvalidKey) {
+        pkrus_.forThread(tid).setPerm(st->key, perm);
+        keys_.touch(st->key);
     }
     return cycles;
 }
@@ -197,28 +143,24 @@ Cycles
 LibMpkScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                      Perm)
 {
-    panic_if(domains_.count(domain), "domain %u attached twice", domain);
-    DomainState st;
+    DomainState &st = domains_.claim(domain);
     st.base = base;
     st.size = size;
-    domains_[domain] = st;
     return 0;
 }
 
 Cycles
 LibMpkScheme::detach(ThreadId, DomainId domain)
 {
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    DomainState *st = domains_.find(domain);
+    if (!st)
         return 0;
-    DomainState &st = it->second;
-    if (st.key != kInvalidKey) {
-        keyHolder_[st.key] = kNullDomain;
-        keyAlloc_.free(st.key);
+    if (st->key != kInvalidKey) {
+        keys_.release(st->key);
         // Functional munmap invalidation on every core; no IPI cost.
-        flushRangeAllCores(st.base, st.size);
+        flushRangeAllCores(st->base, st->size);
     }
-    domains_.erase(it);
+    *st = {};
     return 0;
 }
 
@@ -232,21 +174,19 @@ LibMpkScheme::contextSwitch(ThreadId, ThreadId)
 Perm
 LibMpkScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    auto it = domains_.find(domain);
-    if (it == domains_.end())
+    const DomainState *st = domains_.find(domain);
+    if (!st)
         return Perm::ReadWrite;
-    const DomainState &st = it->second;
-    if (st.key != kInvalidKey)
-        return pkrus_.forThread(tid).permFor(st.key);
-    auto p = st.perms.find(tid);
-    return p == st.perms.end() ? Perm::None : p->second;
+    if (st->key != kInvalidKey)
+        return pkrus_.forThread(tid).permFor(st->key);
+    return st->perms.get(tid);
 }
 
 ProtKey
 LibMpkScheme::keyOf(DomainId domain) const
 {
-    auto it = domains_.find(domain);
-    return it == domains_.end() ? kInvalidKey : it->second.key;
+    const DomainState *st = domains_.find(domain);
+    return st ? st->key : kInvalidKey;
 }
 
 } // namespace pmodv::arch

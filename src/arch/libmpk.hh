@@ -9,22 +9,24 @@
  * rewrites across *every page* of both the victim and the incoming
  * domain, a TLB shootdown and a PKRU write. Eviction cost therefore
  * scales with domain size, the scaling the paper's Figure 6/7 exposes.
+ *
+ * The key cache is the same KeyTable (arch/pkru.hh) the hardware MPK
+ * virtualization evicts from; only who runs the eviction, and what it
+ * costs, differs.
  */
 
 #ifndef PMODV_ARCH_LIBMPK_HH
 #define PMODV_ARCH_LIBMPK_HH
 
-#include <array>
-#include <unordered_map>
-
 #include "arch/pkru.hh"
+#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch
 {
 
 /** libmpk software MPK virtualization. */
-class LibMpkScheme : public ProtectionScheme
+class LibMpkScheme : public ProtectionScheme, private tlb::TlbFillPolicy
 {
   public:
     LibMpkScheme(stats::Group *parent, const ProtParams &params,
@@ -48,38 +50,24 @@ class LibMpkScheme : public ProtectionScheme
     void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb) override;
 
   private:
-    class FillPolicy : public tlb::TlbFillPolicy
-    {
-      public:
-        explicit FillPolicy(LibMpkScheme &owner) : owner_(owner) {}
-        Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
-                    tlb::TlbEntry &entry) override;
-
-      private:
-        LibMpkScheme &owner_;
-    };
-
     struct DomainState
     {
+        DomainId domain = kNullDomain; ///< kNullDomain: not attached.
         ProtKey key = kInvalidKey;
         Addr base = 0;
         Addr size = 0;
-        std::unordered_map<ThreadId, Perm> perms;
+        PermRow perms;
     };
 
-    /** Map @p domain onto a key, evicting if necessary. */
-    Cycles mapDomain(ThreadId tid, DomainState &st, DomainId domain);
+    Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
+                tlb::TlbEntry &entry) override;
 
-    void touchKey(ProtKey key) { keyStamp_[key] = ++keyClock_; }
-    ProtKey victimKey() const;
+    /** Map @p st onto a key, evicting if necessary. */
+    Cycles mapDomain(ThreadId tid, DomainState &st);
 
-    std::unique_ptr<FillPolicy> fillPolicyStorage_;
-    std::unordered_map<DomainId, DomainState> domains_;
-    KeyAllocator keyAlloc_;
+    DomainTable<DomainState> domains_;
+    KeyTable keys_;
     PkruFile pkrus_;
-    std::array<DomainId, kNumProtKeys> keyHolder_{};
-    std::array<std::uint64_t, kNumProtKeys> keyStamp_{};
-    std::uint64_t keyClock_ = 0;
 };
 
 } // namespace pmodv::arch

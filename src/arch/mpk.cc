@@ -10,10 +10,8 @@ MpkScheme::MpkScheme(stats::Group *parent, const ProtParams &params,
                      const tlb::AddressSpace &space)
     : ProtectionScheme(parent, "mpk", params, topo, space),
       keyExhausted(this, "key_exhausted",
-                   "attaches that found no free protection key"),
-      fillPolicy_(*this)
+                   "attaches that found no free protection key")
 {
-    keyHolder_.fill(kNullDomain);
     setFastCheck(&fastCheckThunk<MpkScheme>);
 }
 
@@ -22,15 +20,15 @@ MpkScheme::onCoreAttached(CoreId, tlb::TlbHierarchy *tlb)
 {
     // The pkey stamped into a PTE is core-agnostic: every core's TLB
     // fills through the same policy.
-    tlb->setFillPolicy(&fillPolicy_);
+    tlb->setFillPolicy(this);
 }
 
 Cycles
-MpkScheme::FillPolicy::fill(ThreadId, Addr, const tlb::Region *region,
-                            tlb::TlbEntry &entry)
+MpkScheme::fill(ThreadId, Addr, const tlb::Region *region,
+                tlb::TlbEntry &entry)
 {
     // The pkey field of the PTE, as written by pkey_mprotect().
-    entry.key = region ? owner_.keyOf(region->domain) : kNullKey;
+    entry.key = region ? keyOf(region->domain) : kNullKey;
     if (entry.key == kInvalidKey)
         entry.key = kNullKey;
     return 0;
@@ -40,8 +38,8 @@ CheckResult
 MpkScheme::checkAccess(const AccessContext &ctx)
 {
     const ProtKey key = ctx.entry->key;
-    if (key != kNullKey && keyHolder_[key] != kNullDomain)
-        profile_.access(keyHolder_[key], activeCore_);
+    if (const DomainId holder = keys_.holder(key); holder != kNullDomain)
+        profile_.access(holder, activeCore_);
     // Domainless accesses skip the PKRU check but the page permission
     // still governs (an exhausted-attach PMO keeps its PTE rights).
     const Perm domain_perm =
@@ -58,11 +56,11 @@ MpkScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
 {
     perm = permNormalizeHw(perm);
     const Cycles cycles = chargeSetPerm();
-    auto it = domainKey_.find(domain);
-    if (it != domainKey_.end())
+    const KeyedDomain *d = domains_.find(domain);
+    if (d)
         profile_.setPerm(domain);
-    if (it != domainKey_.end() && it->second != kNullKey)
-        pkrus_.forThread(tid).setPerm(it->second, perm);
+    if (d && d->key != kNullKey)
+        pkrus_.forThread(tid).setPerm(d->key, perm);
     // A domainless PMO (exhausted keys) still executes the WRPKRU.
     return cycles;
 }
@@ -78,7 +76,8 @@ MpkScheme::wrpkruRaw(ThreadId tid, ProtKey key, Perm perm)
 Cycles
 MpkScheme::attach(ThreadId, DomainId domain, Addr, Addr, Perm)
 {
-    ProtKey key = keyAlloc_.alloc();
+    KeyedDomain &d = domains_.claim(domain);
+    ProtKey key = keys_.claim(domain);
     if (key == kInvalidKey) {
         // pkey_alloc() returned ENOSPC: the PMO stays domainless.
         ++keyExhausted;
@@ -88,22 +87,20 @@ MpkScheme::attach(ThreadId, DomainId domain, Addr, Addr, Perm)
         // every thread; a reused key must not leak its previous
         // owner's PKRU grants.
         pkrus_.resetKey(key);
-        keyHolder_[key] = domain;
     }
-    domainKey_[domain] = key;
+    d.key = key;
     return 0;
 }
 
 Cycles
 MpkScheme::detach(ThreadId, DomainId domain)
 {
-    auto it = domainKey_.find(domain);
-    if (it == domainKey_.end())
+    KeyedDomain *d = domains_.find(domain);
+    if (!d)
         return 0;
-    if (it->second != kNullKey) {
-        keyAlloc_.free(it->second);
-        keyHolder_[it->second] = kNullDomain;
-        flushKeyAllCores(it->second);
+    if (d->key != kNullKey) {
+        keys_.release(d->key);
+        flushKeyAllCores(d->key);
     } else {
         // Domainless (exhausted) PMO: no key to flush by, but the
         // munmap behind detach still invalidates the range — without
@@ -111,7 +108,7 @@ MpkScheme::detach(ThreadId, DomainId domain)
         if (const tlb::Region *region = space_.findDomain(domain))
             flushRangeAllCores(region->base, region->size);
     }
-    domainKey_.erase(it);
+    *d = {};
     return 0;
 }
 
@@ -126,17 +123,17 @@ MpkScheme::contextSwitch(ThreadId, ThreadId)
 Perm
 MpkScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    auto it = domainKey_.find(domain);
-    if (it == domainKey_.end() || it->second == kNullKey)
+    const KeyedDomain *d = domains_.find(domain);
+    if (!d || d->key == kNullKey)
         return Perm::ReadWrite; // Domainless: page permission governs.
-    return pkrus_.forThread(tid).permFor(it->second);
+    return pkrus_.forThread(tid).permFor(d->key);
 }
 
 ProtKey
 MpkScheme::keyOf(DomainId domain) const
 {
-    auto it = domainKey_.find(domain);
-    return it == domainKey_.end() ? kInvalidKey : it->second;
+    const KeyedDomain *d = domains_.find(domain);
+    return d ? d->key : kInvalidKey;
 }
 
 } // namespace pmodv::arch

@@ -10,17 +10,15 @@
 #ifndef PMODV_ARCH_MPK_HH
 #define PMODV_ARCH_MPK_HH
 
-#include <array>
-#include <unordered_map>
-
 #include "arch/pkru.hh"
+#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch
 {
 
 /** Stock MPK (no virtualization). */
-class MpkScheme : public ProtectionScheme
+class MpkScheme : public ProtectionScheme, private tlb::TlbFillPolicy
 {
   public:
     MpkScheme(stats::Group *parent, const ProtParams &params,
@@ -49,25 +47,21 @@ class MpkScheme : public ProtectionScheme
     void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb) override;
 
   private:
-    class FillPolicy : public tlb::TlbFillPolicy
+    /** An attached domain and its key (kNullKey: domainless). */
+    struct KeyedDomain
     {
-      public:
-        explicit FillPolicy(MpkScheme &owner) : owner_(owner) {}
-        Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
-                    tlb::TlbEntry &entry) override;
-
-      private:
-        MpkScheme &owner_;
+        DomainId domain = kNullDomain;
+        ProtKey key = kNullKey;
     };
 
-    KeyAllocator keyAlloc_;
+    Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
+                tlb::TlbEntry &entry) override;
+
+    /** Holders give access attribution; domainless PMOs share kNullKey
+     *  and stay unattributed. */
+    KeyTable keys_;
     PkruFile pkrus_;
-    std::unordered_map<DomainId, ProtKey> domainKey_;
-    /** Reverse of domainKey_ for access attribution (kNullDomain when
-     *  the key is free; domainless PMOs share kNullKey and stay
-     *  unattributed). */
-    std::array<DomainId, kNumProtKeys> keyHolder_{};
-    FillPolicy fillPolicy_;
+    DomainTable<KeyedDomain> domains_;
 };
 
 } // namespace pmodv::arch

@@ -20,8 +20,6 @@ MpkVirtScheme::MpkVirtScheme(stats::Group *parent,
 {
     dttlbs_.push_back(std::make_unique<Dttlb>(this,
                                               params_.dttlbEntries));
-    keyHolder_.fill(kNullDomain);
-    keyStamp_.fill(0);
     setFastCheck(&fastCheckThunk<MpkVirtScheme>);
 }
 
@@ -36,9 +34,7 @@ MpkVirtScheme::registerTimelineTracks(stats::TimeSeries &timeline)
 void
 MpkVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 {
-    if (!fillPolicyStorage_)
-        fillPolicyStorage_ = std::make_unique<FillPolicy>(*this);
-    tlb->setFillPolicy(fillPolicyStorage_.get());
+    tlb->setFillPolicy(this);
     // Core 0's DTTLB is built in the constructor ("dttlb"); each
     // further core gets a private one.
     while (dttlbs_.size() <= core) {
@@ -55,52 +51,22 @@ MpkVirtScheme::invalidateDomainAllDttlbs(DomainId domain)
         d->invalidateDomain(domain);
 }
 
-Perm
-MpkVirtScheme::permOf(const DttInfo &info, ThreadId tid) const
-{
-    return tid < info.perms.size() ? info.perms[tid] : Perm::None;
-}
-
-void
-MpkVirtScheme::touchKey(ProtKey key)
-{
-    keyStamp_[key] = ++keyClock_;
-}
-
-ProtKey
-MpkVirtScheme::victimKey() const
-{
-    ProtKey best = kInvalidKey;
-    for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (keyHolder_[k] == kNullDomain)
-            continue;
-        if (best == kInvalidKey || keyStamp_[k] < keyStamp_[best])
-            best = k;
-    }
-    panic_if(best == kInvalidKey,
-             "victimKey() called with no key holders");
-    return best;
-}
-
 void
 MpkVirtScheme::bindKey(ThreadId tid, DttInfo &info, ProtKey key)
 {
     info.key = key;
-    keyHolder_[key] = info.domain;
-    touchKey(key);
+    keys_.touch(key);
     if (topo_.numCores > 1) {
         // Threads on other cores keep running without a context
         // switch, so the remap must be made globally coherent now:
         // the key's old grants are wiped and every thread's stored
         // permission for the new holder is reloaded from the DTT.
-        pkrus_.resetKey(key);
-        for (ThreadId t = 0; t < info.perms.size(); ++t)
-            pkrus_.forThread(t).setPerm(key, info.perms[t]);
+        pkrus_.loadKey(key, info.perms.threads());
     } else {
         // PKRU of the running thread reflects the new domain
         // immediately; other threads reconstruct on their next
         // context switch in.
-        pkrus_.forThread(tid).setPerm(key, permOf(info, tid));
+        pkrus_.forThread(tid).setPerm(key, info.perms.get(tid));
     }
     ++keyRemaps;
 }
@@ -138,29 +104,24 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
     Cycles cycles = 0;
 
     if (info.key != kInvalidKey) {
-        touchKey(info.key);
+        keys_.touch(info.key);
         return cycles;
     }
 
     // Check the free-key structure.
     cycles += params_.freeKeyCheckCycles;
     cycEntryChange += params_.freeKeyCheckCycles;
-    ProtKey key = keyAlloc_.alloc();
+    ProtKey key = keys_.claim(info.domain);
     if (key == kInvalidKey) {
         // No free key: reassign the LRU victim's key.
-        const ProtKey victim = victimKey();
-        const DomainId victim_domain = keyHolder_[victim];
-        DttInfo *victim_info = domains_.find(victim_domain);
-        panic_if(!victim_info, "victim domain %u has no DTT payload",
-                 victim_domain);
-        DttInfo &vinfo = *victim_info;
+        const ProtKey victim = keys_.victim();
+        DttInfo &vinfo = *domains_.find(keys_.holder(victim));
 
         // Unmap the victim: DTT payload updated, DTTLB entry marked
         // invalid + dirty.
         vinfo.key = kInvalidKey;
-        keyHolder_[victim] = kNullDomain;
         for (auto &d : dttlbs_) {
-            if (DttlbEntry *ve = d->findDomain(victim_domain)) {
+            if (DttlbEntry *ve = d->findDomain(vinfo.domain)) {
                 ve->valid = false;
                 ve->key = kNullKey;
                 ve->dirty = true;
@@ -170,33 +131,11 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
         cycEntryChange += params_.dttlbEntryOpCycles;
 
         // Ranged TLB shootdown of the victim's pages, so no stale
-        // VA->key mapping survives. With a shootdown bus (multi-core
-        // replay) the broadcast charges the initiator plus each
-        // responding core that actually held stale entries; without
-        // one (single-core) one flat invalidation charge applies.
-        ++keyEvictions;
-        ++shootdowns;
-        Cycles inval = 0;
-        std::uint64_t pages = 0;
-        if (bus_) {
-            const ShootdownResult res = bus_->broadcast(
-                activeCore_, tid, vinfo.base, vinfo.size);
-            inval = res.cycles;
-            pages = res.pages;
-        } else {
-            inval = topo_.tlbInvalidationCycles;
-            pages = flushRangeAllCores(vinfo.base, vinfo.size);
-        }
-        cycles += inval;
-        cycTlbInvalidation += inval;
-        shootdownPages += pages;
-        profile_.eviction(victim_domain, pages, activeCore_);
-        postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
-                  victim);
-        postEvent(trace::EventKind::Shootdown, tid, victim_domain,
-                  pages);
-
-        key = victim;
+        // VA->key mapping survives.
+        const ShootdownRange range{vinfo.base, vinfo.size};
+        cycles += evictKey(tid, vinfo.domain, victim, {&range, 1});
+        keys_.release(victim);
+        key = keys_.claim(info.domain); // The only free key: the victim's.
     }
 
     bindKey(tid, info, key);
@@ -206,42 +145,40 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
 }
 
 Cycles
-MpkVirtScheme::FillPolicy::fill(ThreadId tid, Addr va,
-                                const tlb::Region *region,
-                                tlb::TlbEntry &entry)
+MpkVirtScheme::fill(ThreadId tid, Addr va, const tlb::Region *region,
+                    tlb::TlbEntry &entry)
 {
     if (!region || region->domain == kNullDomain) {
         entry.key = kNullKey;
         return 0;
     }
 
-    MpkVirtScheme &s = owner_;
     Cycles cycles = 0;
 
-    Dttlb &dttlb = *s.dttlbs_[s.activeCore_];
+    Dttlb &dttlb = *dttlbs_[activeCore_];
     DttInfo *info = nullptr;
     if (DttlbEntry *hit = dttlb.lookupVa(va)) {
         // DTTLB hit: its 1-cycle CAM lookup overlaps the page walk,
         // so no extra latency is charged (DESIGN.md §5).
-        info = s.domains_.find(hit->domain);
+        info = domains_.find(hit->domain);
         panic_if(!info, "DTTLB caches unknown domain");
     } else {
         // DTTLB miss: walk the DTT (Table II: 30 cycles).
-        ++s.dttWalks;
-        cycles += s.params_.dttWalkCycles;
-        s.profile_.fillMiss(region->domain);
-        s.cycTableMiss += s.params_.dttWalkCycles;
-        dttlb.missLatency.sample(s.params_.dttWalkCycles);
-        auto walk = s.dtt_.walk(va);
+        ++dttWalks;
+        cycles += params_.dttWalkCycles;
+        profile_.fillMiss(region->domain);
+        cycTableMiss += params_.dttWalkCycles;
+        dttlb.missLatency.sample(params_.dttWalkCycles);
+        auto walk = dtt_.walk(va);
         panic_if(!walk.found,
                  "mapped PMO region missing from the DTT");
         info = walk.payload;
-        s.postEvent(trace::EventKind::DttlbRefill, tid, info->domain,
-                    s.params_.dttWalkCycles);
+        postEvent(trace::EventKind::DttlbRefill, tid, info->domain,
+                  params_.dttWalkCycles);
     }
 
-    cycles += s.resolveKey(tid, *info);
-    cycles += s.cacheInDttlb(*info);
+    cycles += resolveKey(tid, *info);
+    cycles += cacheInDttlb(*info);
 
     entry.key = info->key == kInvalidKey ? kNullKey : info->key;
     return cycles;
@@ -253,9 +190,10 @@ MpkVirtScheme::checkAccess(const AccessContext &ctx)
     const ProtKey key = ctx.entry->key;
     Perm domain_perm = Perm::ReadWrite; // Domainless: page perm only.
     if (key != kNullKey) {
-        touchKey(key);
-        if (keyHolder_[key] != kNullDomain)
-            profile_.access(keyHolder_[key], activeCore_);
+        keys_.touch(key);
+        if (const DomainId holder = keys_.holder(key);
+            holder != kNullDomain)
+            profile_.access(holder, activeCore_);
         domain_perm = pkrus_.forThread(ctx.tid).permFor(key);
     }
     CheckResult res = judge(ctx, domain_perm, 0);
@@ -276,9 +214,7 @@ MpkVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
 
     profile_.setPerm(domain);
     DttInfo &info = *found;
-    if (tid >= info.perms.size())
-        info.perms.resize(std::size_t{tid} + 1, Perm::None);
-    info.perms[tid] = perm;
+    info.perms.set(tid, perm);
 
     // The DTTLB entry (if cached) is invalidated so the next fill
     // re-reads the DTT, and a key-holding domain is reflected in PKRU
@@ -296,9 +232,7 @@ Cycles
 MpkVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                       Perm)
 {
-    panic_if(domains_.find(domain), "domain %u attached twice", domain);
     DttInfo &info = domains_.claim(domain);
-    info.domain = domain;
     info.base = base;
     info.size = size;
     dtt_.insert(base, size, domain, &info);
@@ -313,8 +247,7 @@ MpkVirtScheme::detach(ThreadId, DomainId domain)
         return 0;
     DttInfo &info = *found;
     if (info.key != kInvalidKey) {
-        keyHolder_[info.key] = kNullDomain;
-        keyAlloc_.free(info.key);
+        keys_.release(info.key);
         // The munmap behind detach invalidates every core's stale
         // translations; functional, so no IPI cost is charged.
         flushRangeAllCores(info.base, info.size);
@@ -329,7 +262,6 @@ Cycles
 MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
 {
     ++contextSwitches;
-    currentThread_ = to;
     Cycles cycles = 0;
 
     // Dirty DTTLB entries are written back to the DTT, then the
@@ -347,8 +279,8 @@ MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
     // key-holding domain, load the domain's permission for `to`.
     Pkru &pkru = pkrus_.forThread(to);
     for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (const DttInfo *info = domains_.find(keyHolder_[k]))
-            pkru.setPerm(k, permOf(*info, to));
+        if (const DttInfo *info = domains_.find(keys_.holder(k)))
+            pkru.setPerm(k, info->perms.get(to));
     }
     return cycles;
 }
@@ -359,13 +291,13 @@ MpkVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
     const DttInfo *info = domains_.find(domain);
     if (!info)
         return Perm::ReadWrite; // Not a domain: page permission rules.
-    return permOf(*info, tid);
+    return info->perms.get(tid);
 }
 
 DomainId
 MpkVirtScheme::domainOfKey(ProtKey key) const
 {
-    return key < kNumProtKeys ? keyHolder_[key] : kNullDomain;
+    return key < kNumProtKeys ? keys_.holder(key) : kNullDomain;
 }
 
 ProtKey

@@ -14,7 +14,6 @@
 #ifndef PMODV_ARCH_MPK_VIRT_HH
 #define PMODV_ARCH_MPK_VIRT_HH
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -31,8 +30,8 @@ struct DttInfo
 {
     /** Key the domain currently maps to (kInvalidKey when unmapped). */
     ProtKey key = kInvalidKey;
-    /** Per-thread domain permission by ThreadId (None past the end). */
-    std::vector<Perm> perms;
+    /** Per-thread domain permissions. */
+    PermRow perms;
     /** Cached region bounds for shootdowns. */
     Addr base = 0;
     Addr size = 0;
@@ -40,7 +39,7 @@ struct DttInfo
 };
 
 /** Hardware MPK virtualization. */
-class MpkVirtScheme : public ProtectionScheme
+class MpkVirtScheme : public ProtectionScheme, private tlb::TlbFillPolicy
 {
   public:
     MpkVirtScheme(stats::Group *parent, const ProtParams &params,
@@ -81,16 +80,8 @@ class MpkVirtScheme : public ProtectionScheme
     void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb) override;
 
   private:
-    class FillPolicy : public tlb::TlbFillPolicy
-    {
-      public:
-        explicit FillPolicy(MpkVirtScheme &owner) : owner_(owner) {}
-        Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
-                    tlb::TlbEntry &entry) override;
-
-      private:
-        MpkVirtScheme &owner_;
-    };
+    Cycles fill(ThreadId tid, Addr va, const tlb::Region *region,
+                tlb::TlbEntry &entry) override;
 
     /**
      * Resolve the key for @p info on a TLB-miss fill, remapping if
@@ -101,32 +92,18 @@ class MpkVirtScheme : public ProtectionScheme
     /** Assign @p key to @p info, updating DTT/DTTLB/PKRU/recency. */
     void bindKey(ThreadId tid, DttInfo &info, ProtKey key);
 
-    /** Pick the LRU victim among current key holders. */
-    ProtKey victimKey() const;
-
-    /** Mark @p key most recently used. */
-    void touchKey(ProtKey key);
-
     /** Install/update the active core's DTTLB entry; returns cycles. */
     Cycles cacheInDttlb(DttInfo &info);
 
     /** Invalidate @p domain in EVERY core's DTTLB. */
     void invalidateDomainAllDttlbs(DomainId domain);
 
-    Perm permOf(const DttInfo &info, ThreadId tid) const;
-
-    std::unique_ptr<FillPolicy> fillPolicyStorage_;
     VaRadixTree<DttInfo> dtt_;
     DomainTable<DttInfo> domains_;
     /** Per-core DTTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Dttlb>> dttlbs_;
-    KeyAllocator keyAlloc_;
+    KeyTable keys_;
     PkruFile pkrus_;
-    std::array<DomainId, kNumProtKeys> keyHolder_{};
-    /** LRU stamps for victim selection among key holders. */
-    std::array<std::uint64_t, kNumProtKeys> keyStamp_{};
-    std::uint64_t keyClock_ = 0;
-    ThreadId currentThread_ = 0;
 };
 
 } // namespace pmodv::arch

@@ -55,42 +55,42 @@ Pkru::setPerm(ProtKey key, Perm perm)
 }
 
 ProtKey
-KeyAllocator::alloc()
+KeyTable::claim(DomainId domain)
 {
-    for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        const std::uint16_t bit = 1u << k;
-        if (!(taken_ & bit)) {
-            taken_ |= bit;
-            return k;
-        }
-    }
-    return kInvalidKey;
+    // Compare every holder at once (no branch on where a free key
+    // sits): bit k is set when key k is free.
+    std::uint32_t free = 0;
+    for (unsigned k = 1; k < kNumProtKeys; ++k)
+        free |= std::uint32_t{holder_[k] == kNullDomain} << k;
+    if (free == 0)
+        return kInvalidKey;
+    const auto key = static_cast<ProtKey>(std::countr_zero(free));
+    holder_[key] = domain;
+    return key;
 }
 
 bool
-KeyAllocator::free(ProtKey key)
+KeyTable::release(ProtKey key)
 {
-    if (key == 0 || key >= kNumProtKeys)
+    if (key == kNullKey || key >= kNumProtKeys ||
+        holder_[key] == kNullDomain)
         return false;
-    const std::uint16_t bit = 1u << key;
-    if (!(taken_ & bit))
-        return false;
-    taken_ &= ~bit;
+    holder_[key] = kNullDomain;
     return true;
 }
 
-bool
-KeyAllocator::isAllocated(ProtKey key) const
+ProtKey
+KeyTable::victim() const
 {
-    if (key == 0 || key >= kNumProtKeys)
-        return false;
-    return taken_ & (1u << key);
-}
-
-unsigned
-KeyAllocator::allocatedCount() const
-{
-    return static_cast<unsigned>(std::popcount(taken_));
+    ProtKey best = kInvalidKey;
+    for (ProtKey k = 1; k < kNumProtKeys; ++k) {
+        if (holder_[k] == kNullDomain)
+            continue;
+        if (best == kInvalidKey || stamp_[k] < stamp_[best])
+            best = k;
+    }
+    panic_if(best == kInvalidKey, "KeyTable::victim() with no key held");
+    return best;
 }
 
 } // namespace pmodv::arch

@@ -2,7 +2,8 @@
  * @file
  * The MPK register-level substrate: per-thread PKRU register state
  * (2 bits per protection key: access-disable and write-disable, as in
- * the Intel SDM) and the kernel-side protection-key allocator.
+ * the Intel SDM) and the protection-key table every key-based scheme
+ * keeps.
  */
 
 #ifndef PMODV_ARCH_PKRU_HH
@@ -10,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -50,39 +52,40 @@ class Pkru
 };
 
 /**
- * Kernel protection-key allocator (pkey_alloc / pkey_free). Key 0 is
- * reserved as the default/domainless key and never handed out.
+ * The 16-entry protection-key table of the key-based schemes: which
+ * domain holds each key (pkey_alloc / pkey_free) and, for the schemes
+ * that virtualize keys, when it was last touched. A key is free
+ * exactly when its holder is kNullDomain. Key 0 is reserved as the
+ * default/domainless key and never handed out.
  */
-class KeyAllocator
+class KeyTable
 {
   public:
-    KeyAllocator() = default;
+    KeyTable() { holder_.fill(kNullDomain); }
 
     /**
-     * Allocate an unused key; returns kInvalidKey when all 15
-     * allocatable keys are taken (the ENOSPC case the paper
+     * Give the lowest free key to @p domain; returns kInvalidKey when
+     * all 15 allocatable keys are held (the ENOSPC case the paper
      * highlights).
      */
-    ProtKey alloc();
+    ProtKey claim(DomainId domain);
 
-    /** Free a previously allocated key; false if it was not taken. */
-    bool free(ProtKey key);
+    /** Free @p key; false for key 0, an out-of-range or a free key. */
+    bool release(ProtKey key);
 
-    /** True when @p key is currently allocated. */
-    bool isAllocated(ProtKey key) const;
+    /** The domain holding @p key (< kNumProtKeys; kNullDomain: free). */
+    DomainId holder(ProtKey key) const { return holder_[key]; }
 
-    /** Number of keys currently allocated (excluding key 0). */
-    unsigned allocatedCount() const;
+    /** Mark @p key most recently used. */
+    void touch(ProtKey key) { stamp_[key] = ++clock_; }
 
-    /** Number of keys still available. */
-    unsigned freeCount() const
-    {
-        return (kNumProtKeys - 1) - allocatedCount();
-    }
+    /** The least recently touched held key (panics if none is held). */
+    ProtKey victim() const;
 
   private:
-    /** Bitmap over keys 1..15; bit set = allocated. */
-    std::uint16_t taken_ = 0;
+    std::array<DomainId, kNumProtKeys> holder_;
+    std::array<std::uint64_t, kNumProtKeys> stamp_{};
+    std::uint64_t clock_ = 0;
 };
 
 /**
@@ -127,6 +130,19 @@ class PkruFile
     {
         for (Pkru &pkru : regs_)
             pkru.setPerm(key, Perm::None);
+    }
+
+    /**
+     * Hand @p key to a new holder on every thread at once: resetKey(),
+     * then load each thread's permission for the holder from @p perms
+     * (indexed by ThreadId).
+     */
+    void
+    loadKey(ProtKey key, std::span<const Perm> perms)
+    {
+        resetKey(key);
+        for (ThreadId t = 0; t < perms.size(); ++t)
+            forThread(t).setPerm(key, perms[t]);
     }
 
   private:

@@ -6,7 +6,7 @@
  *  - the Domain Translation Table (DTT) of the MPK-virtualization
  *    design (payload: current key + per-thread permissions), and
  *  - the Domain Range Table (DRT) of the domain-virtualization design
- *    (payload: none, only the domain id).
+ *    (payload: the domain's Permission Table row).
  *
  * The tree has four levels matching x86-64 paging (PML4/PDPT/PD/PT:
  * 512 GB / 1 GB / 2 MB / 4 KB slots). A slot is either empty, a
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -265,7 +266,36 @@ class VaRadixTree
 };
 
 /**
- * Per-domain payloads indexed by DomainId (dense small integers, as in
+ * One domain's permission for each thread, indexed by ThreadId (dense
+ * small integers in every trace). A thread past the end holds None.
+ */
+class PermRow
+{
+  public:
+    Perm
+    get(ThreadId tid) const
+    {
+        return tid < perms_.size() ? perms_[tid] : Perm::None;
+    }
+
+    void
+    set(ThreadId tid, Perm perm)
+    {
+        if (tid >= perms_.size())
+            perms_.resize(std::size_t{tid} + 1, Perm::None);
+        perms_[tid] = perm;
+    }
+
+    /** Every stored permission, thread 0 first. */
+    std::span<const Perm> threads() const { return perms_; }
+
+  private:
+    std::vector<Perm> perms_;
+};
+
+/**
+ * The per-domain registry of every key/domain scheme: payloads indexed
+ * by DomainId (dense small integers below kMaxDomains, as in
  * DomainProfile). A deque grows without moving its elements, so the
  * pointers a radix tree's root records hold stay valid. A record whose
  * `domain` is kNullDomain is not attached; detach resets it in place.
@@ -278,12 +308,16 @@ class DomainTable
     T *find(DomainId d) { return has(d) ? &rows_[d] : nullptr; }
     const T *find(DomainId d) const { return has(d) ? &rows_[d] : nullptr; }
 
-    /** @p d's record slot, created on first use. */
+    /** Attach @p d: its record slot, created on first use. */
     T &
     claim(DomainId d)
     {
+        panic_if(d == kNullDomain || d >= kMaxDomains,
+                 "domain %u is outside the registry", d);
+        panic_if(has(d), "domain %u attached twice", d);
         if (d >= rows_.size())
             rows_.resize(std::size_t{d} + 1);
+        rows_[d].domain = d;
         return rows_[d];
     }
 

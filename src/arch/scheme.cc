@@ -1,5 +1,6 @@
 #include "arch/scheme.hh"
 
+#include "arch/shootdown_bus.hh"
 #include "common/logging.hh"
 #include "stats/timeseries.hh"
 
@@ -123,6 +124,34 @@ ProtectionScheme::flushKeyAllCores(ProtKey key)
         if (tlb)
             tlb->flushKey(key);
     }
+}
+
+Cycles
+ProtectionScheme::evictKey(ThreadId tid, DomainId victim_domain,
+                           ProtKey victim_key,
+                           std::span<const ShootdownRange> ranges)
+{
+    ++keyEvictions;
+    ++shootdowns;
+    Cycles inval = 0;
+    std::uint64_t pages = 0;
+    if (bus_) {
+        const ShootdownResult res =
+            bus_->broadcast(activeCore_, tid, ranges);
+        inval = res.cycles;
+        pages = res.pages;
+    } else {
+        inval = topo_.tlbInvalidationCycles;
+        for (const ShootdownRange &r : ranges)
+            pages += flushRangeAllCores(r.base, r.size);
+    }
+    cycTlbInvalidation += inval;
+    shootdownPages += pages;
+    profile_.eviction(victim_domain, pages, activeCore_);
+    postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
+              victim_key);
+    postEvent(trace::EventKind::Shootdown, tid, victim_domain, pages);
+    return inval;
 }
 
 void

@@ -13,6 +13,7 @@
 #ifndef PMODV_ARCH_SCHEME_HH
 #define PMODV_ARCH_SCHEME_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@ namespace pmodv::arch
 {
 
 class ShootdownBus;
+struct ShootdownRange;
 
 /** Why an access was denied. */
 enum class FaultKind : std::uint8_t
@@ -260,6 +262,20 @@ class ProtectionScheme : public stats::Group
 
     /** As flushRangeAllCores(), for a protection key. */
     void flushKeyAllCores(ProtKey key);
+
+    /**
+     * The shootdown work of one key eviction: @p victim_domain lost
+     * @p victim_key and the translations of @p ranges go stale on
+     * every core. With a shootdown bus the ranges go out as one
+     * broadcast, charging the initiator plus each responding core that
+     * held stale entries; without one (single-core) the ranges are
+     * flushed in line for one flat invalidation charge. Counts the
+     * eviction and its shootdown, attributes them, posts the
+     * KeyEviction and Shootdown events and returns the cycles.
+     */
+    Cycles evictKey(ThreadId tid, DomainId victim_domain,
+                    ProtKey victim_key,
+                    std::span<const ShootdownRange> ranges);
 
     /** Post to the event ring (no-op when none is connected). */
     void

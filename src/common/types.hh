@@ -33,6 +33,13 @@ using DomainId = std::uint32_t;
 /** The reserved domainless identifier. */
 inline constexpr DomainId kNullDomain = 0;
 
+/**
+ * Bound of the domain-id space. Per-domain tables are indexed by
+ * DomainId, so trace files naming a domain at or above it are
+ * rejected at load and the registry never grows past it.
+ */
+inline constexpr DomainId kMaxDomains = DomainId{1} << 20;
+
 /** An MPK protection key (4 bits architecturally: 0..15). */
 using ProtKey = std::uint8_t;
 

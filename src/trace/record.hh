@@ -111,6 +111,14 @@ struct TraceRecord
     std::uint64_t addr = 0; ///< Virtual address where applicable.
     std::uint64_t value = 0; ///< Extra payload (sizes etc.).
 
+    /** True for the records whose @c aux names a domain. */
+    bool
+    namesDomain() const
+    {
+        return type == RecordType::SetPerm ||
+               type == RecordType::Attach || type == RecordType::Detach;
+    }
+
     /** Build an instruction-block record. */
     static TraceRecord
     instBlock(std::uint16_t tid, std::uint32_t count)

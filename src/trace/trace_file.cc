@@ -252,24 +252,25 @@ TraceFileReader::loadIntoStore()
 std::shared_ptr<const TraceBuffer>
 TraceFileReader::view()
 {
-    if (version_ != kTraceVersion)
-        return loadIntoStore();
-
     std::shared_ptr<const TraceBuffer> buf;
-    const std::size_t map_bytes =
-        headerBytes_ + count_ * sizeof(TraceRecord);
-    void *map = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE,
-                       ::fileno(file_), 0);
-    if (map != MAP_FAILED) {
-        const auto *records = reinterpret_cast<const TraceRecord *>(
-            static_cast<const char *>(map) + headerBytes_);
-        buf = TraceBuffer::adoptMapping(map, map_bytes, records, count_,
-                                        headerSummary_);
-    } else {
-        buf = loadIntoStore();
+    if (version_ == kTraceVersion) {
+        const std::size_t map_bytes =
+            headerBytes_ + count_ * sizeof(TraceRecord);
+        void *map = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE,
+                           ::fileno(file_), 0);
+        if (map != MAP_FAILED) {
+            const auto *records = reinterpret_cast<const TraceRecord *>(
+                static_cast<const char *>(map) + headerBytes_);
+            buf = TraceBuffer::adoptMapping(map, map_bytes, records,
+                                            count_, headerSummary_);
+        }
     }
-    // Verify the body against the header before anyone replays from
-    // it. A full recompute also covers the RecordStore fallback.
+    if (!buf)
+        buf = loadIntoStore();
+    // Check the body before anyone replays from it: every record type
+    // is known and every domain lies below kMaxDomains. For v2 files a
+    // full recompute also verifies the body against the header,
+    // covering the RecordStore fallback too.
     TraceSummary actual;
     std::uint64_t checksum = kFnvOffsetBasis;
     const auto body = buf->records();
@@ -277,8 +278,14 @@ TraceFileReader::view()
         const TraceRecord &rec = body[i];
         if (!actual.add(rec))
             unknownType(i, rec.type);
+        fatal_if(rec.namesDomain() && rec.aux >= kMaxDomains,
+                 "trace file '%s' is corrupt: record %zu names domain "
+                 "%u, beyond the bound of %u domains",
+                 path_.c_str(), i, rec.aux, kMaxDomains);
         checksum = fnv1a(checksum, rec);
     }
+    if (version_ != kTraceVersion)
+        return buf;
     fatal_if(checksum != headerChecksum_,
              "trace file '%s' failed checksum verification "
              "(header %016llx, body %016llx)",

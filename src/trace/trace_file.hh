@@ -123,8 +123,8 @@ class TraceFileReader
      * independent of the next() cursor. v2 bodies are mmap'ed
      * zero-copy (read into a RecordStore when mmap is unavailable);
      * v1 bodies are read into a RecordStore. fatal() on a record of
-     * unknown type, a checksum or a count mismatch. May be called
-     * once per reader.
+     * unknown type or naming a domain at or above kMaxDomains, and on
+     * a checksum or a count mismatch. May be called once per reader.
      */
     std::shared_ptr<const TraceBuffer> view();
 

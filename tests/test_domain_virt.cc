@@ -25,6 +25,15 @@ using test::SchemeHarness;
 
 constexpr Addr kSize = Addr{1} << 20;
 
+/** @p tid's permission in the in-memory PT row of the PMO at @p va,
+ *  read through the DRT the way the hardware walker finds it. */
+Perm
+ptPerm(const DomainVirtScheme &virt, Addr va, ThreadId tid)
+{
+    const auto walk = virt.drt().walk(va);
+    return walk.found ? walk.payload->perms.get(tid) : Perm::None;
+}
+
 // ---------------------------------------------------------------
 // PTLB unit tests.
 // ---------------------------------------------------------------
@@ -182,11 +191,11 @@ TEST(DomainVirt, LazyPtWriteBackOnEviction)
     auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
     h.attachGranted(1, pmoBase(0), kSize);
     // SETPERM completes in the PTLB; the PT still has no entry.
-    EXPECT_EQ(virt.pt().get(1, 0), Perm::None);
+    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::None);
     // Force eviction of domain 1's dirty entry.
     h.attachGranted(2, pmoBase(1), kSize, Perm::Read);
     h.attachGranted(3, pmoBase(2), kSize, Perm::Read);
-    EXPECT_EQ(virt.pt().get(1, 0), Perm::ReadWrite);
+    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::ReadWrite);
     EXPECT_GE(virt.ptlbWritebacks.value(), 1.0);
 }
 
@@ -213,7 +222,7 @@ TEST(DomainVirt, ContextSwitchWritesBackOutgoingPerms)
     auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
     h.attachGranted(1, pmoBase(0), kSize); // Grant is dirty in PTLB.
     h.scheme().contextSwitch(0, 5);
-    EXPECT_EQ(virt.pt().get(1, 0), Perm::ReadWrite);
+    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::ReadWrite);
     // Thread 0's permission survives the round trip.
     h.scheme().contextSwitch(5, 0);
     EXPECT_TRUE(h.canWrite(0, pmoBase(0)));
@@ -228,7 +237,11 @@ TEST(DomainVirt, DetachDropsEverything)
     h.detach(1);
     EXPECT_EQ(h.tlbs().l1().probe(pmoBase(0)), nullptr);
     EXPECT_EQ(virt.drt().rootEntryCount(), 0u);
-    EXPECT_EQ(virt.pt().numDomains(), 0u);
+    // The PT row went with the domain: a re-attach of the same id
+    // inherits no grant.
+    h.attach(1, pmoBase(0), kSize);
+    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::None);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 1), Perm::None);
 }
 
 TEST(DomainVirt, DomainlessBypassesPtlb)

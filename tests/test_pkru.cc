@@ -69,42 +69,66 @@ TEST(Pkru, SetPermLeavesOtherKeysUntouched)
     EXPECT_EQ(pkru.raw() & mask, before & mask);
 }
 
-TEST(KeyAllocator, FifteenUsableKeys)
+TEST(KeyTable, FifteenUsableKeys)
 {
-    KeyAllocator alloc;
-    EXPECT_EQ(alloc.freeCount(), 15u);
+    KeyTable keys;
     std::uint16_t seen = 0;
-    for (int i = 0; i < 15; ++i) {
-        const ProtKey k = alloc.alloc();
+    for (DomainId d = 1; d <= 15; ++d) {
+        const ProtKey k = keys.claim(d);
         ASSERT_NE(k, kInvalidKey);
         EXPECT_NE(k, kNullKey); // Key 0 is never handed out.
         EXPECT_LT(k, kNumProtKeys);
         EXPECT_FALSE(seen & (1u << k)) << "duplicate key";
         seen |= 1u << k;
+        EXPECT_EQ(keys.holder(k), d);
     }
-    // The 16th allocation fails: the paper's ENOSPC scenario.
-    EXPECT_EQ(alloc.alloc(), kInvalidKey);
-    EXPECT_EQ(alloc.allocatedCount(), 15u);
+    // The 16th claim fails: the paper's ENOSPC scenario.
+    EXPECT_EQ(keys.claim(16), kInvalidKey);
+    EXPECT_EQ(keys.holder(kNullKey), kNullDomain);
 }
 
-TEST(KeyAllocator, FreeAndReuse)
+TEST(KeyTable, ReleaseAndReuse)
 {
-    KeyAllocator alloc;
-    const ProtKey k = alloc.alloc();
-    EXPECT_TRUE(alloc.isAllocated(k));
-    EXPECT_TRUE(alloc.free(k));
-    EXPECT_FALSE(alloc.isAllocated(k));
-    EXPECT_FALSE(alloc.free(k)); // Double free.
-    EXPECT_EQ(alloc.alloc(), k); // Lowest free key again.
+    KeyTable keys;
+    const ProtKey k = keys.claim(7);
+    const ProtKey other = keys.claim(8);
+    EXPECT_TRUE(keys.release(k));
+    EXPECT_EQ(keys.holder(k), kNullDomain); // Free exactly when unheld.
+    EXPECT_FALSE(keys.release(k)); // Double free.
+    EXPECT_EQ(keys.claim(9), k);   // Lowest free key again.
+    EXPECT_EQ(keys.holder(k), 9u);
+    EXPECT_EQ(keys.holder(other), 8u);
 }
 
-TEST(KeyAllocator, RejectsReservedAndBogusKeys)
+TEST(KeyTable, RejectsReservedAndBogusKeys)
 {
-    KeyAllocator alloc;
-    EXPECT_FALSE(alloc.free(0));
-    EXPECT_FALSE(alloc.free(16));
-    EXPECT_FALSE(alloc.isAllocated(0));
-    EXPECT_FALSE(alloc.isAllocated(200));
+    KeyTable keys;
+    EXPECT_FALSE(keys.release(0));
+    EXPECT_FALSE(keys.release(16));
+    EXPECT_FALSE(keys.release(3)); // Never claimed.
+}
+
+TEST(KeyTable, VictimIsLeastRecentlyTouchedHolder)
+{
+    KeyTable keys;
+    for (DomainId d = 1; d <= 15; ++d)
+        keys.touch(keys.claim(d));
+    // Key 1 is the oldest; touching it makes key 2 the LRU holder.
+    EXPECT_EQ(keys.victim(), 1);
+    keys.touch(1);
+    EXPECT_EQ(keys.victim(), 2);
+    // A free key is never the victim, though its stamp is the oldest,
+    // nor once it is touched again after its release.
+    ASSERT_TRUE(keys.release(2));
+    EXPECT_EQ(keys.victim(), 3);
+    keys.touch(2);
+    EXPECT_EQ(keys.victim(), 3);
+    // Key 2 rejoins as the most recently touched holder.
+    EXPECT_EQ(keys.claim(20), 2);
+    keys.touch(2);
+    for (ProtKey k = 3; k < kNumProtKeys; ++k)
+        keys.touch(k);
+    EXPECT_EQ(keys.victim(), 1);
 }
 
 TEST(PkruFile, PerThreadIsolation)

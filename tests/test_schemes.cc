@@ -177,6 +177,27 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(arch::schemeName(info.param));
     });
 
+// A second attach of a live domain is a caller bug in every scheme;
+// none may silently rebind (stock MPK used to leak the first key).
+class DoubleAttachDeathTest : public EnforcingScheme
+{
+};
+
+TEST_P(DoubleAttachDeathTest, SecondAttachOfALiveDomainPanics)
+{
+    SchemeHarness h(GetParam());
+    h.attach(1, pmoBase(0), kSize);
+    EXPECT_DEATH(h.attach(1, pmoBase(1), kSize), "attached twice");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, DoubleAttachDeathTest,
+    ::testing::Values(SchemeKind::Mpk, SchemeKind::LibMpk,
+                      SchemeKind::MpkVirt, SchemeKind::DomainVirt),
+    [](const ::testing::TestParamInfo<SchemeKind> &info) {
+        return std::string(arch::schemeName(info.param));
+    });
+
 // The pass-through schemes allow everything by design.
 class PassThroughScheme : public ::testing::TestWithParam<SchemeKind>
 {

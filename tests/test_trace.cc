@@ -633,6 +633,39 @@ TEST_F(TraceFileTest, RejectsUnknownRecordTypeInV1Body)
         ::testing::ExitedWithCode(1), "record 4 has unknown type 255");
 }
 
+TEST_F(TraceFileTest, RejectsDomainsAtOrAboveTheRegistryBound)
+{
+    // The last domain below the bound loads; record 2 names 2^32 - 1,
+    // which would size every DomainId-indexed table to 2^32 rows.
+    {
+        TraceFileWriter writer(path_.string());
+        writer.put(TraceRecord::attach(0, kMaxDomains - 1, 0x10000,
+                                       0x4000, Perm::ReadWrite));
+        writer.put(TraceRecord::instBlock(0, 3));
+        writer.put(TraceRecord::attach(0, 0xffffffffu, 0x20000, 0x4000,
+                                       Perm::ReadWrite));
+    }
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            reader.view();
+        },
+        ::testing::ExitedWithCode(1), "record 2 names domain 4294967295");
+
+    // SETPERM and detach name domains too, in v1 files as in v2.
+    for (const TraceRecord &bad :
+         {TraceRecord::setPerm(0, kMaxDomains, Perm::Read),
+          TraceRecord::detach(0, kMaxDomains)}) {
+        writeV1({TraceRecord::instBlock(0, 1), bad});
+        EXPECT_EXIT(
+            {
+                TraceFileReader reader(path_.string());
+                reader.view();
+            },
+            ::testing::ExitedWithCode(1), "record 1 names domain 1048576");
+    }
+}
+
 TEST_F(TraceFileTest, RejectsHeaderCountDisagreement)
 {
     {
