@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,11 +60,16 @@ radixSlotIndex(Addr va, unsigned level)
  * pointer, so the caller keeps each payload at a stable address for
  * as long as its root entries are installed.
  *
- * Host layout (DESIGN.md §8): a node is 512 8-byte slots, pooled with
- * a free list. A slot holds a valid bit, a next-level bit and an index
- * above them: the child node of a directory entry, or the domain whose
- * root record {range, payload} a PMO root entry names. A domain is in
- * the tree through at most one insert() at a time.
+ * Host layout (DESIGN.md §8): the PML4, PDPT and PD levels are nodes
+ * of 512 8-byte slots, pooled with a free list. A slot holds a valid
+ * bit, a next-level bit and an index above them: the child of a
+ * directory entry, or the domain whose root record {range, payload} a
+ * PMO root entry names. A PT node is held as the list of domains whose
+ * 4 KB root entries it contains, ordered by base: one insert() fills
+ * one run of a PT node, its range clipped to the node's 2 MB span, so
+ * the root records name every slot of the node. A domain is in the
+ * tree through at most one insert() at a time. nodeCount(),
+ * rootEntryCount() and walk() describe the modelled page-table tree.
  */
 template <typename Payload>
 class VaRadixTree
@@ -81,7 +85,7 @@ class VaRadixTree
         unsigned depth = 0;
     };
 
-    VaRadixTree() { newNode(); }
+    VaRadixTree() { take(nodes_, freeNodes_); }
 
     /**
      * Install root entries covering [base, base+size) for @p domain,
@@ -106,7 +110,7 @@ class VaRadixTree
         panic_if(records_[domain].size != 0,
                  "domain %u is already in the radix tree", domain);
         records_[domain] = {base, size, payload};
-        fill(0, 0, base, base + size, (Slot{domain} << 2) | kValid);
+        fill(0, 0, base, base + size, domain);
     }
 
     /** Walk the tree for @p va (the hardware walker's algorithm). */
@@ -114,20 +118,27 @@ class VaRadixTree
     walk(Addr va) const
     {
         WalkResult res;
-        const Node *node = nodes_[0].get();
-        for (unsigned level = 0; level < kRadixLevels; ++level) {
+        const Node *node = &nodes_[0];
+        DomainId domain = kNullDomain;
+        for (unsigned level = 0; domain == kNullDomain; ++level) {
             ++res.depth;
             const Slot slot = node->slots[radixSlotIndex(va, level)];
             if (!(slot & kValid))
-                break;
+                return res;
             if (!(slot & kNextLevel)) {
-                res.found = true;
-                res.domain = static_cast<DomainId>(slot >> 2);
-                res.payload = records_[res.domain].payload;
-                break;
+                domain = static_cast<DomainId>(slot >> 2);
+            } else if (level + 1 == kLeafLevel) {
+                ++res.depth;
+                domain = leafDomain(leaves_[slot >> 2], va);
+                if (domain == kNullDomain)
+                    return res;
+            } else {
+                node = &nodes_[slot >> 2];
             }
-            node = nodes_[slot >> 2].get();
         }
+        res.found = true;
+        res.domain = domain;
+        res.payload = records_[domain].payload;
         return res;
     }
 
@@ -142,7 +153,8 @@ class VaRadixTree
         if (domain >= records_.size() || records_[domain].size == 0)
             return 0;
         Record &rec = records_[domain];
-        const unsigned removed = clear(0, 0, rec.base, rec.base + rec.size);
+        const unsigned removed =
+            clear(0, 0, rec.base, rec.base + rec.size, domain);
         rec = Record{};
         roots_ -= removed;
         return removed;
@@ -152,22 +164,29 @@ class VaRadixTree
     std::uint64_t
     nodeCount() const
     {
-        return nodes_.size() - freeNodes_.size();
+        return nodes_.size() - freeNodes_.size() + leaves_.size() -
+               freeLeaves_.size();
     }
 
     /** Total root entries currently installed. */
     std::uint64_t rootEntryCount() const { return roots_; }
 
   private:
-    /** Bit 0 valid, bit 1 next level, bits 2.. node index or domain. */
+    /** Bit 0 valid, bit 1 next level, bits 2.. child index or domain. */
     using Slot = std::uint64_t;
     static constexpr Slot kValid = 1;
     static constexpr Slot kNextLevel = 2;
+
+    /** The PT level, whose nodes are leaves. */
+    static constexpr unsigned kLeafLevel = kRadixLevels - 1;
 
     struct Node
     {
         std::array<Slot, kRadixFanout> slots{};
     };
+
+    /** A PT node: the domains with root entries in it, by base. */
+    using Leaf = std::vector<DomainId>;
 
     /** A domain's insert(): its range (size 0: none) and payload. */
     struct Record
@@ -178,13 +197,14 @@ class VaRadixTree
     };
 
     /**
-     * Install @p root over [va, end) below node @p n at @p level, in
-     * one pass over the node: a run of slots the range covers whole
-     * is filled in a loop, and only a partially covered slot (or a
-     * PML4 slot, which never holds a root entry) descends.
+     * Install @p domain's root entries over [va, end) below node @p n
+     * at @p level, in one pass over the node: a run of slots the range
+     * covers whole is filled in a loop, and only a partially covered
+     * slot (or a PML4 slot, which never holds a root entry) descends.
      */
     void
-    fill(std::uint32_t n, unsigned level, Addr va, Addr end, Slot root)
+    fill(std::uint32_t n, unsigned level, Addr va, Addr end,
+         DomainId domain)
     {
         const unsigned shift = radixSlotShift(level);
         const Addr span = Addr{1} << shift;
@@ -192,51 +212,106 @@ class VaRadixTree
             const unsigned idx = radixSlotIndex(va, level);
             if (level > 0 && isAligned(va, span) && end - va >= span) {
                 const auto run = static_cast<unsigned>((end - va) >> shift);
-                Slot *slots = &nodes_[n]->slots[idx];
+                Slot *slots = &nodes_[n].slots[idx];
                 Slot taken = 0;
                 for (unsigned i = 0; i < run; ++i)
                     taken |= slots[i];
                 panic_if(taken & kValid,
                          "radix insert over an occupied slot");
-                std::fill(slots, slots + run, root);
+                std::fill(slots, slots + run, (Slot{domain} << 2) | kValid);
                 roots_ += run;
                 va += Addr{run} << shift;
                 continue;
             }
-            Slot slot = nodes_[n]->slots[idx];
+            const bool to_leaf = level + 1 == kLeafLevel;
+            Slot slot = nodes_[n].slots[idx];
             if (!(slot & kValid)) {
-                slot = (Slot{newNode()} << 2) | kNextLevel | kValid;
-                nodes_[n]->slots[idx] = slot;
+                const std::uint32_t child =
+                    to_leaf ? take(leaves_, freeLeaves_)
+                            : take(nodes_, freeNodes_);
+                slot = (Slot{child} << 2) | kNextLevel | kValid;
+                nodes_[n].slots[idx] = slot;
             }
             panic_if(!(slot & kNextLevel),
                      "radix insert collides with an existing root entry");
             const Addr next = std::min((va | (span - 1)) + 1, end);
-            fill(static_cast<std::uint32_t>(slot >> 2), level + 1, va,
-                 next, root);
+            const auto child = static_cast<std::uint32_t>(slot >> 2);
+            if (to_leaf)
+                fillLeaf(leaves_[child], va, next, domain);
+            else
+                fill(child, level + 1, va, next, domain);
             va = next;
         }
     }
 
+    /** Add @p domain's run [va, end) of 4 KB root entries to @p leaf. */
+    void
+    fillLeaf(Leaf &leaf, Addr va, Addr end, DomainId domain)
+    {
+        for (const DomainId d : leaf) {
+            const Record &rec = records_[d];
+            panic_if(rec.base < end && va < rec.base + rec.size,
+                     "radix insert over an occupied slot");
+        }
+        leaf.insert(std::upper_bound(leaf.begin(), leaf.end(),
+                                     records_[domain].base, byBase()),
+                    domain);
+        roots_ += (end - va) >> radixSlotShift(kLeafLevel);
+    }
+
+    /** The domain of @p leaf whose root entry holds @p va, if any. */
+    DomainId
+    leafDomain(const Leaf &leaf, Addr va) const
+    {
+        // Runs are disjoint and ordered by base: only the last domain
+        // based at or below va can hold it.
+        const auto it =
+            std::upper_bound(leaf.begin(), leaf.end(), va, byBase());
+        if (it == leaf.begin())
+            return kNullDomain;
+        const Record &rec = records_[it[-1]];
+        return va - rec.base < rec.size ? it[-1] : kNullDomain;
+    }
+
+    /** Orders an address against a domain's recorded base. */
+    auto
+    byBase() const
+    {
+        return [this](Addr va, DomainId d) { return va < records_[d].base; };
+    }
+
     /** Undo fill() of [va, end), pruning the nodes it empties. */
     unsigned
-    clear(std::uint32_t n, unsigned level, Addr va, Addr end)
+    clear(std::uint32_t n, unsigned level, Addr va, Addr end,
+          DomainId domain)
     {
         const Addr span = Addr{1} << radixSlotShift(level);
         unsigned removed = 0;
         while (va < end) {
             const Addr next = std::min((va | (span - 1)) + 1, end);
-            Slot &slot = nodes_[n]->slots[radixSlotIndex(va, level)];
+            Slot &slot = nodes_[n].slots[radixSlotIndex(va, level)];
             if (level > 0 && next - va == span) {
                 slot = 0;
                 ++removed;
             } else if (slot & kNextLevel) {
                 const auto child = static_cast<std::uint32_t>(slot >> 2);
-                removed += clear(child, level + 1, va, next);
-                const auto &slots = nodes_[child]->slots;
-                if (std::all_of(slots.begin(), slots.end(),
-                                [](Slot s) { return s == 0; })) {
-                    freeNodes_.push_back(child);
-                    slot = 0;
+                if (level + 1 == kLeafLevel) {
+                    Leaf &leaf = leaves_[child];
+                    leaf.erase(std::find(leaf.begin(), leaf.end(), domain));
+                    removed += static_cast<unsigned>(
+                        (next - va) >> radixSlotShift(kLeafLevel));
+                    if (leaf.empty()) {
+                        freeLeaves_.push_back(child);
+                        slot = 0;
+                    }
+                } else {
+                    removed += clear(child, level + 1, va, next, domain);
+                    const auto &slots = nodes_[child].slots;
+                    if (std::all_of(slots.begin(), slots.end(),
+                                    [](Slot s) { return s == 0; })) {
+                        freeNodes_.push_back(child);
+                        slot = 0;
+                    }
                 }
             }
             va = next;
@@ -244,22 +319,29 @@ class VaRadixTree
         return removed;
     }
 
-    /** A zeroed node: recycled from the free list or appended. */
-    std::uint32_t
-    newNode()
+    /**
+     * A free index of @p pool: recycled from @p free or appended. A
+     * recycled node is all zero and a recycled leaf empty, as new.
+     */
+    template <typename T>
+    static std::uint32_t
+    take(std::vector<T> &pool, std::vector<std::uint32_t> &free)
     {
-        if (!freeNodes_.empty()) {
-            const std::uint32_t n = freeNodes_.back();
-            freeNodes_.pop_back();
-            return n;
+        if (free.empty()) {
+            pool.emplace_back();
+            return static_cast<std::uint32_t>(pool.size() - 1);
         }
-        nodes_.push_back(std::make_unique<Node>());
-        return static_cast<std::uint32_t>(nodes_.size() - 1);
+        const std::uint32_t i = free.back();
+        free.pop_back();
+        return i;
     }
 
-    /** Node pool; [0] is the PML4 root. Freed nodes are all-zero. */
-    std::vector<std::unique_ptr<Node>> nodes_;
+    /** PML4/PDPT/PD node pool; [0] is the PML4 root. */
+    std::vector<Node> nodes_;
     std::vector<std::uint32_t> freeNodes_;
+    /** PT node pool. */
+    std::vector<Leaf> leaves_;
+    std::vector<std::uint32_t> freeLeaves_;
     /** Root records, indexed by DomainId. */
     std::vector<Record> records_;
     std::uint64_t roots_ = 0;

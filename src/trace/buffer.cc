@@ -80,6 +80,9 @@ RecordStore::makeRoom(std::size_t n)
     fatal_if(map == MAP_FAILED,
              "cannot grow the trace record store to %zu bytes: %s", bytes,
              std::strerror(errno));
+    // A hint, not a knob: huge pages cut the page faults of writing a
+    // large capture, and a kernel without them just ignores it.
+    ::madvise(map, bytes, MADV_HUGEPAGE);
     records_ = static_cast<TraceRecord *>(map);
     mapBytes_ = bytes;
     capacity_ = bytes / sizeof(TraceRecord);

@@ -48,10 +48,12 @@ void
 ServerWorkload::doGet(TraceCtx &ctx, unsigned tenant, std::uint64_t key)
 {
     ++gets_;
-    Tenant &t = tenants_[tenant];
     const auto b = static_cast<unsigned>(key % params_.numBuckets);
-    ctx.load(t.table + Addr{b} * 8);
-    for (const Node &node : t.buckets[b]) {
+    ctx.load(tables_[tenant] + Addr{b} * 8);
+    const std::uint32_t head =
+        heads_[std::size_t{tenant} * params_.numBuckets + b];
+    for (std::uint32_t n = head; n != kNoNode; n = nodes_[n].next) {
+        const Node &node = nodes_[n];
         ctx.load(node.va + kKeyOff);
         if (node.key == key) {
             ctx.load(node.va + kValOff);
@@ -66,10 +68,12 @@ ServerWorkload::doPut(TraceCtx &ctx, SyntheticSpace &space,
                       unsigned tenant, std::uint64_t key)
 {
     ++puts_;
-    Tenant &t = tenants_[tenant];
     const auto b = static_cast<unsigned>(key % params_.numBuckets);
-    ctx.load(t.table + Addr{b} * 8);
-    for (Node &node : t.buckets[b]) {
+    ctx.load(tables_[tenant] + Addr{b} * 8);
+    std::uint32_t &head =
+        heads_[std::size_t{tenant} * params_.numBuckets + b];
+    for (std::uint32_t n = head; n != kNoNode; n = nodes_[n].next) {
+        const Node &node = nodes_[n];
         ctx.load(node.va + kKeyOff);
         if (node.key == key) {
             ctx.store(node.va + kValOff);
@@ -82,8 +86,10 @@ ServerWorkload::doPut(TraceCtx &ctx, SyntheticSpace &space,
     ctx.store(va + kKeyOff);
     ctx.store(va + kValOff);
     ctx.store(va + kNextOff);
-    ctx.store(t.table + Addr{b} * 8);
-    t.buckets[b].insert(t.buckets[b].begin(), Node{key, va});
+    ctx.store(tables_[tenant] + Addr{b} * 8);
+    panic_if(nodes_.size() >= kNoNode, "server chains exceed 2^32 nodes");
+    nodes_.push_back(Node{key, va, head});
+    head = static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
 void
@@ -106,12 +112,18 @@ ServerWorkload::run(TraceCtx &ctx)
     ctx.setThread(0);
 
     // Preload each tenant's table (unmeasured).
-    tenants_.assign(params_.numTenants, Tenant{});
+    tables_.assign(params_.numTenants, 0);
+    heads_.assign(std::size_t{params_.numTenants} * params_.numBuckets,
+                  kNoNode);
+    nodes_.clear();
+    // Each request inserts at most one node: no reallocation ever
+    // holds two copies of the chains, and untouched capacity is never
+    // faulted in.
+    nodes_.reserve(std::size_t{params_.numTenants} * params_.keysPerTenant +
+                   params_.numRequests);
     ctx.setMuted(true);
     for (unsigned i = 0; i < params_.numTenants; ++i) {
-        Tenant &tenant = tenants_[i];
-        tenant.table = space.pmo(i).alloc(Addr{params_.numBuckets} * 8);
-        tenant.buckets.resize(params_.numBuckets);
+        tables_[i] = space.pmo(i).alloc(Addr{params_.numBuckets} * 8);
         for (unsigned k = 0; k < params_.keysPerTenant; ++k)
             doPut(ctx, space, i, k);
     }

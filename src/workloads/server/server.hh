@@ -98,24 +98,31 @@ class ServerWorkload
     std::uint64_t hits() const { return hits_; }
 
   private:
+    /** One KV node of a bucket chain; `next` indexes nodes_. */
     struct Node
     {
         std::uint64_t key;
         Addr va;
+        std::uint32_t next;
     };
 
-    struct Tenant
-    {
-        Addr table = 0; ///< VA of the bucket-head array.
-        std::vector<std::vector<Node>> buckets;
-    };
+    /** The index that ends a chain. */
+    static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
     void doGet(TraceCtx &ctx, unsigned tenant, std::uint64_t key);
     void doPut(TraceCtx &ctx, SyntheticSpace &space, unsigned tenant,
                std::uint64_t key);
 
     ServerParams params_;
-    std::vector<Tenant> tenants_;
+    /** VA of each tenant's bucket-head array. */
+    std::vector<Addr> tables_;
+    /**
+     * The host copy of every tenant's chains: heads_[tenant *
+     * numBuckets + bucket] is the chain's first node, and the nodes of
+     * all tenants share one array.
+     */
+    std::vector<std::uint32_t> heads_;
+    std::vector<Node> nodes_;
     std::uint64_t gets_ = 0;
     std::uint64_t puts_ = 0;
     std::uint64_t hits_ = 0;

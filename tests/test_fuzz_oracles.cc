@@ -168,9 +168,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TlbFuzz,
 // Radix tree vs interval-map oracle.
 // ---------------------------------------------------------------
 
-class RadixFuzz : public ::testing::TestWithParam<std::uint64_t>
-{
-};
 
 /** The greedy decomposition of [base, end): (slot VA, level) pairs. */
 std::vector<std::pair<Addr, unsigned>>
@@ -192,7 +189,21 @@ radixSlots(Addr base, Addr end)
     return slots;
 }
 
-TEST_P(RadixFuzz, WalkMatchesIntervalMap)
+/** Where RadixFuzz draws bases and how large its ranges get. */
+struct RadixFuzzShape
+{
+    Addr grid;          ///< Bases and probes sit on this grid...
+    unsigned slots;     ///< ...at one of this many slots of it.
+    unsigned maxPages;  ///< Sizes are 1..maxPages 4 KB pages.
+};
+
+/**
+ * Insert and remove random non-overlapping ranges and, after every
+ * step, check the tree's entry and node counts and the walks of
+ * random addresses against an interval map.
+ */
+void
+checkRadixAgainstIntervals(std::uint64_t seed, const RadixFuzzShape &shape)
 {
     struct Payload
     {
@@ -200,16 +211,15 @@ TEST_P(RadixFuzz, WalkMatchesIntervalMap)
     arch::VaRadixTree<Payload> tree;
     std::map<Addr, std::pair<Addr, DomainId>> oracle; // base->(end,dom)
 
-    Rng rng(GetParam());
+    Rng rng(seed);
     DomainId next_domain = 1;
     const Addr region = Addr{1} << 36;
 
     for (int i = 0; i < 300; ++i) {
         if (rng.chance(0.6) || oracle.empty()) {
             // Insert a random non-overlapping range.
-            const Addr base =
-                region + rng.next(1 << 12) * (Addr{4} << 20);
-            const Addr size = (1 + rng.next(512)) * 4096;
+            const Addr base = region + rng.next(shape.slots) * shape.grid;
+            const Addr size = (1 + rng.next(shape.maxPages)) * 4096;
             bool overlaps = false;
             for (const auto &[b, es] : oracle)
                 overlaps |= base < es.first && b < base + size;
@@ -244,9 +254,8 @@ TEST_P(RadixFuzz, WalkMatchesIntervalMap)
 
         // Probe random addresses.
         for (int p = 0; p < 20; ++p) {
-            const Addr va =
-                region + rng.next(1 << 12) * (Addr{4} << 20) +
-                rng.next(Addr{4} << 20);
+            const Addr va = region + rng.next(shape.slots) * shape.grid +
+                            rng.next(shape.grid);
             DomainId expect = kNullDomain;
             for (const auto &[b, es] : oracle) {
                 if (va >= b && va < es.first)
@@ -264,7 +273,33 @@ TEST_P(RadixFuzz, WalkMatchesIntervalMap)
     }
 }
 
+class RadixFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+/** Bases on a 4 MB grid, at most 2 MB: no PT node holds two PMOs. */
+TEST_P(RadixFuzz, WalkMatchesIntervalMap)
+{
+    checkRadixAgainstIntervals(GetParam(), {Addr{4} << 20, 1 << 12, 512});
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RadixFuzz,
+                         ::testing::Values(3u, 14u, 159u));
+
+class RadixSharedLeafFuzz : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+/**
+ * Bases on a 4 KB grid inside four 2 MB spans, at most 96 pages: PT
+ * nodes hold many PMOs, which come and go around each other.
+ */
+TEST_P(RadixSharedLeafFuzz, WalkMatchesIntervalMap)
+{
+    checkRadixAgainstIntervals(GetParam(), {4096, 4 * 512, 96});
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RadixSharedLeafFuzz,
                          ::testing::Values(3u, 14u, 159u));
 
 } // namespace

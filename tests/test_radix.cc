@@ -149,6 +149,73 @@ TEST(RadixDeathTest, RejectsDoubleInsert)
     EXPECT_DEATH(tree.insert(0x1000, 0x1000, 2, &shared), "occupied");
 }
 
+/**
+ * Two 1 MB PMOs in one 2 MB span share one PT node: detaching one
+ * keeps it, detaching both prunes it and every directory above it.
+ */
+TEST(Radix, TwoPmosShareOneLeaf)
+{
+    Tree tree;
+    const Addr base = Addr{1} << 33;
+    const Addr mb = Addr{1} << 20;
+    tree.insert(base, mb, 1, &shared);
+    tree.insert(base + mb, mb, 2, &shared);
+    EXPECT_EQ(tree.nodeCount(), 4u);
+    EXPECT_EQ(tree.rootEntryCount(), 512u);
+    EXPECT_EQ(tree.walk(base + mb - 1).domain, 1u);
+    EXPECT_EQ(tree.walk(base + mb).domain, 2u);
+
+    EXPECT_EQ(tree.remove(1), 256u);
+    EXPECT_EQ(tree.nodeCount(), 4u);
+    EXPECT_EQ(tree.rootEntryCount(), 256u);
+    const auto gone = tree.walk(base);
+    EXPECT_FALSE(gone.found);
+    EXPECT_EQ(gone.depth, 4u);
+    EXPECT_EQ(tree.walk(base + 2 * mb - 1).domain, 2u);
+
+    EXPECT_EQ(tree.remove(2), 256u);
+    EXPECT_EQ(tree.nodeCount(), 1u);
+    EXPECT_EQ(tree.rootEntryCount(), 0u);
+    EXPECT_FALSE(tree.walk(base + mb).found);
+}
+
+/**
+ * A 3 MB PMO starting 1.5 MB into a 2 MB span: 128 pages in one PT
+ * node, one 2 MB root entry, 128 pages in the next PT node.
+ */
+TEST(Radix, UnalignedPmoIsLeafEntryLeaf)
+{
+    Tree tree;
+    const Addr span = Addr{2} << 20;
+    const Addr base = (Addr{1} << 33) + span * 3 / 4;
+    const Addr size = Addr{3} << 20;
+    tree.insert(base, size, 9, &shared);
+    EXPECT_EQ(tree.rootEntryCount(), 128u + 1u + 128u);
+    EXPECT_EQ(tree.nodeCount(), 3u + 2u);
+    const unsigned depths[] = {4, 3, 4};
+    const Addr probes[] = {base, base + span / 4, base + size - 1};
+    for (unsigned i = 0; i < 3; ++i) {
+        const auto res = tree.walk(probes[i]);
+        ASSERT_TRUE(res.found);
+        EXPECT_EQ(res.domain, 9u);
+        EXPECT_EQ(res.depth, depths[i]);
+    }
+    EXPECT_FALSE(tree.walk(base - 1).found);
+    EXPECT_FALSE(tree.walk(base + size).found);
+    EXPECT_EQ(tree.remove(9), 257u);
+    EXPECT_EQ(tree.nodeCount(), 1u);
+}
+
+TEST(RadixDeathTest, RejectsOnePageOverlapInsideALeaf)
+{
+    Tree tree;
+    const Addr base = Addr{1} << 33;
+    tree.insert(base, Addr{1} << 20, 1, &shared);
+    EXPECT_DEATH(tree.insert(base + (Addr{1} << 20) - 0x1000, 0x2000, 2,
+                             &shared),
+                 "occupied");
+}
+
 TEST(RadixDeathTest, RejectsSecondInsertOfADomain)
 {
     Tree tree;

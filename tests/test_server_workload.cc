@@ -31,6 +31,7 @@
 #include "stats/export.hh"
 #include "trace/buffer.hh"
 #include "trace/sinks.hh"
+#include "trace/trace_file.hh"
 #include "workloads/server/server.hh"
 
 namespace pmodv
@@ -156,6 +157,54 @@ TEST(ServerCapture, TenantSkewMatchesZipfChiSquare)
     // 31 dof: the 99.9th percentile is ~61. Deterministic seed, so
     // this is really a regression pin with statistical meaning.
     EXPECT_LT(chi2, 90.0);
+}
+
+/** FNV-1a over every field of every record, in trace order. */
+std::uint64_t
+digestOf(const std::vector<trace::TraceRecord> &recs)
+{
+    std::uint64_t h = trace::kFnvOffsetBasis;
+    const auto fold = [&h](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i, v >>= 8)
+            h = (h ^ (v & 0xff)) * trace::kFnvPrime;
+    };
+    for (const trace::TraceRecord &rec : recs) {
+        fold(static_cast<std::uint64_t>(rec.type));
+        fold(rec.flags);
+        fold(rec.tid);
+        fold(rec.aux);
+        fold(rec.addr);
+        fold(rec.value);
+    }
+    return h;
+}
+
+/**
+ * More keys than buckets: the preload chains six nodes per bucket and
+ * new PUT keys push more onto each chain's head, so GETs and PUTs
+ * walk long chains. The count and digest pin the capture record for
+ * record, chain order included.
+ */
+TEST(ServerCapture, LongChainCapturePinned)
+{
+    workloads::ServerParams params;
+    params.numTenants = 8;
+    params.keysPerTenant = 96;
+    params.numBuckets = 16;
+    params.numRequests = 1'500;
+    params.numThreads = 2;
+    params.seed = 11;
+    trace::VectorSink sink;
+    workloads::TraceCtx ctx(sink, params.seed);
+    workloads::ServerWorkload workload(params);
+    workload.run(ctx);
+    const auto span = sink.records();
+    const std::vector<trace::TraceRecord> recs(span.begin(), span.end());
+
+    EXPECT_EQ(workload.gets() + workload.puts(), params.numRequests);
+    EXPECT_EQ(workload.hits(), 855u);
+    EXPECT_EQ(recs.size(), 19395u);
+    EXPECT_EQ(digestOf(recs), 0xe75286de740ae7d2ull);
 }
 
 TEST(ServerReplay, LatencyHistogramsAreBatchSplitInvariant)
