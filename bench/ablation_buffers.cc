@@ -82,6 +82,7 @@ int
 main(int argc, char **argv)
 {
     const auto opt = bench::parseOptions(argc, argv);
+    bench::rejectReportFlags(opt, argv[0]);
 
     workloads::MicroParams mp;
     mp.numPmos = 256;

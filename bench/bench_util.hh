@@ -13,6 +13,7 @@
 #include <climits>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -69,10 +70,34 @@ parseUnsignedList(const std::string &list)
     return out;
 }
 
+/** Print the usage line and exit with @p status (0 for --help). */
+[[noreturn]] inline void
+usage(const char *argv0, int status)
+{
+    std::fprintf(status ? stderr : stdout,
+                 "usage: %s [--quick|--full] [--csv] [--ops N] "
+                 "[--pmos a,b,c] [--tenants a,b,c] [--cores a,b,c] "
+                 "[--jobs N] [--json FILE] [--dump-stats] "
+                 "[--epoch CYCLES] [--trace-out FILE] [--progress]\n",
+                 argv0);
+    std::exit(status);
+}
+
+/**
+ * Parse the common options. An unknown argument, or a value flag with
+ * no value after it, prints the usage and exits 2.
+ */
 inline Options
 parseOptions(int argc, char **argv)
 {
     Options opt;
+    auto value = [&](int &i) {
+        if (i + 1 == argc) {
+            std::fprintf(stderr, "error: %s needs a value\n", argv[i]);
+            usage(argv[0], 2);
+        }
+        return argv[++i];
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
@@ -81,40 +106,56 @@ parseOptions(int argc, char **argv)
             opt.full = true;
         } else if (arg == "--csv") {
             opt.csv = true;
-        } else if (arg == "--ops" && i + 1 < argc) {
-            opt.ops = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--jobs" && i + 1 < argc) {
+        } else if (arg == "--ops") {
+            opt.ops = std::strtoull(value(i), nullptr, 10);
+        } else if (arg == "--jobs") {
             // Saturate, not wrap: "-1" or 2^32 must reach the
             // ThreadPool bound check rather than become 0 or huge.
             opt.jobs = static_cast<unsigned>(std::min<unsigned long>(
-                std::strtoul(argv[++i], nullptr, 10), UINT_MAX));
-        } else if (arg == "--json" && i + 1 < argc) {
-            opt.jsonPath = argv[++i];
+                std::strtoul(value(i), nullptr, 10), UINT_MAX));
+        } else if (arg == "--json") {
+            opt.jsonPath = value(i);
         } else if (arg == "--dump-stats") {
             opt.dumpStats = true;
-        } else if (arg == "--epoch" && i + 1 < argc) {
-            opt.epochCycles = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            opt.traceOut = argv[++i];
+        } else if (arg == "--epoch") {
+            opt.epochCycles = std::strtoull(value(i), nullptr, 10);
+        } else if (arg == "--trace-out") {
+            opt.traceOut = value(i);
         } else if (arg == "--progress") {
             opt.progress = true;
-        } else if (arg == "--pmos" && i + 1 < argc) {
-            opt.pmoCounts = parseUnsignedList(argv[++i]);
-        } else if (arg == "--tenants" && i + 1 < argc) {
-            opt.tenantCounts = parseUnsignedList(argv[++i]);
-        } else if (arg == "--cores" && i + 1 < argc) {
-            opt.coreCounts = parseUnsignedList(argv[++i]);
+        } else if (arg == "--pmos") {
+            opt.pmoCounts = parseUnsignedList(value(i));
+        } else if (arg == "--tenants") {
+            opt.tenantCounts = parseUnsignedList(value(i));
+        } else if (arg == "--cores") {
+            opt.coreCounts = parseUnsignedList(value(i));
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: %s [--quick|--full] [--csv] [--ops N] "
-                        "[--pmos a,b,c] [--tenants a,b,c] "
-                        "[--cores a,b,c] [--jobs N] "
-                        "[--json FILE] [--dump-stats] [--epoch CYCLES] "
-                        "[--trace-out FILE] [--progress]\n",
-                        argv[0]);
-            std::exit(0);
+            usage(argv[0], 0);
+        } else {
+            std::fprintf(stderr, "error: unknown argument '%s'\n",
+                         argv[i]);
+            usage(argv[0], 2);
         }
     }
     return opt;
+}
+
+/**
+ * Exit 2 when a report flag (--json, --dump-stats, --epoch,
+ * --trace-out) was given to a binary that writes no suite report.
+ */
+inline void
+rejectReportFlags(const Options &opt, const char *argv0)
+{
+    if (opt.jsonPath.empty() && !opt.dumpStats && opt.epochCycles == 0 &&
+        opt.traceOut.empty())
+        return;
+    std::fprintf(stderr,
+                 "error: %s writes no suite report; --json, "
+                 "--dump-stats, --epoch and --trace-out are not "
+                 "supported\n",
+                 argv0);
+    std::exit(2);
 }
 
 /**

@@ -99,23 +99,22 @@ DomainVirtScheme::lookupPerm(ThreadId tid, DomainId domain,
     postEvent(trace::EventKind::PtlbRefill, tid, domain,
               params_.ptlbMissCycles);
 
-    PtlbEntry entry;
-    entry.used = true;
-    entry.domain = domain;
-    entry.perm = ptGet(domain, tid);
-    entry.dirty = false;
+    const Perm perm = ptGet(domain, tid);
+    cycles += installPtlb(tid, {true, domain, perm, false});
+    return perm;
+}
 
-    PtlbEntry evicted;
-    bool had_eviction = false;
-    ptlb.insert(entry, evicted, had_eviction);
-    cycles += params_.ptlbEntryOpCycles;
-    cycEntryChange += params_.ptlbEntryOpCycles;
-    if (had_eviction && evicted.dirty) {
-        writeback(tid, evicted);
+Cycles
+DomainVirtScheme::installPtlb(ThreadId tid, const PtlbEntry &entry)
+{
+    Cycles cycles = params_.ptlbEntryOpCycles;
+    const auto evicted = ptlbs_[activeCore_]->insert(entry);
+    if (evicted && evicted->dirty) {
+        writeback(tid, *evicted);
         cycles += params_.ptlbEntryOpCycles;
-        cycEntryChange += params_.ptlbEntryOpCycles;
     }
-    return entry.perm;
+    cycEntryChange += cycles;
+    return cycles;
 }
 
 CheckResult
@@ -185,23 +184,7 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
         return cycles;
     }
 
-    PtlbEntry entry;
-    entry.used = true;
-    entry.domain = domain;
-    entry.perm = perm;
-    entry.dirty = true;
-
-    PtlbEntry evicted;
-    bool had_eviction = false;
-    ptlb.insert(entry, evicted, had_eviction);
-    cycles += params_.ptlbEntryOpCycles;
-    cycEntryChange += params_.ptlbEntryOpCycles;
-    if (had_eviction && evicted.dirty) {
-        writeback(tid, evicted);
-        cycles += params_.ptlbEntryOpCycles;
-        cycEntryChange += params_.ptlbEntryOpCycles;
-    }
-    return cycles;
+    return cycles + installPtlb(tid, {true, domain, perm, true});
 }
 
 Cycles
@@ -262,7 +245,7 @@ DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
     for (CoreId c = 0; c < curTid_.size(); ++c) {
         if (tid != curTid_[c])
             continue;
-        if (const PtlbEntry *e = ptlbs_[c]->probe(domain))
+        if (const PtlbEntry *e = ptlbs_[c]->find(domain))
             return e->perm;
     }
     return info->perms.get(tid);

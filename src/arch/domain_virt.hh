@@ -91,6 +91,12 @@ class DomainVirtScheme : public ProtectionScheme,
     /** Write @p entry's permission back to the PT. */
     void writeback(ThreadId tid, const PtlbEntry &entry);
 
+    /**
+     * Install @p entry in the active core's PTLB, writing a dirty
+     * victim back to the PT. Returns the entry-op cycles charged.
+     */
+    Cycles installPtlb(ThreadId tid, const PtlbEntry &entry);
+
     VaRadixTree<DrtInfo> drt_;
     DomainTable<DrtInfo> domains_;
     /** Per-core PTLBs; [0] exists from construction. */

@@ -1,34 +1,14 @@
 #include "arch/dttlb.hh"
 
-#include <algorithm>
 #include <bit>
-
-#include "common/logging.hh"
 
 namespace pmodv::arch
 {
 
 Dttlb::Dttlb(stats::Group *parent, unsigned entries, std::string name)
-    : stats::Group(parent, std::move(name)),
-      hits(this, "hits", "VA lookups that matched"),
-      misses(this, "misses", "VA lookups that missed"),
-      evictions(this, "evictions", "slots evicted by capacity"),
-      missLatency(this, "miss_latency",
-                  "cycles spent servicing each DTTLB miss"),
-      slots_(entries), base_(entries, 0), size_(entries, 0),
-      tags_(entries + simd::kTagPad, 0), plru_(entries),
-      touchLut_(TreePlru::makeTouchLut(entries))
+    : DomainCam(parent, entries, std::move(name), "DTTLB", "VA"),
+      base_(entries, 0), size_(entries, 0)
 {
-    fatal_if(entries == 0, "DTTLB needs at least one entry");
-}
-
-void
-Dttlb::clearSlot(unsigned i)
-{
-    slots_[i] = DttlbEntry{};
-    base_[i] = 0;
-    size_[i] = 0;
-    tags_[i] = 0;
 }
 
 DttlbEntry *
@@ -43,81 +23,63 @@ Dttlb::lookupVa(Addr va)
         std::uint64_t match = 0;
         for (unsigned i = first; i < end; ++i)
             match |= std::uint64_t{va - base_[i] < size_[i]} << (i - first);
-        if (match) {
-            const unsigned i =
-                first + static_cast<unsigned>(std::countr_zero(match));
-            ++hits;
-            touchSlot(i);
-            return &slots_[i];
-        }
+        if (match)
+            return &hit(first +
+                        static_cast<unsigned>(std::countr_zero(match)));
     }
     ++misses;
     return nullptr;
 }
 
-DttlbEntry *
-Dttlb::findDomain(DomainId domain)
+std::optional<DttlbEntry>
+Dttlb::insert(const DttlbEntry &entry)
 {
-    const int i = simd::findU64(tags_.data(), numEntries(), packTag(domain));
-    return i >= 0 ? &slots_[i] : nullptr;
-}
-
-DttlbEntry &
-Dttlb::insert(const DttlbEntry &entry, DttlbEntry &evicted,
-              bool &had_eviction)
-{
-    had_eviction = false;
-    // Reuse the slot already caching this domain, else a free slot,
-    // else the pseudo-LRU victim.
-    const unsigned n = numEntries();
-    int slot = simd::findU64(tags_.data(), n, packTag(entry.domain));
-    if (slot < 0)
-        slot = simd::findU64(tags_.data(), n, 0);
-    if (slot < 0) {
-        slot = static_cast<int>(plru_.victim());
-        evicted = slots_[slot];
-        had_eviction = true;
-        ++evictions;
-    }
-    slots_[slot] = entry;
-    slots_[slot].used = true;
-    base_[slot] = entry.base;
-    size_[slot] = entry.size;
-    tags_[slot] = packTag(entry.domain);
-    touchSlot(static_cast<unsigned>(slot));
-    return slots_[slot];
+    std::optional<DttlbEntry> evicted;
+    const unsigned i = install(entry, evicted);
+    base_[i] = entry.base;
+    size_[i] = entry.size;
+    return evicted;
 }
 
 bool
-Dttlb::invalidateDomain(DomainId domain)
+Dttlb::invalidate(DomainId domain)
 {
-    const int i = simd::findU64(tags_.data(), numEntries(), packTag(domain));
+    const int i = drop(domain);
     if (i < 0)
         return false;
-    clearSlot(static_cast<unsigned>(i));
+    base_[i] = 0;
+    size_[i] = 0;
     return true;
 }
 
 void
 Dttlb::flushAll(std::vector<DttlbEntry> &dirty_out)
 {
-    for (unsigned i = 0; i < numEntries(); ++i) {
-        if (slots_[i].used && slots_[i].dirty)
-            dirty_out.push_back(slots_[i]);
-        clearSlot(i);
-    }
-    plru_.reset();
+    DomainCam::flushAll(dirty_out);
+    std::fill(base_.begin(), base_.end(), 0);
+    std::fill(size_.begin(), size_.end(), 0);
 }
 
-unsigned
-Dttlb::usedCount() const
+bool
+Dttlb::consistent(std::string *why) const
 {
-    unsigned n = 0;
-    for (const auto &slot : slots_) {
-        if (slot.used)
-            ++n;
+    if (!DomainCam::consistent(why))
+        return false;
+    for (unsigned i = 0; i < numEntries(); ++i) {
+        const DttlbEntry &e = slots_[i];
+        if (base_[i] != (e.used ? e.base : 0) ||
+            size_[i] != (e.used ? e.size : 0))
+            return fail(why, "the range of slot " + std::to_string(i));
+        // Ranges end at or below 2^48, so base + size cannot wrap.
+        for (unsigned j = 0; e.used && j < i; ++j) {
+            if (slots_[j].used && e.base < base_[j] + size_[j] &&
+                base_[j] < e.base + e.size)
+                return fail(why, "slot " + std::to_string(i) +
+                                     ", whose range overlaps slot " +
+                                     std::to_string(j));
+        }
     }
-    return n;
+    return true;
 }
 
 } // namespace pmodv::arch

@@ -12,13 +12,11 @@
 #ifndef PMODV_ARCH_DTTLB_HH
 #define PMODV_ARCH_DTTLB_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/plru.hh"
-#include "common/simd.hh"
-#include "common/types.hh"
-#include "stats/stats.hh"
+#include "arch/domain_cam.hh"
 
 namespace pmodv::arch
 {
@@ -36,25 +34,18 @@ struct DttlbEntry
 };
 
 /**
- * The DTTLB CAM with tree-PLRU slot replacement.
- *
- * Each probe compares every slot and ORs the outcomes into one bit
- * mask, so it never branches on where (or whether) a slot matched.
- * The range and domain tags live in packed rows next to the slot
- * payloads; callers may mutate key/valid/dirty through returned
- * pointers, but never the tags.
+ * The DTTLB: a DomainCam that is also looked up by VA. The range tags
+ * live in two packed rows beside the slots, kept in step by insert(),
+ * invalidate() and flushAll(). lookupVa() compares every slot and ORs
+ * the outcomes into one bit mask, so it never branches on where (or
+ * whether) a slot matched.
  */
-class Dttlb : public stats::Group
+class Dttlb : public DomainCam<DttlbEntry>
 {
   public:
     /** @p name distinguishes per-core instances ("dttlb_core1", ...). */
     Dttlb(stats::Group *parent, unsigned entries,
           std::string name = "dttlb");
-
-    unsigned numEntries() const
-    {
-        return static_cast<unsigned>(slots_.size());
-    }
 
     /**
      * Associative lookup by VA; returns the matching entry (touching
@@ -62,68 +53,25 @@ class Dttlb : public stats::Group
      */
     DttlbEntry *lookupVa(Addr va);
 
-    /** Lookup by domain id without stats side effects. */
-    DttlbEntry *findDomain(DomainId domain);
-
-    /**
-     * Install an entry, evicting a pseudo-LRU slot when full. When an
-     * occupied slot is evicted, a copy of it is left in @p evicted
-     * (and @p had_eviction set) so the caller can write dirty state
-     * back to the DTT. Returns the installed entry.
-     */
-    DttlbEntry &insert(const DttlbEntry &entry, DttlbEntry &evicted,
-                       bool &had_eviction);
-
-    /** Drop the entry of @p domain (SETPERM invalidation); false if
-     *  not cached. */
-    bool invalidateDomain(DomainId domain);
-
-    /**
-     * Flush everything (context switch). Dirty entries are appended
-     * to @p dirty_out so the caller can write them back.
-     */
+    std::optional<DttlbEntry> insert(const DttlbEntry &entry);
+    bool invalidate(DomainId domain);
     void flushAll(std::vector<DttlbEntry> &dirty_out);
 
-    /** Occupied slot count. */
-    unsigned usedCount() const;
-
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar evictions;
-    stats::Histogram missLatency; ///< Cycles per miss (DTT walk).
+    /**
+     * DomainCam::consistent(), plus: the range rows mirror the used
+     * slots, free slots have size 0 and used ranges are disjoint.
+     */
+    bool consistent(std::string *why = nullptr) const;
 
   private:
-    /** Packed domain tag mirrored per slot (0 = unused slot). */
-    static std::uint64_t packTag(DomainId domain)
-    {
-        return (static_cast<std::uint64_t>(domain) << 1) | 1;
-    }
-
-    void touchSlot(unsigned slot)
-    {
-        if (!touchLut_.empty())
-            plru_.touchMasked(touchLut_[slot]);
-        else
-            plru_.touch(slot);
-    }
-
-    /** Empty slot @p i and its tags. */
-    void clearSlot(unsigned i);
-
-    std::vector<DttlbEntry> slots_;
     /**
-     * Range tag per slot. An unused slot has size 0, so the one
-     * unsigned compare va - base < size can never match it. Used
-     * ranges are disjoint (AddressSpace rejects overlapping maps), so
-     * at most one slot contains a VA.
+     * Range tag per slot. A free slot has size 0, so the one unsigned
+     * compare va - base < size can never match it. Used ranges are
+     * disjoint (AddressSpace rejects overlapping maps), so at most one
+     * slot contains a VA.
      */
     std::vector<Addr> base_;
     std::vector<Addr> size_;
-    /** Packed domain tag per slot (+simd::kTagPad zero slots). A
-     *  domain occupies at most one slot (insert dedupes). */
-    std::vector<std::uint64_t> tags_;
-    TreePlru plru_;
-    std::vector<TreePlru::TouchOp> touchLut_;
 };
 
 } // namespace pmodv::arch

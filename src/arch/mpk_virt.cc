@@ -48,7 +48,7 @@ void
 MpkVirtScheme::invalidateDomainAllDttlbs(DomainId domain)
 {
     for (auto &d : dttlbs_)
-        d->invalidateDomain(domain);
+        d->invalidate(domain);
 }
 
 void
@@ -83,13 +83,11 @@ MpkVirtScheme::cacheInDttlb(DttInfo &info)
     entry.valid = info.key != kInvalidKey;
     entry.dirty = true;
 
-    DttlbEntry evicted;
-    bool had_eviction = false;
-    dttlbs_[activeCore_]->insert(entry, evicted, had_eviction);
+    const auto evicted = dttlbs_[activeCore_]->insert(entry);
 
     Cycles cycles = params_.dttlbEntryOpCycles;
     cycEntryChange += params_.dttlbEntryOpCycles;
-    if (had_eviction && evicted.dirty) {
+    if (evicted && evicted->dirty) {
         // Lazy DTT update: the dirty mapping is written back now.
         ++dttlbWritebacks;
         cycles += params_.dttlbEntryOpCycles;
@@ -121,7 +119,7 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
         // invalid + dirty.
         vinfo.key = kInvalidKey;
         for (auto &d : dttlbs_) {
-            if (DttlbEntry *ve = d->findDomain(vinfo.domain)) {
+            if (DttlbEntry *ve = d->find(vinfo.domain)) {
                 ve->valid = false;
                 ve->key = kNullKey;
                 ve->dirty = true;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Vectorized tag-array probes for the flat set-major TLB/cache/PTLB
- * storage. The hot operation is "find the first index whose packed
- * 64-bit tag equals a target" over a small row (4-16 ways).
+ * Vectorized tag-array probes for the flat set-major TLB and cache
+ * storage and the DomainCam tag row. The hot operation is "find the
+ * first index whose packed 64-bit tag equals a target" over a small
+ * row (4-16 ways).
  *
  * Three implementations share one contract:
  *  - scalar loop (always available; forced by -DPMODV_FORCE_SCALAR=ON
@@ -49,13 +50,6 @@ const char *activeImpl();
 int findU64Scalar(const std::uint64_t *a, unsigned n,
                   std::uint64_t target);
 
-/**
- * Reference implementation: index of the first occurrence of the
- * minimum of a[0..n). n must be >= 1. Matches the classic "earliest
- * stamp wins, ties broken by lowest index" LRU victim scan.
- */
-unsigned argminU64Scalar(const std::uint64_t *a, unsigned n);
-
 #if defined(__x86_64__) && !defined(PMODV_FORCE_SCALAR)
 
 /** True when the CPU supports AVX2 (detected once at startup). */
@@ -64,24 +58,6 @@ extern const bool gHaveAvx2;
 /** AVX2 variant, compiled with target("avx2"); only call if gHaveAvx2
  *  and n <= 64 (the width of its match mask). */
 int findU64Avx2(const std::uint64_t *a, unsigned n, std::uint64_t target);
-
-/** AVX2 argmin over a multiple-of-4-sized row; only if gHaveAvx2. */
-unsigned argminU64Avx2(const std::uint64_t *a, unsigned n);
-
-/**
- * Index of the first occurrence of the minimum of a[0..n) — the LRU
- * victim scan. Bit-identical to argminU64Scalar (both return the
- * earliest index of the global minimum), just faster on wide rows.
- */
-inline unsigned
-argminU64(const std::uint64_t *a, unsigned n)
-{
-    if (gForceScalar) [[unlikely]]
-        return argminU64Scalar(a, n);
-    if (n >= 16 && n % 4 == 0 && gHaveAvx2)
-        return argminU64Avx2(a, n);
-    return argminU64Scalar(a, n);
-}
 
 /**
  * First index i < n with a[i] == target, else -1. Rows are probed two
@@ -124,12 +100,6 @@ findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)
 
 #elif defined(__aarch64__) && !defined(PMODV_FORCE_SCALAR)
 
-inline unsigned
-argminU64(const std::uint64_t *a, unsigned n)
-{
-    return argminU64Scalar(a, n);
-}
-
 inline int
 findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)
 {
@@ -150,12 +120,6 @@ findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)
 }
 
 #else // scalar-only build
-
-inline unsigned
-argminU64(const std::uint64_t *a, unsigned n)
-{
-    return argminU64Scalar(a, n);
-}
 
 inline int
 findU64(const std::uint64_t *a, unsigned n, std::uint64_t target)

@@ -2,7 +2,6 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "common/lrurank.hh"
 
 namespace pmodv::mem
 {
@@ -30,6 +29,9 @@ Cache::Cache(stats::Group *parent, const CacheParams &params)
              params_.name.c_str());
     fatal_if(params_.assoc == 0, "cache '%s': associativity must be > 0",
              params_.name.c_str());
+    fatal_if(params_.assoc > lru::kMaxPackedWays,
+             "cache '%s': at most %u ways are supported",
+             params_.name.c_str(), lru::kMaxPackedWays);
     const std::uint64_t lines = params_.sizeBytes / params_.lineBytes;
     fatal_if(lines < params_.assoc || lines % params_.assoc != 0,
              "cache '%s': size/assoc/line geometry is inconsistent",
@@ -43,19 +45,8 @@ Cache::Cache(stats::Group *parent, const CacheParams &params)
     lines_.resize(std::size_t{numSets_} * params_.assoc);
     tags_.assign(lines_.size() + simd::kTagPad, 0);
     setValid_.assign(numSets_, 0);
-    if (params_.repl == ReplPolicy::Lru) {
-        if (params_.assoc <= lru::kMaxPackedWays) {
-            lruRank_.assign(numSets_, 0);
-            lruHighMask_ = lru::rankHighMask(params_.assoc);
-        } else {
-            stamps_.assign(lines_.size(), 0);
-            clocks_.assign(numSets_, 0);
-        }
-    } else {
-        plru_.assign(numSets_, TreePlru(params_.assoc));
-        touchLut_ = TreePlru::makeTouchLut(params_.assoc);
-        victimLut_ = TreePlru::makeVictimLut(params_.assoc);
-    }
+    lruRank_.assign(numSets_, 0);
+    lruHighMask_ = lru::rankHighMask(params_.assoc);
 }
 
 unsigned
@@ -69,31 +60,9 @@ Cache::victimWay(std::size_t si) const
         if (invalid >= 0)
             return static_cast<unsigned>(invalid);
     }
-    if (params_.repl == ReplPolicy::TreePlru) {
-        return victimLut_.valid() ? plru_[si].victimMasked(victimLut_)
-                                  : plru_[si].victim();
-    }
-    // Exact LRU: the packed rank word names the least-recent way in a
-    // couple of ALU ops; wide configs scan stamps (earliest wins).
-    if (!lruRank_.empty())
-        return lru::victimRank(lruRank_[si], lruHighMask_);
-    return simd::argminU64(stamps_.data() + si * params_.assoc,
-                           params_.assoc);
-}
-
-void
-Cache::touchWay(std::size_t si, unsigned way)
-{
-    if (params_.repl == ReplPolicy::TreePlru) {
-        if (!touchLut_.empty())
-            plru_[si].touchMasked(touchLut_[way]);
-        else
-            plru_[si].touch(way);
-    } else if (!lruRank_.empty()) {
-        lruRank_[si] = lru::touchRank(lruRank_[si], way, params_.assoc);
-    } else {
-        stamps_[si * params_.assoc + way] = ++clocks_[si];
-    }
+    // The packed rank word names the least-recent way in a couple of
+    // ALU ops.
+    return lru::victimRank(lruRank_[si], lruHighMask_);
 }
 
 CacheResult

@@ -1,6 +1,6 @@
 /**
  * @file
- * A set-associative cache tag model with LRU / tree-PLRU replacement,
+ * A set-associative cache tag model with exact LRU replacement,
  * write-back write-allocate policy and full statistics. Only tags are
  * tracked (no data): the timing core needs hit/miss outcomes and the
  * paper's fixed per-level latencies.
@@ -13,20 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "common/plru.hh"
+#include "common/lrurank.hh"
 #include "common/simd.hh"
 #include "common/types.hh"
 #include "stats/stats.hh"
 
 namespace pmodv::mem
 {
-
-/** Replacement policies the cache model supports. */
-enum class ReplPolicy : std::uint8_t
-{
-    Lru,      ///< True least-recently-used.
-    TreePlru, ///< Tree pseudo-LRU.
-};
 
 /** Static configuration of one cache level. */
 struct CacheParams
@@ -36,7 +29,6 @@ struct CacheParams
     unsigned assoc = 8;
     unsigned lineBytes = 64;
     Cycles hitLatency = 1;
-    ReplPolicy repl = ReplPolicy::Lru;
 };
 
 /** Outcome of one cache access. */
@@ -51,9 +43,9 @@ struct CacheResult
  * single-threaded replay (each replay pipeline owns its own caches).
  *
  * All lines live in one flat vector (set-major) and the replacement
- * state is flat too — per-way LRU stamps plus a per-set clock, or a
- * by-value TreePlru per set — so the replay hot loop walks contiguous
- * arrays with no per-set heap indirection.
+ * state is flat too — one packed LRU rank word per set — so the replay
+ * hot loop walks contiguous arrays with no per-set heap indirection.
+ * At most 16 ways (lru::kMaxPackedWays) are supported.
  */
 class Cache : public stats::Group
 {
@@ -116,7 +108,10 @@ class Cache : public stats::Group
     }
 
     unsigned victimWay(std::size_t si) const;
-    void touchWay(std::size_t si, unsigned way);
+    void touchWay(std::size_t si, unsigned way)
+    {
+        lruRank_[si] = lru::touchRank(lruRank_[si], way, params_.assoc);
+    }
 
     CacheParams params_;
     unsigned numSets_;
@@ -124,27 +119,15 @@ class Cache : public stats::Group
     std::vector<Line> lines_; ///< numSets_ x assoc, set-major.
     /** Packed tag per way (+simd::kTagPad zero slots), set-major. */
     std::vector<std::uint64_t> tags_;
-    // Exactly one of the two replacement representations is active,
-    // selected by params_.repl.
-    //
     // Exact LRU keeps one packed word per set: a 4-bit recency rank
     // per way (assoc - 1 = MRU, 0 = LRU). This is victim-for-victim
     // identical to per-way timestamp scans — victims are only
     // consulted when the set is full, by which point every way has
     // been touched and the ranks are exactly the recency permutation
-    // of last-touch order — but costs one cache line per set instead
-    // of three (stamp row + clock). Associativities above 16 fall
-    // back to wide per-way stamps.
-    std::vector<std::uint64_t> lruRank_; ///< Lru, assoc<=16: packed ranks.
-    std::vector<std::uint64_t> stamps_; ///< Lru, assoc>16: touch stamps.
-    std::vector<std::uint64_t> clocks_; ///< Lru, assoc>16: set clocks.
-    std::vector<TreePlru> plru_;        ///< TreePlru: per-set tracker.
+    // of last-touch order — but costs one cache line per eight sets.
+    std::vector<std::uint64_t> lruRank_;
     /** Forces unused high nibbles non-zero in the victim search. */
     std::uint64_t lruHighMask_ = 0;
-    /** Branchless touch ops (TreePlru only; empty under Lru). */
-    std::vector<TreePlru::TouchOp> touchLut_;
-    /** Table-driven victim() (TreePlru only; invalid under Lru). */
-    TreePlru::VictimLut victimLut_;
     /** Valid-way count per set: a full set skips the free-way probe. */
     std::vector<std::uint8_t> setValid_;
 };

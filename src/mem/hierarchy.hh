@@ -19,8 +19,8 @@ namespace pmodv::mem
 /** Static configuration of the whole data-memory hierarchy. */
 struct HierarchyParams
 {
-    CacheParams l1{"l1d", 32 * 1024, 8, 64, 1, ReplPolicy::Lru};
-    CacheParams l2{"l2", 1024 * 1024, 16, 64, 8, ReplPolicy::Lru};
+    CacheParams l1{"l1d", 32 * 1024, 8, 64, 1};
+    CacheParams l2{"l2", 1024 * 1024, 16, 64, 8};
     MemoryParams memory{};
 };
 

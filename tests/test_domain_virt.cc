@@ -5,10 +5,16 @@
  * PT write-back, and shootdown-free context switches.
  */
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "arch/domain_virt.hh"
 #include "arch/ptlb.hh"
+#include "common/rng.hh"
+#include "linear_cam.hh"
 #include "scheme_test_util.hh"
 
 namespace pmodv
@@ -53,9 +59,7 @@ TEST(Ptlb, LookupAndStats)
 {
     stats::Group root(nullptr, "");
     Ptlb ptlb(&root, 4);
-    PtlbEntry evicted;
-    bool had = false;
-    ptlb.insert(makeEntry(3, Perm::Read), evicted, had);
+    ptlb.insert(makeEntry(3, Perm::Read));
     EXPECT_NE(ptlb.lookup(3), nullptr);
     EXPECT_EQ(ptlb.lookup(4), nullptr);
     EXPECT_DOUBLE_EQ(ptlb.hits.value(), 1.0);
@@ -66,26 +70,21 @@ TEST(Ptlb, EvictionReturnsVictim)
 {
     stats::Group root(nullptr, "");
     Ptlb ptlb(&root, 2);
-    PtlbEntry evicted;
-    bool had = false;
-    ptlb.insert(makeEntry(1, Perm::Read, true), evicted, had);
-    ptlb.insert(makeEntry(2, Perm::ReadWrite), evicted, had);
-    EXPECT_FALSE(had);
+    ptlb.insert(makeEntry(1, Perm::Read, true));
+    EXPECT_FALSE(ptlb.insert(makeEntry(2, Perm::ReadWrite)));
     ptlb.lookup(2); // Make domain 1 the victim.
-    ptlb.insert(makeEntry(3, Perm::Read), evicted, had);
-    EXPECT_TRUE(had);
-    EXPECT_EQ(evicted.domain, 1u);
-    EXPECT_TRUE(evicted.dirty);
+    const auto evicted = ptlb.insert(makeEntry(3, Perm::Read));
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->domain, 1u);
+    EXPECT_TRUE(evicted->dirty);
 }
 
 TEST(Ptlb, FlushCollectsOnlyDirty)
 {
     stats::Group root(nullptr, "");
     Ptlb ptlb(&root, 4);
-    PtlbEntry evicted;
-    bool had = false;
-    ptlb.insert(makeEntry(1, Perm::Read, true), evicted, had);
-    ptlb.insert(makeEntry(2, Perm::Read, false), evicted, had);
+    ptlb.insert(makeEntry(1, Perm::Read, true));
+    ptlb.insert(makeEntry(2, Perm::Read, false));
     std::vector<PtlbEntry> dirty;
     ptlb.flushAll(dirty);
     ASSERT_EQ(dirty.size(), 1u);
@@ -97,11 +96,103 @@ TEST(Ptlb, InvalidateSingleDomain)
 {
     stats::Group root(nullptr, "");
     Ptlb ptlb(&root, 4);
-    PtlbEntry evicted;
-    bool had = false;
-    ptlb.insert(makeEntry(1, Perm::Read), evicted, had);
+    ptlb.insert(makeEntry(1, Perm::Read));
     EXPECT_TRUE(ptlb.invalidate(1));
     EXPECT_FALSE(ptlb.invalidate(1));
+}
+
+void
+expectSameEntry(const PtlbEntry &a, const PtlbEntry &b)
+{
+    EXPECT_EQ(a.used, b.used);
+    EXPECT_EQ(a.domain, b.domain);
+    EXPECT_EQ(a.perm, b.perm);
+    EXPECT_EQ(a.dirty, b.dirty);
+}
+
+TEST(Ptlb, MatchesLinearScanReference)
+{
+    // Far more domains than the widest buffer, half the draws from a
+    // hot few, and rare flushes, so every size both hits and evicts.
+    constexpr unsigned kDomains = 1024;
+    constexpr unsigned kHot = 4;
+    for (unsigned entries : {1u, 3u, 16u, 64u, 80u, 128u}) {
+        SCOPED_TRACE("entries=" + std::to_string(entries));
+        stats::Group root(nullptr, "");
+        Ptlb cam(&root, entries);
+        test::LinearCam<PtlbEntry> ref(entries);
+        // Reference slot index -> the CAM's entry for that slot.
+        std::vector<PtlbEntry *> slotPtr(entries, nullptr);
+        Rng rng(0x971b + entries);
+        auto pick = [&](std::uint64_t n) { return rng.next(n); };
+        auto perm = [&] { return static_cast<Perm>(pick(4)); };
+
+        auto expectSlot = [&](PtlbEntry *got, int want) {
+            if (want < 0) {
+                EXPECT_EQ(got, nullptr);
+                return;
+            }
+            ASSERT_NE(got, nullptr);
+            ASSERT_NE(slotPtr[want], nullptr);
+            EXPECT_EQ(got, slotPtr[want]);
+            expectSameEntry(*got, ref.slot(static_cast<unsigned>(want)));
+        };
+
+        for (unsigned step = 0; step < 20000; ++step) {
+            const unsigned op = static_cast<unsigned>(pick(1000));
+            const DomainId d =
+                static_cast<DomainId>(pick(pick(2) ? kHot : kDomains));
+            if (op < 350) {
+                const Perm p = perm();
+                const PtlbEntry e = makeEntry(d, p, pick(2));
+                std::optional<PtlbEntry> ev_ref;
+                const auto ev_cam = cam.insert(e);
+                PtlbEntry *got = cam.find(d);
+                const unsigned want = ref.insert(e, ev_ref);
+                ASSERT_EQ(ev_cam.has_value(), ev_ref.has_value())
+                    << "step " << step;
+                if (ev_ref)
+                    expectSameEntry(*ev_cam, *ev_ref);
+                if (!slotPtr[want]) {
+                    for (PtlbEntry *p : slotPtr)
+                        ASSERT_NE(p, got) << "two slots, one entry";
+                    slotPtr[want] = got;
+                }
+                expectSlot(got, static_cast<int>(want));
+            } else if (op < 800) {
+                expectSlot(cam.lookup(d), ref.lookup(d));
+            } else if (op < 900) {
+                const int want = ref.find(d);
+                PtlbEntry *got = cam.find(d);
+                expectSlot(got, want);
+                // Mutate the payload in place, as SETPERM does on a
+                // PTLB hit.
+                if (got) {
+                    got->perm = ref.slot(want).perm = perm();
+                    got->dirty = ref.slot(want).dirty = true;
+                }
+            } else if (op < 999) {
+                ASSERT_EQ(cam.invalidate(d), ref.invalidate(d));
+            } else {
+                std::vector<PtlbEntry> dirty_cam, dirty_ref;
+                cam.flushAll(dirty_cam);
+                ref.flushAll(dirty_ref);
+                ASSERT_EQ(dirty_cam.size(), dirty_ref.size());
+                for (std::size_t i = 0; i < dirty_ref.size(); ++i)
+                    expectSameEntry(dirty_cam[i], dirty_ref[i]);
+                EXPECT_EQ(cam.usedCount(), 0u);
+            }
+            std::string why;
+            ASSERT_TRUE(cam.consistent(&why))
+                << "step " << step << ": " << why;
+            ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
+        }
+        ASSERT_DOUBLE_EQ(cam.hits.value(), ref.hits);
+        ASSERT_DOUBLE_EQ(cam.misses.value(), ref.misses);
+        ASSERT_DOUBLE_EQ(cam.evictions.value(), ref.evictions);
+        ASSERT_GT(ref.hits, 100u);
+        ASSERT_GT(ref.evictions, 100u);
+    }
 }
 
 // ---------------------------------------------------------------

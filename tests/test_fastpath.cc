@@ -4,13 +4,10 @@
  *
  *  - Probes after invalidation: a lookup after any flush,
  *    invalidation or capacity eviction reflects the real contents.
- *  - The PTLB's L0 filter: any structural change must bump its
- *    generation so a stale filter entry can never answer a lookup.
  *  - TreePlru LUTs: touchMasked/victimMasked must track touch()/
  *    victim() exactly over random sequences.
- *  - SIMD probes: findU64/argminU64 must equal the scalar references
- *    on random rows, and findU64 on every match position of every
- *    row width up to 16.
+ *  - SIMD probes: findU64 must equal the scalar reference on random
+ *    rows and on every match position of every row width up to 16.
  *  - Packed-rank LRU: touchRank/victimRank must name the same victim
  *    as the timestamp reference once a set is full.
  */
@@ -21,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/ptlb.hh"
 #include "common/lrurank.hh"
 #include "common/plru.hh"
 #include "common/simd.hh"
@@ -106,7 +102,7 @@ TEST(FastPathProbe, TlbProbeAfterCapacityEviction)
 TEST(FastPathProbe, CacheProbeAfterInvalidate)
 {
     stats::Group root(nullptr, "");
-    mem::Cache c(&root, {"c", 4096, 2, 64, 1, mem::ReplPolicy::Lru});
+    mem::Cache c(&root, {"c", 4096, 2, 64, 1});
     const Addr addr = 0x1000;
     c.access(addr, AccessType::Read);
     EXPECT_TRUE(c.access(addr, AccessType::Read).hit);
@@ -118,27 +114,6 @@ TEST(FastPathProbe, CacheProbeAfterInvalidate)
     c.access(addr, AccessType::Read);
     c.invalidateAll();
     EXPECT_FALSE(c.access(addr, AccessType::Read).hit);
-}
-
-TEST(FastPathL0, PtlbInvalidateBumpsGeneration)
-{
-    stats::Group root(nullptr, "");
-    arch::Ptlb p(&root, 16);
-    arch::PtlbEntry e;
-    e.domain = 3;
-    e.perm = Perm::ReadWrite;
-    arch::PtlbEntry evicted;
-    bool had = false;
-    p.insert(e, evicted, had);
-    ASSERT_NE(p.lookup(3), nullptr);
-    ASSERT_NE(p.lookup(3), nullptr);
-    EXPECT_GE(p.l0Hits(), 1u);
-
-    const std::uint64_t gen = p.generation();
-    ASSERT_TRUE(p.invalidate(3));
-    EXPECT_GT(p.generation(), gen) << "invalidate left generation";
-    EXPECT_EQ(p.lookup(3), nullptr)
-        << "stale L0 hit after the domain was invalidated";
 }
 
 TEST(FastPathPlru, MaskedOpsMatchReference)
@@ -234,21 +209,6 @@ TEST(FastPathSimd, FindU64WideRows)
         expectFind(row, n, 0, -1);
         row[n - 1] = 0;
         expectFind(row, n, 0, static_cast<int>(n - 1));
-    }
-}
-
-TEST(FastPathSimd, ArgminU64MatchesScalar)
-{
-    XorShift rng(0xabcd);
-    for (unsigned n : {1u, 4u, 8u, 16u, 32u}) {
-        std::vector<std::uint64_t> row(n + simd::kTagPad, 0);
-        for (unsigned iter = 0; iter < 500; ++iter) {
-            for (unsigned i = 0; i < n; ++i)
-                row[i] = rng.next() % 16; // dense: frequent ties
-            ASSERT_EQ(simd::argminU64(row.data(), n),
-                      simd::argminU64Scalar(row.data(), n))
-                << "n=" << n;
-        }
     }
 }
 

@@ -71,7 +71,6 @@ TEST_P(CacheFuzz, MatchesLruOracle)
     params.sizeBytes = 4096; // 64 lines.
     params.assoc = 4;        // 16 sets.
     params.lineBytes = 64;
-    params.repl = mem::ReplPolicy::Lru;
     mem::Cache cache(&root, params);
     CacheOracle oracle(16, 4);
 

@@ -5,6 +5,7 @@
  * PKRU reconstruction.
  */
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,8 @@
 
 #include "arch/dttlb.hh"
 #include "arch/mpk_virt.hh"
-#include "common/plru.hh"
 #include "common/rng.hh"
+#include "linear_cam.hh"
 #include "scheme_test_util.hh"
 
 namespace pmodv
@@ -51,10 +52,7 @@ TEST(Dttlb, VaRangeLookup)
 {
     stats::Group root(nullptr, "");
     Dttlb dttlb(&root, 4);
-    DttlbEntry evicted;
-    bool had = false;
-    dttlb.insert(makeEntry(1, 0x10000, 0x4000, 2), evicted, had);
-    EXPECT_FALSE(had);
+    EXPECT_FALSE(dttlb.insert(makeEntry(1, 0x10000, 0x4000, 2)));
     EXPECT_NE(dttlb.lookupVa(0x10000), nullptr);
     EXPECT_NE(dttlb.lookupVa(0x13fff), nullptr);
     EXPECT_EQ(dttlb.lookupVa(0x14000), nullptr);
@@ -66,16 +64,13 @@ TEST(Dttlb, CapacityEvictionReportsVictim)
 {
     stats::Group root(nullptr, "");
     Dttlb dttlb(&root, 2);
-    DttlbEntry evicted;
-    bool had = false;
-    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1), evicted, had);
-    dttlb.insert(makeEntry(2, 0x20000, 0x1000, 2), evicted, had);
-    EXPECT_FALSE(had);
+    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1));
+    EXPECT_FALSE(dttlb.insert(makeEntry(2, 0x20000, 0x1000, 2)));
     // Touch domain 1 so domain 2 is the PLRU victim.
     dttlb.lookupVa(0x10000);
-    dttlb.insert(makeEntry(3, 0x30000, 0x1000, 3), evicted, had);
-    EXPECT_TRUE(had);
-    EXPECT_EQ(evicted.domain, 2u);
+    const auto evicted = dttlb.insert(makeEntry(3, 0x30000, 0x1000, 3));
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->domain, 2u);
     EXPECT_DOUBLE_EQ(dttlb.evictions.value(), 1.0);
 }
 
@@ -83,24 +78,19 @@ TEST(Dttlb, ReinsertSameDomainReusesSlot)
 {
     stats::Group root(nullptr, "");
     Dttlb dttlb(&root, 2);
-    DttlbEntry evicted;
-    bool had = false;
-    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1), evicted, had);
-    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 5), evicted, had);
-    EXPECT_FALSE(had);
+    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1));
+    EXPECT_FALSE(dttlb.insert(makeEntry(1, 0x10000, 0x1000, 5)));
     EXPECT_EQ(dttlb.usedCount(), 1u);
-    EXPECT_EQ(dttlb.findDomain(1)->key, 5u);
+    EXPECT_EQ(dttlb.find(1)->key, 5u);
 }
 
 TEST(Dttlb, InvalidateDomain)
 {
     stats::Group root(nullptr, "");
     Dttlb dttlb(&root, 4);
-    DttlbEntry evicted;
-    bool had = false;
-    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1), evicted, had);
-    EXPECT_TRUE(dttlb.invalidateDomain(1));
-    EXPECT_FALSE(dttlb.invalidateDomain(1));
+    dttlb.insert(makeEntry(1, 0x10000, 0x1000, 1));
+    EXPECT_TRUE(dttlb.invalidate(1));
+    EXPECT_FALSE(dttlb.invalidate(1));
     EXPECT_EQ(dttlb.usedCount(), 0u);
 }
 
@@ -108,109 +98,18 @@ TEST(Dttlb, FlushCollectsDirtyEntries)
 {
     stats::Group root(nullptr, "");
     Dttlb dttlb(&root, 4);
-    DttlbEntry evicted;
-    bool had = false;
     auto e1 = makeEntry(1, 0x10000, 0x1000, 1);
     e1.dirty = true;
     auto e2 = makeEntry(2, 0x20000, 0x1000, 2);
     e2.dirty = false;
-    dttlb.insert(e1, evicted, had);
-    dttlb.insert(e2, evicted, had);
+    dttlb.insert(e1);
+    dttlb.insert(e2);
     std::vector<DttlbEntry> dirty;
     dttlb.flushAll(dirty);
     ASSERT_EQ(dirty.size(), 1u);
     EXPECT_EQ(dirty[0].domain, 1u);
     EXPECT_EQ(dttlb.usedCount(), 0u);
 }
-
-/**
- * The DTTLB as a plain linear scan, with the range rule written out
- * as va >= base && va < base + size: the reference the CAM probes are
- * checked against.
- */
-class LinearDttlb
-{
-  public:
-    explicit LinearDttlb(unsigned entries) : slots_(entries), plru_(entries)
-    {}
-
-    int
-    lookupVa(Addr va)
-    {
-        for (unsigned i = 0; i < slots_.size(); ++i) {
-            const DttlbEntry &e = slots_[i];
-            if (e.used && va >= e.base && va < e.base + e.size) {
-                ++hits;
-                plru_.touch(i);
-                return static_cast<int>(i);
-            }
-        }
-        ++misses;
-        return -1;
-    }
-
-    int
-    findDomain(DomainId domain) const
-    {
-        for (unsigned i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].used && slots_[i].domain == domain)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
-
-    unsigned
-    insert(const DttlbEntry &entry, DttlbEntry &evicted, bool &had)
-    {
-        had = false;
-        int slot = findDomain(entry.domain);
-        for (unsigned i = 0; slot < 0 && i < slots_.size(); ++i) {
-            if (!slots_[i].used)
-                slot = static_cast<int>(i);
-        }
-        if (slot < 0) {
-            slot = static_cast<int>(plru_.victim());
-            evicted = slots_[slot];
-            had = true;
-            ++evictions;
-        }
-        slots_[slot] = entry;
-        slots_[slot].used = true;
-        plru_.touch(static_cast<unsigned>(slot));
-        return static_cast<unsigned>(slot);
-    }
-
-    bool
-    invalidateDomain(DomainId domain)
-    {
-        const int i = findDomain(domain);
-        if (i < 0)
-            return false;
-        slots_[i] = DttlbEntry{};
-        return true;
-    }
-
-    void
-    flushAll(std::vector<DttlbEntry> &dirty_out)
-    {
-        for (DttlbEntry &e : slots_) {
-            if (e.used && e.dirty)
-                dirty_out.push_back(e);
-            e = DttlbEntry{};
-        }
-        plru_.reset();
-    }
-
-    DttlbEntry &slot(unsigned i) { return slots_[i]; }
-
-    unsigned hits = 0;
-    unsigned misses = 0;
-    unsigned evictions = 0;
-
-  private:
-    std::vector<DttlbEntry> slots_;
-    TreePlru plru_;
-};
 
 void
 expectSameEntry(const DttlbEntry &a, const DttlbEntry &b)
@@ -232,11 +131,11 @@ TEST(Dttlb, MatchesLinearScanReference)
     // draws each range it inserts from inside it, so used ranges stay
     // disjoint. The last domain's ranges end exactly at 2^48.
     constexpr unsigned kWindowShift = 43;
-    for (unsigned entries : {1u, 3u, 16u, 64u, 80u}) {
+    for (unsigned entries : {1u, 3u, 16u, 64u, 80u, 128u}) {
         SCOPED_TRACE("entries=" + std::to_string(entries));
         stats::Group root(nullptr, "");
         Dttlb cam(&root, entries);
-        LinearDttlb ref(entries);
+        test::LinearCam<DttlbEntry> ref(entries);
         // Reference slot index -> the CAM's entry for that slot, so
         // "same slot" is checked by address without widening the API.
         std::vector<DttlbEntry *> slotPtr(entries, nullptr);
@@ -273,13 +172,14 @@ TEST(Dttlb, MatchesLinearScanReference)
                 e.valid = pick(2);
                 e.dirty = pick(2);
                 ranges[d] = e;
-                DttlbEntry ev_cam, ev_ref;
-                bool had_cam = false, had_ref = false;
-                DttlbEntry *got = &cam.insert(e, ev_cam, had_cam);
-                const unsigned want = ref.insert(e, ev_ref, had_ref);
-                ASSERT_EQ(had_cam, had_ref) << "step " << step;
-                if (had_ref)
-                    expectSameEntry(ev_cam, ev_ref);
+                std::optional<DttlbEntry> ev_ref;
+                const auto ev_cam = cam.insert(e);
+                DttlbEntry *got = cam.find(d);
+                const unsigned want = ref.insert(e, ev_ref);
+                ASSERT_EQ(ev_cam.has_value(), ev_ref.has_value())
+                    << "step " << step;
+                if (ev_ref)
+                    expectSameEntry(*ev_cam, *ev_ref);
                 if (!slotPtr[want]) {
                     for (DttlbEntry *p : slotPtr)
                         ASSERT_NE(p, got) << "two slots, one entry";
@@ -313,8 +213,8 @@ TEST(Dttlb, MatchesLinearScanReference)
                 }
                 expectSlot(cam.lookupVa(va), ref.lookupVa(va));
             } else if (op < 85) {
-                const int want = ref.findDomain(d);
-                DttlbEntry *got = cam.findDomain(d);
+                const int want = ref.find(d);
+                DttlbEntry *got = cam.find(d);
                 expectSlot(got, want);
                 // Mutate the payload in place, as MPK virtualization
                 // does on a key remap.
@@ -325,7 +225,7 @@ TEST(Dttlb, MatchesLinearScanReference)
                     got->dirty = ref.slot(want).dirty = true;
                 }
             } else if (op < 98) {
-                ASSERT_EQ(cam.invalidateDomain(d), ref.invalidateDomain(d));
+                ASSERT_EQ(cam.invalidate(d), ref.invalidate(d));
             } else {
                 std::vector<DttlbEntry> dirty_cam, dirty_ref;
                 cam.flushAll(dirty_cam);
@@ -336,6 +236,9 @@ TEST(Dttlb, MatchesLinearScanReference)
                 EXPECT_EQ(cam.lookupVa(0), nullptr);
                 EXPECT_EQ(ref.lookupVa(0), -1);
             }
+            std::string why;
+            ASSERT_TRUE(cam.consistent(&why))
+                << "step " << step << ": " << why;
             ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
         }
         ASSERT_DOUBLE_EQ(cam.hits.value(), ref.hits);
