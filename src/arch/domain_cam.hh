@@ -52,7 +52,8 @@ class DomainCam : public stats::Group
           missLatency(this, "miss_latency",
                       "cycles spent servicing each " + buffer + " miss"),
           slots_(entries), tags_(entries + simd::kTagPad, 0),
-          plru_(entries), touchLut_(TreePlru::makeTouchLut(entries))
+          plru_(entries), touchLut_(TreePlru::makeTouchLut(entries)),
+          victimLut_(TreePlru::sharedVictimLut(entries))
     {
         fatal_if(entries == 0, "%s needs at least one entry",
                  buffer.c_str());
@@ -175,7 +176,7 @@ class DomainCam : public stats::Group
         if (slot < 0)
             slot = simd::findU64(tags_.data(), numEntries(), 0);
         if (slot < 0) {
-            slot = static_cast<int>(plru_.victim());
+            slot = static_cast<int>(plru_.victim(victimLut_));
             evicted = slots_[slot];
             ++evictions;
         }
@@ -231,6 +232,8 @@ class DomainCam : public stats::Group
     std::vector<std::uint64_t> tags_;
     TreePlru plru_;
     std::vector<TreePlru::TouchOp> touchLut_;
+    /** Table-driven victim(), valid up to 16 entries. */
+    const TreePlru::VictimLut &victimLut_;
 };
 
 } // namespace pmodv::arch

@@ -82,12 +82,19 @@ KeyTable::release(ProtKey key)
 ProtKey
 KeyTable::victim() const
 {
+    // Fold all 15 keys with conditional moves (no branch on which keys
+    // are held or where the oldest sits). A free key reads as stamp
+    // 2^64 - 1, which no held key's stamp reaches (clock_ counts
+    // touches), so it never wins; strict < keeps the lowest key on a
+    // tie.
     ProtKey best = kInvalidKey;
+    std::uint64_t oldest = ~std::uint64_t{0};
     for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (holder_[k] == kNullDomain)
-            continue;
-        if (best == kInvalidKey || stamp_[k] < stamp_[best])
-            best = k;
+        const std::uint64_t unheld = holder_[k] == kNullDomain;
+        const std::uint64_t stamp = stamp_[k] | (0 - unheld);
+        const bool older = stamp < oldest;
+        best = older ? k : best;
+        oldest = older ? stamp : oldest;
     }
     panic_if(best == kInvalidKey, "KeyTable::victim() with no key held");
     return best;

@@ -1,6 +1,8 @@
 #include "common/plru.hh"
 
+#include <array>
 #include <cstring>
+#include <mutex>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -14,6 +16,20 @@ TreePlru::TreePlru(unsigned num_ways) : numWays_(num_ways)
     panic_if(num_ways > kMaxWays, "TreePlru supports at most %u ways",
              kMaxWays);
     treeWays_ = 1u << ceilLog2(num_ways);
+}
+
+const TreePlru::VictimLut &
+TreePlru::sharedVictimLut(unsigned num_ways)
+{
+    // Slot 0 stays empty: it serves every way count with no table.
+    static std::array<VictimLut, 17> luts;
+    static std::array<std::once_flag, 17> built;
+    const unsigned i = num_ways < luts.size() ? num_ways : 0;
+    std::call_once(built[i], [i] {
+        if (i > 0)
+            luts[i] = makeVictimLut(i);
+    });
+    return luts[i];
 }
 
 void

@@ -84,6 +84,13 @@ class TreePlru
 
     static VictimLut makeVictimLut(unsigned num_ways);
 
+    /**
+     * The immutable makeVictimLut(@p num_ways) every tracker of that
+     * way count shares, built on first use (a 16-way table is 32 KB,
+     * too much to repeat per CAM and core). Thread-safe.
+     */
+    static const VictimLut &sharedVictimLut(unsigned num_ways);
+
     /** Table-driven victim(); @p lut must be for this way count. */
     unsigned victimMasked(const VictimLut &lut) const
     {
@@ -92,6 +99,12 @@ class TreePlru
 
     /** Return the pseudo-least-recently-used way. */
     unsigned victim() const;
+
+    /** victimMasked(@p lut) when @p lut is valid, else victim(). */
+    unsigned victim(const VictimLut &lut) const
+    {
+        return lut.valid() ? victimMasked(lut) : victim();
+    }
 
     /** Reset all history (all ways equally old). */
     void reset();

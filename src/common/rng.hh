@@ -8,7 +8,6 @@
 #ifndef PMODV_COMMON_RNG_HH
 #define PMODV_COMMON_RNG_HH
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -120,14 +119,26 @@ class ZipfDist
         return sample(rng.real());
     }
 
-    /** Map a uniform variate @p u in [0, 1) onto a rank. */
+    /**
+     * Map a uniform variate @p u in [0, 1) onto a rank: the first rank
+     * whose cumulative mass reaches u * total (at most the last rank).
+     */
     std::uint64_t
     sample(double u) const
     {
-        const auto it = std::lower_bound(cdf_.begin(), cdf_.end(),
-                                         u * total_);
-        const auto idx = static_cast<std::uint64_t>(it - cdf_.begin());
-        return idx >= cdf_.size() ? cdf_.size() - 1 : idx;
+        if (cdf_.size() < 2)
+            return 0;
+        // Branch-free lower bound over the first n - 1 entries (past
+        // them all is the last rank): the loop count depends only on
+        // n, and each step adds half times the comparison's 0 or 1.
+        const double x = u * total_;
+        const double *base = cdf_.data();
+        for (std::size_t len = cdf_.size() - 1; len > 1;) {
+            const std::size_t half = len / 2;
+            base += half * std::size_t{base[half - 1] < x};
+            len -= half;
+        }
+        return static_cast<std::uint64_t>(base - cdf_.data()) + (*base < x);
     }
 
     /** Exact probability mass of @p rank (tests / chi-square). */

@@ -13,9 +13,6 @@
 #ifndef PMODV_TLB_ADDRSPACE_HH
 #define PMODV_TLB_ADDRSPACE_HH
 
-#include <map>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,22 +37,18 @@ struct Region
 /**
  * The per-process address-space map. Regions never overlap.
  *
- * The ordered map is the source of truth. find() — the page walk —
- * first consults a hash index keyed by 2 MB chunk number, which holds
- * the sole region touching each chunk, so a walk whose chunk has one
- * region costs one hash probe instead of an ordered-tree search
- * (DESIGN.md §8). Chunks shared by several regions, and regions
- * spanning more than kMaxIndexedChunks chunks, fall back to the
- * ordered search.
+ * Regions are stored by value in one dense array, and order_ lists
+ * their indices by base address. find() — the page walk — first probes
+ * a flat table keyed by 2 MB chunk number whose slot names the sole
+ * region touching the chunk, so such a walk costs one probe instead of
+ * a binary search over order_ (DESIGN.md §8). Shared chunks and
+ * regions over kMaxIndexedChunks chunks fall back to that search.
+ * The pointers find() and findDomain() return are valid until the
+ * next map(), unmap() or unmapDomain().
  */
 class AddressSpace
 {
   public:
-    AddressSpace() = default;
-    // The index points into regions_: a copy would alias its source.
-    AddressSpace(const AddressSpace &) = delete;
-    AddressSpace &operator=(const AddressSpace &) = delete;
-
     /**
      * Map a region. The VA range must be aligned to and sized as a
      * multiple of the region's page size, must not wrap past 2^64 and
@@ -73,7 +66,7 @@ class AddressSpace
     /** The region containing @p addr, or nullptr when unmapped. */
     const Region *find(Addr addr) const;
 
-    /** The region of @p domain (first match), or nullptr. */
+    /** The region of @p domain (lowest base), or nullptr. */
     const Region *findDomain(DomainId domain) const;
 
     /** All regions, ordered by base address. */
@@ -84,10 +77,18 @@ class AddressSpace
     /** log2 of the index's chunk size (2 MB). */
     static constexpr unsigned kChunkShift = 21;
     /** Regions spanning more chunks than this (1 GB) stay unindexed,
-     *  bounding the index at 512 entries per region. */
+     *  bounding the index at 512 slots per region. */
     static constexpr Addr kMaxIndexedChunks = 512;
 
   private:
+    /** A slot packs a chunk number (high 43 bits) over a tag (low 21
+     *  bits): 0 = empty slot, else the sole region's index + 1, or
+     *  kShared when several regions touch the chunk (or its sole
+     *  region's index is 2^21 - 2 or more: the search finds it). */
+    static constexpr std::uint64_t kTagMask =
+        (std::uint64_t{1} << kChunkShift) - 1;
+    static constexpr std::uint64_t kShared = kTagMask;
+
     static Addr firstChunk(const Region &r) { return r.base >> kChunkShift; }
     static Addr lastChunk(const Region &r)
     {
@@ -98,19 +99,21 @@ class AddressSpace
         return lastChunk(r) - firstChunk(r) < kMaxIndexedChunks;
     }
 
-    /** Drop @p removed (already erased from regions_) from the index. */
-    void unindex(const Region &removed);
+    /** Count of regions whose base is <= @p addr (an order_ position). */
+    std::size_t upperPos(Addr addr) const;
+    /** Slot of @p chunk, or the empty slot ending its probe run. */
+    std::size_t probe(Addr chunk) const;
+    /** Enter regions_[@p i]'s chunks into the table. */
+    void index(std::uint32_t i);
+    /** Rebuild order_ and, at @p slots slots, the table from regions_. */
+    void reindex(std::size_t slots);
 
-    /** Keyed by region base address. */
-    std::map<Addr, Region> regions_;
-
-    /**
-     * Chunk number -> the sole indexed region touching that chunk, or
-     * nullptr when several do. Chunks no indexed region touches have
-     * no entry. std::map nodes are stable, so the pointers survive
-     * unrelated map()s and unmap()s.
-     */
-    std::unordered_map<Addr, const Region *> chunks_;
+    std::vector<Region> regions_;
+    /** regions_ indices ordered by base address. */
+    std::vector<std::uint32_t> order_;
+    /** Linear-probing chunk table: a power of two, at most half full. */
+    std::vector<std::uint64_t> table_ = std::vector<std::uint64_t>(16);
+    std::size_t used_ = 0; ///< Occupied slots.
     /** Regions too large to index; while non-zero, an index miss is
      *  no proof that a VA is unmapped. */
     std::size_t unindexed_ = 0;

@@ -33,7 +33,8 @@ class TlbFillPolicy
     /**
      * Stamp protection metadata into @p entry for a walk of @p va by
      * thread @p tid. @p region is the mapped region (nullptr when the
-     * VA is outside every mapping). Returns extra cycles.
+     * VA is outside every mapping); it points into the AddressSpace,
+     * so it must not be kept past this call. Returns extra cycles.
      */
     virtual Cycles fill(ThreadId tid, Addr va, const Region *region,
                         TlbEntry &entry) = 0;

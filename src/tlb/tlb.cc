@@ -41,7 +41,7 @@ Tlb::Tlb(stats::Group *parent, const TlbParams &params)
     tags_.assign(ways_.size() + simd::kTagPad, 0);
     plru_.assign(numSets_, TreePlru(params_.assoc));
     touchLut_ = TreePlru::makeTouchLut(params_.assoc);
-    victimLut_ = TreePlru::makeVictimLut(params_.assoc);
+    victimLut_ = &TreePlru::sharedVictimLut(params_.assoc);
     setValid_.assign(numSets_, 0);
     // Every valid 4K entry may hash to one chunk slot.
     fatal_if(params_.entries > UINT16_MAX,
@@ -135,9 +135,7 @@ Tlb::insertImpl(const TlbEntry &entry)
     if (victim < 0 && setValid_[si] < assoc)
         victim = simd::findU64(row, assoc, 0);
     if (victim < 0) {
-        victim = static_cast<int>(victimLut_.valid()
-                                      ? plru_[si].victimMasked(victimLut_)
-                                      : plru_[si].victim());
+        victim = static_cast<int>(plru_[si].victim(*victimLut_));
         ++evictions;
     }
     const std::size_t flat = si * assoc + victim;

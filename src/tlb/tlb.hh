@@ -221,7 +221,7 @@ class Tlb : public stats::Group
     /** Branchless touch ops shared by every set (same way count). */
     std::vector<TreePlru::TouchOp> touchLut_;
     /** Table-driven victim() shared by every set. */
-    TreePlru::VictimLut victimLut_;
+    const TreePlru::VictimLut *victimLut_ = nullptr;
     /** Valid-entry count per PageSize (indexed by the enum value). */
     unsigned sizeValid_[3] = {0, 0, 0};
     /** Valid-way count per set: a full set skips the free-way probe. */

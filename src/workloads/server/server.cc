@@ -45,18 +45,21 @@ ServerWorkload::tenantClassName(unsigned cls)
 }
 
 void
-ServerWorkload::doGet(TraceCtx &ctx, unsigned tenant, std::uint64_t key)
+ServerWorkload::doGet(TraceCtx &ctx, SyntheticSpace &space,
+                      unsigned tenant, std::uint64_t key)
 {
     ++gets_;
     const auto b = static_cast<unsigned>(key % params_.numBuckets);
     ctx.load(tables_[tenant] + Addr{b} * 8);
     const std::uint32_t head =
         heads_[std::size_t{tenant} * params_.numBuckets + b];
+    const Addr base = space.pmo(tenant).vaBase();
     for (std::uint32_t n = head; n != kNoNode; n = nodes_[n].next) {
         const Node &node = nodes_[n];
-        ctx.load(node.va + kKeyOff);
+        const Addr va = base + node.offset;
+        ctx.load(va + kKeyOff);
         if (node.key == key) {
-            ctx.load(node.va + kValOff);
+            ctx.load(va + kValOff);
             ++hits_;
             return;
         }
@@ -72,11 +75,13 @@ ServerWorkload::doPut(TraceCtx &ctx, SyntheticSpace &space,
     ctx.load(tables_[tenant] + Addr{b} * 8);
     std::uint32_t &head =
         heads_[std::size_t{tenant} * params_.numBuckets + b];
+    const Addr base = space.pmo(tenant).vaBase();
     for (std::uint32_t n = head; n != kNoNode; n = nodes_[n].next) {
         const Node &node = nodes_[n];
-        ctx.load(node.va + kKeyOff);
+        const Addr va = base + node.offset;
+        ctx.load(va + kKeyOff);
         if (node.key == key) {
-            ctx.store(node.va + kValOff);
+            ctx.store(va + kValOff);
             ++hits_;
             return;
         }
@@ -88,7 +93,8 @@ ServerWorkload::doPut(TraceCtx &ctx, SyntheticSpace &space,
     ctx.store(va + kNextOff);
     ctx.store(tables_[tenant] + Addr{b} * 8);
     panic_if(nodes_.size() >= kNoNode, "server chains exceed 2^32 nodes");
-    nodes_.push_back(Node{key, va, head});
+    nodes_.push_back(Node{static_cast<std::uint32_t>(key),
+                          static_cast<std::uint32_t>(va - base), head});
     head = static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
@@ -97,6 +103,13 @@ ServerWorkload::run(TraceCtx &ctx)
 {
     panic_if(params_.numTenants == 0, "server needs at least one tenant");
     panic_if(params_.numBuckets == 0, "server needs at least one bucket");
+    // Node keys and PMO offsets are 32-bit.
+    panic_if(std::uint64_t{params_.keysPerTenant} * 2 > UINT32_MAX,
+             "server key space 2 * %u does not fit in 32 bits",
+             params_.keysPerTenant);
+    panic_if(params_.tenantBytes > UINT32_MAX,
+             "server tenant PMO of %llu bytes does not fit in 32 bits",
+             static_cast<unsigned long long>(params_.tenantBytes));
     SyntheticSpace space(ctx, params_.numTenants, params_.tenantBytes,
                          Perm::ReadWrite, params_.pageSize);
 
@@ -157,7 +170,7 @@ ServerWorkload::run(TraceCtx &ctx)
         ctx.setPerm(domain, Perm::ReadWrite);
         ctx.compute(params_.appInsts);
         if (is_get)
-            doGet(ctx, rank, key);
+            doGet(ctx, space, rank, key);
         else
             doPut(ctx, space, rank, key);
         ctx.setPerm(domain, Perm::ReadWrite);

@@ -98,18 +98,24 @@ class ServerWorkload
     std::uint64_t hits() const { return hits_; }
 
   private:
-    /** One KV node of a bucket chain; `next` indexes nodes_. */
+    /**
+     * One KV node of a bucket chain, 12 bytes: its key, its VA as an
+     * offset into the tenant's PMO, and the nodes_ index of the next
+     * node. run() rejects key spaces and PMOs that 32 bits cannot hold.
+     */
     struct Node
     {
-        std::uint64_t key;
-        Addr va;
+        std::uint32_t key;
+        std::uint32_t offset;
         std::uint32_t next;
     };
+    static_assert(sizeof(Node) == 12);
 
     /** The index that ends a chain. */
     static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
 
-    void doGet(TraceCtx &ctx, unsigned tenant, std::uint64_t key);
+    void doGet(TraceCtx &ctx, SyntheticSpace &space, unsigned tenant,
+               std::uint64_t key);
     void doPut(TraceCtx &ctx, SyntheticSpace &space, unsigned tenant,
                std::uint64_t key);
 

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -255,6 +259,51 @@ TEST(ZipfDist, InverseCdfBoundaries)
     const double edge = dist.rankMass(0);
     EXPECT_EQ(dist.sample(edge - 1e-9), 0u);
     EXPECT_EQ(dist.sample(edge + 1e-9), 1u);
+}
+
+/**
+ * The branch-free search in sample() returns exactly the rank
+ * std::lower_bound does (clamped to the last rank): at u = 0, at the
+ * largest double below 1, and at every CDF entry and one ulp either
+ * side of it, for sizes that exercise odd and power-of-two halvings.
+ */
+TEST(ZipfDist, SampleMatchesLowerBound)
+{
+    for (const std::uint64_t n : {1u, 2u, 3u, 7u, 64u, 100u, 4096u}) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        const ZipfDist dist(n, 0.99);
+        // The same cumulative table the constructor builds.
+        std::vector<double> cdf;
+        double total = 0.0;
+        for (std::uint64_t r = 0; r < n; ++r) {
+            total += 1.0 / std::pow(static_cast<double>(r + 1), 0.99);
+            cdf.push_back(total);
+        }
+        auto expectRank = [&](double u) {
+            const auto it =
+                std::lower_bound(cdf.begin(), cdf.end(), u * total);
+            const auto want = std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(it - cdf.begin()), n - 1);
+            ASSERT_EQ(dist.sample(u), want) << "u = " << u;
+        };
+        expectRank(0.0);
+        expectRank(std::nextafter(1.0, 0.0));
+        for (const double c : cdf) {
+            // The u whose u * total lands on the entry (when one
+            // does), and the variates just below and above it.
+            double u = c / total;
+            for (int k = 0; k < 4 && u * total < c; ++k)
+                u = std::nextafter(u, 1.0);
+            for (int k = 0; k < 4 && u * total > c; ++k)
+                u = std::nextafter(u, 0.0);
+            for (double v : {std::nextafter(u, 0.0), u,
+                             std::nextafter(u, 1.0)}) {
+                if (v < 1.0)
+                    expectRank(v);
+            }
+            ASSERT_FALSE(HasFatalFailure());
+        }
+    }
 }
 
 TEST(ZipfDist, ThetaZeroIsUniform)

@@ -137,6 +137,26 @@ TEST(FastPathPlru, MaskedOpsMatchReference)
     }
 }
 
+TEST(FastPathPlru, SharedVictimLutIsTheBuiltTable)
+{
+    for (unsigned ways = 1; ways <= 24; ++ways) {
+        const TreePlru::VictimLut &shared =
+            TreePlru::sharedVictimLut(ways);
+        const TreePlru::VictimLut built = TreePlru::makeVictimLut(ways);
+        EXPECT_EQ(shared.table, built.table) << "ways=" << ways;
+        EXPECT_EQ(shared.mask, built.mask) << "ways=" << ways;
+        EXPECT_EQ(&TreePlru::sharedVictimLut(ways), &shared);
+        // Through victim(lut), a tracker picks the tree walk's way
+        // whether or not a table exists.
+        TreePlru plru(ways);
+        for (unsigned way = 0; way < ways; way += 3) {
+            plru.touch(way);
+            EXPECT_EQ(plru.victim(shared), plru.victim())
+                << "ways=" << ways;
+        }
+    }
+}
+
 TEST(FastPathSimd, FindU64MatchesScalar)
 {
     XorShift rng(0xfeed);

@@ -207,6 +207,33 @@ TEST(ServerCapture, LongChainCapturePinned)
     EXPECT_EQ(digestOf(recs), 0xe75286de740ae7d2ull);
 }
 
+/**
+ * A chain node keeps its key and its PMO offset in 32 bits each, so a
+ * key space (2 * keysPerTenant) or a tenant PMO of 2^32 or more is
+ * rejected before anything is attached or allocated.
+ */
+TEST(ServerCaptureDeathTest, RejectsParamsPast32Bits)
+{
+    auto run = [](const workloads::ServerParams &params) {
+        trace::VectorSink sink;
+        workloads::TraceCtx ctx(sink, params.seed);
+        workloads::ServerWorkload(params).run(ctx);
+    };
+    workloads::ServerParams keys = smallParams();
+    keys.keysPerTenant = 1u << 31;
+    EXPECT_DEATH(run(keys), "key space .* 32 bits");
+    workloads::ServerParams bytes = smallParams();
+    bytes.tenantBytes = Addr{1} << 32;
+    EXPECT_DEATH(run(bytes), "tenant PMO .* 32 bits");
+    // The largest values that fit are accepted.
+    workloads::ServerParams edge = smallParams();
+    edge.numTenants = 2;
+    edge.numRequests = 10;
+    edge.keysPerTenant = 4;
+    edge.tenantBytes = Addr{UINT32_MAX} + 1 - (Addr{1} << 20);
+    run(edge);
+}
+
 TEST(ServerReplay, LatencyHistogramsAreBatchSplitInvariant)
 {
     const auto params = smallParams();

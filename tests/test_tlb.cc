@@ -3,6 +3,8 @@
  * Unit tests for the address space, TLB and TLB hierarchy.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -102,15 +104,52 @@ oracleFind(const std::vector<Region> &regions, Addr va)
     return nullptr;
 }
 
+constexpr Addr kPage = 0x1000;
+constexpr Addr kChunk = Addr{1} << AddressSpace::kChunkShift;
+
+/**
+ * Probe find() against the oracle at every region's edges, at both
+ * sides of every chunk edge each region touches (and the next one), and
+ * at 64 random VAs in [0, @p window).
+ */
+void
+expectFindsMatchOracle(const AddressSpace &as, std::mt19937_64 &rng,
+                       Addr window)
+{
+    const std::vector<Region> regions = as.regions();
+    auto probe = [&](Addr va) {
+        const Region *want = oracleFind(regions, va);
+        const Region *got = as.find(va);
+        ASSERT_EQ(got != nullptr, want != nullptr)
+            << std::hex << "va 0x" << va;
+        if (got) {
+            EXPECT_EQ(got->base, want->base) << std::hex << "va 0x" << va;
+            EXPECT_EQ(got->domain, want->domain);
+        }
+    };
+    for (const Region &r : regions) {
+        for (Addr va : {r.base - 1, r.base, r.end() - 1, r.end()})
+            probe(va);
+        const Addr first = r.base / kChunk;
+        const Addr last = (r.end() - 1) / kChunk;
+        for (Addr c = first; c <= last + 1; ++c) {
+            probe(c * kChunk - 1);
+            probe(c * kChunk);
+        }
+    }
+    for (int i = 0; i < 64; ++i)
+        probe(rng() % window);
+}
+
 /**
  * Random map/unmap/unmapDomain sequences, probing find() after every
  * step against a brute-force scan: shared 2 MB chunks, chunk-straddling
- * regions and regions past the 1 GB index limit all appear.
+ * regions and regions past the 1 GB index limit all appear. Then one
+ * fixed layout is attached in reverse and in shuffled VA order, and
+ * torn down by unmap and unmapDomain, probing after every step.
  */
 TEST(AddressSpace, FindMatchesBruteForceOracle)
 {
-    constexpr Addr kPage = 0x1000;
-    constexpr Addr kChunk = Addr{1} << AddressSpace::kChunkShift;
     constexpr Addr kWindow = Addr{16} << 30; // VAs in [0, 16 GB).
 
     for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
@@ -144,33 +183,7 @@ TEST(AddressSpace, FindMatchesBruteForceOracle)
         tryMap(0x5fe000, 4 * kPage, 4);
         tryMap(Addr{4} << 30, Addr{3} << 29, 5);
 
-        auto probe = [&](const std::vector<Region> &regions, Addr va) {
-            const Region *want = oracleFind(regions, va);
-            const Region *got = as.find(va);
-            ASSERT_EQ(got != nullptr, want != nullptr)
-                << std::hex << "va 0x" << va;
-            if (got) {
-                EXPECT_EQ(got->base, want->base) << std::hex << "va 0x" << va;
-                EXPECT_EQ(got->domain, want->domain);
-            }
-        };
-        auto probeAll = [&]() {
-            const std::vector<Region> regions = as.regions();
-            for (const Region &r : regions) {
-                for (Addr va : {r.base - 1, r.base, r.end() - 1, r.end()})
-                    probe(regions, va);
-                const Addr first = r.base / kChunk;
-                const Addr last = (r.end() - 1) / kChunk;
-                for (Addr c = first; c <= last + 1; ++c) {
-                    probe(regions, c * kChunk - 1);
-                    probe(regions, c * kChunk);
-                }
-            }
-            for (int i = 0; i < 64; ++i)
-                probe(regions, rng() % kWindow);
-        };
-
-        probeAll();
+        expectFindsMatchOracle(as, rng, kWindow);
         for (int step = 0; step < 150; ++step) {
             const unsigned op = rng() % 8;
             const auto regions = as.regions();
@@ -204,11 +217,79 @@ TEST(AddressSpace, FindMatchesBruteForceOracle)
                     owned += r.domain == domain;
                 EXPECT_EQ(as.unmapDomain(domain), owned);
             }
-            probeAll();
+            expectFindsMatchOracle(as, rng, kWindow);
             if (HasFatalFailure())
                 return;
         }
         EXPECT_GT(big_mapped, 0u);
+    }
+
+    // A fixed layout: 48 regions of 0.5-2.5 MB at a 3 MB stride, so
+    // neighbours share chunks and most straddle a chunk edge, six
+    // domains, and one unindexed 1.5 GB region.
+    std::vector<Region> layout;
+    for (unsigned i = 0; i < 48; ++i)
+        layout.push_back(makeRegion(Addr{i} * 0x300000 + (i % 4) * kPage,
+                                    (1 + i % 5) * 0x80000, 1 + i % 6));
+    layout.push_back(makeRegion(Addr{4} << 30, Addr{3} << 29, 7));
+    for (const bool reverse : {true, false}) {
+        SCOPED_TRACE(reverse ? "reverse order" : "shuffled order");
+        std::mt19937_64 rng(reverse ? 5 : 6);
+        std::vector<Region> attach = layout;
+        if (reverse)
+            std::reverse(attach.begin(), attach.end());
+        else
+            std::shuffle(attach.begin(), attach.end(), rng);
+        AddressSpace as;
+        for (const Region &r : attach) {
+            as.map(r);
+            expectFindsMatchOracle(as, rng, Addr{8} << 30);
+        }
+        ASSERT_FALSE(HasFatalFailure());
+        // Unmap a third of the regions, then drop domains one by one.
+        std::shuffle(attach.begin(), attach.end(), rng);
+        for (std::size_t i = 0; i < attach.size() / 3; ++i) {
+            EXPECT_TRUE(as.unmap(attach[i].base));
+            expectFindsMatchOracle(as, rng, Addr{8} << 30);
+        }
+        for (DomainId d = 1; d <= 7; ++d) {
+            as.unmapDomain(d);
+            EXPECT_EQ(as.findDomain(d), nullptr);
+            expectFindsMatchOracle(as, rng, Addr{8} << 30);
+        }
+        EXPECT_EQ(as.numRegions(), 0u);
+        // The emptied index serves a fresh reverse-order attach.
+        for (auto it = layout.rbegin(); it != layout.rend(); ++it)
+            as.map(*it);
+        expectFindsMatchOracle(as, rng, Addr{8} << 30);
+        ASSERT_FALSE(HasFatalFailure());
+    }
+}
+
+/**
+ * 4096 regions of 64 chunks each, attached top-down: each attach must
+ * enter its own chunks, not rebuild the index (which would be 2^29
+ * chunk insertions here). Every region is then found by its chunks.
+ */
+TEST(AddressSpace, ReverseAttachOf4096RegionsIsQuick)
+{
+    constexpr unsigned kRegions = 4096;
+    constexpr Addr kSize = 64 * kChunk;
+    const Addr start = Addr{1} << 33;
+    const auto begin = std::chrono::steady_clock::now();
+    AddressSpace as;
+    for (unsigned i = kRegions; i-- > 0;)
+        as.map(makeRegion(start + Addr{i} * 2 * kSize, kSize, i + 1));
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - begin;
+    EXPECT_LT(took.count(), 2.0);
+    ASSERT_EQ(as.numRegions(), kRegions);
+    for (unsigned i = 0; i < kRegions; ++i) {
+        const Addr base = start + Addr{i} * 2 * kSize;
+        const Region *r = as.find(base + kSize - 1);
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->domain, i + 1);
+        EXPECT_EQ(as.find(base + kSize), nullptr);
     }
 }
 
