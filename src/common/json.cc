@@ -1,8 +1,10 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -451,6 +453,37 @@ parseJsonFile(const std::string &path, std::string *error)
     std::ostringstream buf;
     buf << is.rdbuf();
     return parseJson(buf.str(), error);
+}
+
+// ------------------------------------------------------------- writers
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out.push_back('\\');
+        out.push_back(c);
+    }
+    return out;
+}
+
+std::string
+formatNumber(double value)
+{
+    if (!std::isfinite(value))
+        return "0";
+    if (value == std::nearbyint(value) &&
+        std::fabs(value) < 9007199254740992.0) { // 2^53
+        std::ostringstream os;
+        os << static_cast<long long>(value);
+        return os.str();
+    }
+    std::ostringstream os;
+    os << std::setprecision(17) << value;
+    return os.str();
 }
 
 } // namespace pmodv::common

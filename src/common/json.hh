@@ -1,9 +1,11 @@
 /**
  * @file
  * A minimal JSON document parser for tools that read the suite's own
- * output back in (pmodv-trace explain, ad-hoc report scripts). It is
- * a strict recursive-descent parser over the full JSON grammar with
- * two deliberate simplifications that match what the suite emits:
+ * output back in (pmodv-trace explain, ad-hoc report scripts), plus
+ * the string escaping and number formatting every JSON writer of the
+ * suite shares. The parser is a strict recursive-descent parser over
+ * the full JSON grammar with two deliberate simplifications that
+ * match what the suite emits:
  *
  *  - numbers are stored twice, as the double strtod() yields AND as
  *    the raw source text, so integer fields round-trip exactly even
@@ -100,6 +102,21 @@ std::optional<JsonValue> parseJson(const std::string &text,
 /** parseJson() over a whole file; nullopt on I/O or parse failure. */
 std::optional<JsonValue> parseJsonFile(const std::string &path,
                                        std::string *error = nullptr);
+
+/**
+ * Minimal JSON string escaping: a backslash before every '"' and
+ * '\\'. Names the suite writes are plain ASCII.
+ */
+std::string jsonEscape(const std::string &s);
+
+/**
+ * Deterministic number formatting shared by the JSON, CSV and
+ * Perfetto writers: integers print without a fraction, everything
+ * else with 17 significant digits (enough to round-trip a double
+ * exactly). Non-finite values become 0 so a document can never fail
+ * to parse.
+ */
+std::string formatNumber(double value);
 
 } // namespace pmodv::common
 

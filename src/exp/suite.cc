@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.hh"
 #include "exp/trace_export.hh"
 
 namespace pmodv::exp
@@ -123,19 +124,7 @@ ExperimentSuite::run(common::ThreadPool &pool)
 namespace
 {
 
-/** Minimal JSON string escaping (names here are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
+using common::jsonEscape;
 
 /**
  * Emit @p m as a JSON object keyed by scheme name, in SchemeKind

@@ -1,55 +1,17 @@
 #include "stats/export.hh"
 
-#include <cmath>
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
 #include "stats/slow_digest.hh"
 #include "stats/timeseries.hh"
 
 namespace pmodv::stats
 {
 
-namespace
-{
-
-/**
- * Deterministic number formatting shared by the JSON and CSV
- * exporters: integers print without a fraction, everything else with
- * 17 significant digits (enough to round-trip a double exactly).
- * Non-finite values become 0 so a document can never fail to parse.
- */
-std::string
-formatNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "0";
-    if (value == std::nearbyint(value) &&
-        std::fabs(value) < 9007199254740992.0) { // 2^53
-        std::ostringstream os;
-        os << static_cast<long long>(value);
-        return os.str();
-    }
-    std::ostringstream os;
-    os << std::setprecision(17) << value;
-    return os.str();
-}
-
-/** Minimal JSON string escaping (stat names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
+using common::formatNumber;
+using common::jsonEscape;
 
 // ------------------------------------------------------------- text
 

@@ -1,9 +1,13 @@
 #include "testing/differ.hh"
 
+#include <algorithm>
 #include <array>
+#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "core/system.hh"
+#include "testing/reference.hh"
 
 namespace pmodv::testing
 {
@@ -14,6 +18,12 @@ namespace
 constexpr Addr kPage = 4096;
 /** Pages per 16 MB domain slot (the attach size ceiling). */
 constexpr std::uint32_t kSlotPages = (16u << 20) / kPage;
+
+/** The six kinds in canonical order (none, lowerbound, protected x4). */
+constexpr std::array kAllSchemes = {
+    arch::SchemeKind::NoProtection, arch::SchemeKind::Lowerbound,
+    arch::SchemeKind::Mpk,          arch::SchemeKind::LibMpk,
+    arch::SchemeKind::MpkVirt,      arch::SchemeKind::DomainVirt};
 
 bool
 isProtected(arch::SchemeKind kind)
@@ -48,6 +58,20 @@ eventAllowed(arch::SchemeKind kind, trace::EventKind ev)
     return false;
 }
 
+/**
+ * Cycles attributable to the protection scheme itself: attach/detach,
+ * SETPERM and context-switch costs plus the fill and check extras of
+ * accesses, i.e. every attribution bucket but instruction issue and
+ * visible memory latency.
+ */
+Cycles
+schemeCycles(const core::System &sys)
+{
+    return sys.cycProtFill.value() + sys.cycProtCheck.value() +
+           sys.cycPermInstr.value() + sys.cycSyscall.value() +
+           sys.cycCtxSwitch.value();
+}
+
 } // namespace
 
 BugInjection
@@ -58,128 +82,6 @@ injectionFromName(const std::string &name)
     if (name == "mpk-drop-revoke")
         return BugInjection::MpkDropRevoke;
     fatal("unknown bug injection '%s'", name.c_str());
-}
-
-std::vector<arch::SchemeKind>
-allSchemeKinds()
-{
-    return {arch::SchemeKind::NoProtection, arch::SchemeKind::Lowerbound,
-            arch::SchemeKind::Mpk,          arch::SchemeKind::LibMpk,
-            arch::SchemeKind::MpkVirt,      arch::SchemeKind::DomainVirt};
-}
-
-Machine::Machine(arch::SchemeKind kind, const arch::ProtParams &params,
-                 const arch::CoreTopology &topo, BugInjection inject)
-    : kind_(kind), topo_(topo), inject_(inject),
-      root_(nullptr, std::string("diff_") + arch::schemeName(kind))
-{
-    topo_.validate();
-    ring_ = std::make_unique<trace::EventRing>(&root_, "events",
-                                               std::size_t{1} << 16);
-    ring_->bindClock(&totalCycles_);
-    scheme_ = arch::makeScheme(kind, &root_, params, topo_, space_);
-    for (unsigned k = 0; k < topo_.numCores; ++k) {
-        stats::Group *parent = &root_;
-        if (topo_.numCores > 1) {
-            coreGroups_.push_back(std::make_unique<stats::Group>(
-                &root_, "core" + std::to_string(k)));
-            parent = coreGroups_.back().get();
-        }
-        tlbs_.push_back(std::make_unique<tlb::TlbHierarchy>(
-            parent, tlb::TlbHierarchyParams{}, space_));
-        scheme_->attachCore(k, tlbs_.back().get());
-        curTid_.push_back(0);
-    }
-    if (topo_.numCores > 1) {
-        bus_ = std::make_unique<arch::ShootdownBus>(&root_, topo_);
-        for (unsigned k = 0; k < topo_.numCores; ++k)
-            bus_->attachCore(k, tlbs_[k].get(), nullptr, nullptr);
-        bus_->setEventRing(ring_.get());
-        scheme_->setShootdownBus(bus_.get());
-    }
-    scheme_->setEventRing(ring_.get());
-}
-
-void
-Machine::attach(ThreadId tid, DomainId domain, Addr base, Addr size,
-                Perm page_perm)
-{
-    tlb::Region region;
-    region.base = base;
-    region.size = size;
-    region.domain = domain;
-    region.pagePerm = page_perm;
-    region.memClass = MemClass::Nvm;
-    space_.map(region);
-    scheme_->setActiveCore(tid % topo_.numCores);
-    addSchemeCycles(scheme_->attach(tid, domain, base, size, page_perm));
-    // The mmap behind attach invalidates prior translations of the
-    // range on every scheme and every core (stale domainless entries
-    // would otherwise differ only by access history, not by scheme).
-    for (auto &t : tlbs_)
-        t->flushRange(base, size);
-}
-
-void
-Machine::detach(ThreadId tid, DomainId domain)
-{
-    Addr base = 0, size = 0;
-    if (const tlb::Region *region = space_.findDomain(domain)) {
-        base = region->base;
-        size = region->size;
-    }
-    scheme_->setActiveCore(tid % topo_.numCores);
-    addSchemeCycles(scheme_->detach(tid, domain));
-    space_.unmapDomain(domain);
-    if (size) { // munmap shootdown, uniform across schemes and cores.
-        for (auto &t : tlbs_)
-            t->flushRange(base, size);
-    }
-}
-
-void
-Machine::setPerm(ThreadId tid, DomainId domain, Perm perm)
-{
-    if (inject_ == BugInjection::MpkDropRevoke &&
-        kind_ == arch::SchemeKind::Mpk && perm == Perm::None)
-        return; // Planted defect: the revoke never reaches the scheme.
-    scheme_->setActiveCore(tid % topo_.numCores);
-    addSchemeCycles(scheme_->setPerm(tid, domain, perm));
-}
-
-arch::CheckResult
-Machine::access(ThreadId tid, Addr va, AccessType type)
-{
-    const arch::CoreId core = tid % topo_.numCores;
-    scheme_->setActiveCore(core);
-    auto xlate = tlbs_[core]->translate(tid, va);
-    totalCycles_ += xlate.latency;
-    addSchemeCycles(xlate.fillExtra);
-    arch::AccessContext ctx;
-    ctx.tid = tid;
-    ctx.va = va;
-    ctx.type = type;
-    ctx.entry = xlate.entry;
-    arch::CheckResult res = scheme_->checkAccess(ctx);
-    addSchemeCycles(res.extraCycles);
-    return res;
-}
-
-void
-Machine::contextSwitch(ThreadId from, ThreadId to)
-{
-    if (topo_.numCores == 1) {
-        addSchemeCycles(scheme_->contextSwitch(from, to));
-        return;
-    }
-    // Core-affine scheduling: `to` lands on its home core; a switch
-    // only happens if that core runs a different thread.
-    const arch::CoreId core = to % topo_.numCores;
-    if (curTid_[core] == to)
-        return;
-    scheme_->setActiveCore(core);
-    addSchemeCycles(scheme_->contextSwitch(curTid_[core], to));
-    curTid_[core] = to;
 }
 
 std::string
@@ -216,39 +118,32 @@ class Runner
            bool silent = false)
         : ops_(ops), cfg_(cfg), silent_(silent)
     {
-        const auto kinds =
-            cfg.schemes.empty() ? allSchemeKinds() : cfg.schemes;
-        for (arch::SchemeKind kind : kinds) {
-            machines_.push_back(std::make_unique<Machine>(
-                kind, cfg.params, cfg.topology, cfg.inject));
-            eventCounts_.push_back({});
-            opTotals_.push_back({});
-            nextEventId_.push_back(0);
-        }
+        core::SimConfig sim;
+        sim.topology = cfg.topology;
+        // Events are drained after every op; the ring must never drop.
+        sim.eventRingCapacity = std::size_t{1} << 16;
+        for (arch::SchemeKind kind : kAllSchemes)
+            lanes_.emplace_back().sys =
+                std::make_unique<core::System>(sim, kind);
     }
 
     DiffResult
     run()
     {
-        std::vector<Cycles> before(machines_.size());
         for (opIndex_ = 0; opIndex_ < ops_.size(); ++opIndex_) {
-            for (std::size_t i = 0; i < machines_.size(); ++i)
-                before[i] = machines_[i]->totalCycles();
-            tagRequest(opIndex_ + 1);
-            step(ops_[opIndex_]);
-            drainEvents();
-            tagRequest(0);
-            for (std::size_t i = 0; i < machines_.size(); ++i)
-                opTotals_[i].push_back(machines_[i]->totalCycles() -
-                                       before[i]);
-            if (cfg_.stopAtFirst && !result_.violations.empty())
+            const std::vector<Cycles> before = totals();
+            runOp();
+            for (std::size_t i = 0; i < lanes_.size(); ++i)
+                lanes_[i].opTotals.push_back(lanes_[i].sys->totalCycles() -
+                                             before[i]);
+            if (!result_.violations.empty())
                 return result_;
         }
         opIndex_ = ops_.size();
         checkCycleOrder();
         checkBucketSums();
         checkEvents();
-        if (cfg_.checkTailLatency && !silent_)
+        if (!silent_)
             checkTailLatency();
         return result_;
     }
@@ -257,19 +152,27 @@ class Runner
     std::vector<Cycles>
     executeThrough(std::size_t end)
     {
-        for (; opIndex_ < end; ++opIndex_) {
-            tagRequest(opIndex_ + 1);
-            step(ops_[opIndex_]);
-            drainEvents();
-            tagRequest(0);
-        }
-        std::vector<Cycles> totals;
-        for (auto &m : machines_)
-            totals.push_back(m->totalCycles());
-        return totals;
+        for (; opIndex_ < end; ++opIndex_)
+            runOp();
+        return totals();
     }
 
   private:
+    /** One scheme's System and the oracle state kept beside it. */
+    struct Lane
+    {
+        std::unique_ptr<core::System> sys;
+        /** Posted-event counts, indexed by EventKind. */
+        std::array<std::uint64_t, 6> eventCounts{};
+        /** Per-op totalCycles deltas (tail-latency oracle). */
+        std::vector<Cycles> opTotals;
+        /** Last drained event id (forensics oracle). */
+        std::uint64_t lastEventId = 0;
+
+        arch::SchemeKind kind() const { return sys->schemeKind(); }
+        const char *name() const { return arch::schemeName(kind()); }
+    };
+
     void
     violate(const std::string &oracle, const std::string &scheme,
             const std::string &detail)
@@ -280,13 +183,38 @@ class Runner
             {oracle, scheme, opIndex_, detail});
     }
 
-    Machine *
-    findKind(arch::SchemeKind kind)
+    /** Every System's totalCycles, in lane order. */
+    std::vector<Cycles>
+    totals() const
     {
-        for (auto &m : machines_)
-            if (m->kind() == kind)
-                return m.get();
-        return nullptr;
+        std::vector<Cycles> out;
+        for (const Lane &lane : lanes_)
+            out.push_back(lane.sys->totalCycles());
+        return out;
+    }
+
+    /**
+     * Run the current op with every event it posts tagged by its
+     * request id (op index + 1), the tagging System::beginForensics
+     * applies to tracked ops.
+     */
+    void
+    runOp()
+    {
+        for (Lane &lane : lanes_)
+            lane.sys->events().setCurrentRequest(opIndex_ + 1);
+        step(ops_[opIndex_]);
+        drainEvents();
+        for (Lane &lane : lanes_)
+            lane.sys->events().setCurrentRequest(0);
+    }
+
+    /** Feed @p rec to every System. */
+    void
+    putAll(const trace::TraceRecord &rec)
+    {
+        for (Lane &lane : lanes_)
+            lane.sys->put(rec);
     }
 
     void
@@ -298,14 +226,11 @@ class Runner
             break;
           case OpKind::Detach:
             ref_.detach(op.domain);
-            for (auto &m : machines_)
-                m->detach(currentTid_, op.domain);
+            putAll(trace::TraceRecord::detach(tid(currentTid_),
+                                              op.domain));
             break;
           case OpKind::SetPerm:
-            ref_.setPerm(op.tid, op.domain, op.perm);
-            for (auto &m : machines_)
-                m->setPerm(op.tid, op.domain, op.perm);
-            checkEffectivePerm(op);
+            doSetPerm(op.tid, op.domain, op.perm);
             break;
           case OpKind::Access:
             doAccess(op.domain, op.offset, op.type);
@@ -315,8 +240,7 @@ class Runner
             break;
           case OpKind::ThreadSwitch:
             if (op.tid != currentTid_) {
-                for (auto &m : machines_)
-                    m->contextSwitch(currentTid_, op.tid);
+                putAll(trace::TraceRecord::threadSwitch(tid(op.tid)));
                 currentTid_ = op.tid;
             }
             break;
@@ -329,6 +253,15 @@ class Runner
         }
     }
 
+    /** @p t as a trace record's 16-bit thread id. */
+    static std::uint16_t
+    tid(ThreadId t)
+    {
+        fatal_if(t > UINT16_MAX, "thread id %u does not fit a trace record",
+                 t);
+        return static_cast<std::uint16_t>(t);
+    }
+
     void
     doAttach(const Op &op)
     {
@@ -339,8 +272,29 @@ class Runner
         const Addr base = domainBase(op.domain);
         const Addr size = Addr{pages} * kPage;
         ref_.attach(op.domain, base, size, op.perm);
-        for (auto &m : machines_)
-            m->attach(currentTid_, op.domain, base, size, op.perm);
+        putAll(trace::TraceRecord::attach(tid(currentTid_), op.domain,
+                                          base, size, op.perm));
+        // The mmap behind attach invalidates prior translations of the
+        // range on every core: an access may have touched the slot
+        // before it was attached, and the domainless translation
+        // cached then would differ by access history, not by scheme.
+        for (Lane &lane : lanes_)
+            for (unsigned k = 0; k < lane.sys->numCores(); ++k)
+                lane.sys->coreAt(k).tlb.flushRange(base, size);
+    }
+
+    void
+    doSetPerm(ThreadId t, DomainId domain, Perm perm)
+    {
+        ref_.setPerm(t, domain, perm);
+        const auto rec = trace::TraceRecord::setPerm(tid(t), domain, perm);
+        for (Lane &lane : lanes_) {
+            if (cfg_.inject == BugInjection::MpkDropRevoke &&
+                lane.kind() == arch::SchemeKind::Mpk && perm == Perm::None)
+                continue; // Planted defect: the revoke never arrives.
+            lane.sys->put(rec);
+        }
+        checkEffectivePerm(t, domain);
     }
 
     void
@@ -361,23 +315,30 @@ class Runner
                                               /*mpk_exhausted_hole=*/false);
         const Expectation mpk = ref_.expect(currentTid_, va, type,
                                             /*mpk_exhausted_hole=*/true);
-        for (auto &m : machines_) {
-            const arch::CheckResult res =
-                m->access(currentTid_, va, type);
-            if (!isProtected(m->kind()))
+        // Not flagged as PMO accesses: the memory class comes from the
+        // page table, as for any unmarked load or store.
+        const auto rec =
+            type == AccessType::Read
+                ? trace::TraceRecord::load(tid(currentTid_), va, 8, false)
+                : trace::TraceRecord::store(tid(currentTid_), va, 8, false);
+        for (Lane &lane : lanes_) {
+            const std::uint64_t denied = lane.sys->deniedAccesses.value();
+            lane.sys->put(rec);
+            if (!isProtected(lane.kind()))
                 continue; // Baselines allow everything by design.
-            const bool expected = m->kind() == arch::SchemeKind::Mpk
+            const bool allowed = lane.sys->deniedAccesses.value() == denied;
+            const bool expected = lane.kind() == arch::SchemeKind::Mpk
                                       ? mpk.allowed
                                       : plain.allowed;
-            if (res.allowed != expected) {
+            if (allowed != expected) {
                 std::ostringstream detail;
                 detail << "t" << currentTid_ << " "
                        << (type == AccessType::Read ? "R" : "W") << " va=0x"
                        << std::hex << va << std::dec << ": scheme says "
-                       << (res.allowed ? "allow" : "deny")
+                       << (allowed ? "allow" : "deny")
                        << ", reference says "
                        << (expected ? "allow" : "deny");
-                violate("verdict", m->name(), detail.str());
+                violate("verdict", lane.name(), detail.str());
             }
         }
     }
@@ -412,62 +373,44 @@ class Runner
         const std::uint32_t count = std::max<std::uint32_t>(1, op.pages);
         for (std::uint32_t i = 0; i < count; ++i) {
             const auto d = static_cast<DomainId>(op.domain + i);
-            ref_.setPerm(currentTid_, d, Perm::ReadWrite);
-            for (auto &m : machines_)
-                m->setPerm(currentTid_, d, Perm::ReadWrite);
-            Op grant;
-            grant.kind = OpKind::SetPerm;
-            grant.tid = currentTid_;
-            grant.domain = d;
-            grant.perm = Perm::ReadWrite;
-            checkEffectivePerm(grant);
+            doSetPerm(currentTid_, d, Perm::ReadWrite);
             doAccess(d, 0, AccessType::Read);
         }
     }
 
     void
-    checkEffectivePerm(const Op &op)
+    checkEffectivePerm(ThreadId t, DomainId domain)
     {
-        const ReferenceModel::Domain *d = ref_.find(op.domain);
+        const ReferenceModel::Domain *d = ref_.find(domain);
         if (!d)
             return; // Schemes report ReadWrite for non-domains.
-        const Perm want = ref_.effectivePerm(op.tid, op.domain);
-        for (auto &m : machines_) {
-            if (!isProtected(m->kind()))
+        const Perm want = ref_.effectivePerm(t, domain);
+        for (const Lane &lane : lanes_) {
+            if (!isProtected(lane.kind()))
                 continue;
-            if (m->kind() == arch::SchemeKind::Mpk && !d->mpkKeyed)
+            if (lane.kind() == arch::SchemeKind::Mpk && !d->mpkKeyed)
                 continue; // Exhausted: stock MPK can't track perms.
-            const Perm got =
-                m->scheme().effectivePerm(op.tid, op.domain);
+            const Perm got = lane.sys->scheme().effectivePerm(t, domain);
             if (got != want) {
                 std::ostringstream detail;
-                detail << "t" << op.tid << " d" << op.domain
+                detail << "t" << t << " d" << domain
                        << ": effectivePerm=" << permToString(got)
                        << ", reference=" << permToString(want);
-                violate("effective-perm", m->name(), detail.str());
+                violate("effective-perm", lane.name(), detail.str());
             }
         }
-    }
-
-    /** Stamp @p req as every machine's in-flight request id, the same
-     *  tagging System::beginForensics applies to tracked ops. */
-    void
-    tagRequest(std::uint64_t req)
-    {
-        for (auto &m : machines_)
-            m->events().setCurrentRequest(req);
     }
 
     void
     drainEvents()
     {
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            for (const trace::Event &ev : machines_[i]->events().drain()) {
+        for (Lane &lane : lanes_) {
+            for (const trace::Event &ev : lane.sys->drainEvents()) {
                 auto kind = static_cast<std::size_t>(ev.kind);
-                if (kind < eventCounts_[i].size())
-                    ++eventCounts_[i][kind];
-                if (!eventAllowed(machines_[i]->kind(), ev.kind)) {
-                    violate("events", machines_[i]->name(),
+                if (kind < lane.eventCounts.size())
+                    ++lane.eventCounts[kind];
+                if (!eventAllowed(lane.kind(), ev.kind)) {
+                    violate("events", lane.name(),
                             std::string("posted forbidden event ") +
                                 trace::eventKindName(ev.kind));
                 }
@@ -477,21 +420,19 @@ class Runner
                 // in flight carries that op's request tag. This is
                 // the oracle blame chains rest on: a blamed id must
                 // name the one real ring event posted in the window.
-                if (ev.id != nextEventId_[i] + 1) {
+                if (ev.id != lane.lastEventId + 1) {
                     std::ostringstream detail;
                     detail << "event id " << ev.id
                            << " breaks the monotone sequence (expected "
-                           << nextEventId_[i] + 1 << ")";
-                    violate("forensics", machines_[i]->name(),
-                            detail.str());
+                           << lane.lastEventId + 1 << ")";
+                    violate("forensics", lane.name(), detail.str());
                 }
-                nextEventId_[i] = ev.id;
+                lane.lastEventId = ev.id;
                 if (ev.req != opIndex_ + 1) {
                     std::ostringstream detail;
                     detail << "event id " << ev.id << " tagged req "
                            << ev.req << ", expected " << opIndex_ + 1;
-                    violate("forensics", machines_[i]->name(),
-                            detail.str());
+                    violate("forensics", lane.name(), detail.str());
                 }
             }
         }
@@ -500,25 +441,24 @@ class Runner
     void
     checkCycleOrder()
     {
-        const Machine *none = findKind(arch::SchemeKind::NoProtection);
-        const Machine *lower = findKind(arch::SchemeKind::Lowerbound);
-        const Cycles floor_none = none ? none->schemeCycles() : 0;
-        const Cycles floor_lower =
-            lower ? lower->schemeCycles() : floor_none;
-        if (none && lower && floor_none > floor_lower) {
+        // Lanes follow kAllSchemes: none, then lowerbound.
+        const Cycles floor_none = schemeCycles(*lanes_[0].sys);
+        const Cycles floor_lower = schemeCycles(*lanes_[1].sys);
+        if (floor_none > floor_lower) {
             std::ostringstream detail;
             detail << "none=" << floor_none << " > lowerbound="
                    << floor_lower << " scheme cycles";
             violate("cycle-order", "", detail.str());
         }
-        for (auto &m : machines_) {
-            if (!isProtected(m->kind()))
+        for (const Lane &lane : lanes_) {
+            if (!isProtected(lane.kind()))
                 continue;
-            if (m->schemeCycles() < floor_lower) {
+            const Cycles cycles = schemeCycles(*lane.sys);
+            if (cycles < floor_lower) {
                 std::ostringstream detail;
-                detail << "scheme cycles " << m->schemeCycles()
+                detail << "scheme cycles " << cycles
                        << " below lowerbound " << floor_lower;
-                violate("cycle-order", m->name(), detail.str());
+                violate("cycle-order", lane.name(), detail.str());
             }
         }
     }
@@ -526,20 +466,20 @@ class Runner
     void
     checkBucketSums()
     {
-        for (auto &m : machines_) {
-            const arch::ProtectionScheme &s = m->scheme();
+        for (const Lane &lane : lanes_) {
+            const arch::ProtectionScheme &s = lane.sys->scheme();
             const std::uint64_t sum = s.cycPermissionChange.value() +
                                       s.cycEntryChange.value() +
                                       s.cycTableMiss.value() +
                                       s.cycTlbInvalidation.value() +
                                       s.cycAccessLatency.value() +
                                       s.cycSoftware.value();
-            const Cycles total = m->schemeCycles();
+            const Cycles total = schemeCycles(*lane.sys);
             if (sum != total) {
                 std::ostringstream detail;
                 detail << "buckets sum to " << sum
                        << " but scheme cycles are " << total;
-                violate("bucket-sum", m->name(), detail.str());
+                violate("bucket-sum", lane.name(), detail.str());
             }
         }
     }
@@ -547,10 +487,9 @@ class Runner
     void
     checkEvents()
     {
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
-            Machine &m = *machines_[i];
-            const arch::ProtectionScheme &s = m.scheme();
-            const auto &counts = eventCounts_[i];
+        for (const Lane &lane : lanes_) {
+            const arch::ProtectionScheme &s = lane.sys->scheme();
+            const auto &counts = lane.eventCounts;
             const auto evictions = counts[static_cast<std::size_t>(
                 trace::EventKind::KeyEviction)];
             const auto shots = counts[static_cast<std::size_t>(
@@ -559,26 +498,27 @@ class Runner
                 std::ostringstream detail;
                 detail << evictions << " KeyEviction events vs "
                        << s.keyEvictions.value() << " key_evictions";
-                violate("events", m.name(), detail.str());
+                violate("events", lane.name(), detail.str());
             }
             if (shots != s.shootdowns.value()) {
                 std::ostringstream detail;
                 detail << shots << " Shootdown events vs "
                        << s.shootdowns.value() << " shootdowns";
-                violate("events", m.name(), detail.str());
+                violate("events", lane.name(), detail.str());
             }
             const auto ipis = counts[static_cast<std::size_t>(
                 trace::EventKind::Ipi)];
+            const arch::ShootdownBus *bus = lane.sys->shootdownBus();
             const std::uint64_t responded =
-                m.bus() ? m.bus()->ipisResponded.value() : 0;
+                bus ? bus->ipisResponded.value() : 0;
             if (ipis != responded) {
                 std::ostringstream detail;
                 detail << ipis << " Ipi events vs " << responded
                        << " bus ipis_responded";
-                violate("events", m.name(), detail.str());
+                violate("events", lane.name(), detail.str());
             }
-            if (m.events().dropped.value() != 0)
-                violate("events", m.name(),
+            if (lane.sys->events().dropped.value() != 0)
+                violate("events", lane.name(),
                         "event ring dropped events mid-run");
         }
     }
@@ -587,10 +527,10 @@ class Runner
      * Per-request latency rests on two properties of the cycle
      * accounting: the per-op totals recorded above must partition the
      * machine total exactly (no cycles charged between requests), and
-     * a fresh fleet replaying the same episode split into two batches
-     * must land on the same totals at the split and at the end. The
-     * probe fleet is silent — any divergence is reported here, not
-     * double-counted from its own oracles.
+     * a fresh set of Systems replaying the same episode split into two
+     * batches must land on the same totals at the split and at the
+     * end. The probe runner is silent — any divergence is reported
+     * here, not double-counted from its own oracles.
      */
     void
     checkTailLatency()
@@ -602,41 +542,34 @@ class Runner
         const std::vector<Cycles> mid = probe.executeThrough(split);
         const std::vector<Cycles> end =
             probe.executeThrough(ops_.size());
-        for (std::size_t i = 0; i < machines_.size(); ++i) {
+        for (std::size_t i = 0; i < lanes_.size(); ++i) {
+            const Lane &lane = lanes_[i];
             Cycles sum_first = 0, sum_all = 0;
-            for (std::size_t k = 0; k < opTotals_[i].size(); ++k) {
-                sum_all += opTotals_[i][k];
+            for (std::size_t k = 0; k < lane.opTotals.size(); ++k) {
+                sum_all += lane.opTotals[k];
                 if (k < split)
-                    sum_first += opTotals_[i][k];
+                    sum_first += lane.opTotals[k];
             }
-            if (sum_all != machines_[i]->totalCycles()) {
+            if (sum_all != lane.sys->totalCycles()) {
                 std::ostringstream detail;
                 detail << "per-op cycle totals sum to " << sum_all
                        << " but the machine total is "
-                       << machines_[i]->totalCycles();
-                violate("tail-latency", machines_[i]->name(),
-                        detail.str());
+                       << lane.sys->totalCycles();
+                violate("tail-latency", lane.name(), detail.str());
             }
             if (sum_first != mid[i] || sum_all != end[i]) {
                 std::ostringstream detail;
                 detail << "batch-split replay diverged: first batch "
                        << sum_first << " vs " << mid[i] << ", total "
                        << sum_all << " vs " << end[i];
-                violate("tail-latency", machines_[i]->name(),
-                        detail.str());
+                violate("tail-latency", lane.name(), detail.str());
             }
         }
     }
 
     const std::vector<Op> &ops_;
     const DiffConfig &cfg_;
-    std::vector<std::unique_ptr<Machine>> machines_;
-    /** Per-machine posted-event counts, indexed by EventKind. */
-    std::vector<std::array<std::uint64_t, 6>> eventCounts_;
-    /** Per-machine, per-op totalCycles deltas (tail-latency oracle). */
-    std::vector<std::vector<Cycles>> opTotals_;
-    /** Per-machine last drained event id (forensics oracle). */
-    std::vector<std::uint64_t> nextEventId_;
+    std::vector<Lane> lanes_;
     bool silent_ = false;
     ReferenceModel ref_;
     ThreadId currentTid_ = 0;

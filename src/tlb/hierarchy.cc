@@ -84,10 +84,4 @@ TlbHierarchy::flushKey(ProtKey key)
     return l1_->flushKey(key) + l2_->flushKey(key);
 }
 
-unsigned
-TlbHierarchy::flushAll()
-{
-    return l1_->flushAll() + l2_->flushAll();
-}
-
 } // namespace pmodv::tlb

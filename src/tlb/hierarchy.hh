@@ -100,9 +100,6 @@ class TlbHierarchy : public stats::Group
     /** Invalidate entries carrying @p key in both levels. */
     unsigned flushKey(ProtKey key);
 
-    /** Invalidate everything in both levels. */
-    unsigned flushAll();
-
     Tlb &l1() { return *l1_; }
     Tlb &l2() { return *l2_; }
     const TlbHierarchyParams &params() const { return params_; }

@@ -87,14 +87,13 @@ TlbEntry *
 Tlb::lookup(Addr va)
 {
     // Dispatch once on the configured width so the probe loops above
-    // compile with constant trip counts for the common geometries.
+    // compile with constant trip counts for Table II's geometries
+    // (4-way L1, 6-way L2).
     switch (params_.assoc) {
       case 4:
         return lookupImpl<4>(va);
       case 6:
         return lookupImpl<6>(va);
-      case 8:
-        return lookupImpl<8>(va);
       default:
         return lookupImpl<0>(va);
     }
@@ -168,8 +167,6 @@ Tlb::insert(const TlbEntry &entry)
         return insertImpl<true, 4>(entry);
       case 6:
         return insertImpl<true, 6>(entry);
-      case 8:
-        return insertImpl<true, 8>(entry);
       default:
         return insertImpl<true, 0>(entry);
     }
@@ -183,32 +180,9 @@ Tlb::insertFresh(const TlbEntry &entry)
         return insertImpl<false, 4>(entry);
       case 6:
         return insertImpl<false, 6>(entry);
-      case 8:
-        return insertImpl<false, 8>(entry);
       default:
         return insertImpl<false, 0>(entry);
     }
-}
-
-template <typename Pred>
-unsigned
-Tlb::flushIf(Pred pred)
-{
-    unsigned n = 0;
-    for (std::size_t flat = 0; flat < ways_.size(); ++flat) {
-        if (ways_[flat].valid && pred(ways_[flat])) {
-            dropEntry(flat, flat / params_.assoc);
-            ++n;
-        }
-    }
-    flushedEntries += n;
-    return n;
-}
-
-unsigned
-Tlb::flushAll()
-{
-    return flushIf([](const TlbEntry &) { return true; });
 }
 
 unsigned
@@ -278,7 +252,15 @@ Tlb::flushRange(Addr base, Addr size)
 unsigned
 Tlb::flushKey(ProtKey key)
 {
-    return flushIf([key](const TlbEntry &e) { return e.key == key; });
+    unsigned n = 0;
+    for (std::size_t flat = 0; flat < ways_.size(); ++flat) {
+        if (ways_[flat].valid && ways_[flat].key == key) {
+            dropEntry(flat, flat / params_.assoc);
+            ++n;
+        }
+    }
+    flushedEntries += n;
+    return n;
 }
 
 unsigned

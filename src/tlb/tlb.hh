@@ -92,9 +92,6 @@ class Tlb : public stats::Group
      */
     TlbEntry &insertFresh(const TlbEntry &entry);
 
-    /** Invalidate everything; returns the number of valid entries. */
-    unsigned flushAll();
-
     /**
      * Invalidate every translation whose page overlaps
      * [base, base+size); a range running past the top of the address
@@ -192,8 +189,8 @@ class Tlb : public stats::Group
     /**
      * Bodies of lookup()/insert()/insertFresh(), specialized on the
      * associativity (A == 0 reads params_.assoc at runtime). The
-     * public entry points dispatch on the common widths so the SIMD
-     * probe loops fully unroll with compile-time trip counts.
+     * public entry points dispatch on Table II's widths, 4 and 6, so
+     * the SIMD probe loops fully unroll with compile-time trip counts.
      */
     template <unsigned A> TlbEntry *lookupImpl(Addr va);
 
@@ -208,9 +205,6 @@ class Tlb : public stats::Group
         else
             plru_[si].touch(way);
     }
-
-    template <typename Pred>
-    unsigned flushIf(Pred pred);
 
     TlbParams params_;
     unsigned numSets_;

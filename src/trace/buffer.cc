@@ -6,6 +6,10 @@
 
 #include <sys/mman.h>
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace pmodv::trace
 {
 
@@ -14,6 +18,20 @@ namespace
 
 /** A RecordStore's first mapping; it doubles from here. */
 constexpr std::size_t kInitialStoreBytes = std::size_t{2} << 20;
+
+#if defined(__SANITIZE_THREAD__)
+/**
+ * The sync object that orders every store's growth under TSan. The
+ * gcc-12 TSan runtime does not intercept mremap, so a mapping that
+ * mremap moves onto a range another thread's mremap just vacated
+ * keeps that thread's shadow, and the first write to it reads as a
+ * race. Releasing before the map call and acquiring after it orders
+ * the growth events of all stores. It only orders the growth of
+ * stores that each have a single owner; it does not make one store
+ * safe to share between threads.
+ */
+char growthSync;
+#endif
 
 } // namespace
 
@@ -73,10 +91,16 @@ RecordStore::makeRoom(std::size_t n)
     std::size_t bytes = mapBytes_ ? mapBytes_ : kInitialStoreBytes;
     while (bytes / sizeof(TraceRecord) - count_ < n)
         bytes *= 2;
+#if defined(__SANITIZE_THREAD__)
+    __tsan_release(&growthSync);
+#endif
     void *map = records_
         ? ::mremap(records_, mapBytes_, bytes, MREMAP_MAYMOVE)
         : ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+#if defined(__SANITIZE_THREAD__)
+    __tsan_acquire(&growthSync);
+#endif
     fatal_if(map == MAP_FAILED,
              "cannot grow the trace record store to %zu bytes: %s", bytes,
              std::strerror(errno));

@@ -1,46 +1,14 @@
 #include "trace/perfetto.hh"
 
-#include <cmath>
-#include <iomanip>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace pmodv::trace
 {
 
-namespace
-{
-
-/** Deterministic double formatting (mirrors the stats exporters). */
-std::string
-formatNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "0";
-    if (value == std::nearbyint(value) &&
-        std::fabs(value) < 9007199254740992.0) { // 2^53
-        std::ostringstream os;
-        os << static_cast<long long>(value);
-        return os.str();
-    }
-    std::ostringstream os;
-    os << std::setprecision(17) << value;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
+using common::formatNumber;
+using common::jsonEscape;
 
 std::string
 PerfettoExporter::timestamp(std::uint64_t cycle) const

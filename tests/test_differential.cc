@@ -133,15 +133,20 @@ TEST(Differential, CorpusRegressionsStayFixed)
 }
 
 /**
- * The whole corpus also holds on a two-core machine, where evictions
+ * The whole corpus also holds on multi-core machines, where evictions
  * broadcast over the shootdown bus and the Ipi-event oracle is live.
+ * K = 3 pins threads to cores by `tid % K` instead of a mask.
  */
-TEST(Differential, CorpusHoldsOnTwoCores)
+class DifferentialCorpus : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DifferentialCorpus, HoldsOnKCores)
 {
     const std::filesystem::path dir(PMODV_CORPUS_DIR);
     ASSERT_TRUE(std::filesystem::is_directory(dir));
     DiffConfig diff;
-    diff.topology.numCores = 2;
+    diff.topology.numCores = GetParam();
     unsigned replayed = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
         if (entry.path().extension() != ".ops")
@@ -154,6 +159,9 @@ TEST(Differential, CorpusHoldsOnTwoCores)
     }
     EXPECT_GE(replayed, 5u) << "multicore corpus entry went missing";
 }
+
+INSTANTIATE_TEST_SUITE_P(Cores, DifferentialCorpus,
+                         ::testing::Values(2u, 3u, 4u));
 
 TEST(Differential, GeneratorIsDeterministic)
 {

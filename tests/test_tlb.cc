@@ -360,17 +360,6 @@ TEST(Tlb, EvictionWithinSet)
     EXPECT_EQ(tlb.validCount(), 4u);
 }
 
-TEST(Tlb, FlushAll)
-{
-    stats::Group root(nullptr, "");
-    Tlb tlb(&root, smallTlb());
-    tlb.insert(entryFor(0x1000));
-    tlb.insert(entryFor(0x2000));
-    EXPECT_EQ(tlb.flushAll(), 2u);
-    EXPECT_EQ(tlb.validCount(), 0u);
-    EXPECT_DOUBLE_EQ(tlb.flushedEntries.value(), 2.0);
-}
-
 TEST(Tlb, FlushRangeIsExact)
 {
     stats::Group root(nullptr, "");
