@@ -223,7 +223,7 @@ System::beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
         opBaseSet_ = true;
         opArrivalBase_ = virt;
     }
-    const Cycles arrival = opArrivalBase_ + rec.addr;
+    const Cycles arrival = opArrivalBase_ + rec.arrival();
     if (virt < arrival) {
         // The server caught up with the arrival process: the core
         // idles until the stamped arrival. The jump lives only in the
@@ -235,8 +235,7 @@ System::beginTrackedOp(const trace::TraceRecord &rec, Cycles cycle_now,
     }
     opArrival_ = arrival;
     opHasArrival_ = true;
-    opClassCur_ = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        rec.value, config_.opClasses - 1));
+    opClassCur_ = std::min(rec.opClass(), config_.opClasses - 1);
     const Cycles qdelay = virt - arrival;
     opQueueCur_ = qdelay;
     opQueue_->sample(qdelay);
@@ -491,16 +490,16 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
             CoreContext &core = core_of(rec.tid);
             scheme->setActiveCore(core.index);
             tlb::Region region;
-            region.base = rec.addr;
-            region.size = rec.value;
+            region.base = rec.attachBase();
+            region.size = rec.attachSize();
             region.domain = rec.aux;
             region.pagePerm = rec.perm();
             region.memClass = MemClass::Nvm;
             region.pageSize = rec.pageSize();
             space_.map(region);
             charge(core,
-                   scheme->attach(rec.tid, rec.aux, rec.addr, rec.value,
-                                  rec.perm()),
+                   scheme->attach(rec.tid, rec.aux, region.base,
+                                  region.size, rec.perm()),
                    cycSyscall);
             break;
           }

@@ -6,7 +6,9 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/system.hh"
+#include "stats/export.hh"
 #include "testing/reference.hh"
 
 namespace pmodv::testing
@@ -18,6 +20,15 @@ namespace
 constexpr Addr kPage = 4096;
 /** Pages per 16 MB domain slot (the attach size ceiling). */
 constexpr std::uint32_t kSlotPages = (16u << 20) / kPage;
+
+/**
+ * Seed of the batch-split probe's cut points. Fixed, so the cuts are
+ * a function of the records alone and a printed reproducer replays
+ * the same split.
+ */
+constexpr std::uint64_t kSplitSeed = 0x5eed;
+/** The probe's batches hold 1..kMaxSpan records. */
+constexpr std::uint64_t kMaxSpan = 48;
 
 /** The six kinds in canonical order (none, lowerbound, protected x4). */
 constexpr std::array kAllSchemes = {
@@ -81,6 +92,8 @@ injectionFromName(const std::string &name)
         return BugInjection::None;
     if (name == "mpk-drop-revoke")
         return BugInjection::MpkDropRevoke;
+    if (name == "batch-reset-stat")
+        return BugInjection::BatchResetStat;
     fatal("unknown bug injection '%s'", name.c_str());
 }
 
@@ -114,17 +127,15 @@ namespace
 class Runner
 {
   public:
-    Runner(const std::vector<Op> &ops, const DiffConfig &cfg,
-           bool silent = false)
-        : ops_(ops), cfg_(cfg), silent_(silent)
+    Runner(const std::vector<Op> &ops, const DiffConfig &cfg)
+        : ops_(ops), cfg_(cfg)
     {
-        core::SimConfig sim;
-        sim.topology = cfg.topology;
+        sim_.topology = cfg.topology;
         // Events are drained after every op; the ring must never drop.
-        sim.eventRingCapacity = std::size_t{1} << 16;
+        sim_.eventRingCapacity = std::size_t{1} << 16;
         for (arch::SchemeKind kind : kAllSchemes)
             lanes_.emplace_back().sys =
-                std::make_unique<core::System>(sim, kind);
+                std::make_unique<core::System>(sim_, kind);
     }
 
     DiffResult
@@ -143,18 +154,8 @@ class Runner
         checkCycleOrder();
         checkBucketSums();
         checkEvents();
-        if (!silent_)
-            checkTailLatency();
+        checkTailLatency();
         return result_;
-    }
-
-    /** Execute ops up to (not including) @p end; report totalCycles. */
-    std::vector<Cycles>
-    executeThrough(std::size_t end)
-    {
-        for (; opIndex_ < end; ++opIndex_)
-            runOp();
-        return totals();
     }
 
   private:
@@ -166,6 +167,12 @@ class Runner
         std::array<std::uint64_t, 6> eventCounts{};
         /** Per-op totalCycles deltas (tail-latency oracle). */
         std::vector<Cycles> opTotals;
+        /** Every record fed to the System, in order (batch-split probe). */
+        std::vector<trace::TraceRecord> records;
+        /** The System's totalCycles after each of @c records. */
+        std::vector<Cycles> totalAfter;
+        /** Every event drained from the System, in order. */
+        std::vector<trace::Event> events;
         /** Last drained event id (forensics oracle). */
         std::uint64_t lastEventId = 0;
 
@@ -177,10 +184,27 @@ class Runner
     violate(const std::string &oracle, const std::string &scheme,
             const std::string &detail)
     {
-        if (silent_)
-            return;
         result_.violations.push_back(
             {oracle, scheme, opIndex_, detail});
+    }
+
+    /** Hand @p records to @p sys as one replayBatch. */
+    void
+    replay(core::System &sys,
+           std::span<const trace::TraceRecord> records) const
+    {
+        if (cfg_.inject == BugInjection::BatchResetStat)
+            sys.memAccesses.reset(); // Planted: lost at every batch.
+        sys.replayBatch(records);
+    }
+
+    /** Feed @p rec to @p lane's System alone, as a one-record batch. */
+    void
+    feed(Lane &lane, const trace::TraceRecord &rec)
+    {
+        replay(*lane.sys, {&rec, 1});
+        lane.records.push_back(rec);
+        lane.totalAfter.push_back(lane.sys->totalCycles());
     }
 
     /** Every System's totalCycles, in lane order. */
@@ -214,7 +238,7 @@ class Runner
     putAll(const trace::TraceRecord &rec)
     {
         for (Lane &lane : lanes_)
-            lane.sys->put(rec);
+            feed(lane, rec);
     }
 
     void
@@ -274,13 +298,22 @@ class Runner
         ref_.attach(op.domain, base, size, op.perm);
         putAll(trace::TraceRecord::attach(tid(currentTid_), op.domain,
                                           base, size, op.perm));
-        // The mmap behind attach invalidates prior translations of the
-        // range on every core: an access may have touched the slot
-        // before it was attached, and the domainless translation
-        // cached then would differ by access history, not by scheme.
         for (Lane &lane : lanes_)
-            for (unsigned k = 0; k < lane.sys->numCores(); ++k)
-                lane.sys->coreAt(k).tlb.flushRange(base, size);
+            flushAttached(*lane.sys, lane.records.back());
+    }
+
+    /**
+     * The mmap behind attach record @p rec invalidates prior
+     * translations of its range on every core: an access may have
+     * touched the slot before it was attached, and the domainless
+     * translation cached then would differ by access history, not by
+     * scheme.
+     */
+    static void
+    flushAttached(core::System &sys, const trace::TraceRecord &rec)
+    {
+        for (unsigned k = 0; k < sys.numCores(); ++k)
+            sys.coreAt(k).tlb.flushRange(rec.attachBase(), rec.attachSize());
     }
 
     void
@@ -292,7 +325,7 @@ class Runner
             if (cfg_.inject == BugInjection::MpkDropRevoke &&
                 lane.kind() == arch::SchemeKind::Mpk && perm == Perm::None)
                 continue; // Planted defect: the revoke never arrives.
-            lane.sys->put(rec);
+            feed(lane, rec);
         }
         checkEffectivePerm(t, domain);
     }
@@ -323,7 +356,7 @@ class Runner
                 : trace::TraceRecord::store(tid(currentTid_), va, 8, false);
         for (Lane &lane : lanes_) {
             const std::uint64_t denied = lane.sys->deniedAccesses.value();
-            lane.sys->put(rec);
+            feed(lane, rec);
             if (!isProtected(lane.kind()))
                 continue; // Baselines allow everything by design.
             const bool allowed = lane.sys->deniedAccesses.value() == denied;
@@ -406,6 +439,7 @@ class Runner
     {
         for (Lane &lane : lanes_) {
             for (const trace::Event &ev : lane.sys->drainEvents()) {
+                lane.events.push_back(ev);
                 auto kind = static_cast<std::size_t>(ev.kind);
                 if (kind < lane.eventCounts.size())
                     ++lane.eventCounts[kind];
@@ -525,52 +559,74 @@ class Runner
 
     /**
      * Per-request latency rests on two properties of the cycle
-     * accounting: the per-op totals recorded above must partition the
-     * machine total exactly (no cycles charged between requests), and
-     * a fresh set of Systems replaying the same episode split into two
-     * batches must land on the same totals at the split and at the
-     * end. The probe runner is silent — any divergence is reported
-     * here, not double-counted from its own oracles.
+     * accounting. The per-op totals recorded above must partition the
+     * machine total exactly (no cycles charged between requests). And
+     * however a trace is split into replayBatch calls, the machine
+     * must come out the same: a fresh System per scheme replays the
+     * records its lane was fed in batches cut at seeded random record
+     * indices, inside ops as well as between them, and must match the
+     * one-record path's total after every batch, its stats tree and
+     * its event ring. An attach always ends a batch, so the harness's
+     * attach flush lands where it did on the one-record path.
      */
     void
     checkTailLatency()
     {
-        if (ops_.empty())
-            return;
-        Runner probe(ops_, cfg_, /*silent=*/true);
-        const std::size_t split = ops_.size() / 2;
-        const std::vector<Cycles> mid = probe.executeThrough(split);
-        const std::vector<Cycles> end =
-            probe.executeThrough(ops_.size());
-        for (std::size_t i = 0; i < lanes_.size(); ++i) {
-            const Lane &lane = lanes_[i];
-            Cycles sum_first = 0, sum_all = 0;
-            for (std::size_t k = 0; k < lane.opTotals.size(); ++k) {
-                sum_all += lane.opTotals[k];
-                if (k < split)
-                    sum_first += lane.opTotals[k];
-            }
-            if (sum_all != lane.sys->totalCycles()) {
+        Rng rng(kSplitSeed);
+        for (const Lane &lane : lanes_) {
+            Cycles sum = 0;
+            for (Cycles c : lane.opTotals)
+                sum += c;
+            if (sum != lane.sys->totalCycles()) {
                 std::ostringstream detail;
-                detail << "per-op cycle totals sum to " << sum_all
+                detail << "per-op cycle totals sum to " << sum
                        << " but the machine total is "
                        << lane.sys->totalCycles();
                 violate("tail-latency", lane.name(), detail.str());
             }
-            if (sum_first != mid[i] || sum_all != end[i]) {
-                std::ostringstream detail;
-                detail << "batch-split replay diverged: first batch "
-                       << sum_first << " vs " << mid[i] << ", total "
-                       << sum_all << " vs " << end[i];
-                violate("tail-latency", lane.name(), detail.str());
+
+            core::System probe(sim_, lane.kind());
+            std::vector<trace::Event> events;
+            const std::vector<trace::TraceRecord> &recs = lane.records;
+            for (std::size_t begin = 0; begin < recs.size();) {
+                std::size_t end =
+                    std::min(recs.size(), begin + 1 + rng.next(kMaxSpan));
+                for (std::size_t i = begin; i < end; ++i) {
+                    if (recs[i].type == trace::RecordType::Attach)
+                        end = i + 1;
+                }
+                replay(probe, {recs.data() + begin, end - begin});
+                if (recs[end - 1].type == trace::RecordType::Attach)
+                    flushAttached(probe, recs[end - 1]);
+                for (const trace::Event &ev : probe.drainEvents())
+                    events.push_back(ev);
+                if (probe.totalCycles() != lane.totalAfter[end - 1]) {
+                    std::ostringstream detail;
+                    detail << "batch [" << begin << ", " << end
+                           << ") of " << recs.size() << " records ends at "
+                           << probe.totalCycles()
+                           << " cycles, the one-record path at "
+                           << lane.totalAfter[end - 1];
+                    violate("tail-latency", lane.name(), detail.str());
+                    break;
+                }
+                begin = end;
             }
+            if (stats::toJsonString(probe) != stats::toJsonString(*lane.sys))
+                violate("tail-latency", lane.name(),
+                        "batch-split replay's stats tree differs from the "
+                        "one-record path's");
+            if (events != lane.events)
+                violate("tail-latency", lane.name(),
+                        "batch-split replay's event ring differs from the "
+                        "one-record path's");
         }
     }
 
     const std::vector<Op> &ops_;
     const DiffConfig &cfg_;
+    core::SimConfig sim_;
     std::vector<Lane> lanes_;
-    bool silent_ = false;
     ReferenceModel ref_;
     ThreadId currentTid_ = 0;
     std::size_t opIndex_ = 0;

@@ -18,12 +18,15 @@
  *                    shootdown), eviction/shootdown counts match the
  *                    stats, and nothing was dropped;
  *  - tail-latency:   the per-op cycle totals the KV server's latency
- *                    histograms are built from are deterministic — a
- *                    second set of Systems replaying the same ops in
- *                    two batches lands on the same cycle totals at
- *                    the batch split and at the end, and the per-op
- *                    deltas sum exactly to the machine total (no
- *                    cycles charged between requests).
+ *                    histograms are built from sum exactly to the
+ *                    machine total (no cycles charged between
+ *                    requests), and they do not depend on how the
+ *                    trace is batched — a second System per scheme
+ *                    replays the episode's records through
+ *                    replayBatch in spans cut at seeded random record
+ *                    indices (inside ops too) and must match the
+ *                    one-record path's total after every span, its
+ *                    stats tree and its event ring.
  *
  * Every op becomes TraceRecords fed through System::put, so the fuzz
  * runs the machine the benchmarks replay, and the oracles read the
@@ -52,9 +55,17 @@ enum class BugInjection
     None,
     /** Stock mpk silently ignores SETPERM(None) — a dropped revoke. */
     MpkDropRevoke,
+    /**
+     * Every System's memAccesses counter restarts at 0 with each batch
+     * it is handed — a counter lost at a batch boundary.
+     */
+    BatchResetStat,
 };
 
-/** Parse "none" / "mpk-drop-revoke"; fatal() on anything else. */
+/**
+ * Parse "none" / "mpk-drop-revoke" / "batch-reset-stat"; fatal() on
+ * anything else.
+ */
 BugInjection injectionFromName(const std::string &name);
 
 /** One oracle violation. */

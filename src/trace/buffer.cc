@@ -114,8 +114,8 @@ RecordStore::makeRoom(std::size_t n)
 
 TraceBuffer::~TraceBuffer()
 {
-    if (map_)
-        ::munmap(map_, mapBytes_);
+    if (records_)
+        ::munmap(records_, mapBytes_);
 }
 
 std::shared_ptr<const TraceBuffer>
@@ -137,27 +137,10 @@ std::shared_ptr<const TraceBuffer>
 TraceBuffer::fromRecords(RecordStore records)
 {
     auto buf = std::shared_ptr<TraceBuffer>(new TraceBuffer);
-    buf->map_ = std::exchange(records.records_, nullptr);
+    buf->records_ = std::exchange(records.records_, nullptr);
     buf->mapBytes_ = records.mapBytes_;
-    buf->records_ = static_cast<const TraceRecord *>(buf->map_);
     buf->count_ = records.count_;
     buf->summary_ = records.summary_;
-    return buf;
-}
-
-std::shared_ptr<const TraceBuffer>
-TraceBuffer::adoptMapping(void *map, std::size_t map_bytes,
-                          const TraceRecord *records, std::size_t count,
-                          const TraceSummary &summary)
-{
-    panic_if(!map, "TraceBuffer::adoptMapping without a mapping");
-    auto buf = std::shared_ptr<TraceBuffer>(new TraceBuffer);
-    buf->map_ = map;
-    buf->mapBytes_ = map_bytes;
-    buf->records_ = records;
-    buf->count_ = count;
-    buf->summary_ = summary;
-    buf->fileView_ = true;
     return buf;
 }
 

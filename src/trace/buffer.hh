@@ -8,9 +8,8 @@
  * table moves, no copies) and folds every record into a TraceSummary
  * as it is appended. A TraceBuffer is the capture-once / replay-many
  * handle shared by reference across every per-scheme replay pipeline.
- * It adopts a store's mapping as is, or maps a v2 trace file
- * read-only, so either way its records sit in one mapping that it
- * unmaps when it dies. Its TraceSummary (per-type counts and
+ * It adopts a store's mapping as is (a capture's, or the one a trace
+ * file was decoded into) and unmaps it when it dies. Its TraceSummary (per-type counts and
  * instruction totals) lets consumers (trace info, replay counters)
  * skip a rescan of the body.
  */
@@ -152,10 +151,10 @@ class RecordStore
 };
 
 /**
- * An immutable, 64-byte-aligned TraceRecord array in one owned mapping:
- * an adopted RecordStore or a read-only view of a v2 trace file.
- * Construction is the only mutation; afterwards the buffer is safe to
- * share across replay worker threads by const reference / shared_ptr.
+ * An immutable, 64-byte-aligned TraceRecord array in one owned mapping,
+ * adopted from a RecordStore. Construction is the only mutation;
+ * afterwards the buffer is safe to share across replay worker threads
+ * by const reference / shared_ptr.
  */
 class TraceBuffer
 {
@@ -173,17 +172,6 @@ class TraceBuffer
     static std::shared_ptr<const TraceBuffer>
     fromRecords(RecordStore records);
 
-    /**
-     * Adopt an mmap'ed file region: @p records points inside
-     * [map, map + map_bytes), which is munmap'ed when the buffer
-     * dies. @p summary must already be verified by the caller.
-     * Used by TraceFileReader::view() for zero-copy v2 loads.
-     */
-    static std::shared_ptr<const TraceBuffer>
-    adoptMapping(void *map, std::size_t map_bytes,
-                 const TraceRecord *records, std::size_t count,
-                 const TraceSummary &summary);
-
     std::span<const TraceRecord> records() const
     {
         return {records_, count_};
@@ -196,18 +184,13 @@ class TraceBuffer
     /** The counts folded in while the records were stored. */
     const TraceSummary &summary() const { return summary_; }
 
-    /** True when the records are a view of a v2 trace file. */
-    bool fileView() const { return fileView_; }
-
   private:
     TraceBuffer() = default;
 
-    const TraceRecord *records_ = nullptr;
+    TraceRecord *records_ = nullptr; ///< Owned mapping, or nullptr.
     std::size_t count_ = 0;
-    TraceSummary summary_;
-    void *map_ = nullptr; ///< Owned mapping, or nullptr when empty.
     std::size_t mapBytes_ = 0;
-    bool fileView_ = false;
+    TraceSummary summary_;
 };
 
 } // namespace pmodv::trace

@@ -55,8 +55,8 @@ toString(const TraceRecord &rec)
         os << " key=" << rec.aux << " perm=" << permToString(rec.perm());
         break;
       case RecordType::Attach:
-        os << " domain=" << rec.aux << " base=0x" << std::hex << rec.addr
-           << std::dec << " size=" << rec.value
+        os << " domain=" << rec.aux << " base=0x" << std::hex
+           << rec.attachBase() << std::dec << " size=" << rec.attachSize()
            << " perm=" << permToString(rec.perm());
         break;
       case RecordType::Detach:

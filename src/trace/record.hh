@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pmodv::trace
@@ -41,8 +42,9 @@ enum class RecordType : std::uint8_t
      */
     Wrpkru = 4,
     /**
-     * Attach system call: PMO/domain @c aux mapped at VA base
-     * @c addr, byte size @c value; flags carry the requested Perm.
+     * Attach system call: PMO/domain @c aux mapped at a VA base and
+     * byte size packed into @c addr (TraceRecord::attachBase() and
+     * attachSize()); flags carry the requested Perm.
      */
     Attach = 5,
     /** Detach system call for domain @c aux. */
@@ -63,8 +65,9 @@ inline constexpr std::uint8_t kFlagPmo = 0x01;
 
 /**
  * Flag bit on OpBegin records: the op carries an open-loop arrival
- * stamp. `addr` then holds the request's arrival time in model cycles
- * and `value` its latency class (see SimConfig::opClasses). Reuses
+ * stamp. `addr` then packs the request's arrival time in model cycles
+ * and its latency class (see SimConfig::opClasses and
+ * TraceRecord::arrival()/opClass()). Reuses
  * bit 0, which only means kFlagPmo on load/store records.
  */
 inline constexpr std::uint8_t kFlagOpArrival = 0x01;
@@ -98,9 +101,65 @@ decodePageSizeFlags(std::uint8_t flags)
     return static_cast<PageSize>((flags >> 3) & 0x3);
 }
 
+/** Attach records hold 4 KB-aligned ranges below this VA. */
+inline constexpr Addr kAttachVaLimit = Addr{1} << 48;
+
+/** Attach sizes must stay below this: 2^28 pages of 4 KB (1 TB). */
+inline constexpr Addr kAttachSizeLimit = Addr{1} << 40;
+
+/** Arrival stamps must stay below this (56 bits of model cycles). */
+inline constexpr std::uint64_t kArrivalLimit = std::uint64_t{1} << 56;
+
+/** The largest latency class an arrival-stamped OpBegin can carry. */
+inline constexpr std::uint64_t kMaxOpClass = 0xff;
+
 /**
- * One dynamic trace event. 24 bytes, trivially copyable, suitable for
- * bulk binary I/O.
+ * Why an attach of [@p base, @p base + @p size) cannot be packed into
+ * a TraceRecord, or nullptr when it can.
+ */
+constexpr const char *
+attachUnencodable(Addr base, Addr size)
+{
+    if (base % 4096 != 0)
+        return "base is not 4 KB aligned";
+    if (size % 4096 != 0)
+        return "size is not a multiple of 4 KB";
+    if (size >= kAttachSizeLimit)
+        return "size is not below 1 TB";
+    if (base >= kAttachVaLimit || size > kAttachVaLimit - base)
+        return "range reaches past 2^48";
+    return nullptr;
+}
+
+/**
+ * Why an OpBegin arrival stamp @p arrival of latency class
+ * @p op_class cannot be packed into a TraceRecord, or nullptr.
+ */
+constexpr const char *
+arrivalUnencodable(std::uint64_t arrival, std::uint64_t op_class)
+{
+    if (arrival >= kArrivalLimit)
+        return "arrival is not below 2^56";
+    if (op_class > kMaxOpClass)
+        return "latency class is above 255";
+    return nullptr;
+}
+
+/**
+ * One dynamic trace event. 16 bytes, trivially copyable and
+ * padding-free. Most records use @c addr as a plain address; the two
+ * kinds that need a second word pack it into @c addr, and every read
+ * of those goes through an accessor:
+ *
+ *  - Attach: the 4 KB-aligned base sits in bits 12..47; the size in
+ *    4 KB pages (below 2^28) is split over bits 48..63 (high 16 bits)
+ *    and 0..11 (low 12 bits). Read with attachBase()/attachSize().
+ *  - Arrival-stamped OpBegin: the arrival cycle in bits 0..55, the
+ *    latency class in bits 56..63. Read with arrival()/opClass().
+ *
+ * The factories panic on a value the packing cannot hold. On disk a
+ * record stays the 24-byte {..., addr, value} layout; trace_file.cc
+ * converts at the file boundary.
  */
 struct TraceRecord
 {
@@ -108,8 +167,7 @@ struct TraceRecord
     std::uint8_t flags = 0;
     std::uint16_t tid = 0;  ///< Issuing software thread.
     std::uint32_t aux = 0;  ///< Type-specific payload (count/domain/...).
-    std::uint64_t addr = 0; ///< Virtual address where applicable.
-    std::uint64_t value = 0; ///< Extra payload (sizes etc.).
+    std::uint64_t addr = 0; ///< Virtual address, or a packed payload.
 
     /** True for the records whose @c aux names a domain. */
     bool
@@ -123,7 +181,7 @@ struct TraceRecord
     static TraceRecord
     instBlock(std::uint16_t tid, std::uint32_t count)
     {
-        return {RecordType::InstBlock, 0, tid, count, 0, 0};
+        return {RecordType::InstBlock, 0, tid, count, 0};
     }
 
     /** Build a load record. */
@@ -132,7 +190,7 @@ struct TraceRecord
     {
         return {RecordType::Load,
                 static_cast<std::uint8_t>(pmo ? kFlagPmo : 0), tid, size,
-                addr, 0};
+                addr};
     }
 
     /** Build a store record. */
@@ -141,7 +199,7 @@ struct TraceRecord
     {
         return {RecordType::Store,
                 static_cast<std::uint8_t>(pmo ? kFlagPmo : 0), tid, size,
-                addr, 0};
+                addr};
     }
 
     /** Build a SETPERM record. */
@@ -149,47 +207,65 @@ struct TraceRecord
     setPerm(std::uint16_t tid, DomainId domain, Perm perm)
     {
         return {RecordType::SetPerm, encodePermFlags(perm), tid, domain,
-                0, 0};
+                0};
     }
 
     /** Build a WRPKRU record. */
     static TraceRecord
     wrpkru(std::uint16_t tid, ProtKey key, Perm perm)
     {
-        return {RecordType::Wrpkru, encodePermFlags(perm), tid, key, 0,
-                0};
+        return {RecordType::Wrpkru, encodePermFlags(perm), tid, key, 0};
     }
 
-    /** Build an attach record (mapping granularity defaults to 4KB). */
+    /**
+     * Build an attach record (mapping granularity defaults to 4KB).
+     * Panics unless attachUnencodable() accepts the range.
+     */
     static TraceRecord
     attach(std::uint16_t tid, DomainId domain, Addr va_base, Addr size,
            Perm perm, PageSize page_size = PageSize::Size4K)
     {
+        const char *why = attachUnencodable(va_base, size);
+        panic_if(why, "attach of domain %u at %#llx (%#llx bytes): %s",
+                 domain, static_cast<unsigned long long>(va_base),
+                 static_cast<unsigned long long>(size), why);
+        const Addr pages = size >> 12;
         return {RecordType::Attach,
                 static_cast<std::uint8_t>(encodePermFlags(perm) |
                                           encodePageSizeFlags(page_size)),
-                tid, domain, va_base, size};
+                tid, domain,
+                va_base | (pages >> 12) << 48 | (pages & 0xfff)};
     }
 
-    /** Build a detach record. */
+    /** The VA base of an Attach record. */
+    Addr attachBase() const { return addr & (kAttachVaLimit - 4096); }
+
+    /** The byte size of an Attach record. */
+    Addr
+    attachSize() const
+    {
+        return ((addr >> 48) << 12 | (addr & 0xfff)) << 12;
+    }
+
+/** Build a detach record. */
     static TraceRecord
     detach(std::uint16_t tid, DomainId domain)
     {
-        return {RecordType::Detach, 0, tid, domain, 0, 0};
+        return {RecordType::Detach, 0, tid, domain, 0};
     }
 
     /** Build a thread (context) switch record. */
     static TraceRecord
     threadSwitch(std::uint16_t new_tid)
     {
-        return {RecordType::ThreadSwitch, 0, new_tid, new_tid, 0, 0};
+        return {RecordType::ThreadSwitch, 0, new_tid, new_tid, 0};
     }
 
     /** Build an operation-begin marker. */
     static TraceRecord
     opBegin(std::uint16_t tid, std::uint32_t op_kind = 0)
     {
-        return {RecordType::OpBegin, 0, tid, op_kind, 0, 0};
+        return {RecordType::OpBegin, 0, tid, op_kind, 0};
     }
 
     /**
@@ -200,13 +276,27 @@ struct TraceRecord
      * measure queueing delay and arrival-to-completion latency
      * against the stamp; engines without it ignore the extra fields,
      * so stamped traces replay bit-identically on legacy configs.
+     * Panics unless arrivalUnencodable() accepts the stamp.
      */
     static TraceRecord
     opBeginAt(std::uint16_t tid, std::uint32_t op_kind,
               std::uint64_t arrival, std::uint32_t op_class)
     {
+        const char *why = arrivalUnencodable(arrival, op_class);
+        panic_if(why, "op arrival %llu of class %u: %s",
+                 static_cast<unsigned long long>(arrival), op_class, why);
         return {RecordType::OpBegin, kFlagOpArrival, tid, op_kind,
-                arrival, op_class};
+                arrival | std::uint64_t{op_class} << 56};
+    }
+
+    /** The arrival cycle of an arrival-stamped OpBegin record. */
+    std::uint64_t arrival() const { return addr & (kArrivalLimit - 1); }
+
+    /** The latency class of an arrival-stamped OpBegin record. */
+    std::uint32_t
+    opClass() const
+    {
+        return static_cast<std::uint32_t>(addr >> 56);
     }
 
     /** True for an OpBegin record carrying an arrival stamp. */
@@ -220,7 +310,7 @@ struct TraceRecord
     static TraceRecord
     opEnd(std::uint16_t tid, std::uint32_t op_kind = 0)
     {
-        return {RecordType::OpEnd, 0, tid, op_kind, 0, 0};
+        return {RecordType::OpEnd, 0, tid, op_kind, 0};
     }
 
     bool isMemAccess() const
@@ -240,7 +330,7 @@ struct TraceRecord
     bool operator==(const TraceRecord &) const = default;
 };
 
-static_assert(sizeof(TraceRecord) == 24, "TraceRecord must stay 24 bytes");
+static_assert(sizeof(TraceRecord) == 16, "TraceRecord must stay 16 bytes");
 
 /** Short human-readable name of a record type. */
 std::string recordTypeName(RecordType t);

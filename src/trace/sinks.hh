@@ -33,13 +33,6 @@ class TraceSink
     virtual void finish() {}
 };
 
-/** A sink that discards everything (for dry runs). */
-class NullSink : public TraceSink
-{
-  public:
-    void put(const TraceRecord &) override {}
-};
-
 /**
  * Buffers the whole trace in memory for repeated replay, straight
  * into the RecordStore that TraceBuffer::fromRecords() adopts.
@@ -129,37 +122,6 @@ class CountingSink : public TraceSink
 
   private:
     TraceSummary summary_;
-};
-
-/**
- * Forwards records while also counting them; convenient for wrapping
- * a replay pipeline with trace statistics.
- */
-class TeeCountingSink : public CountingSink
-{
-  public:
-    explicit TeeCountingSink(TraceSink *downstream)
-        : downstream_(downstream)
-    {
-    }
-
-    void
-    put(const TraceRecord &rec) override
-    {
-        CountingSink::put(rec);
-        if (downstream_)
-            downstream_->put(rec);
-    }
-
-    void
-    finish() override
-    {
-        if (downstream_)
-            downstream_->finish();
-    }
-
-  private:
-    TraceSink *downstream_;
 };
 
 } // namespace pmodv::trace

@@ -1,10 +1,12 @@
 #include "trace/trace_file.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
-#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -15,15 +17,92 @@ namespace
 {
 
 /**
- * Fold @p rec's bytes into FNV-1a @p hash. TraceRecord is trivially
+ * A record as it sits on disk, in both formats: the 24-byte layout
+ * with the second payload word spelled out. Only Attach (byte size)
+ * and arrival-stamped OpBegin (latency class) use @c value; every
+ * other type writes 0 there. In memory a TraceRecord packs these two
+ * payloads into 16 bytes, so encode() widens on the way out and
+ * decode() narrows, checks and rejects on the way in.
+ */
+struct FileRecord
+{
+    RecordType type;
+    std::uint8_t flags;
+    std::uint16_t tid;
+    std::uint32_t aux;
+    std::uint64_t addr;
+    std::uint64_t value;
+};
+
+static_assert(sizeof(FileRecord) == kTraceFileRecordBytes,
+              "on-disk trace records must stay 24 bytes");
+
+/** @p rec in its on-disk layout. */
+FileRecord
+encode(const TraceRecord &rec)
+{
+    if (rec.type == RecordType::Attach)
+        return {rec.type, rec.flags, rec.tid, rec.aux, rec.attachBase(),
+                rec.attachSize()};
+    if (rec.hasArrival())
+        return {rec.type, rec.flags, rec.tid, rec.aux, rec.arrival(),
+                rec.opClass()};
+    return {rec.type, rec.flags, rec.tid, rec.aux, rec.addr, 0};
+}
+
+/**
+ * Record @p index of trace file @p path, narrowed to a TraceRecord.
+ * fatal() on a record of unknown type, one naming a domain at or
+ * above kMaxDomains, and one whose payload a 16-byte record cannot
+ * hold (see TraceRecord).
+ */
+TraceRecord
+decode(const FileRecord &f, const std::string &path, std::uint64_t index)
+{
+    const auto idx = static_cast<unsigned long long>(index);
+    fatal_if(static_cast<std::size_t>(f.type) >= kNumRecordTypes,
+             "trace file '%s' is corrupt: record %llu has unknown type %u",
+             path.c_str(), idx, static_cast<unsigned>(f.type));
+    TraceRecord rec{f.type, f.flags, f.tid, f.aux, f.addr};
+    fatal_if(rec.namesDomain() && rec.aux >= kMaxDomains,
+             "trace file '%s' is corrupt: record %llu names domain %u, "
+             "beyond the bound of %u domains",
+             path.c_str(), idx, rec.aux, kMaxDomains);
+    const char *why = nullptr;
+    if (rec.type == RecordType::Attach) {
+        why = attachUnencodable(f.addr, f.value);
+        if (!why)
+            rec = TraceRecord::attach(f.tid, f.aux, f.addr, f.value,
+                                      Perm::None);
+    } else if (rec.hasArrival()) {
+        why = arrivalUnencodable(f.addr, f.value);
+        if (!why)
+            rec = TraceRecord::opBeginAt(f.tid, f.aux, f.addr,
+                                         static_cast<std::uint32_t>(
+                                             f.value));
+    } else if (f.value != 0) {
+        why = "its type carries no value word, but the word is not 0";
+    }
+    fatal_if(why,
+             "trace file '%s' is corrupt: record %llu (%s, addr %#llx, "
+             "value %#llx) does not fit a 16-byte record: %s",
+             path.c_str(), idx, recordTypeName(f.type).c_str(),
+             static_cast<unsigned long long>(f.addr),
+             static_cast<unsigned long long>(f.value), why);
+    rec.flags = f.flags;
+    return rec;
+}
+
+/**
+ * Fold @p rec's bytes into FNV-1a @p hash. FileRecord is trivially
  * copyable and padding-free (static_assert'ed to 24 bytes), so hashing
  * the object representation is deterministic.
  */
 std::uint64_t
-fnv1a(std::uint64_t hash, const TraceRecord &rec)
+fnv1a(std::uint64_t hash, const FileRecord &rec)
 {
     const auto *p = reinterpret_cast<const unsigned char *>(&rec);
-    for (std::size_t i = 0; i < sizeof(TraceRecord); ++i) {
+    for (std::size_t i = 0; i < sizeof(FileRecord); ++i) {
         hash ^= p[i];
         hash *= kFnvPrime;
     }
@@ -128,14 +207,15 @@ TraceFileWriter::put(const TraceRecord &rec)
 {
     fatal_if(finished_, "put() after finish() on trace writer '%s'",
              path_.c_str());
-    fatal_if(std::fwrite(&rec, sizeof(rec), 1, file_) != 1,
-             "short write to trace file '%s': %s", path_.c_str(),
-             std::strerror(errno));
     panic_if(!summary_.add(rec),
              "record %llu written to '%s' has unknown type %u",
              static_cast<unsigned long long>(summary_.totalRecords()),
              path_.c_str(), static_cast<unsigned>(rec.type));
-    checksum_ = fnv1a(checksum_, rec);
+    const FileRecord f = encode(rec);
+    fatal_if(std::fwrite(&f, sizeof(f), 1, file_) != 1,
+             "short write to trace file '%s': %s", path_.c_str(),
+             std::strerror(errno));
+    checksum_ = fnv1a(checksum_, f);
 }
 
 void
@@ -201,7 +281,7 @@ TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
     // size can wrap u64 and pass a size comparison.
     const std::uint64_t have = fileSize(file_, path_);
     fatal_if(have < headerBytes_ ||
-                 count_ > (have - headerBytes_) / sizeof(TraceRecord),
+                 count_ > (have - headerBytes_) / sizeof(FileRecord),
              "truncated trace file '%s': header promises %llu records "
              "but only %llu bytes are present",
              path.c_str(), static_cast<unsigned long long>(count_),
@@ -214,98 +294,53 @@ TraceFileReader::~TraceFileReader()
         std::fclose(file_);
 }
 
-void
-TraceFileReader::unknownType(std::size_t index, RecordType type) const
-{
-    fatal("trace file '%s' is corrupt: record %zu has unknown type %u",
-          path_.c_str(), index, static_cast<unsigned>(type));
-}
-
-std::shared_ptr<const TraceBuffer>
-TraceFileReader::loadIntoStore()
-{
-    // Decode-on-load: fread the body straight into a RecordStore.
-    // Used for v1 files and as the fallback when mmap fails.
-    RecordStore store;
-    if (count_ != 0) {
-        fatal_if(std::fseek(file_, static_cast<long>(headerBytes_),
-                            SEEK_SET) != 0,
-                 "cannot seek in trace file '%s'", path_.c_str());
-        const std::size_t kept =
-            store.appendInPlace(count_, [&](TraceRecord *dst) {
-                fatal_if(std::fread(dst, sizeof(TraceRecord), count_,
-                                    file_) != count_,
-                         "truncated trace file '%s'", path_.c_str());
-            });
-        if (kept != count_)
-            unknownType(kept, store.data()[kept].type);
-        fatal_if(std::fseek(file_,
-                            static_cast<long>(
-                                headerBytes_ +
-                                readSoFar_ * sizeof(TraceRecord)),
-                            SEEK_SET) != 0,
-                 "cannot seek in trace file '%s'", path_.c_str());
-    }
-    return TraceBuffer::fromRecords(std::move(store));
-}
-
 std::shared_ptr<const TraceBuffer>
 TraceFileReader::view()
 {
-    std::shared_ptr<const TraceBuffer> buf;
-    if (version_ == kTraceVersion) {
-        const std::size_t map_bytes =
-            headerBytes_ + count_ * sizeof(TraceRecord);
-        void *map = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE,
-                           ::fileno(file_), 0);
-        if (map != MAP_FAILED) {
-            const auto *records = reinterpret_cast<const TraceRecord *>(
-                static_cast<const char *>(map) + headerBytes_);
-            buf = TraceBuffer::adoptMapping(map, map_bytes, records,
-                                            count_, headerSummary_);
-        }
-    }
-    if (!buf)
-        buf = loadIntoStore();
-    // Check the body before anyone replays from it: every record type
-    // is known and every domain lies below kMaxDomains. For v2 files a
-    // full recompute also verifies the body against the header,
-    // covering the RecordStore fallback too.
-    TraceSummary actual;
+    // One pass over the body, v1 and v2 alike: every record is
+    // checked and narrowed into the store, which folds the summary,
+    // while the checksum folds the bytes as they sit on disk. pread
+    // leaves the next() cursor where it is.
+    constexpr std::uint64_t kChunkRecords = 4096;
+    std::vector<FileRecord> chunk(std::min(count_, kChunkRecords));
+    RecordStore store;
     std::uint64_t checksum = kFnvOffsetBasis;
-    const auto body = buf->records();
-    for (std::size_t i = 0; i < body.size(); ++i) {
-        const TraceRecord &rec = body[i];
-        if (!actual.add(rec))
-            unknownType(i, rec.type);
-        fatal_if(rec.namesDomain() && rec.aux >= kMaxDomains,
-                 "trace file '%s' is corrupt: record %zu names domain "
-                 "%u, beyond the bound of %u domains",
-                 path_.c_str(), i, rec.aux, kMaxDomains);
-        checksum = fnv1a(checksum, rec);
+    for (std::uint64_t done = 0; done < count_;) {
+        const std::uint64_t n = std::min(count_ - done, kChunkRecords);
+        const std::size_t bytes = n * sizeof(FileRecord);
+        const auto offset =
+            static_cast<off_t>(headerBytes_ + done * sizeof(FileRecord));
+        fatal_if(::pread(::fileno(file_), chunk.data(), bytes, offset) !=
+                     static_cast<ssize_t>(bytes),
+                 "cannot read the body of trace file '%s'",
+                 path_.c_str());
+        for (std::uint64_t i = 0; i < n; ++i) {
+            checksum = fnv1a(checksum, chunk[i]);
+            store.push(decode(chunk[i], path_, done + i));
+        }
+        done += n;
     }
-    if (version_ != kTraceVersion)
-        return buf;
-    fatal_if(checksum != headerChecksum_,
-             "trace file '%s' failed checksum verification "
-             "(header %016llx, body %016llx)",
-             path_.c_str(),
-             static_cast<unsigned long long>(headerChecksum_),
-             static_cast<unsigned long long>(checksum));
-    fatal_if(!actual.matches(headerSummary_),
-             "trace file '%s' is corrupt: body statistics disagree "
-             "with the header summary", path_.c_str());
-    return buf;
+    if (version_ == kTraceVersion) {
+        fatal_if(checksum != headerChecksum_,
+                 "trace file '%s' failed checksum verification "
+                 "(header %016llx, body %016llx)",
+                 path_.c_str(),
+                 static_cast<unsigned long long>(headerChecksum_),
+                 static_cast<unsigned long long>(checksum));
+        fatal_if(!store.summary().matches(headerSummary_),
+                 "trace file '%s' is corrupt: body statistics disagree "
+                 "with the header summary", path_.c_str());
+    }
+    return TraceBuffer::fromRecords(std::move(store));
 }
 
 bool
 TraceFileReader::next(TraceRecord &rec)
 {
-    if (readSoFar_ >= count_)
+    FileRecord f;
+    if (readSoFar_ >= count_ || std::fread(&f, sizeof(f), 1, file_) != 1)
         return false;
-    if (std::fread(&rec, sizeof(rec), 1, file_) != 1)
-        return false;
-    ++readSoFar_;
+    rec = decode(f, path_, readSoFar_++);
     return true;
 }
 

@@ -7,14 +7,17 @@
  * v2 format (current): a 128-byte section header {magic, version,
  * record count, FNV-1a checksum of the body, full TraceSummary:
  * per-type counts + instruction and PMO-access totals} followed by
- * packed TraceRecords starting at a 64-byte-aligned offset. The body
- * is mmap-able: TraceFileReader::view() maps it read-only and wraps
- * it in a zero-copy TraceBuffer after verifying the checksum. The
- * checksum guards the file only; in-memory buffers carry none.
+ * 24-byte records {type, flags, tid, aux, addr, value} starting at a
+ * 64-byte-aligned offset. The checksum guards the file only;
+ * in-memory buffers carry none.
  *
  * v1 format (legacy, still readable): a 16-byte header {magic,
- * version, record count} followed by packed records. view() falls
- * back to decode-on-load, reading the body into a RecordStore.
+ * version, record count} followed by the same 24-byte records.
+ *
+ * In memory a TraceRecord is 16 bytes (see record.hh); the writer
+ * widens each record and the reader narrows it, so this file is the
+ * only place that knows the on-disk layout. A record the narrow form
+ * cannot hold is rejected on load with its index.
  */
 
 #ifndef PMODV_TRACE_TRACE_FILE_HH
@@ -43,6 +46,9 @@ inline constexpr std::size_t kTraceHeaderBytesV2 = 128;
 
 /** Byte size of the legacy v1 header. */
 inline constexpr std::size_t kTraceHeaderBytesV1 = 16;
+
+/** Byte size of one record on disk, in both formats. */
+inline constexpr std::size_t kTraceFileRecordBytes = 24;
 
 /** FNV-1a 64-bit offset basis: the checksum of an empty v2 body. */
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
@@ -88,10 +94,9 @@ class TraceFileWriter : public TraceSink
 
 /**
  * Reads a binary trace file (v1 or v2). view() is the intended entry
- * point: it loads the whole trace as an immutable TraceBuffer —
- * zero-copy via mmap for v2 files, decode-on-load for v1 — verified
- * against the header's checksum and counts. next() remains for
- * streaming consumers (dump).
+ * point: it decodes the whole trace into an immutable TraceBuffer,
+ * verified against the header's checksum and counts. next() remains
+ * for streaming consumers (dump, convert).
  */
 class TraceFileReader
 {
@@ -120,24 +125,20 @@ class TraceFileReader
 
     /**
      * Load the whole trace as an immutable shared TraceBuffer,
-     * independent of the next() cursor. v2 bodies are mmap'ed
-     * zero-copy (read into a RecordStore when mmap is unavailable);
-     * v1 bodies are read into a RecordStore. fatal() on a record of
-     * unknown type or naming a domain at or above kMaxDomains, and on
-     * a checksum or a count mismatch. May be called once per reader.
+     * independent of the next() cursor, decoding the body into a
+     * RecordStore. fatal() on a record of unknown type, naming a
+     * domain at or above kMaxDomains or not fitting a 16-byte
+     * TraceRecord, and on a checksum or a count mismatch.
      */
     std::shared_ptr<const TraceBuffer> view();
 
-    /** Read the next record into @p rec; false at end of trace. */
+    /**
+     * Read the next record into @p rec; false at end of trace. fatal()
+     * on a record view() would reject, checksum and counts aside.
+     */
     bool next(TraceRecord &rec);
 
   private:
-    std::shared_ptr<const TraceBuffer> loadIntoStore();
-
-    /** fatal(): record @p index of this file has @p type. */
-    [[noreturn]] void unknownType(std::size_t index,
-                                  RecordType type) const;
-
     std::FILE *file_ = nullptr;
     std::string path_;
     std::uint32_t version_ = 0;

@@ -67,12 +67,18 @@ TEST(Differential, CleanFuzzWithManyDomains)
     }
 }
 
-TEST(Differential, InjectedBugIsCaughtAndShrinksSmall)
+/**
+ * The planted @p bug must fail some early generated episode, shrink to
+ * at most 10 ops that still fail on the same oracle, and pass without
+ * it. Returns the oracle that caught it.
+ */
+std::string
+expectCaughtAndShrunkSmall(BugInjection bug)
 {
     DiffConfig diff;
-    diff.inject = BugInjection::MpkDropRevoke;
+    diff.inject = bug;
 
-    // Find a failing episode; the dropped revoke should surface fast.
+    // Find a failing episode; the plant should surface fast.
     std::vector<Op> failing;
     std::string oracle;
     for (std::uint64_t seed = 1; seed <= 50 && failing.empty(); ++seed) {
@@ -83,8 +89,10 @@ TEST(Differential, InjectedBugIsCaughtAndShrinksSmall)
             oracle = result.firstOracle();
         }
     }
-    ASSERT_FALSE(failing.empty())
+    EXPECT_FALSE(failing.empty())
         << "no generated episode tripped the planted bug";
+    if (failing.empty())
+        return oracle;
 
     const auto fails = [&](const std::vector<Op> &candidate) {
         return runDifferential(candidate, diff).firstOracle() == oracle;
@@ -97,6 +105,22 @@ TEST(Differential, InjectedBugIsCaughtAndShrinksSmall)
     // pass on the healthy build.
     EXPECT_FALSE(runDifferential(shrunk, diff).ok());
     EXPECT_TRUE(runDifferential(shrunk).ok());
+    return oracle;
+}
+
+TEST(Differential, InjectedBugIsCaughtAndShrinksSmall)
+{
+    expectCaughtAndShrunkSmall(BugInjection::MpkDropRevoke);
+}
+
+/**
+ * A counter that restarts with every batch is invisible to the
+ * one-record path's own oracles; only the batch-split replay can tell.
+ */
+TEST(Differential, BatchBoundaryResetIsCaughtAndShrinksSmall)
+{
+    EXPECT_EQ(expectCaughtAndShrunkSmall(BugInjection::BatchResetStat),
+              "tail-latency");
 }
 
 TEST(Differential, HandWrittenDropRevokeReproducer)

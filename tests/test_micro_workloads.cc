@@ -47,7 +47,7 @@ TEST(SyntheticSpace, AttachRecordsEmitted)
 
 TEST(SyntheticSpace, DisjointVaRanges)
 {
-    trace::NullSink sink;
+    trace::VectorSink sink;
     TraceCtx ctx(sink, 1);
     SyntheticSpace space(ctx, 8, Addr{8} << 20);
     for (unsigned i = 1; i < 8; ++i) {
@@ -58,7 +58,7 @@ TEST(SyntheticSpace, DisjointVaRanges)
 
 TEST(SyntheticSpace, OwnerResolvesAllocations)
 {
-    trace::NullSink sink;
+    trace::VectorSink sink;
     TraceCtx ctx(sink, 1);
     SyntheticSpace space(ctx, 8, Addr{1} << 20);
     for (unsigned i = 0; i < 8; ++i) {
@@ -126,7 +126,7 @@ TEST_P(MicroInvariants, HoldAfterManyOps)
 {
     const auto &[name, seed] = GetParam();
     auto workload = makeMicro(name, smallParams(seed));
-    trace::NullSink sink;
+    trace::VectorSink sink;
     TraceCtx ctx(sink, seed);
     workload->run(ctx);
     workload->checkInvariants(); // panics on violation.
@@ -156,9 +156,10 @@ TEST_P(MicroTraceShape, TwoSwitchesPerOpAndAttachFirst)
     auto params = smallParams();
     auto workload = makeMicro(GetParam(), params);
     trace::VectorSink buffer;
-    trace::TeeCountingSink sink(&buffer);
-    TraceCtx ctx(sink, params.seed);
+    TraceCtx ctx(buffer, params.seed);
     workload->run(ctx);
+    trace::CountingSink sink;
+    sink.addBatch(buffer.records());
 
     EXPECT_EQ(sink.count(trace::RecordType::Attach), params.numPmos);
     EXPECT_EQ(sink.operations(), params.numOps);
@@ -223,7 +224,8 @@ TEST_P(MicroTraceShape, AccessesFallInsideAttachedRanges)
     std::vector<std::pair<Addr, Addr>> ranges;
     for (const auto &rec : sink.records()) {
         if (rec.type == trace::RecordType::Attach)
-            ranges.emplace_back(rec.addr, rec.addr + rec.value);
+            ranges.emplace_back(rec.attachBase(),
+                                rec.attachBase() + rec.attachSize());
     }
     for (const auto &rec : sink.records()) {
         if (!rec.isPmoAccess())
@@ -250,7 +252,7 @@ TEST(Avl, NodeCountTracksInsertDeleteMix)
     auto params = smallParams();
     params.insertRatio = 1.0; // Insert only.
     AvlWorkload workload(params);
-    trace::NullSink sink;
+    trace::VectorSink sink;
     TraceCtx ctx(sink, params.seed);
     workload.run(ctx);
     // Duplicates aside, the count is near initial + ops.
@@ -263,7 +265,7 @@ TEST(StringSwap, PermutationPreserved)
 {
     auto params = smallParams();
     StringSwapWorkload workload(params);
-    trace::NullSink sink;
+    trace::VectorSink sink;
     TraceCtx ctx(sink, params.seed);
     workload.run(ctx);
     workload.checkInvariants();

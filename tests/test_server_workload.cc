@@ -68,7 +68,7 @@ arrivalsOf(const std::vector<trace::TraceRecord> &recs)
     std::vector<std::uint64_t> out;
     for (const trace::TraceRecord &rec : recs) {
         if (rec.type == trace::RecordType::OpBegin)
-            out.push_back(rec.addr);
+            out.push_back(rec.arrival());
     }
     return out;
 }
@@ -108,10 +108,10 @@ TEST(ServerCapture, OpenLoopArrivalInvariant)
             // Every request carries a stamp; the arrival process is
             // monotone (an open-loop clock, not per-request jitter).
             EXPECT_TRUE(rec.hasArrival());
-            EXPECT_GE(rec.addr, prev_arrival);
-            prev_arrival = rec.addr;
+            EXPECT_GE(rec.arrival(), prev_arrival);
+            prev_arrival = rec.arrival();
             // Class is one of the server's tenant classes.
-            EXPECT_LT(rec.value,
+            EXPECT_LT(rec.opClass(),
                       workloads::ServerWorkload::kNumTenantClasses);
         } else if (rec.type == trace::RecordType::OpEnd) {
             ++ends;
@@ -159,7 +159,11 @@ TEST(ServerCapture, TenantSkewMatchesZipfChiSquare)
     EXPECT_LT(chi2, 90.0);
 }
 
-/** FNV-1a over every field of every record, in trace order. */
+/**
+ * FNV-1a over every logical field of every record, in trace order:
+ * the two payload words as a trace file holds them, {base, size} on
+ * an attach and {arrival, class} on a stamped OpBegin.
+ */
 std::uint64_t
 digestOf(const std::vector<trace::TraceRecord> &recs)
 {
@@ -173,8 +177,16 @@ digestOf(const std::vector<trace::TraceRecord> &recs)
         fold(rec.flags);
         fold(rec.tid);
         fold(rec.aux);
-        fold(rec.addr);
-        fold(rec.value);
+        if (rec.type == trace::RecordType::Attach) {
+            fold(rec.attachBase());
+            fold(rec.attachSize());
+        } else if (rec.hasArrival()) {
+            fold(rec.arrival());
+            fold(rec.opClass());
+        } else {
+            fold(rec.addr);
+            fold(0);
+        }
     }
     return h;
 }

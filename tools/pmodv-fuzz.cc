@@ -5,7 +5,7 @@
  *   pmodv-fuzz [--iters N] [--ops N] [--seed S] [--threads N]
  *              [--domains N] [--max-live N] [--max-pages N]
  *              [--cores K]
- *              [--inject-bug none|mpk-drop-revoke]
+ *              [--inject-bug none|mpk-drop-revoke|batch-reset-stat]
  *              [--out FILE] [--print-ops] [--quiet]
  *       Run N generated episodes (episode i uses seed S+i) through
  *       all six schemes and the equivalence oracles. On the first
@@ -42,7 +42,8 @@ usage()
         "usage: pmodv-fuzz [--iters N] [--ops N] [--seed S]\n"
         "                  [--threads N] [--domains N] [--max-live N]\n"
         "                  [--max-pages N] [--cores K]\n"
-        "                  [--inject-bug none|mpk-drop-revoke]\n"
+        "                  [--inject-bug none|mpk-drop-revoke|\n"
+        "                                batch-reset-stat]\n"
         "                  [--out FILE] [--print-ops] [--quiet]\n"
         "       pmodv-fuzz --replay FILE [--inject-bug ...]\n");
     return 2;
