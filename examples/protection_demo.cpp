@@ -23,27 +23,14 @@ using pmo::Oid;
 int
 main()
 {
-    // Build the replay pipelines first so the trace streams straight
-    // into all of them (one pass, six simulated machines): a System
-    // is a trace sink, and a FanoutSink copies each record to all.
-    core::SimConfig config;
-    std::map<SchemeKind, std::unique_ptr<core::System>> systems;
-    trace::FanoutSink fanout;
-    for (SchemeKind kind :
-         {SchemeKind::NoProtection, SchemeKind::Lowerbound,
-          SchemeKind::Mpk, SchemeKind::LibMpk, SchemeKind::MpkVirt,
-          SchemeKind::DomainVirt}) {
-        auto &sys = systems[kind];
-        sys = std::make_unique<core::System>(config, kind);
-        fanout.addSink(sys.get());
-    }
-
     // A session store: 48 PMOs (one per session), random updates with
-    // a SETPERM window per operation.
+    // a SETPERM window per operation. The runtime's trace is captured
+    // once into memory and then replayed on six simulated machines.
+    trace::VectorSink capture;
     pmo::Namespace ns;
     pmo::PmoApi api(ns, 1000, 1);
     pmo::Runtime &rt = api.runtime();
-    rt.setTraceSink(&fanout);
+    rt.setTraceSink(&capture);
 
     constexpr unsigned kSessions = 48;
     constexpr unsigned kOps = 3'000;
@@ -70,7 +57,18 @@ main()
         rt.opEnd(0);
     }
     rt.setTraceSink(nullptr);
-    fanout.finish();
+
+    core::SimConfig config;
+    std::map<SchemeKind, std::unique_ptr<core::System>> systems;
+    for (SchemeKind kind :
+         {SchemeKind::NoProtection, SchemeKind::Lowerbound,
+          SchemeKind::Mpk, SchemeKind::LibMpk, SchemeKind::MpkVirt,
+          SchemeKind::DomainVirt}) {
+        auto &sys = systems[kind];
+        sys = std::make_unique<core::System>(config, kind);
+        sys->replayBatch(capture.records());
+        sys->finish();
+    }
 
     // Report.
     std::printf("=== protection_demo: %u sessions, %u operations ===\n",

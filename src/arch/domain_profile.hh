@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/params.hh"
 #include "common/types.hh"
 
 namespace pmodv::arch
@@ -54,47 +53,13 @@ struct HotDomain
     bool operator==(const HotDomain &) const = default;
 };
 
-/**
- * Protection work attributed to one core of a multi-core replay:
- * which core's accesses drive the key churn, and which core keeps
- * initiating shootdowns. Only populated when the owning scheme runs
- * on a multi-core topology (setNumCores with K > 1).
- */
-struct CoreAttribution
-{
-    std::uint64_t accesses = 0;  ///< Domain-resolved checked accesses.
-    std::uint64_t evictionsInitiated = 0; ///< Evictions this core caused.
-    std::uint64_t shootdownPages = 0; ///< Pages its broadcasts flushed.
-};
-
 /** The per-scheme domain attribution table. */
 class DomainProfile
 {
   public:
-    /**
-     * Enable per-core attribution for a @p n-core machine. Called by
-     * the scheme base once at construction; single-core machines
-     * (n == 1) keep the per-core table empty and the per-core hooks
-     * free.
-     */
-    void
-    setNumCores(unsigned n)
-    {
-        perCore_.assign(n > 1 ? n : 0, CoreAttribution{});
-    }
-
     void access(DomainId d) { ++at(d).accesses; }
     void fillMiss(DomainId d) { ++at(d).fillMisses; }
     void setPerm(DomainId d) { ++at(d).setperms; }
-
-    /** access() attributed to the issuing @p core as well. */
-    void
-    access(DomainId d, CoreId core)
-    {
-        ++at(d).accesses;
-        if (core < perCore_.size())
-            ++perCore_[core].accesses;
-    }
 
     /** Domain @p d lost its key; @p pages translations went with it. */
     void
@@ -103,32 +68,6 @@ class DomainProfile
         DomainCounters &c = at(d);
         ++c.evictions;
         c.shootdownPages += pages;
-    }
-
-    /** eviction() charged to the initiating @p core as well. */
-    void
-    eviction(DomainId d, std::uint64_t pages, CoreId core)
-    {
-        eviction(d, pages);
-        if (core < perCore_.size()) {
-            ++perCore_[core].evictionsInitiated;
-            perCore_[core].shootdownPages += pages;
-        }
-    }
-
-    /** Cores with per-core attribution (0 on single-core machines). */
-    unsigned
-    numCores() const
-    {
-        return static_cast<unsigned>(perCore_.size());
-    }
-
-    /** Core @p core's attribution row (zeros when out of range). */
-    CoreAttribution
-    coreAttribution(CoreId core) const
-    {
-        return core < perCore_.size() ? perCore_[core]
-                                      : CoreAttribution{};
     }
 
     /** Counters of @p d (zeros when never touched). */
@@ -158,7 +97,6 @@ class DomainProfile
     DomainCounters &grow(DomainId d);
 
     std::vector<DomainCounters> table_; ///< Indexed by DomainId.
-    std::vector<CoreAttribution> perCore_; ///< Indexed by CoreId (K>1).
 };
 
 } // namespace pmodv::arch

@@ -132,7 +132,7 @@ DomainVirtScheme::checkAccess(const AccessContext &ctx)
 
     // The PTLB permission lookup adds latency to every domain access,
     // even when the data hits in the cache (paper §VI-A).
-    profile_.access(domain, activeCore_);
+    profile_.access(domain);
     Cycles cycles = params_.ptlbAccessCycles;
     cycAccessLatency += params_.ptlbAccessCycles;
 

@@ -102,7 +102,7 @@ LibMpkScheme::checkAccess(const AccessContext &ctx)
         keys_.touch(key);
         if (const DomainId holder = keys_.holder(key);
             holder != kNullDomain)
-            profile_.access(holder, activeCore_);
+            profile_.access(holder);
         domain_perm = pkrus_.forThread(ctx.tid).permFor(key);
     }
     CheckResult res = judge(ctx, domain_perm, 0);

@@ -39,7 +39,7 @@ MpkScheme::checkAccess(const AccessContext &ctx)
 {
     const ProtKey key = ctx.entry->key;
     if (const DomainId holder = keys_.holder(key); holder != kNullDomain)
-        profile_.access(holder, activeCore_);
+        profile_.access(holder);
     // Domainless accesses skip the PKRU check but the page permission
     // still governs (an exhausted-attach PMO keeps its PTE rights).
     const Perm domain_perm =

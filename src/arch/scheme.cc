@@ -76,7 +76,6 @@ ProtectionScheme::ProtectionScheme(stats::Group *parent, std::string name,
       label_(std::move(name))
 {
     topo_.validate();
-    profile_.setNumCores(topo_.numCores);
 }
 
 void
@@ -147,7 +146,7 @@ ProtectionScheme::evictKey(ThreadId tid, DomainId victim_domain,
     }
     cycTlbInvalidation += inval;
     shootdownPages += pages;
-    profile_.eviction(victim_domain, pages, activeCore_);
+    profile_.eviction(victim_domain, pages);
     postEvent(trace::EventKind::KeyEviction, tid, victim_domain,
               victim_key);
     postEvent(trace::EventKind::Shootdown, tid, victim_domain, pages);

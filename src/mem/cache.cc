@@ -99,44 +99,4 @@ Cache::access(Addr addr, AccessType type)
     return {false, wb};
 }
 
-bool
-Cache::probe(Addr addr) const
-{
-    const std::size_t si = setIndex(addr);
-    return simd::findU64(tags_.data() + si * params_.assoc,
-                         params_.assoc, packTag(lineTag(addr))) >= 0;
-}
-
-void
-Cache::invalidateAll()
-{
-    for (std::size_t flat = 0; flat < lines_.size(); ++flat) {
-        Line &line = lines_[flat];
-        if (line.valid) {
-            line.valid = false;
-            line.dirty = false;
-            tags_[flat] = 0;
-            --setValid_[flat / params_.assoc];
-            ++invalidations;
-        }
-    }
-}
-
-bool
-Cache::invalidate(Addr addr)
-{
-    const std::size_t si = setIndex(addr);
-    const int w = simd::findU64(tags_.data() + si * params_.assoc,
-                                params_.assoc, packTag(lineTag(addr)));
-    if (w < 0)
-        return false;
-    const std::size_t flat = si * params_.assoc + w;
-    lines_[flat].valid = false;
-    lines_[flat].dirty = false;
-    tags_[flat] = 0;
-    --setValid_[si];
-    ++invalidations;
-    return true;
-}
-
 } // namespace pmodv::mem

@@ -61,20 +61,13 @@ class Cache : public stats::Group
      */
     CacheResult access(Addr addr, AccessType type);
 
-    /** True when the line containing @p addr is present. */
-    bool probe(Addr addr) const;
-
-    /** Invalidate every line (counts into stats). */
-    void invalidateAll();
-
-    /** Invalidate the line containing @p addr if present. */
-    bool invalidate(Addr addr);
-
     // Stats (public so formulas above can reference them).
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions; ///< Valid lines displaced by a fill.
     stats::Scalar writebacks;
+    /** Always 0: no modelled path invalidates a line. Kept so the
+     *  exported stats trees keep their shape. */
     stats::Scalar invalidations;
     stats::Formula missRate;
 

@@ -31,11 +31,4 @@ CacheHierarchy::access(Addr addr, AccessType type, MemClass cls)
     return res;
 }
 
-void
-CacheHierarchy::invalidateAll()
-{
-    l1_->invalidateAll();
-    l2_->invalidateAll();
-}
-
 } // namespace pmodv::mem

@@ -48,9 +48,6 @@ class CacheHierarchy : public stats::Group
     Cache &l2() { return *l2_; }
     MainMemory &memory() { return *memory_; }
 
-    /** Drop every cached line (e.g. between independent runs). */
-    void invalidateAll();
-
   private:
     HierarchyParams params_;
     std::unique_ptr<Cache> l1_;

@@ -122,11 +122,6 @@ class SlowRequestDigest : public StatBase
     {
         visitor.visitSlowDigest(*this);
     }
-    void reset() override
-    {
-        entries_.clear();
-        offered_ = 0;
-    }
 
   private:
     /** True when request (@p lat_a, @p id_a) orders strictly before

@@ -5,7 +5,6 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "stats/export.hh"
 
 namespace pmodv::stats
 {
@@ -35,17 +34,6 @@ double
 Histogram::mean() const
 {
     return samples_ == 0 ? 0.0 : sum_ / static_cast<double>(samples_);
-}
-
-std::string
-Histogram::bucketLabel(std::size_t i) const
-{
-    // The overflow bucket's upper edge does not exist; ">=" avoids
-    // ever printing a bound that the exporters could disagree on.
-    if (bucketUnbounded(i))
-        return ">=" + std::to_string(bucketLow(i));
-    return "[" + std::to_string(bucketLow(i)) + "," +
-           std::to_string(bucketHigh(i)) + ")";
 }
 
 double
@@ -107,16 +95,6 @@ Histogram::quantile(double q) const
     return quantileFromBuckets(samples_, min(), max_, bs, q);
 }
 
-void
-Histogram::reset()
-{
-    buckets_.assign(buckets_.size(), 0);
-    samples_ = 0;
-    sum_ = 0;
-    min_ = ~std::uint64_t{0};
-    max_ = 0;
-}
-
 Group::Group(Group *parent, std::string name)
     : parent_(parent), name_(std::move(name))
 {
@@ -172,21 +150,6 @@ Group::accept(Visitor &visitor) const
     for (const Group *c : children_)
         c->accept(visitor);
     visitor.endGroup(*this);
-}
-
-void
-Group::dump(std::ostream &os) const
-{
-    dumpText(os, *this);
-}
-
-void
-Group::resetStats()
-{
-    for (StatBase *s : stats_)
-        s->reset();
-    for (Group *c : children_)
-        c->resetStats();
 }
 
 const StatBase *

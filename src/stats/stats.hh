@@ -5,12 +5,13 @@
  * Every timing component owns a stats::Group; individual statistics
  * register themselves with the group at construction. Groups nest, so
  * a whole system can be dumped with one call. Scalar (an exact integer
- * counter), Histogram and Formula statistics are provided.
+ * counter), Histogram and Formula statistics are provided. Statistics
+ * only accumulate: a fresh run builds a fresh tree.
  *
  * Output goes through the Visitor interface (see stats/export.hh for
- * the text/JSON/CSV exporters): a visitor walks the group tree in
- * registration order, which is construction order and therefore
- * deterministic across runs and worker counts.
+ * the JSON exporter): a visitor walks the group tree in registration
+ * order, which is construction order and therefore deterministic
+ * across runs and worker counts.
  */
 
 #ifndef PMODV_STATS_STATS_HH
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -72,9 +72,6 @@ class StatBase
     /** Double-dispatch into @p visitor. */
     virtual void accept(Visitor &visitor) const = 0;
 
-    /** Reset the statistic to its initial value. */
-    virtual void reset() = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -119,7 +116,8 @@ class Scalar : public StatBase
     {
         visitor.visitScalar(*this);
     }
-    void reset() override { value_ = 0; }
+    /** Zero the counter (the fuzzer's planted batch-reset bug). */
+    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -161,9 +159,8 @@ double quantileFromBuckets(std::uint64_t samples, std::uint64_t min,
  * A log2-bucketed histogram of sampled values. Bucket 0 holds the
  * value 0; bucket i >= 1 holds [2^(i-1), 2^i); the last bucket is
  * open-ended and absorbs everything at or above its lower edge.
- * bucketLow()/bucketLabel() are the single source of truth for the
- * edges — every exporter (text, JSON, CSV) formats buckets through
- * them, so the dumps agree by construction.
+ * bucketLow()/bucketHigh() are the single source of truth for the
+ * edges: the JSON exporter and quantile() both read them.
  */
 class Histogram : public StatBase
 {
@@ -204,9 +201,6 @@ class Histogram : public StatBase
         return i + 1 == buckets_.size();
     }
 
-    /** Canonical edge label: "[lo,hi)", or ">=lo" for the last. */
-    std::string bucketLabel(std::size_t i) const;
-
     /**
      * The q-quantile of the sampled values via quantileFromBuckets()
      * on this histogram's nonempty buckets — so p50/p99/p999 read
@@ -219,7 +213,6 @@ class Histogram : public StatBase
     {
         visitor.visitHistogram(*this);
     }
-    void reset() override;
 
   private:
     std::vector<std::uint64_t> buckets_;
@@ -246,7 +239,6 @@ class Formula : public StatBase
     {
         visitor.visitFormula(*this);
     }
-    void reset() override {}
 
   private:
     std::function<double()> fn_;
@@ -273,12 +265,6 @@ class Group
 
     /** Walk this group, its stats and its children with @p visitor. */
     void accept(Visitor &visitor) const;
-
-    /** Dump this group and all children as text to @p os. */
-    void dump(std::ostream &os) const;
-
-    /** Reset all statistics in this group and children. */
-    void resetStats();
 
     /** Look up a scalar value by dotted relative path; 0 if absent. */
     double lookup(const std::string &dotted_path) const;

@@ -97,22 +97,4 @@ TimeSeries::finalize(std::uint64_t now)
     }
 }
 
-std::uint64_t
-TimeSeries::trackTotal(std::size_t t) const
-{
-    std::uint64_t sum = 0;
-    for (const std::vector<std::uint64_t> &row : rows_)
-        sum += row[t];
-    return sum;
-}
-
-void
-TimeSeries::reset()
-{
-    rows_.clear();
-    nextEpochEnd_ = enabled() ? cyclesPerEpoch_ : kDisabled;
-    for (Track &t : tracks_)
-        t.last = t.stat->value();
-}
-
 } // namespace pmodv::stats

@@ -98,14 +98,11 @@ class TimeSeries : public StatBase
     {
         return rows_[e][t];
     }
-    /** Sum of track @p t over all closed epochs. */
-    std::uint64_t trackTotal(std::size_t t) const;
 
     void accept(Visitor &visitor) const override
     {
         visitor.visitTimeSeries(*this);
     }
-    void reset() override;
 
   private:
     struct Track

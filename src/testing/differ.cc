@@ -142,11 +142,7 @@ class Runner
     run()
     {
         for (opIndex_ = 0; opIndex_ < ops_.size(); ++opIndex_) {
-            const std::vector<Cycles> before = totals();
             runOp();
-            for (std::size_t i = 0; i < lanes_.size(); ++i)
-                lanes_[i].opTotals.push_back(lanes_[i].sys->totalCycles() -
-                                             before[i]);
             if (!result_.violations.empty())
                 return result_;
         }
@@ -165,8 +161,6 @@ class Runner
         std::unique_ptr<core::System> sys;
         /** Posted-event counts, indexed by EventKind. */
         std::array<std::uint64_t, 6> eventCounts{};
-        /** Per-op totalCycles deltas (tail-latency oracle). */
-        std::vector<Cycles> opTotals;
         /** Every record fed to the System, in order (batch-split probe). */
         std::vector<trace::TraceRecord> records;
         /** The System's totalCycles after each of @c records. */
@@ -205,16 +199,6 @@ class Runner
         replay(*lane.sys, {&rec, 1});
         lane.records.push_back(rec);
         lane.totalAfter.push_back(lane.sys->totalCycles());
-    }
-
-    /** Every System's totalCycles, in lane order. */
-    std::vector<Cycles>
-    totals() const
-    {
-        std::vector<Cycles> out;
-        for (const Lane &lane : lanes_)
-            out.push_back(lane.sys->totalCycles());
-        return out;
     }
 
     /**
@@ -558,33 +542,20 @@ class Runner
     }
 
     /**
-     * Per-request latency rests on two properties of the cycle
-     * accounting. The per-op totals recorded above must partition the
-     * machine total exactly (no cycles charged between requests). And
-     * however a trace is split into replayBatch calls, the machine
-     * must come out the same: a fresh System per scheme replays the
-     * records its lane was fed in batches cut at seeded random record
-     * indices, inside ops as well as between them, and must match the
-     * one-record path's total after every batch, its stats tree and
-     * its event ring. An attach always ends a batch, so the harness's
-     * attach flush lands where it did on the one-record path.
+     * Per-request latency rests on the cycle accounting coming out the
+     * same however a trace is split into replayBatch calls: a fresh
+     * System per scheme replays the records its lane was fed in
+     * batches cut at seeded random record indices, inside ops as well
+     * as between them, and must match the one-record path's total
+     * after every batch, its stats tree and its event ring. An attach
+     * always ends a batch, so the harness's attach flush lands where
+     * it did on the one-record path.
      */
     void
     checkTailLatency()
     {
         Rng rng(kSplitSeed);
         for (const Lane &lane : lanes_) {
-            Cycles sum = 0;
-            for (Cycles c : lane.opTotals)
-                sum += c;
-            if (sum != lane.sys->totalCycles()) {
-                std::ostringstream detail;
-                detail << "per-op cycle totals sum to " << sum
-                       << " but the machine total is "
-                       << lane.sys->totalCycles();
-                violate("tail-latency", lane.name(), detail.str());
-            }
-
             core::System probe(sim_, lane.kind());
             std::vector<trace::Event> events;
             const std::vector<trace::TraceRecord> &recs = lane.records;

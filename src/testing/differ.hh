@@ -17,12 +17,10 @@
  *                    legitimately post (domain_virt never records a
  *                    shootdown), eviction/shootdown counts match the
  *                    stats, and nothing was dropped;
- *  - tail-latency:   the per-op cycle totals the KV server's latency
- *                    histograms are built from sum exactly to the
- *                    machine total (no cycles charged between
- *                    requests), and they do not depend on how the
- *                    trace is batched — a second System per scheme
- *                    replays the episode's records through
+ *  - tail-latency:   the cycle totals the KV server's latency
+ *                    histograms are built from do not depend on how
+ *                    the trace is batched — a second System per
+ *                    scheme replays the episode's records through
  *                    replayBatch in spans cut at seeded random record
  *                    indices (inside ops too) and must match the
  *                    one-record path's total after every span, its

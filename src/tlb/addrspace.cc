@@ -94,16 +94,6 @@ AddressSpace::map(const Region &region)
         index(idx);
 }
 
-bool
-AddressSpace::unmap(Addr base)
-{
-    const auto at = [&](const Region &r) { return r.base == base; };
-    if (std::erase_if(regions_, at) == 0)
-        return false;
-    reindex(table_.size());
-    return true;
-}
-
 unsigned
 AddressSpace::unmapDomain(DomainId domain)
 {

@@ -44,7 +44,7 @@ struct Region
  * a binary search over order_ (DESIGN.md §8). Shared chunks and
  * regions over kMaxIndexedChunks chunks fall back to that search.
  * The pointers find() and findDomain() return are valid until the
- * next map(), unmap() or unmapDomain().
+ * next map() or unmapDomain().
  */
 class AddressSpace
 {
@@ -56,9 +56,6 @@ class AddressSpace
      * attach syscall enforces this before calling in).
      */
     void map(const Region &region);
-
-    /** Unmap the region based at @p base; false when absent. */
-    bool unmap(Addr base);
 
     /** Unmap every region belonging to @p domain; returns count. */
     unsigned unmapDomain(DomainId domain);

@@ -31,8 +31,8 @@ TlbHierarchy::translate(ThreadId tid, Addr va)
 
     res.latency += params_.l2.accessLatency;
     if (TlbEntry *e = l2_->lookup(va)) {
-        // Promote into L1 (fresh: the L1 lookup above just missed).
-        res.entry = &l1_->insertFresh(*e);
+        // Promote into L1 (the L1 lookup above just missed).
+        res.entry = &l1_->insert(*e);
         res.l2Hit = true;
         missLatency.sample(res.latency);
         return res;
@@ -66,8 +66,8 @@ TlbHierarchy::translate(ThreadId tid, Addr va)
 
     // Fresh in both levels: the lookups above just missed this page,
     // and the fill policy can only have *removed* entries since.
-    l2_->insertFresh(entry);
-    res.entry = &l1_->insertFresh(entry);
+    l2_->insert(entry);
+    res.entry = &l1_->insert(entry);
     missLatency.sample(res.latency + res.fillExtra);
     return res;
 }

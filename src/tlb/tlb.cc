@@ -99,40 +99,18 @@ Tlb::lookup(Addr va)
     }
 }
 
-const TlbEntry *
-Tlb::probe(Addr va) const
-{
-    for (PageSize ps :
-         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
-        if (sizeValid_[static_cast<unsigned>(ps)] == 0)
-            continue;
-        const Addr vpn = va >> pageShift(ps);
-        const std::size_t si = setIndexFor(vpn);
-        const int w = simd::findU64(tags_.data() + si * params_.assoc,
-                                    params_.assoc, packTag(vpn, ps));
-        if (w >= 0)
-            return &ways_[si * params_.assoc + w];
-    }
-    return nullptr;
-}
-
-template <bool Dedupe, unsigned A>
+template <unsigned A>
 TlbEntry &
 Tlb::insertImpl(const TlbEntry &entry)
 {
     const unsigned assoc = A ? A : params_.assoc;
     const std::size_t si = setIndexFor(entry.vpn);
-    const std::uint64_t *row = tags_.data() + si * assoc;
-    // Reuse an existing entry for the same page, else an invalid way,
-    // else the pseudo-LRU victim. A full set (the steady state) skips
-    // the free-way probe via the per-set valid count.
+    // An invalid way, else the pseudo-LRU victim. A full set (the
+    // steady state) skips the free-way probe via the per-set valid
+    // count.
     int victim = -1;
-    if constexpr (Dedupe) {
-        victim = simd::findU64(row, assoc,
-                               packTag(entry.vpn, entry.pageSize));
-    }
-    if (victim < 0 && setValid_[si] < assoc)
-        victim = simd::findU64(row, assoc, 0);
+    if (setValid_[si] < assoc)
+        victim = simd::findU64(tags_.data() + si * assoc, assoc, 0);
     if (victim < 0) {
         victim = static_cast<int>(plru_[si].victim(*victimLut_));
         ++evictions;
@@ -164,24 +142,11 @@ Tlb::insert(const TlbEntry &entry)
 {
     switch (params_.assoc) {
       case 4:
-        return insertImpl<true, 4>(entry);
+        return insertImpl<4>(entry);
       case 6:
-        return insertImpl<true, 6>(entry);
+        return insertImpl<6>(entry);
       default:
-        return insertImpl<true, 0>(entry);
-    }
-}
-
-TlbEntry &
-Tlb::insertFresh(const TlbEntry &entry)
-{
-    switch (params_.assoc) {
-      case 4:
-        return insertImpl<false, 4>(entry);
-      case 6:
-        return insertImpl<false, 6>(entry);
-      default:
-        return insertImpl<false, 0>(entry);
+        return insertImpl<0>(entry);
     }
 }
 
@@ -260,17 +225,6 @@ Tlb::flushKey(ProtKey key)
         }
     }
     flushedEntries += n;
-    return n;
-}
-
-unsigned
-Tlb::validCount() const
-{
-    unsigned n = 0;
-    for (const TlbEntry &e : ways_) {
-        if (e.valid)
-            ++n;
-    }
     return n;
 }
 

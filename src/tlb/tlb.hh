@@ -76,21 +76,15 @@ class Tlb : public stats::Group
      */
     TlbEntry *lookup(Addr va);
 
-    /** Probe without touching stats or replacement state. */
-    const TlbEntry *probe(Addr va) const;
-
     /**
-     * Insert @p entry (evicting pseudo-LRU within the set if full).
-     * Returns a reference to the installed entry.
+     * Install @p entry in a free way of its set, else over the
+     * pseudo-LRU victim. Returns a reference to the installed entry.
+     *
+     * Precondition: @p entry's page is not cached, as after a lookup()
+     * of it that missed with no insert in between. The fill probes no
+     * tag for the page, so breaking this leaves two ways holding it.
      */
     TlbEntry &insert(const TlbEntry &entry);
-
-    /**
-     * insert() for callers that just took a miss on the same page:
-     * skips the duplicate-tag probe, which a preceding failed lookup
-     * has already proven fruitless. Behaviour is otherwise identical.
-     */
-    TlbEntry &insertFresh(const TlbEntry &entry);
 
     /**
      * Invalidate every translation whose page overlaps
@@ -104,9 +98,6 @@ class Tlb : public stats::Group
 
     /** Invalidate translations carrying protection key @p key. */
     unsigned flushKey(ProtKey key);
-
-    /** Number of currently valid entries (O(entries)). */
-    unsigned validCount() const;
 
     /** Every way, valid or not, set-major (for checks and tests). */
     std::span<const TlbEntry> entries() const { return ways_; }
@@ -187,16 +178,13 @@ class Tlb : public stats::Group
     }
 
     /**
-     * Bodies of lookup()/insert()/insertFresh(), specialized on the
-     * associativity (A == 0 reads params_.assoc at runtime). The
-     * public entry points dispatch on Table II's widths, 4 and 6, so
-     * the SIMD probe loops fully unroll with compile-time trip counts.
+     * Bodies of lookup()/insert(), specialized on the associativity
+     * (A == 0 reads params_.assoc at runtime). The public entry points
+     * dispatch on Table II's widths, 4 and 6, so the SIMD probe loops
+     * fully unroll with compile-time trip counts.
      */
     template <unsigned A> TlbEntry *lookupImpl(Addr va);
-
-    /** Shared body of insert()/insertFresh(). */
-    template <bool Dedupe, unsigned A>
-    TlbEntry &insertImpl(const TlbEntry &entry);
+    template <unsigned A> TlbEntry &insertImpl(const TlbEntry &entry);
 
     void touchWay(std::size_t si, unsigned way)
     {

@@ -128,6 +128,8 @@ attachUnencodable(Addr base, Addr size)
         return "size is not below 1 TB";
     if (base >= kAttachVaLimit || size > kAttachVaLimit - base)
         return "range reaches past 2^48";
+    if (size == 0)
+        return "size is 0";
     return nullptr;
 }
 

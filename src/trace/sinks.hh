@@ -2,7 +2,7 @@
  * @file
  * Trace sinks: consumers of TraceRecord streams. Workload generators
  * push records into a TraceSink; sinks include in-memory buffers,
- * fan-out to several replay pipelines, and counting sinks for trace
+ * trace files, replay pipelines and counting sinks for trace
  * statistics (switch rates, access mixes).
  */
 
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "trace/buffer.hh"
 #include "trace/record.hh"
@@ -52,31 +51,6 @@ class VectorSink : public TraceSink
 
   private:
     RecordStore store_;
-};
-
-/** Replicates each record to several downstream sinks. */
-class FanoutSink : public TraceSink
-{
-  public:
-    /** Register a downstream sink (not owned). */
-    void addSink(TraceSink *sink) { sinks_.push_back(sink); }
-
-    void
-    put(const TraceRecord &rec) override
-    {
-        for (TraceSink *s : sinks_)
-            s->put(rec);
-    }
-
-    void
-    finish() override
-    {
-        for (TraceSink *s : sinks_)
-            s->finish();
-    }
-
-  private:
-    std::vector<TraceSink *> sinks_;
 };
 
 /**

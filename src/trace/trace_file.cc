@@ -320,28 +320,42 @@ TraceFileReader::view()
         }
         done += n;
     }
-    if (version_ == kTraceVersion) {
-        fatal_if(checksum != headerChecksum_,
-                 "trace file '%s' failed checksum verification "
-                 "(header %016llx, body %016llx)",
-                 path_.c_str(),
-                 static_cast<unsigned long long>(headerChecksum_),
-                 static_cast<unsigned long long>(checksum));
-        fatal_if(!store.summary().matches(headerSummary_),
-                 "trace file '%s' is corrupt: body statistics disagree "
-                 "with the header summary", path_.c_str());
-    }
+    verifyBody(checksum, store.summary());
     return TraceBuffer::fromRecords(std::move(store));
 }
 
 bool
 TraceFileReader::next(TraceRecord &rec)
 {
-    FileRecord f;
-    if (readSoFar_ >= count_ || std::fread(&f, sizeof(f), 1, file_) != 1)
+    if (readSoFar_ >= count_) {
+        verifyBody(streamChecksum_, streamSummary_);
         return false;
+    }
+    FileRecord f;
+    fatal_if(std::fread(&f, sizeof(f), 1, file_) != 1,
+             "cannot read record %llu of trace file '%s'",
+             static_cast<unsigned long long>(readSoFar_), path_.c_str());
+    streamChecksum_ = fnv1a(streamChecksum_, f);
     rec = decode(f, path_, readSoFar_++);
+    // decode() has rejected unknown types, so add() cannot fail.
+    (void)streamSummary_.add(rec);
     return true;
+}
+
+void
+TraceFileReader::verifyBody(std::uint64_t checksum,
+                            const TraceSummary &summary) const
+{
+    if (version_ != kTraceVersion)
+        return;
+    fatal_if(checksum != headerChecksum_,
+             "trace file '%s' failed checksum verification "
+             "(header %016llx, body %016llx)",
+             path_.c_str(), static_cast<unsigned long long>(headerChecksum_),
+             static_cast<unsigned long long>(checksum));
+    fatal_if(!summary.matches(headerSummary_),
+             "trace file '%s' is corrupt: body statistics disagree "
+             "with the header summary", path_.c_str());
 }
 
 } // namespace pmodv::trace

@@ -96,7 +96,8 @@ class TraceFileWriter : public TraceSink
  * Reads a binary trace file (v1 or v2). view() is the intended entry
  * point: it decodes the whole trace into an immutable TraceBuffer,
  * verified against the header's checksum and counts. next() remains
- * for streaming consumers (dump, convert).
+ * for streaming consumers (dump, convert) and verifies the same at the
+ * end of the trace.
  */
 class TraceFileReader
 {
@@ -134,11 +135,18 @@ class TraceFileReader
 
     /**
      * Read the next record into @p rec; false at end of trace. fatal()
-     * on a record view() would reject, checksum and counts aside.
+     * on a record view() would reject, and, when it reaches the end of
+     * a v2 trace, on a checksum or a count mismatch: a consumer that
+     * reads to the end never sees a corrupt trace end cleanly.
      */
     bool next(TraceRecord &rec);
 
   private:
+    /** fatal() unless a v2 body folding to @p checksum and @p summary
+     *  matches the header; v1 headers hold nothing to check. */
+    void verifyBody(std::uint64_t checksum,
+                    const TraceSummary &summary) const;
+
     std::FILE *file_ = nullptr;
     std::string path_;
     std::uint32_t version_ = 0;
@@ -147,6 +155,9 @@ class TraceFileReader
     std::size_t headerBytes_ = 0;
     TraceSummary headerSummary_; ///< Valid for v2 files only.
     std::uint64_t headerChecksum_ = 0; ///< Valid for v2 files only.
+    /** FNV-1a and summary of the records next() has read so far. */
+    std::uint64_t streamChecksum_ = kFnvOffsetBasis;
+    TraceSummary streamSummary_;
 };
 
 } // namespace pmodv::trace

@@ -55,11 +55,13 @@ TEST(Cache, LruEvictionOrder)
         c.access(0x1000 + w * 0x100, AccessType::Read);
     // Touch the first line again so the second is LRU.
     c.access(0x1000, AccessType::Read);
-    // A fifth line in the same set evicts 0x1100.
+    // A fifth line in the same set evicts 0x1100. The survivors hit
+    // (checked first: each hit only reorders them), 0x1100 misses.
     c.access(0x1000 + 4 * 0x100, AccessType::Read);
-    EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_FALSE(c.probe(0x1100));
-    EXPECT_TRUE(c.probe(0x1200));
+    EXPECT_TRUE(c.access(0x1000, AccessType::Read).hit);
+    EXPECT_TRUE(c.access(0x1200, AccessType::Read).hit);
+    EXPECT_FALSE(c.access(0x1100, AccessType::Read).hit);
+    EXPECT_EQ(c.evictions.value(), 2u);
 }
 
 TEST(Cache, WritebackOnDirtyEviction)
@@ -79,28 +81,6 @@ TEST(Cache, CleanEvictionNoWriteback)
     for (int w = 0; w <= 4; ++w)
         c.access(0x1000 + w * 0x100, AccessType::Read);
     EXPECT_DOUBLE_EQ(c.writebacks.value(), 0.0);
-}
-
-TEST(Cache, InvalidateAll)
-{
-    stats::Group root(nullptr, "");
-    Cache c(&root, smallCache());
-    c.access(0x1000, AccessType::Read);
-    c.access(0x2000, AccessType::Read);
-    c.invalidateAll();
-    EXPECT_FALSE(c.probe(0x1000));
-    EXPECT_FALSE(c.probe(0x2000));
-    EXPECT_DOUBLE_EQ(c.invalidations.value(), 2.0);
-}
-
-TEST(Cache, InvalidateSingleLine)
-{
-    stats::Group root(nullptr, "");
-    Cache c(&root, smallCache());
-    c.access(0x1000, AccessType::Read);
-    EXPECT_TRUE(c.invalidate(0x1010)); // Same line.
-    EXPECT_FALSE(c.invalidate(0x1000)); // Already gone.
-    EXPECT_FALSE(c.probe(0x1000));
 }
 
 TEST(Cache, MissRateFormula)
@@ -192,17 +172,6 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
     auto res = h.access(0x0, AccessType::Read, MemClass::Dram);
     EXPECT_EQ(res.hitLevel, 2u);
     EXPECT_EQ(res.latency, 1u + 8u);
-}
-
-TEST(Hierarchy, InvalidateAllDropsEverything)
-{
-    stats::Group root(nullptr, "");
-    HierarchyParams p;
-    CacheHierarchy h(&root, p);
-    h.access(0x30000, AccessType::Read, MemClass::Dram);
-    h.invalidateAll();
-    auto res = h.access(0x30000, AccessType::Read, MemClass::Dram);
-    EXPECT_EQ(res.hitLevel, 3u);
 }
 
 /** Parameterized sweep: hit rate grows once the working set fits. */

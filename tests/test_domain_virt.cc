@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "linear_cam.hh"
 #include "scheme_test_util.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -204,7 +205,7 @@ TEST(DomainVirt, TlbEntriesCarryDomainIds)
     SchemeHarness h(SchemeKind::DomainVirt);
     h.attachGranted(7, pmoBase(0), kSize, Perm::Read);
     h.canRead(0, pmoBase(0));
-    const auto *entry = h.tlbs().l1().probe(pmoBase(0));
+    const auto *entry = test::cached(h.tlbs().l1(), pmoBase(0));
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->domain, 7u);
     EXPECT_EQ(entry->key, kNullKey); // No keys in this design.
@@ -296,12 +297,12 @@ TEST(DomainVirt, ContextSwitchKeepsTlbFlushesPtlb)
     auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
     h.attachGranted(1, pmoBase(0), kSize);
     h.canWrite(0, pmoBase(0));
-    ASSERT_NE(h.tlbs().l1().probe(pmoBase(0)), nullptr);
+    ASSERT_NE(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
 
     h.scheme().contextSwitch(0, 5);
     // The TLB entry (with its domain id) survives the switch — the
     // design's key advantage.
-    EXPECT_NE(h.tlbs().l1().probe(pmoBase(0)), nullptr);
+    EXPECT_NE(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
     EXPECT_EQ(virt.ptlb().usedCount(), 0u);
     // And thread 5 has no permission despite the warm TLB.
     EXPECT_FALSE(h.canRead(5, pmoBase(0)));
@@ -326,7 +327,7 @@ TEST(DomainVirt, DetachDropsEverything)
     h.attachGranted(1, pmoBase(0), kSize);
     h.canWrite(0, pmoBase(0));
     h.detach(1);
-    EXPECT_EQ(h.tlbs().l1().probe(pmoBase(0)), nullptr);
+    EXPECT_EQ(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
     EXPECT_EQ(virt.drt().rootEntryCount(), 0u);
     // The PT row went with the domain: a re-attach of the same id
     // inherits no grant.

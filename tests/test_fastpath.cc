@@ -2,8 +2,8 @@
  * @file
  * Unit regressions for the model-bound fast path:
  *
- *  - Probes after invalidation: a lookup after any flush,
- *    invalidation or capacity eviction reflects the real contents.
+ *  - Probes after invalidation: a TLB lookup after any flush or
+ *    capacity eviction reflects the real contents.
  *  - TreePlru LUTs: touchMasked/victimMasked must track touch()/
  *    victim() exactly over random sequences.
  *  - SIMD probes: findU64 must equal the scalar reference on random
@@ -21,9 +21,9 @@
 #include "common/lrurank.hh"
 #include "common/plru.hh"
 #include "common/simd.hh"
-#include "mem/cache.hh"
 #include "stats/stats.hh"
 #include "tlb/tlb.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -58,7 +58,7 @@ TEST(FastPathProbe, TlbProbeAfterInvalidate)
 {
     stats::Group root(nullptr, "");
     tlb::Tlb t(&root, {"t", 64, 4, 0});
-    t.insert(entryFor(100));
+    test::fill(t, entryFor(100));
     const std::uint64_t va = Addr{100} << 12;
     ASSERT_NE(t.lookup(va), nullptr);
     ASSERT_NE(t.lookup(va), nullptr);
@@ -68,7 +68,7 @@ TEST(FastPathProbe, TlbProbeAfterInvalidate)
     EXPECT_EQ(t.lookup(va), nullptr)
         << "lookup hit after the page was flushed";
 
-    t.insert(entryFor(100));
+    test::fill(t, entryFor(100));
     ASSERT_NE(t.lookup(va), nullptr);
     t.flushKey(0);
     EXPECT_EQ(t.lookup(va), nullptr);
@@ -79,36 +79,19 @@ TEST(FastPathProbe, TlbProbeAfterCapacityEviction)
     stats::Group root(nullptr, "");
     // 4 entries, 2-way: trivially overflowed.
     tlb::Tlb t(&root, {"t", 4, 2, 0});
-    t.insert(entryFor(2));
+    test::fill(t, entryFor(2));
     const Addr va = Addr{2} << 12;
     ASSERT_NE(t.lookup(va), nullptr);
     // Fill until vpn 2 is displaced (same set: vpns even).
-    t.insert(entryFor(4));
-    t.insert(entryFor(6));
-    t.insert(entryFor(8));
+    test::fill(t, entryFor(4));
+    test::fill(t, entryFor(6));
+    test::fill(t, entryFor(8));
     // Whatever got evicted, a lookup must reflect the real contents.
-    const bool present = t.probe(va) != nullptr;
+    const bool present = test::cached(t, va) != nullptr;
     EXPECT_EQ(t.lookup(va) != nullptr, present)
         << "lookup disagrees with the actual TLB contents";
     std::string why;
     EXPECT_TRUE(t.consistent(&why)) << why;
-}
-
-TEST(FastPathProbe, CacheProbeAfterInvalidate)
-{
-    stats::Group root(nullptr, "");
-    mem::Cache c(&root, {"c", 4096, 2, 64, 1});
-    const Addr addr = 0x1000;
-    c.access(addr, AccessType::Read);
-    EXPECT_TRUE(c.access(addr, AccessType::Read).hit);
-
-    ASSERT_TRUE(c.invalidate(addr));
-    EXPECT_FALSE(c.access(addr, AccessType::Read).hit)
-        << "access hit after the line was invalidated";
-
-    c.access(addr, AccessType::Read);
-    c.invalidateAll();
-    EXPECT_FALSE(c.access(addr, AccessType::Read).hit);
 }
 
 TEST(FastPathPlru, MaskedOpsMatchReference)

@@ -20,6 +20,7 @@
 #include "mem/cache.hh"
 #include "stats/stats.hh"
 #include "tlb/tlb.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -88,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzz,
                          ::testing::Values(11u, 22u, 33u));
 
 // ---------------------------------------------------------------
-// TLB vs presence oracle under random insert/flush interleavings.
+// TLB vs presence oracle under random fill/flush interleavings.
 // ---------------------------------------------------------------
 
 class TlbFuzz : public ::testing::TestWithParam<std::uint64_t>
@@ -109,14 +110,18 @@ TEST_P(TlbFuzz, FlushSemanticsExact)
     for (int i = 0; i < 5000; ++i) {
         switch (rng.next(5)) {
           case 0:
-          case 1: { // Insert.
+          case 1: { // Lookup; a miss fills the page.
             const Addr vpn = rng.next(200);
             tlb::TlbEntry e;
             e.vpn = vpn;
             e.key = static_cast<ProtKey>(rng.next(16));
             e.domain = static_cast<DomainId>(rng.next(32));
-            tlb.insert(e);
-            oracle[vpn] = {e.key, e.domain};
+            const tlb::TlbEntry &got = test::fill(tlb, e);
+            const auto [it, filled] =
+                oracle.try_emplace(vpn, e.key, e.domain);
+            ASSERT_EQ(got.key, it->second.first)
+                << (filled ? "fill" : "hit") << " at iteration " << i;
+            ASSERT_EQ(got.domain, it->second.second);
             break;
           }
           case 2: { // Ranged flush.
@@ -145,7 +150,7 @@ TEST_P(TlbFuzz, FlushSemanticsExact)
           }
           case 4: { // Probe a random page.
             const Addr vpn = rng.next(200);
-            const auto *e = tlb.probe(vpn * 4096);
+            const auto *e = test::cached(tlb, vpn * 4096);
             const auto it = oracle.find(vpn);
             ASSERT_EQ(e != nullptr, it != oracle.end())
                 << "presence mismatch at iteration " << i;
@@ -157,7 +162,7 @@ TEST_P(TlbFuzz, FlushSemanticsExact)
           }
         }
     }
-    ASSERT_EQ(tlb.validCount(), oracle.size());
+    ASSERT_EQ(test::validCount(tlb), oracle.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TlbFuzz,

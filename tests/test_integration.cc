@@ -48,15 +48,14 @@ TEST(Integration, FileTraceReplayEqualsLiveReplay)
     params.numOps = 300;
     params.initialNodes = 100;
 
-    // Capture to both a memory buffer and a file.
+    // Capture to a memory buffer, then write it to a file.
     trace::VectorSink memory;
+    workloads::TraceCtx ctx(memory, params.seed);
+    workloads::makeMicro("avl", params)->run(ctx);
     {
         trace::TraceFileWriter file(path.string());
-        trace::FanoutSink fan;
-        fan.addSink(&memory);
-        fan.addSink(&file);
-        workloads::TraceCtx ctx(fan, params.seed);
-        workloads::makeMicro("avl", params)->run(ctx);
+        for (const trace::TraceRecord &rec : memory.records())
+            file.put(rec);
     }
 
     core::SimConfig cfg;

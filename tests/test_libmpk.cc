@@ -7,6 +7,7 @@
 
 #include "arch/libmpk.hh"
 #include "scheme_test_util.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -97,7 +98,7 @@ TEST(LibMpk, ShootdownFlushesVictimTranslations)
     }
     h.attachGranted(16, pmoBase(16), kSize);
     // Victim = domain 1 (LRU): translations must be gone.
-    EXPECT_EQ(h.tlbs().l1().probe(pmoBase(0)), nullptr);
+    EXPECT_EQ(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
 }
 
 TEST(LibMpk, SmallDomainsEvictCheaply)

@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "linear_cam.hh"
 #include "scheme_test_util.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -297,7 +298,7 @@ TEST(MpkVirt, EvictionRemapsAndShootsDown)
     // The LRU victim is domain 1 (least recently touched); its key
     // is gone and its TLB entries were range-flushed.
     EXPECT_EQ(virt.keyOf(1), kInvalidKey);
-    EXPECT_EQ(h.tlbs().l1().probe(pmoBase(0)), nullptr);
+    EXPECT_EQ(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
 
     // Accessing domain 1 again remaps it (evicting another victim).
     EXPECT_TRUE(h.canWrite(0, pmoBase(0)));

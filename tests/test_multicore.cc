@@ -111,15 +111,6 @@ TEST(MultiCore, TwoCoreEvictionChargesExactlyOneIpi)
     EXPECT_DOUBLE_EQ(sys.coreAt(1).ipisResponded.value(), 1.0);
     EXPECT_DOUBLE_EQ(sys.coreAt(0).ipisResponded.value(), 0.0);
 
-    // Per-core attribution: core 0 initiated the eviction; core 1's
-    // single access (the domain-1 load) is attributed to core 1.
-    const auto &profile = sys.scheme().domainProfile();
-    EXPECT_EQ(profile.numCores(), 2u);
-    EXPECT_EQ(profile.coreAttribution(0).evictionsInitiated, 1u);
-    EXPECT_EQ(profile.coreAttribution(1).evictionsInitiated, 0u);
-    EXPECT_EQ(profile.coreAttribution(1).accesses, 1u);
-    EXPECT_GE(profile.coreAttribution(0).shootdownPages, 1u);
-
     // Exactly one Ipi event: responding core 1, initiating thread 0.
     unsigned ipis = 0;
     for (const auto &ev : sys.drainEvents()) {

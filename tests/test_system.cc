@@ -253,24 +253,24 @@ TEST(System, Determinism)
 
 TEST(System, FanoutSinkFeedsEverySchemeLive)
 {
-    // Streaming one live trace into several Systems (and a counter)
-    // through a FanoutSink replays it under every scheme.
+    // Fanning one live trace out record by record to several Systems
+    // (and a counter) replays it under every scheme.
     System none(testConfig(), SchemeKind::NoProtection);
     System lower(testConfig(), SchemeKind::Lowerbound);
     System virt(testConfig(), SchemeKind::DomainVirt);
     trace::CountingSink counter;
-    trace::FanoutSink fan;
-    fan.addSink(&counter);
-    fan.addSink(&none);
-    fan.addSink(&lower);
-    fan.addSink(&virt);
+    const std::vector<trace::TraceSink *> sinks{&counter, &none, &lower,
+                                                &virt};
     for (const TraceRecord &rec :
          {TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite),
           TraceRecord::setPerm(0, 1, Perm::ReadWrite),
           TraceRecord::load(0, kBase, 8, true),
-          TraceRecord::instBlock(0, 40)})
-        fan.put(rec);
-    fan.finish();
+          TraceRecord::instBlock(0, 40)}) {
+        for (trace::TraceSink *sink : sinks)
+            sink->put(rec);
+    }
+    for (trace::TraceSink *sink : sinks)
+        sink->finish();
     EXPECT_GT(none.totalCycles(), 0u);
     EXPECT_GT(lower.totalCycles(), none.totalCycles());
     EXPECT_EQ(virt.deniedAccesses.value(), 0u);

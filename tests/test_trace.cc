@@ -101,8 +101,9 @@ TEST(Record, PackedPayloadsHoldTheirLimits)
     auto widest = TraceRecord::attach(0, 1, 0x1000, huge, Perm::Read);
     EXPECT_EQ(widest.attachBase(), 0x1000u);
     EXPECT_EQ(widest.attachSize(), huge);
-    auto empty = TraceRecord::attach(0, 1, 0x2000, 0, Perm::Read);
-    EXPECT_EQ(empty.attachSize(), 0u);
+    auto smallest = TraceRecord::attach(0, 1, 0x2000, 4096, Perm::Read);
+    EXPECT_EQ(smallest.attachBase(), 0x2000u);
+    EXPECT_EQ(smallest.attachSize(), 4096u);
 
     auto stamped = TraceRecord::opBeginAt(1, 7, kArrivalLimit - 1, 255);
     EXPECT_TRUE(stamped.hasArrival());
@@ -128,6 +129,8 @@ TEST(RecordDeathTest, FactoriesRejectWhatThePackingCannotHold)
                  "past 2\\^48");
     EXPECT_DEATH(TraceRecord::attach(0, 1, kAttachVaLimit, 0, Perm::Read),
                  "past 2\\^48");
+    EXPECT_DEATH(TraceRecord::attach(0, 1, 0x10000000, 0, Perm::Read),
+                 "size is 0");
     EXPECT_DEATH(TraceRecord::opBeginAt(0, 1, kArrivalLimit, 0),
                  "arrival is not below 2\\^56");
     EXPECT_DEATH(TraceRecord::opBeginAt(0, 1, 0, 256),
@@ -237,19 +240,6 @@ TEST(RecordStore, UnknownTypeIsABug)
             sink.put(rec);
         },
         "unknown type 255");
-}
-
-TEST(FanoutSink, ReplicatesToAll)
-{
-    VectorSink a, b;
-    FanoutSink fan;
-    fan.addSink(&a);
-    fan.addSink(&b);
-    fan.put(TraceRecord::opBegin(0));
-    fan.put(TraceRecord::opEnd(0));
-    fan.finish();
-    EXPECT_EQ(a.records().size(), 2u);
-    EXPECT_TRUE(std::ranges::equal(b.records(), a.records()));
 }
 
 TEST(CountingSink, CountsByType)
@@ -680,6 +670,36 @@ TEST_F(TraceFileTest, RejectsChecksumMismatch)
             reader.view();
         },
         ::testing::ExitedWithCode(1), "checksum");
+    // Streaming reads every record, then fails at the end of the trace.
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            TraceRecord rec;
+            std::uint64_t n = 0;
+            while (reader.next(rec))
+                ++n;
+            std::fprintf(stderr, "streamed %llu records cleanly\n",
+                         static_cast<unsigned long long>(n));
+        },
+        ::testing::ExitedWithCode(1), "checksum");
+}
+
+TEST_F(TraceFileTest, RejectsSummaryMismatch)
+{
+    // Record 4 (an InstBlock) becomes a Load, with the checksum patched
+    // to match: only the per-type counts can catch it.
+    writeV2With(sampleRecords(), 4,
+                onDisk(TraceRecord::load(0, 0x10020, 8, true)));
+    EXPECT_EXIT(TraceFileReader(path_.string()).view(),
+                ::testing::ExitedWithCode(1), "header summary");
+    EXPECT_EXIT(
+        {
+            TraceFileReader reader(path_.string());
+            TraceRecord rec;
+            while (reader.next(rec)) {
+            }
+        },
+        ::testing::ExitedWithCode(1), "header summary");
 }
 
 TEST_F(TraceFileTest, HeaderChecksumIsFnv1aOfTheBody)
@@ -804,7 +824,7 @@ TEST_F(TraceFileTest, EveryFactoryRoundTripsThroughTheFile)
                             Perm::None, PageSize::Size1G),
         TraceRecord::attach(9, 5, kAttachVaLimit - 4096, 4096,
                             Perm::Write),
-        TraceRecord::attach(10, 6, 0x2000, 0, Perm::Read),
+        TraceRecord::attach(10, 6, 0x2000, 4096, Perm::Read),
         TraceRecord::detach(11, 6),
         TraceRecord::threadSwitch(0xffff),
         TraceRecord::opBegin(12, 77),
@@ -864,6 +884,9 @@ const Unencodable kUnencodable[] = {
     {"attach of 1 TB",
      {RecordType::Attach, 0, 0, 1, 0x10000, Addr{1} << 40},
      "size is not below 1 TB"},
+    {"attach of 0 bytes",
+     {RecordType::Attach, 0, 0, 1, 0x10000000, 0},
+     "size is 0"},
     {"arrival at 2^56",
      {RecordType::OpBegin, kFlagOpArrival, 0, 1, std::uint64_t{1} << 56,
       0},
@@ -962,6 +985,44 @@ TEST_F(TraceFileTest, ToolRejectsRecordsThatDoNotFitSixteenBytes)
             }
         }
     }
+    std::filesystem::remove(out);
+}
+
+TEST_F(TraceFileTest, ToolRejectsChecksumMismatch)
+{
+    {
+        TraceFileWriter writer(path_.string());
+        for (const TraceRecord &rec : sampleRecords())
+            writer.put(rec);
+    }
+    // Flip a bit of record 2's addr: the record still decodes, and
+    // only the checksum tells.
+    {
+        std::FILE *f = std::fopen(path_.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        const long at = static_cast<long>(kTraceHeaderBytesV2 +
+                                          2 * kTraceFileRecordBytes + 8);
+        std::fseek(f, at, SEEK_SET);
+        unsigned char byte = 0;
+        ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
+        byte ^= 0x40;
+        std::fseek(f, at, SEEK_SET);
+        std::fwrite(&byte, 1, 1, f);
+        std::fclose(f);
+    }
+    const std::string out = path_.string() + ".out";
+    for (const std::string &args :
+         {"info " + path_.string(), "dump " + path_.string(),
+          "dump " + path_.string() + " --limit 1",
+          "convert " + path_.string() + " " + out}) {
+        std::string err;
+        EXPECT_EQ(runTool(args, err), 1) << args << ": " << err;
+        EXPECT_NE(err.find("checksum"), std::string::npos)
+            << args << ": " << err;
+    }
+    // What convert left behind does not pass as a trace either.
+    std::string err;
+    EXPECT_EQ(runTool("info " + out, err), 1) << err;
     std::filesystem::remove(out);
 }
 #endif

@@ -192,6 +192,10 @@ cmdDump(int argc, char **argv)
                     trace::toString(rec).c_str());
         ++n;
     }
+    // Read past the limit too: at the end of the trace next() checks
+    // the whole body against the header.
+    while (reader.next(rec)) {
+    }
     if (n == limit && reader.recordCount() > limit) {
         std::printf("... (%llu more records)\n",
                     static_cast<unsigned long long>(
