@@ -12,7 +12,7 @@ run. This is a report for finding such code, not a gate.
 
 Usage:
     python3 tools/coverage.py [--build-dir build-cov] [--jobs N]
-                              [--gcov gcov-12] [--skip-build]
+                              [--gcov gcov-12]
 """
 
 import argparse
@@ -46,9 +46,10 @@ def run(cmd, cwd, expect_ok=True):
 def run_products(build, work, jobs):
     b = lambda *p: os.path.join(build, *p)
     for name in targets("bench/CMakeLists.txt", "pmodv_add_bench"):
-        run([b("bench", name), "--quick", "--jobs", str(jobs)], work)
-    run([b("bench", "fig_tail"), "--quick", "--jobs", str(jobs),
-         "--json", "tail.json"], work)
+        # fig_tail's report is the input of `pmodv-trace explain` below.
+        json_out = ["--json", "tail.json"] if name == "fig_tail" else []
+        run([b("bench", name), "--quick", "--jobs", str(jobs)] + json_out,
+            work)
 
     trace = b("tools", "pmodv-trace")
     run([trace, "capture", "avl.trc", "avl", "--pmos", "16", "--ops",
@@ -146,21 +147,17 @@ def main():
     ap.add_argument("--build-dir", default=os.path.join(ROOT, "build-cov"))
     ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--gcov", default="gcov-12")
-    ap.add_argument("--skip-build", action="store_true",
-                    help="reuse an existing --coverage build")
     args = ap.parse_args()
     build = os.path.abspath(args.build_dir)
 
-    if not args.skip_build:
-        subprocess.run(["cmake", "-B", build, "-S", ROOT,
-                        "-DCMAKE_BUILD_TYPE=Debug",
-                        "-DCMAKE_CXX_FLAGS=--coverage"], check=True)
-        products = (targets("bench/CMakeLists.txt", "pmodv_add_bench") +
-                    targets("examples/CMakeLists.txt",
-                            "pmodv_add_example") +
-                    ["pmodv-trace", "pmodv-fuzz"])
-        subprocess.run(["cmake", "--build", build, "-j", str(args.jobs),
-                        "--target"] + products, check=True)
+    subprocess.run(["cmake", "-B", build, "-S", ROOT,
+                    "-DCMAKE_BUILD_TYPE=Debug",
+                    "-DCMAKE_CXX_FLAGS=--coverage"], check=True)
+    products = (targets("bench/CMakeLists.txt", "pmodv_add_bench") +
+                targets("examples/CMakeLists.txt", "pmodv_add_example") +
+                ["pmodv-trace", "pmodv-fuzz"])
+    subprocess.run(["cmake", "--build", build, "-j", str(args.jobs),
+                    "--target"] + products, check=True)
 
     # Count this run only.
     for d, _, fs in os.walk(build):
