@@ -45,7 +45,7 @@ DomainVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 }
 
 Cycles
-DomainVirtScheme::fill(ThreadId, Addr va, const tlb::Region *region,
+DomainVirtScheme::fill(ThreadId, Addr, const tlb::Region *region,
                        tlb::TlbEntry &entry)
 {
     if (!region) {
@@ -53,10 +53,11 @@ DomainVirtScheme::fill(ThreadId, Addr va, const tlb::Region *region,
         return 0;
     }
     // DRT walk, performed in parallel with the page table walk; the
-    // DRT is shallower than the page table, so no extra latency.
+    // DRT is shallower than the page table, so no extra latency. It
+    // finds the attached domain the page walk's region names.
     ++drtWalks;
-    auto walk = drt_.walk(va);
-    entry.domain = walk.found ? walk.domain : kNullDomain;
+    entry.domain =
+        domains_.find(region->domain) ? region->domain : kNullDomain;
     entry.key = kNullKey; // This design has no protection keys.
     return 0;
 }
@@ -121,22 +122,18 @@ CheckResult
 DomainVirtScheme::checkAccess(const AccessContext &ctx)
 {
     const DomainId domain = ctx.entry->domain;
-    if (domain == kNullDomain) {
-        // Domainless: no PTLB lookup, no extra latency — but the page
-        // permission still governs.
-        CheckResult res = judge(ctx, Perm::ReadWrite, 0);
-        if (!res.allowed)
-            ++protectionFaults;
-        return res;
+    // Domainless: no PTLB lookup, no extra latency — but the page
+    // permission still governs.
+    Perm domain_perm = Perm::ReadWrite;
+    Cycles cycles = 0;
+    if (domain != kNullDomain) {
+        // The PTLB permission lookup adds latency to every domain
+        // access, even when the data hits in the cache (paper §VI-A).
+        profile_.access(domain);
+        cycles = params_.ptlbAccessCycles;
+        cycAccessLatency += params_.ptlbAccessCycles;
+        domain_perm = lookupPerm(ctx.tid, domain, cycles);
     }
-
-    // The PTLB permission lookup adds latency to every domain access,
-    // even when the data hits in the cache (paper §VI-A).
-    profile_.access(domain);
-    Cycles cycles = params_.ptlbAccessCycles;
-    cycAccessLatency += params_.ptlbAccessCycles;
-
-    const Perm domain_perm = lookupPerm(ctx.tid, domain, cycles);
     CheckResult res = judge(ctx, domain_perm, cycles);
     if (!res.allowed)
         ++protectionFaults;
@@ -194,7 +191,6 @@ DomainVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
     DrtInfo &info = domains_.claim(domain);
     info.base = base;
     info.size = size;
-    drt_.insert(base, size, domain, &info);
     return 0;
 }
 
@@ -212,7 +208,6 @@ DomainVirtScheme::detach(ThreadId, DomainId domain)
     // The unmap itself invalidates the translations on every core
     // (normal munmap shootdown, part of the detach syscall).
     flushRangeAllCores(info.base, info.size);
-    drt_.remove(domain);
     info = DrtInfo{};
     return 0;
 }
@@ -249,12 +244,6 @@ DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
             return e->perm;
     }
     return info->perms.get(tid);
-}
-
-std::uint64_t
-DomainVirtScheme::drtMemoryBytes() const
-{
-    return drt_.nodeCount() * kRadixFanout * 8;
 }
 
 } // namespace pmodv::arch

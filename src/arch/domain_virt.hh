@@ -5,7 +5,8 @@
  *
  *  - each TLB entry carries a 10-bit domain id, filled from the
  *    Domain Range Table (DRT), a VA-indexed radix tree walked in
- *    parallel with the page walk;
+ *    parallel with the page walk (the host counts the walk and takes
+ *    its domain from the page walk's region);
  *  - per-(domain, thread) permissions live in the Permission Table
  *    (PT), cached in the 16-entry PTLB;
  *  - SETPERM completes entirely inside the PTLB;
@@ -18,8 +19,8 @@
 #include <memory>
 #include <vector>
 
+#include "arch/domain_table.hh"
 #include "arch/ptlb.hh"
-#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch
@@ -29,8 +30,8 @@ namespace pmodv::arch
  * Per-domain payload in DRT root entries: bounds for detach, and the
  * domain's row of the OS-managed Permission Table (PT), the
  * (domain, thread) -> 2-bit permission map. The PT is plain cacheable
- * memory in the paper; it is modelled functionally, with a footprint
- * estimate for Table VIII.
+ * memory in the paper; it is modelled functionally (its Table VIII
+ * footprint is computed in exp/area.cc).
  */
 struct DrtInfo
 {
@@ -63,10 +64,9 @@ class DomainVirtScheme : public ProtectionScheme,
     Ptlb &ptlb() { return *ptlbs_[0]; }
     /** Core @p core's private PTLB. */
     Ptlb &ptlbAt(CoreId core) { return *ptlbs_[core]; }
-    const VaRadixTree<DrtInfo> &drt() const { return drt_; }
 
-    /** DRT memory footprint in bytes (Table VIII model). */
-    std::uint64_t drtMemoryBytes() const;
+    /** @p tid's permission for @p domain in the PT (None if unattached). */
+    Perm ptGet(DomainId domain, ThreadId tid) const;
 
     stats::Scalar drtWalks;
     stats::Scalar ptlbWritebacks;
@@ -85,9 +85,6 @@ class DomainVirtScheme : public ProtectionScheme,
      */
     Perm lookupPerm(ThreadId tid, DomainId domain, Cycles &cycles);
 
-    /** @p tid's permission for @p domain in the PT (None if unattached). */
-    Perm ptGet(DomainId domain, ThreadId tid) const;
-
     /** Write @p entry's permission back to the PT. */
     void writeback(ThreadId tid, const PtlbEntry &entry);
 
@@ -97,7 +94,6 @@ class DomainVirtScheme : public ProtectionScheme,
      */
     Cycles installPtlb(ThreadId tid, const PtlbEntry &entry);
 
-    VaRadixTree<DrtInfo> drt_;
     DomainTable<DrtInfo> domains_;
     /** Per-core PTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Ptlb>> ptlbs_;

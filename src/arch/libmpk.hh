@@ -18,8 +18,8 @@
 #ifndef PMODV_ARCH_LIBMPK_HH
 #define PMODV_ARCH_LIBMPK_HH
 
+#include "arch/domain_table.hh"
 #include "arch/pkru.hh"
-#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch

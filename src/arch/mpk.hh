@@ -10,8 +10,8 @@
 #ifndef PMODV_ARCH_MPK_HH
 #define PMODV_ARCH_MPK_HH
 
+#include "arch/domain_table.hh"
 #include "arch/pkru.hh"
-#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch

@@ -161,16 +161,15 @@ MpkVirtScheme::fill(ThreadId tid, Addr va, const tlb::Region *region,
         info = domains_.find(hit->domain);
         panic_if(!info, "DTTLB caches unknown domain");
     } else {
-        // DTTLB miss: walk the DTT (Table II: 30 cycles).
+        // DTTLB miss: walk the DTT (Table II: 30 cycles). The walk
+        // finds the domain the page walk's region already names.
         ++dttWalks;
         cycles += params_.dttWalkCycles;
         profile_.fillMiss(region->domain);
         cycTableMiss += params_.dttWalkCycles;
         dttlb.missLatency.sample(params_.dttWalkCycles);
-        auto walk = dtt_.walk(va);
-        panic_if(!walk.found,
-                 "mapped PMO region missing from the DTT");
-        info = walk.payload;
+        info = domains_.find(region->domain);
+        panic_if(!info, "mapped PMO region missing from the DTT");
         postEvent(trace::EventKind::DttlbRefill, tid, info->domain,
                   params_.dttWalkCycles);
     }
@@ -233,7 +232,6 @@ MpkVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
     DttInfo &info = domains_.claim(domain);
     info.base = base;
     info.size = size;
-    dtt_.insert(base, size, domain, &info);
     return 0;
 }
 
@@ -251,7 +249,6 @@ MpkVirtScheme::detach(ThreadId, DomainId domain)
         flushRangeAllCores(info.base, info.size);
     }
     invalidateDomainAllDttlbs(domain);
-    dtt_.remove(domain);
     info = DttInfo{};
     return 0;
 }
@@ -303,13 +300,6 @@ MpkVirtScheme::keyOf(DomainId domain) const
 {
     const DttInfo *info = domains_.find(domain);
     return info ? info->key : kInvalidKey;
-}
-
-std::uint64_t
-MpkVirtScheme::dttMemoryBytes() const
-{
-    // Each radix node is 512 slots x 8 bytes, as in a page table.
-    return dtt_.nodeCount() * kRadixFanout * 8;
 }
 
 } // namespace pmodv::arch

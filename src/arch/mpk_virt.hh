@@ -9,6 +9,10 @@
  * entries. On a TLB miss to a domain with no key, a free key is
  * claimed — or an LRU victim domain's key is reassigned, which costs
  * a PKRU update and a ranged TLB shootdown of the victim's pages.
+ *
+ * The host keeps the DTT's payloads in a DomainTable and takes a DTT
+ * walk's domain from the page walk's region: the walk is charged and
+ * counted, not performed.
  */
 
 #ifndef PMODV_ARCH_MPK_VIRT_HH
@@ -17,9 +21,9 @@
 #include <memory>
 #include <vector>
 
+#include "arch/domain_table.hh"
 #include "arch/dttlb.hh"
 #include "arch/pkru.hh"
-#include "arch/radix.hh"
 #include "arch/scheme.hh"
 
 namespace pmodv::arch
@@ -28,14 +32,14 @@ namespace pmodv::arch
 /** Per-domain payload stored in DTT PMO-root entries. */
 struct DttInfo
 {
+    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
     /** Key the domain currently maps to (kInvalidKey when unmapped). */
     ProtKey key = kInvalidKey;
-    /** Per-thread domain permissions. */
-    PermRow perms;
     /** Cached region bounds for shootdowns. */
     Addr base = 0;
     Addr size = 0;
-    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
+    /** Per-thread domain permissions. */
+    PermRow perms;
 };
 
 /** Hardware MPK virtualization. */
@@ -67,10 +71,6 @@ class MpkVirtScheme : public ProtectionScheme, private tlb::TlbFillPolicy
     Dttlb &dttlb() { return *dttlbs_[0]; }
     /** Core @p core's private DTTLB. */
     Dttlb &dttlbAt(CoreId core) { return *dttlbs_[core]; }
-    const VaRadixTree<DttInfo> &dtt() const { return dtt_; }
-
-    /** DTT memory footprint in bytes (Table VIII model). */
-    std::uint64_t dttMemoryBytes() const;
 
     stats::Scalar dttWalks;
     stats::Scalar dttlbWritebacks;
@@ -98,7 +98,6 @@ class MpkVirtScheme : public ProtectionScheme, private tlb::TlbFillPolicy
     /** Invalidate @p domain in EVERY core's DTTLB. */
     void invalidateDomainAllDttlbs(DomainId domain);
 
-    VaRadixTree<DttInfo> dtt_;
     DomainTable<DttInfo> domains_;
     /** Per-core DTTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Dttlb>> dttlbs_;

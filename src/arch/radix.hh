@@ -1,12 +1,11 @@
 /**
  * @file
- * A page-table-shaped radix tree over virtual addresses, used for
- * both OS-managed structures the paper introduces:
- *
- *  - the Domain Translation Table (DTT) of the MPK-virtualization
- *    design (payload: current key + per-thread permissions), and
- *  - the Domain Range Table (DRT) of the domain-virtualization design
- *    (payload: the domain's Permission Table row).
+ * A page-table-shaped radix tree over virtual addresses: the layout of
+ * the Domain Translation Table (DTT, payload: current key + per-thread
+ * permissions) and the Domain Range Table (DRT, payload: the domain's
+ * Permission Table row) the paper introduces. No scheme keeps one: a
+ * DTT or DRT walk takes the domain the page walk found and is charged
+ * as a constant (DESIGN.md §8). The tree models what the walker reads.
  *
  * The tree has four levels matching x86-64 paging (PML4/PDPT/PD/PT:
  * 512 GB / 1 GB / 2 MB / 4 KB slots). A slot is either empty, a
@@ -22,8 +21,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <span>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -60,7 +57,7 @@ radixSlotIndex(Addr va, unsigned level)
  * pointer, so the caller keeps each payload at a stable address for
  * as long as its root entries are installed.
  *
- * Host layout (DESIGN.md §8): the PML4, PDPT and PD levels are nodes
+ * Host layout: the PML4, PDPT and PD levels are nodes
  * of 512 8-byte slots, pooled with a free list. A slot holds a valid
  * bit, a next-level bit and an index above them: the child of a
  * directory entry, or the domain whose root record {range, payload} a
@@ -345,72 +342,6 @@ class VaRadixTree
     /** Root records, indexed by DomainId. */
     std::vector<Record> records_;
     std::uint64_t roots_ = 0;
-};
-
-/**
- * One domain's permission for each thread, indexed by ThreadId (dense
- * small integers in every trace). A thread past the end holds None.
- */
-class PermRow
-{
-  public:
-    Perm
-    get(ThreadId tid) const
-    {
-        return tid < perms_.size() ? perms_[tid] : Perm::None;
-    }
-
-    void
-    set(ThreadId tid, Perm perm)
-    {
-        if (tid >= perms_.size())
-            perms_.resize(std::size_t{tid} + 1, Perm::None);
-        perms_[tid] = perm;
-    }
-
-    /** Every stored permission, thread 0 first. */
-    std::span<const Perm> threads() const { return perms_; }
-
-  private:
-    std::vector<Perm> perms_;
-};
-
-/**
- * The per-domain registry of every key/domain scheme: payloads indexed
- * by DomainId (dense small integers below kMaxDomains, as in
- * DomainProfile). A deque grows without moving its elements, so the
- * pointers a radix tree's root records hold stay valid. A record whose
- * `domain` is kNullDomain is not attached; detach resets it in place.
- */
-template <typename T>
-class DomainTable
-{
-  public:
-    /** @p d's record, or nullptr when @p d is not attached. */
-    T *find(DomainId d) { return has(d) ? &rows_[d] : nullptr; }
-    const T *find(DomainId d) const { return has(d) ? &rows_[d] : nullptr; }
-
-    /** Attach @p d: its record slot, created on first use. */
-    T &
-    claim(DomainId d)
-    {
-        panic_if(d == kNullDomain || d >= kMaxDomains,
-                 "domain %u is outside the registry", d);
-        panic_if(has(d), "domain %u attached twice", d);
-        if (d >= rows_.size())
-            rows_.resize(std::size_t{d} + 1);
-        rows_[d].domain = d;
-        return rows_[d];
-    }
-
-  private:
-    bool
-    has(DomainId d) const
-    {
-        return d < rows_.size() && rows_[d].domain != kNullDomain;
-    }
-
-    std::deque<T> rows_;
 };
 
 } // namespace pmodv::arch

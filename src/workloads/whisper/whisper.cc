@@ -46,19 +46,6 @@ WhisperWorkload::appWork(Runtime &rt, std::uint32_t insts)
 }
 
 void
-WhisperWorkload::pread(Runtime &rt, Oid oid, void *out, std::size_t len)
-{
-    rt.read(tid_, oid, out, len);
-}
-
-void
-WhisperWorkload::pwrite(Runtime &rt, Oid oid, const void *in,
-                        std::size_t len)
-{
-    rt.write(tid_, oid, in, len);
-}
-
-void
 WhisperWorkload::run(pmo::Namespace &ns, trace::TraceSink &sink)
 {
     PmoApi api(ns, /*uid=*/1000, /*proc=*/1);

@@ -92,15 +92,6 @@ class WhisperWorkload
     /** Inter-access application work (parsing, networking, ...). */
     void appWork(pmo::Runtime &rt, std::uint32_t insts);
 
-    /**
-     * Unguarded (setup-phase) helpers; in the run phase guarded_ is
-     * true and the guarded helpers must be used instead.
-     */
-    void pread(pmo::Runtime &rt, pmo::Oid oid, void *out,
-               std::size_t len);
-    void pwrite(pmo::Runtime &rt, pmo::Oid oid, const void *in,
-                std::size_t len);
-
     /** Per-benchmark instruction budget between PMO accesses. */
     virtual std::uint32_t instsPerAccess() const = 0;
 

@@ -32,15 +32,6 @@ using test::SchemeHarness;
 
 constexpr Addr kSize = Addr{1} << 20;
 
-/** @p tid's permission in the in-memory PT row of the PMO at @p va,
- *  read through the DRT the way the hardware walker finds it. */
-Perm
-ptPerm(const DomainVirtScheme &virt, Addr va, ThreadId tid)
-{
-    const auto walk = virt.drt().walk(va);
-    return walk.found ? walk.payload->perms.get(tid) : Perm::None;
-}
-
 // ---------------------------------------------------------------
 // PTLB unit tests.
 // ---------------------------------------------------------------
@@ -283,11 +274,11 @@ TEST(DomainVirt, LazyPtWriteBackOnEviction)
     auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
     h.attachGranted(1, pmoBase(0), kSize);
     // SETPERM completes in the PTLB; the PT still has no entry.
-    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::None);
+    EXPECT_EQ(virt.ptGet(1, 0), Perm::None);
     // Force eviction of domain 1's dirty entry.
     h.attachGranted(2, pmoBase(1), kSize, Perm::Read);
     h.attachGranted(3, pmoBase(2), kSize, Perm::Read);
-    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::ReadWrite);
+    EXPECT_EQ(virt.ptGet(1, 0), Perm::ReadWrite);
     EXPECT_GE(virt.ptlbWritebacks.value(), 1.0);
 }
 
@@ -314,7 +305,7 @@ TEST(DomainVirt, ContextSwitchWritesBackOutgoingPerms)
     auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
     h.attachGranted(1, pmoBase(0), kSize); // Grant is dirty in PTLB.
     h.scheme().contextSwitch(0, 5);
-    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::ReadWrite);
+    EXPECT_EQ(virt.ptGet(1, 0), Perm::ReadWrite);
     // Thread 0's permission survives the round trip.
     h.scheme().contextSwitch(5, 0);
     EXPECT_TRUE(h.canWrite(0, pmoBase(0)));
@@ -328,11 +319,12 @@ TEST(DomainVirt, DetachDropsEverything)
     h.canWrite(0, pmoBase(0));
     h.detach(1);
     EXPECT_EQ(test::cached(h.tlbs().l1(), pmoBase(0)), nullptr);
-    EXPECT_EQ(virt.drt().rootEntryCount(), 0u);
+    // The registry no longer knows the domain: page rules govern.
+    EXPECT_EQ(virt.effectivePerm(0, 1), Perm::ReadWrite);
     // The PT row went with the domain: a re-attach of the same id
     // inherits no grant.
     h.attach(1, pmoBase(0), kSize);
-    EXPECT_EQ(ptPerm(virt, pmoBase(0), 0), Perm::None);
+    EXPECT_EQ(virt.ptGet(1, 0), Perm::None);
     EXPECT_EQ(h.scheme().effectivePerm(0, 1), Perm::None);
 }
 
@@ -352,18 +344,6 @@ TEST(DomainVirt, EffectivePermReadsFreshPtlbValue)
     h.scheme().setPerm(0, 1, Perm::ReadWrite);
     EXPECT_EQ(h.scheme().effectivePerm(0, 1), Perm::ReadWrite);
     EXPECT_EQ(h.scheme().effectivePerm(3, 1), Perm::None);
-}
-
-TEST(DomainVirt, DrtMemoryModel)
-{
-    SchemeHarness h(SchemeKind::DomainVirt);
-    auto &virt = static_cast<DomainVirtScheme &>(h.scheme());
-    const auto before = virt.drtMemoryBytes();
-    h.attach(1, pmoBase(0), kSize);
-    EXPECT_GT(virt.drtMemoryBytes(), before);
-    // Root, PDPT, PD and PT nodes of 512 8-byte slots each.
-    EXPECT_EQ(before, 4096u);
-    EXPECT_EQ(virt.drtMemoryBytes(), 4u * 4096);
 }
 
 } // namespace

@@ -392,7 +392,8 @@ TEST(MpkVirt, DetachFreesKeyAndCleansState)
     h.detach(1);
     EXPECT_EQ(virt.keyOf(1), kInvalidKey);
     EXPECT_EQ(virt.domainOfKey(key), kNullDomain);
-    EXPECT_EQ(virt.dtt().rootEntryCount(), 0u);
+    // The registry no longer knows the domain: page rules govern.
+    EXPECT_EQ(virt.effectivePerm(0, 1), Perm::ReadWrite);
 }
 
 TEST(MpkVirt, LruVictimSelection)
@@ -418,19 +419,6 @@ TEST(MpkVirt, DomainlessAccessesUnaffected)
     const auto out = h.accessOutcome(0, 0x4000, AccessType::Write);
     EXPECT_TRUE(out.allowed); // Non-PMO VA.
     EXPECT_EQ(out.charged(), 0u);
-}
-
-TEST(MpkVirt, DttMemoryModelGrowsWithDomains)
-{
-    SchemeHarness h(SchemeKind::MpkVirt);
-    auto &virt = static_cast<MpkVirtScheme &>(h.scheme());
-    const auto empty = virt.dttMemoryBytes();
-    for (unsigned i = 0; i < 8; ++i)
-        h.attach(i + 1, pmoBase(i), kSize);
-    EXPECT_GT(virt.dttMemoryBytes(), empty);
-    // Root, one PDPT, one PD and a PT per 1 MB PMO, 4 KB each.
-    EXPECT_EQ(empty, 4096u);
-    EXPECT_EQ(virt.dttMemoryBytes(), 11u * 4096);
 }
 
 } // namespace

@@ -11,8 +11,12 @@
 
 #include <map>
 
+#include "arch/domain_virt.hh"
+#include "arch/libmpk.hh"
+#include "arch/mpk_virt.hh"
 #include "common/rng.hh"
 #include "scheme_test_util.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -194,6 +198,149 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, DoubleAttachDeathTest,
     ::testing::Values(SchemeKind::Mpk, SchemeKind::LibMpk,
                       SchemeKind::MpkVirt, SchemeKind::DomainVirt),
+    [](const ::testing::TestParamInfo<SchemeKind> &info) {
+        return std::string(arch::schemeName(info.param));
+    });
+
+// The schemes that virtualize keys or domains keep one registry row
+// per domain id, filled from the page walk's region.
+class DenseRegistry : public ::testing::TestWithParam<SchemeKind>
+{
+};
+
+/** The key @p d holds in a key-virtualizing scheme (kInvalidKey for
+ *  domain_virt, which has none). */
+ProtKey
+keyOf(SchemeHarness &h, DomainId d)
+{
+    if (auto *v = dynamic_cast<arch::MpkVirtScheme *>(&h.scheme()))
+        return v->keyOf(d);
+    if (auto *l = dynamic_cast<arch::LibMpkScheme *>(&h.scheme()))
+        return l->keyOf(d);
+    return kInvalidKey;
+}
+
+/** True when the fill of @p va stamped @p d: its id, or its key. */
+bool
+filledAs(SchemeHarness &h, Addr va, DomainId d)
+{
+    const tlb::TlbEntry *e = test::cached(h.tlbs().l1(), va);
+    if (!e)
+        return false;
+    if (dynamic_cast<arch::DomainVirtScheme *>(&h.scheme()))
+        return e->domain == d;
+    return keyOf(h, d) != kInvalidKey && e->key == keyOf(h, d);
+}
+
+TEST_P(DenseRegistry, SparseIdsAndReattachAtANewRange)
+{
+    SchemeHarness h(GetParam());
+    auto *virt = dynamic_cast<arch::DomainVirtScheme *>(&h.scheme());
+    // Out of order and far apart: rows 2, 5 and 4096 of one table.
+    const DomainId ids[] = {4096, 5, 2};
+    for (unsigned i = 0; i < 3; ++i)
+        h.attach(ids[i], pmoBase(i), kSize);
+    h.scheme().setPerm(0, 4096, Perm::ReadWrite);
+    h.scheme().setPerm(0, 5, Perm::Read);
+    h.scheme().setPerm(3, 2, Perm::ReadWrite);
+
+    EXPECT_TRUE(h.canWrite(0, pmoBase(0)));
+    EXPECT_TRUE(h.canRead(0, pmoBase(1)));
+    EXPECT_FALSE(h.canWrite(0, pmoBase(1)));
+    EXPECT_FALSE(h.canRead(0, pmoBase(2)));
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_TRUE(filledAs(h, pmoBase(i), ids[i])) << ids[i];
+    EXPECT_EQ(h.scheme().effectivePerm(0, 4096), Perm::ReadWrite);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 5), Perm::Read);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 2), Perm::None);
+    EXPECT_EQ(h.scheme().effectivePerm(3, 2), Perm::ReadWrite);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 3), Perm::ReadWrite); // No row.
+
+    // A round trip through thread 3 writes thread 0's PTLB grants
+    // back to the PT rows.
+    h.scheme().contextSwitch(0, 3);
+    h.scheme().contextSwitch(3, 0);
+    if (virt) {
+        EXPECT_EQ(virt->ptGet(4096, 0), Perm::ReadWrite);
+        EXPECT_EQ(virt->ptGet(5, 0), Perm::Read);
+        EXPECT_EQ(virt->ptGet(2, 0), Perm::None);
+        EXPECT_EQ(virt->ptGet(2, 3), Perm::ReadWrite);
+    }
+
+    // Domain 5 comes back at another range with a fresh row.
+    h.detach(5);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 5), Perm::ReadWrite); // No row.
+    h.attach(5, pmoBase(7), kSize);
+    EXPECT_EQ(keyOf(h, 5), kInvalidKey);
+    EXPECT_EQ(h.scheme().effectivePerm(0, 5), Perm::None);
+    if (virt) {
+        EXPECT_EQ(virt->ptGet(5, 0), Perm::None);
+    }
+    EXPECT_FALSE(h.canRead(0, pmoBase(7)));
+    EXPECT_TRUE(filledAs(h, pmoBase(7), 5));
+    h.scheme().setPerm(0, 5, Perm::ReadWrite);
+    EXPECT_TRUE(h.canWrite(0, pmoBase(7)));
+    EXPECT_EQ(h.scheme().effectivePerm(0, 5), Perm::ReadWrite);
+    // The old range is unmapped; the neighbours kept their rows.
+    EXPECT_EQ(test::cached(h.tlbs().l1(), pmoBase(1)), nullptr);
+    EXPECT_TRUE(h.canWrite(0, pmoBase(0)));
+    EXPECT_FALSE(h.canRead(0, pmoBase(2)));
+    EXPECT_EQ(h.scheme().effectivePerm(3, 2), Perm::ReadWrite);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeyAndDomainSchemes, DenseRegistry,
+    ::testing::Values(SchemeKind::LibMpk, SchemeKind::MpkVirt,
+                      SchemeKind::DomainVirt),
+    [](const ::testing::TestParamInfo<SchemeKind> &info) {
+        return std::string(arch::schemeName(info.param));
+    });
+
+// At K > 1 a key changing hands is loaded into every thread's PKRU
+// from the holder's whole row, spilled threads included.
+class KeyRebind : public ::testing::TestWithParam<SchemeKind>
+{
+};
+
+/** Thread @p t's PKRU permission for the key @p d holds. */
+Perm
+pkruPerm(SchemeHarness &h, ThreadId t, DomainId d)
+{
+    if (auto *v = dynamic_cast<arch::MpkVirtScheme *>(&h.scheme()))
+        return v->pkru(t).permFor(v->keyOf(d));
+    // libmpk reads a key-holding domain's permission from PKRU.
+    return h.scheme().effectivePerm(t, d);
+}
+
+TEST_P(KeyRebind, NineThreadRowLoadsIntoEveryPkru)
+{
+    arch::CoreTopology topo;
+    topo.numCores = 2;
+    SchemeHarness h(GetParam(), {}, topo);
+    const auto perm_of = [](ThreadId t) {
+        const Perm cycle[] = {Perm::Read, Perm::None, Perm::ReadWrite};
+        return cycle[t % 3];
+    };
+    h.attach(1, pmoBase(0), kSize);
+    for (ThreadId t = 0; t <= 8; ++t) // Thread 8 spills the row.
+        h.scheme().setPerm(t, 1, perm_of(t));
+    // Fifteen more domains take every usable key from domain 1.
+    for (unsigned i = 1; i <= 15; ++i) {
+        h.attachGranted(i + 1, pmoBase(i), kSize);
+        EXPECT_TRUE(h.canRead(0, pmoBase(i)));
+    }
+    ASSERT_EQ(keyOf(h, 1), kInvalidKey);
+
+    EXPECT_TRUE(h.canRead(0, pmoBase(0)));
+    ASSERT_NE(keyOf(h, 1), kInvalidKey);
+    for (ThreadId t = 0; t <= 8; ++t)
+        EXPECT_EQ(pkruPerm(h, t, 1), perm_of(t)) << t;
+    EXPECT_EQ(pkruPerm(h, 9, 1), Perm::None); // Past the row.
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeySchemes, KeyRebind,
+    ::testing::Values(SchemeKind::LibMpk, SchemeKind::MpkVirt),
     [](const ::testing::TestParamInfo<SchemeKind> &info) {
         return std::string(arch::schemeName(info.param));
     });
