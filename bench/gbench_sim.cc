@@ -61,6 +61,13 @@ BM_TlbTranslate(benchmark::State &state)
 }
 BENCHMARK(BM_TlbTranslate);
 
+/** Replay @p rec through @p sys as a one-record span. */
+void
+replayOne(core::System &sys, const TraceRecord &rec)
+{
+    sys.replayBatch({&rec, 1});
+}
+
 /** Label like "mpk_virt/64K" for a scheme + working-set pair. */
 std::string
 replayLabel(SchemeKind kind, Addr range)
@@ -74,19 +81,22 @@ replayLabel(SchemeKind kind, Addr range)
 void
 BM_ReplayRecordThroughput(benchmark::State &state)
 {
-    // Arg 1 is log2 of the touched address range: 16 (64KB — TLB and
-    // cache resident, the engine-bound regime) or 23 (8MB — every
-    // level thrashes, the model-bound regime).
+    // Each load replays as its own one-record span, so every record
+    // pays replayBatch's per-call setup. Arg 1 is log2 of the touched
+    // address range: 16 (64KB — TLB and cache resident, the
+    // engine-bound regime) or 23 (8MB — every level thrashes, the
+    // model-bound regime).
     const auto kind = static_cast<SchemeKind>(state.range(0));
     const Addr range = Addr{1} << state.range(1);
     core::SimConfig cfg;
     core::System sys(cfg, kind);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    replayOne(sys,
+              TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    replayOne(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
     Rng rng(7);
     for (auto _ : state) {
-        sys.put(TraceRecord::load(0, kBase + rng.next(range - 8), 8,
-                                  true));
+        replayOne(sys, TraceRecord::load(0, kBase + rng.next(range - 8),
+                                         8, true));
     }
     state.SetItemsProcessed(state.iterations());
     state.SetLabel(replayLabel(kind, range));
@@ -106,14 +116,15 @@ BM_ReplayBatchThroughput(benchmark::State &state)
 {
     // The batch engine on the same access stream as
     // BM_ReplayRecordThroughput: one immutable TraceBuffer replayed
-    // via System::replayBatch. The ratio of the two benchmarks is the
-    // devirtualized hot loop's speedup.
+    // via System::replayBatch in 64K-record spans. The ratio of the
+    // two benchmarks is what long spans save over one-record spans.
     const auto kind = static_cast<SchemeKind>(state.range(0));
     const Addr range = Addr{1} << state.range(1);
     core::SimConfig cfg;
     core::System sys(cfg, kind);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    replayOne(sys,
+              TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    replayOne(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
     constexpr std::size_t kBatch = 65536;
     std::vector<TraceRecord> records;
     records.reserve(kBatch);
@@ -149,8 +160,9 @@ BM_ReplayStreamThroughput(benchmark::State &state)
     const auto kind = static_cast<SchemeKind>(state.range(0));
     core::SimConfig cfg;
     core::System sys(cfg, kind);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    replayOne(sys,
+              TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    replayOne(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
     constexpr std::size_t kBatch = 65536;
     constexpr std::size_t kPerPage = 64;
     std::vector<TraceRecord> records;
@@ -186,9 +198,9 @@ BM_ReplayMultiCoreThroughput(benchmark::State &state)
     core::System sys(cfg, SchemeKind::MpkVirt);
     const Addr stride = Addr{16} << 20;
     for (unsigned t = 0; t < cores; ++t) {
-        sys.put(TraceRecord::attach(t, t + 1, kBase + t * stride,
-                                    kSize, Perm::ReadWrite));
-        sys.put(TraceRecord::setPerm(t, t + 1, Perm::ReadWrite));
+        replayOne(sys, TraceRecord::attach(t, t + 1, kBase + t * stride,
+                                           kSize, Perm::ReadWrite));
+        replayOne(sys, TraceRecord::setPerm(t, t + 1, Perm::ReadWrite));
     }
     constexpr std::size_t kBatch = 65536;
     std::vector<TraceRecord> records;
@@ -218,15 +230,16 @@ BM_MultiDomainReplay(benchmark::State &state)
     const unsigned domains = static_cast<unsigned>(state.range(0));
     const Addr stride = Addr{16} << 20;
     for (unsigned i = 0; i < domains; ++i) {
-        sys.put(TraceRecord::attach(0, i + 1, kBase + i * stride,
-                                    kSize, Perm::ReadWrite));
-        sys.put(TraceRecord::setPerm(0, i + 1, Perm::ReadWrite));
+        replayOne(sys, TraceRecord::attach(0, i + 1, kBase + i * stride,
+                                           kSize, Perm::ReadWrite));
+        replayOne(sys, TraceRecord::setPerm(0, i + 1, Perm::ReadWrite));
     }
     Rng rng(7);
     for (auto _ : state) {
         const unsigned d = static_cast<unsigned>(rng.next(domains));
-        sys.put(TraceRecord::load(
-            0, kBase + d * stride + rng.next(kSize - 8), 8, true));
+        replayOne(sys, TraceRecord::load(
+                           0, kBase + d * stride + rng.next(kSize - 8),
+                           8, true));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -245,12 +258,13 @@ BM_ReplaySamplingOverhead(benchmark::State &state)
     cfg.samplingEpochCycles = static_cast<Cycles>(state.range(0));
     cfg.samplingMaxEpochs = 256;
     core::System sys(cfg, SchemeKind::MpkVirt);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    replayOne(sys,
+              TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    replayOne(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
     Rng rng(7);
     for (auto _ : state) {
-        sys.put(TraceRecord::load(0, kBase + rng.next(kSize - 8), 8,
-                                  true));
+        replayOne(sys, TraceRecord::load(0, kBase + rng.next(kSize - 8),
+                                         8, true));
     }
     state.SetItemsProcessed(state.iterations());
     state.SetLabel(state.range(0) == 0

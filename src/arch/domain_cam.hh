@@ -39,18 +39,14 @@ template <typename Entry>
 class DomainCam : public stats::Group
 {
   public:
-    /**
-     * @p buffer names the structure in stat descriptions ("PTLB") and
-     * @p key what a counted lookup matches on ("domain", "VA").
-     */
+    /** @p buffer names the structure in errors ("PTLB"). */
     DomainCam(stats::Group *parent, unsigned entries, std::string name,
-              const std::string &buffer, const std::string &key)
+              const std::string &buffer)
         : stats::Group(parent, std::move(name)),
-          hits(this, "hits", key + " lookups that matched"),
-          misses(this, "misses", key + " lookups that missed"),
-          evictions(this, "evictions", "slots evicted by capacity"),
-          missLatency(this, "miss_latency",
-                      "cycles spent servicing each " + buffer + " miss"),
+          hits(this, "hits"),
+          misses(this, "misses"),
+          evictions(this, "evictions"),
+          missLatency(this, "miss_latency"),
           slots_(entries), tags_(entries + simd::kTagPad, 0),
           plru_(entries), touchLut_(TreePlru::makeTouchLut(entries)),
           victimLut_(TreePlru::sharedVictimLut(entries))
@@ -149,9 +145,9 @@ class DomainCam : public stats::Group
         return true;
     }
 
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar evictions;
+    stats::Scalar hits;           ///< Counted lookups that matched.
+    stats::Scalar misses;         ///< Counted lookups that missed.
+    stats::Scalar evictions;      ///< Slots evicted by capacity.
     stats::Histogram missLatency; ///< Cycles per miss (table walk).
 
   protected:

@@ -11,15 +11,12 @@ DomainVirtScheme::DomainVirtScheme(stats::Group *parent,
                                    const CoreTopology &topo,
                                    const tlb::AddressSpace &space)
     : ProtectionScheme(parent, "domain_virt", params, topo, space),
-      drtWalks(this, "drt_walks", "DRT walks on TLB misses"),
-      ptlbWritebacks(this, "ptlb_writebacks",
-                     "dirty PTLB entries written back to the PT"),
-      contextSwitches(this, "context_switches",
-                      "context switches processed")
+      drtWalks(this, "drt_walks"),
+      ptlbWritebacks(this, "ptlb_writebacks"),
+      contextSwitches(this, "context_switches")
 {
     ptlbs_.push_back(std::make_unique<Ptlb>(this, params_.ptlbEntries));
     curTid_.push_back(0);
-    setFastCheck(&fastCheckThunk<DomainVirtScheme>);
 }
 
 void

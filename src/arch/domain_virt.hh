@@ -68,8 +68,8 @@ class DomainVirtScheme : public ProtectionScheme,
     /** @p tid's permission for @p domain in the PT (None if unattached). */
     Perm ptGet(DomainId domain, ThreadId tid) const;
 
-    stats::Scalar drtWalks;
-    stats::Scalar ptlbWritebacks;
+    stats::Scalar drtWalks;       ///< DRT walks on TLB misses.
+    stats::Scalar ptlbWritebacks; ///< Dirty PTLB entries written to the PT.
     stats::Scalar contextSwitches;
 
   protected:

@@ -6,7 +6,7 @@ namespace pmodv::arch
 {
 
 Dttlb::Dttlb(stats::Group *parent, unsigned entries, std::string name)
-    : DomainCam(parent, entries, std::move(name), "DTTLB", "VA"),
+    : DomainCam(parent, entries, std::move(name), "DTTLB"),
       base_(entries, 0), size_(entries, 0)
 {
 }

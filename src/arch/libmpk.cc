@@ -12,9 +12,8 @@ LibMpkScheme::LibMpkScheme(stats::Group *parent, const ProtParams &params,
                            const CoreTopology &topo,
                            const tlb::AddressSpace &space)
     : ProtectionScheme(parent, "libmpk", params, topo, space),
-      ptePatches(this, "pte_patches", "PTE pkey fields rewritten")
+      ptePatches(this, "pte_patches")
 {
-    setFastCheck(&fastCheckThunk<LibMpkScheme>);
 }
 
 void

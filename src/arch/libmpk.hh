@@ -44,7 +44,7 @@ class LibMpkScheme : public ProtectionScheme, private tlb::TlbFillPolicy
     /** The key currently backing @p domain (kInvalidKey if none). */
     ProtKey keyOf(DomainId domain) const;
 
-    stats::Scalar ptePatches;
+    stats::Scalar ptePatches; ///< PTE pkey fields rewritten.
 
   protected:
     void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb) override;

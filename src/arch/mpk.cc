@@ -9,10 +9,8 @@ MpkScheme::MpkScheme(stats::Group *parent, const ProtParams &params,
                      const CoreTopology &topo,
                      const tlb::AddressSpace &space)
     : ProtectionScheme(parent, "mpk", params, topo, space),
-      keyExhausted(this, "key_exhausted",
-                   "attaches that found no free protection key")
+      keyExhausted(this, "key_exhausted")
 {
-    setFastCheck(&fastCheckThunk<MpkScheme>);
 }
 
 void

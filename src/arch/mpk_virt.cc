@@ -12,15 +12,12 @@ MpkVirtScheme::MpkVirtScheme(stats::Group *parent,
                              const CoreTopology &topo,
                              const tlb::AddressSpace &space)
     : ProtectionScheme(parent, "mpk_virt", params, topo, space),
-      dttWalks(this, "dtt_walks", "DTT walks on DTTLB misses"),
-      dttlbWritebacks(this, "dttlb_writebacks",
-                      "dirty DTTLB entries written back to the DTT"),
-      contextSwitches(this, "context_switches",
-                      "context switches processed")
+      dttWalks(this, "dtt_walks"),
+      dttlbWritebacks(this, "dttlb_writebacks"),
+      contextSwitches(this, "context_switches")
 {
     dttlbs_.push_back(std::make_unique<Dttlb>(this,
                                               params_.dttlbEntries));
-    setFastCheck(&fastCheckThunk<MpkVirtScheme>);
 }
 
 void

@@ -72,8 +72,8 @@ class MpkVirtScheme : public ProtectionScheme, private tlb::TlbFillPolicy
     /** Core @p core's private DTTLB. */
     Dttlb &dttlbAt(CoreId core) { return *dttlbs_[core]; }
 
-    stats::Scalar dttWalks;
-    stats::Scalar dttlbWritebacks;
+    stats::Scalar dttWalks;        ///< DTT walks on DTTLB misses.
+    stats::Scalar dttlbWritebacks; ///< Dirty DTTLB entries written to the DTT.
     stats::Scalar contextSwitches;
 
   protected:

@@ -34,7 +34,7 @@ class Ptlb : public DomainCam<PtlbEntry>
     /** @p name distinguishes per-core instances ("ptlb_core1", ...). */
     Ptlb(stats::Group *parent, unsigned entries,
          std::string name = "ptlb")
-        : DomainCam(parent, entries, std::move(name), "PTLB", "domain")
+        : DomainCam(parent, entries, std::move(name), "PTLB")
     {
     }
 };

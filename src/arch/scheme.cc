@@ -50,28 +50,20 @@ ProtectionScheme::ProtectionScheme(stats::Group *parent, std::string name,
                                    const CoreTopology &topo,
                                    const tlb::AddressSpace &space)
     : stats::Group(parent, name),
-      cycPermissionChange(this, "cyc_permission_change",
-                          "cycles in SETPERM/WRPKRU instructions"),
-      cycEntryChange(this, "cyc_entry_change",
-                     "cycles adding/removing/modifying buffer entries"),
-      cycTableMiss(this, "cyc_table_miss",
-                   "cycles in DTT walks / PT lookups"),
-      cycTlbInvalidation(this, "cyc_tlb_invalidation",
-                         "direct cycles in TLB shootdowns"),
-      cycAccessLatency(this, "cyc_access_latency",
-                       "per-access lookup cycles (PTLB)"),
-      cycSoftware(this, "cyc_software",
-                  "software path cycles (syscalls, PTE rewrites)"),
-      permChanges(this, "perm_changes", "SETPERM/WRPKRU executed"),
-      setperms(this, "setperms", "SETPERM instructions executed"),
-      wrpkrus(this, "wrpkrus", "raw WRPKRU instructions executed"),
-      keyRemaps(this, "key_remaps", "domain-to-key (re)assignments"),
-      keyEvictions(this, "key_evictions",
-                   "victim domains that lost their protection key"),
-      shootdowns(this, "shootdowns", "ranged TLB invalidations issued"),
-      shootdownPages(this, "shootdown_pages",
-                     "TLB entries invalidated by shootdowns"),
-      protectionFaults(this, "protection_faults", "accesses denied"),
+      cycPermissionChange(this, "cyc_permission_change"),
+      cycEntryChange(this, "cyc_entry_change"),
+      cycTableMiss(this, "cyc_table_miss"),
+      cycTlbInvalidation(this, "cyc_tlb_invalidation"),
+      cycAccessLatency(this, "cyc_access_latency"),
+      cycSoftware(this, "cyc_software"),
+      permChanges(this, "perm_changes"),
+      setperms(this, "setperms"),
+      wrpkrus(this, "wrpkrus"),
+      keyRemaps(this, "key_remaps"),
+      keyEvictions(this, "key_evictions"),
+      shootdowns(this, "shootdowns"),
+      shootdownPages(this, "shootdown_pages"),
+      protectionFaults(this, "protection_faults"),
       params_(params), topo_(topo), space_(space),
       label_(std::move(name))
 {

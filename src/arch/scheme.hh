@@ -77,19 +77,6 @@ class ProtectionScheme : public stats::Group
     ~ProtectionScheme() override = default;
 
     /**
-     * A devirtualized per-access check entry point. Concrete schemes
-     * register a thunk that calls their checkAccess() non-virtually
-     * (see fastCheckThunk), letting the batch replay loop skip the
-     * vtable dispatch on the hottest call in the simulator.
-     */
-    using FastCheckFn = CheckResult (*)(ProtectionScheme &,
-                                        const AccessContext &);
-
-    /** The registered fast check, or nullptr (callers fall back to
-     *  the virtual checkAccess()). */
-    FastCheckFn fastCheck() const { return fastCheck_; }
-
-    /**
      * True when checkAccess() unconditionally allows at zero cost
      * (no-protection/lowerbound). The batch replay loop skips the
      * check — and the AccessContext construction — entirely.
@@ -217,9 +204,6 @@ class ProtectionScheme : public stats::Group
     stats::Scalar protectionFaults; ///< Accesses denied.
 
   protected:
-    /** Register the devirtualized check (from a scheme constructor). */
-    void setFastCheck(FastCheckFn fn) { fastCheck_ = fn; }
-
     /** Declare that checkAccess() always allows at zero cost. */
     void setAlwaysAllows() { alwaysAllows_ = true; }
 
@@ -298,22 +282,8 @@ class ProtectionScheme : public stats::Group
 
   private:
     std::string label_;
-    FastCheckFn fastCheck_ = nullptr;
     bool alwaysAllows_ = false;
 };
-
-/**
- * The canonical fast-check thunk: forwards to @p SchemeT's
- * checkAccess with a qualified (non-virtual) call, so the check body
- * inlines into the thunk. Scheme constructors pass
- * `setFastCheck(&fastCheckThunk<MyScheme>)`.
- */
-template <typename SchemeT>
-CheckResult
-fastCheckThunk(ProtectionScheme &self, const AccessContext &ctx)
-{
-    return static_cast<SchemeT &>(self).SchemeT::checkAccess(ctx);
-}
 
 /** The unprotected baseline: every access allowed, zero cost. */
 class NoProtectionScheme : public ProtectionScheme

@@ -21,15 +21,11 @@ CoreTopology::validate() const
 ShootdownBus::ShootdownBus(stats::Group *parent,
                            const CoreTopology &topo)
     : stats::Group(parent, "shootdown_bus"),
-      broadcasts(this, "broadcasts",
-                 "eviction shootdown broadcasts issued"),
-      ipisSent(this, "ipis_sent", "remote cores interrupted"),
-      ipisResponded(this, "ipis_responded",
-                    "remote cores that held stale entries"),
-      ipisFiltered(this, "ipis_filtered",
-                   "remote cores with nothing to flush"),
-      pagesInvalidated(this, "pages_invalidated",
-                       "stale pages flushed machine-wide"),
+      broadcasts(this, "broadcasts"),
+      ipisSent(this, "ipis_sent"),
+      ipisResponded(this, "ipis_responded"),
+      ipisFiltered(this, "ipis_filtered"),
+      pagesInvalidated(this, "pages_invalidated"),
       topo_(topo), cores_(topo.numCores)
 {
     topo.validate();

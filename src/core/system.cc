@@ -26,14 +26,6 @@ constexpr std::size_t kVisTableSize = 1024;
  */
 constexpr std::size_t kMaxBlamedEvents = 16;
 
-/** Fallback fast-check: plain virtual dispatch. */
-arch::CheckResult
-virtualCheck(arch::ProtectionScheme &scheme,
-             const arch::AccessContext &ctx)
-{
-    return scheme.checkAccess(ctx);
-}
-
 } // namespace
 
 CoreContext::CoreContext(stats::Group *system, unsigned idx,
@@ -41,15 +33,12 @@ CoreContext::CoreContext(stats::Group *system, unsigned idx,
                          tlb::AddressSpace &space)
     : stats::Group(own_group ? system : nullptr,
                    "core" + std::to_string(idx)),
-      cycles(this, "cycles", "cycles accumulated on this core"),
-      instructions(this, "instructions",
-                   "instructions issued on this core"),
-      memAccesses(this, "mem_accesses", "loads + stores on this core"),
-      ctxSwitches(this, "ctx_switches", "context switches on this core"),
-      ipisResponded(this, "ipis_responded",
-                    "shootdown IPIs answered with stale entries"),
-      ipisFiltered(this, "ipis_filtered",
-                   "shootdown IPIs with nothing to flush"),
+      cycles(this, "cycles"),
+      instructions(this, "instructions"),
+      memAccesses(this, "mem_accesses"),
+      ctxSwitches(this, "ctx_switches"),
+      ipisResponded(this, "ipis_responded"),
+      ipisFiltered(this, "ipis_filtered"),
       tlb(own_group ? this : system, config.tlb, space),
       caches(own_group ? this : system, config.memory), index(idx)
 {
@@ -60,35 +49,28 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
     : stats::Group(nullptr,
                    name.empty() ? std::string(arch::schemeName(scheme))
                                 : std::move(name)),
-      cycles(this, "cycles", "total simulated cycles"),
-      instructions(this, "instructions", "dynamic instructions replayed"),
-      memAccesses(this, "mem_accesses", "loads + stores replayed"),
-      pmoAccesses(this, "pmo_accesses", "loads + stores to PMO memory"),
-      operations(this, "operations", "workload operations completed"),
-      deniedAccesses(this, "denied_accesses",
-                     "accesses denied by protection"),
-      cycIssue(this, "cyc_issue", "cycles issuing instruction blocks"),
-      cycMem(this, "cyc_mem", "visible load/store latency cycles"),
-      cycProtFill(this, "cyc_prot_fill",
-                  "serializing protection-fill cycles on TLB misses"),
-      cycProtCheck(this, "cyc_prot_check",
-                   "per-access protection check cycles"),
-      cycPermInstr(this, "cyc_perm_instr",
-                   "cycles in SETPERM/WRPKRU instructions"),
-      cycSyscall(this, "cyc_syscall", "cycles in attach/detach paths"),
-      cycCtxSwitch(this, "cyc_ctx_switch",
-                   "cycles processing context switches"),
-      ipc(this, "ipc", "instructions per cycle",
+      cycles(this, "cycles"),
+      instructions(this, "instructions"),
+      memAccesses(this, "mem_accesses"),
+      pmoAccesses(this, "pmo_accesses"),
+      operations(this, "operations"),
+      deniedAccesses(this, "denied_accesses"),
+      cycIssue(this, "cyc_issue"),
+      cycMem(this, "cyc_mem"),
+      cycProtFill(this, "cyc_prot_fill"),
+      cycProtCheck(this, "cyc_prot_check"),
+      cycPermInstr(this, "cyc_perm_instr"),
+      cycSyscall(this, "cyc_syscall"),
+      cycCtxSwitch(this, "cyc_ctx_switch"),
+      ipc(this, "ipc",
           [this]() {
               return cycles.value() == 0
                          ? 0.0
                          : static_cast<double>(instructions.value()) /
                                static_cast<double>(cycles.value());
           }),
-      opCycles(this, "op_cycles", "cycles per workload operation"),
-      timeline(this, "timeline",
-               "per-epoch counter deltas (cycles per epoch in "
-               "epoch_cycles)"),
+      opCycles(this, "op_cycles"),
+      timeline(this, "timeline"),
       config_(config), schemeKind_(scheme),
       events_(this, "events", config.eventRingCapacity)
 {
@@ -134,23 +116,18 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
         // legacy configs keep their pinned golden stats trees.
         opTrack_ = true;
         constexpr unsigned kLatBuckets = 40;
-        opLat_ = std::make_unique<stats::Histogram>(
-            this, "op_lat",
-            "request latency: open-loop arrival to completion",
-            kLatBuckets);
-        opQueue_ = std::make_unique<stats::Histogram>(
-            this, "op_queue",
-            "queueing delay: arrival to service start", kLatBuckets);
+        opLat_ =
+            std::make_unique<stats::Histogram>(this, "op_lat", kLatBuckets);
+        opQueue_ = std::make_unique<stats::Histogram>(this, "op_queue",
+                                                      kLatBuckets);
         opLatClass_.reserve(config_.opClasses);
         opQueueClass_.reserve(config_.opClasses);
         for (unsigned i = 0; i < config_.opClasses; ++i) {
             opLatClass_.push_back(std::make_unique<stats::Histogram>(
                 this, "op_lat_class" + std::to_string(i),
-                "request latency of class " + std::to_string(i),
                 kLatBuckets));
             opQueueClass_.push_back(std::make_unique<stats::Histogram>(
                 this, "op_queue_class" + std::to_string(i),
-                "queueing delay of class " + std::to_string(i),
                 kLatBuckets));
         }
     }
@@ -162,16 +139,12 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
         // configs keep their pinned golden stats trees.
         opForensics_ = true;
         slowDigest_ = std::make_unique<stats::SlowRequestDigest>(
-            this, "slow_requests",
-            "top-K slowest requests with per-bucket blame",
-            config_.slowRequestK);
+            this, "slow_requests", config_.slowRequestK);
         slowDigestClass_.reserve(config_.opClasses);
         for (unsigned i = 0; i < config_.opClasses; ++i)
             slowDigestClass_.push_back(
                 std::make_unique<stats::SlowRequestDigest>(
                     this, "slow_requests_class" + std::to_string(i),
-                    "top-K slowest requests of class " +
-                        std::to_string(i),
                     config_.slowRequestK));
     }
 
@@ -206,12 +179,6 @@ System::makespanCycles() const
     for (const auto &core : cores_)
         makespan = std::max(makespan, core->cycleCount);
     return makespan;
-}
-
-void
-System::put(const trace::TraceRecord &rec)
-{
-    replayBatch({&rec, 1});
 }
 
 void
@@ -383,8 +350,6 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
     const Cycles l1_hit = config_.memory.l1.hitLatency;
     const std::uint32_t issue_width = config_.issueWidth;
     const bool trivial_check = scheme->alwaysAllows();
-    const arch::ProtectionScheme::FastCheckFn check_fn =
-        scheme->fastCheck() ? scheme->fastCheck() : &virtualCheck;
 
     // Advance @p core's clock (and the machine's) by @p c cycles.
     const auto advance = [&](CoreContext &core, Cycles c) {
@@ -427,7 +392,7 @@ System::replayBatch(std::span<const trace::TraceRecord> records)
                 ctx.va = rec.addr;
                 ctx.type = type;
                 ctx.entry = xlate.entry;
-                const auto check = check_fn(*scheme, ctx);
+                const auto check = scheme->checkAccess(ctx);
                 allowed = check.allowed;
                 check_extra = check.extraCycles;
                 if (!allowed)

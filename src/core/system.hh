@@ -2,10 +2,9 @@
  * @file
  * The replay pipeline: one System owns a complete simulated machine
  * (address space, TLBs, caches, memory, protection scheme) and
- * consumes a trace, accumulating cycles. It is a TraceSink, so one
- * captured trace can be fanned out to several Systems — one per
- * scheme — in a single pass, the way the paper replays one Pin trace
- * under every mechanism.
+ * replays a captured trace, accumulating cycles. A trace is captured
+ * once and then replayed as a span through one System per scheme,
+ * the way the paper replays one Pin trace under every mechanism.
  */
 
 #ifndef PMODV_CORE_SYSTEM_HH
@@ -26,7 +25,7 @@
 #include "stats/timeseries.hh"
 #include "tlb/hierarchy.hh"
 #include "trace/event_ring.hh"
-#include "trace/sinks.hh"
+#include "trace/record.hh"
 
 namespace pmodv::core
 {
@@ -80,7 +79,7 @@ class CoreContext : public stats::Group
 };
 
 /** A full machine replaying a trace under one protection scheme. */
-class System : public stats::Group, public trace::TraceSink
+class System : public stats::Group
 {
   public:
     /**
@@ -91,25 +90,23 @@ class System : public stats::Group, public trace::TraceSink
            std::string name = "");
     ~System() override;
 
-    // -- TraceSink --
-    /** Replay one record: a one-record replayBatch(). */
-    void put(const trace::TraceRecord &rec) override;
-    /** Ends the replay: closes the timeline's trailing epoch. */
-    void finish() override;
-
     /**
-     * Replay a batch of records. This is the System's only record
-     * loop, for every core count: thread t runs on core t % K. The
-     * loop hoists config/scheme lookups, skips or devirtualizes the
-     * per-access protection check (ProtectionScheme::fastCheck) and
-     * bumps every counter in place. Counters are exact integers and
-     * the loop keeps no state between records beyond the machine's,
-     * so however a trace is split into batches, the cycles, stats
-     * tree, event ring and timeline come out the same.
+     * Replay a batch of records. This is the System's only way in,
+     * for every core count: thread t runs on core t % K. The loop
+     * hoists config/scheme lookups, skips the per-access protection
+     * check of a scheme that always allows (ProtectionScheme::
+     * alwaysAllows) and bumps every counter in place. Counters are
+     * exact integers and the loop keeps no state between records
+     * beyond the machine's, so however a trace is split into batches,
+     * the cycles, stats tree, event ring and timeline come out the
+     * same.
      *
      * Call finish() after the last batch.
      */
     void replayBatch(std::span<const trace::TraceRecord> records);
+
+    /** Ends the replay: closes the timeline's trailing epoch. */
+    void finish();
 
     /** Total cycles accumulated so far (summed over all cores). */
     Cycles totalCycles() const { return cycleCount_; }
@@ -150,12 +147,12 @@ class System : public stats::Group, public trace::TraceSink
     std::vector<trace::Event> drainEvents() { return events_.drain(); }
 
     // Replay statistics.
-    stats::Scalar cycles;
-    stats::Scalar instructions;
-    stats::Scalar memAccesses;
-    stats::Scalar pmoAccesses;
-    stats::Scalar operations;
-    stats::Scalar deniedAccesses;
+    stats::Scalar cycles;         ///< Total simulated cycles.
+    stats::Scalar instructions;   ///< Dynamic instructions replayed.
+    stats::Scalar memAccesses;    ///< Loads + stores replayed.
+    stats::Scalar pmoAccesses;    ///< Loads + stores to PMO memory.
+    stats::Scalar operations;     ///< Workload operations completed.
+    stats::Scalar deniedAccesses; ///< Accesses denied by protection.
 
     // Where the cycles went. These buckets partition `cycles`: every
     // cycle the replay loop charges names exactly one of them, so their
@@ -163,13 +160,13 @@ class System : public stats::Group, public trace::TraceSink
     // tools/check_stats_schema.py).
     stats::Scalar cycIssue;     ///< Instruction issue (InstBlock).
     stats::Scalar cycMem;       ///< Visible load/store latency.
-    stats::Scalar cycProtFill;  ///< Protection fill work on TLB misses.
+    stats::Scalar cycProtFill;  ///< Serializing fill work on TLB misses.
     stats::Scalar cycProtCheck; ///< Per-access protection checks.
     stats::Scalar cycPermInstr; ///< SETPERM/WRPKRU instructions.
     stats::Scalar cycSyscall;   ///< Attach/detach paths.
     stats::Scalar cycCtxSwitch; ///< Context-switch processing.
 
-    stats::Formula ipc;
+    stats::Formula ipc; ///< Instructions per cycle.
     /** Cycles per workload operation (OpBegin..OpEnd), log2 buckets. */
     stats::Histogram opCycles;
 

@@ -49,7 +49,6 @@ struct PointRun
 {
     std::vector<SchemeKind> kinds; ///< One per System, in order.
     std::shared_ptr<const trace::TraceBuffer> buffer;
-    trace::CountingSink counter;
     std::vector<std::unique_ptr<core::System>> systems;
     std::vector<std::future<void>> replays;
 };
@@ -63,8 +62,6 @@ void
 launchReplays(common::ThreadPool &pool, PointRun &run,
               const core::SimConfig &config)
 {
-    // The buffer already carries its one-pass summary; no rescan.
-    run.counter.addSummary(run.buffer->summary());
     run.systems.reserve(run.kinds.size());
     run.replays.reserve(run.kinds.size());
     for (SchemeKind kind : run.kinds) {
@@ -108,7 +105,8 @@ switchesPerSec(const PointRun &run)
         systemOf(run, SchemeKind::NoProtection).seconds();
     return seconds == 0
                ? 0
-               : static_cast<double>(run.counter.permissionSwitches()) /
+               : static_cast<double>(
+                     run.buffer->summary().permissionSwitches()) /
                      seconds;
 }
 
@@ -582,24 +580,6 @@ Executor::runRaw(const std::vector<RawPointSpec> &specs)
     }
     return runPipeline<RawPointSpec, RawPointResult>(
         pool_, progress_, perfetto_, specs, std::move(plans), nullptr);
-}
-
-MicroPoint
-Executor::runMicro(const MicroPointSpec &spec)
-{
-    return runMicro(std::vector<MicroPointSpec>{spec}).front();
-}
-
-WhisperRow
-Executor::runWhisper(const WhisperPointSpec &spec)
-{
-    return runWhisper(std::vector<WhisperPointSpec>{spec}).front();
-}
-
-ServerRow
-Executor::runServer(const ServerPointSpec &spec)
-{
-    return runServer(std::vector<ServerPointSpec>{spec}).front();
 }
 
 RawPointResult

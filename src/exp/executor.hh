@@ -286,10 +286,7 @@ class Executor
     std::vector<RawPointResult>
     runRaw(const std::vector<RawPointSpec> &specs);
 
-    /** Single-point conveniences. */
-    MicroPoint runMicro(const MicroPointSpec &spec);
-    WhisperRow runWhisper(const WhisperPointSpec &spec);
-    ServerRow runServer(const ServerPointSpec &spec);
+    /** One raw trace point (pmodv-trace replay). */
     RawPointResult runRaw(const RawPointSpec &spec);
 
     common::ThreadPool &pool() { return pool_; }

@@ -8,12 +8,12 @@ namespace pmodv::mem
 
 Cache::Cache(stats::Group *parent, const CacheParams &params)
     : stats::Group(parent, params.name),
-      hits(this, "hits", "accesses that hit"),
-      misses(this, "misses", "accesses that missed"),
-      evictions(this, "evictions", "valid lines displaced by fills"),
-      writebacks(this, "writebacks", "dirty lines evicted"),
-      invalidations(this, "invalidations", "lines invalidated"),
-      missRate(this, "miss_rate", "misses / accesses",
+      hits(this, "hits"),
+      misses(this, "misses"),
+      evictions(this, "evictions"),
+      writebacks(this, "writebacks"),
+      invalidations(this, "invalidations"),
+      missRate(this, "miss_rate",
                [this]() {
                    const std::uint64_t total =
                        hits.value() + misses.value();

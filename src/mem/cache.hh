@@ -65,11 +65,11 @@ class Cache : public stats::Group
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions; ///< Valid lines displaced by a fill.
-    stats::Scalar writebacks;
+    stats::Scalar writebacks; ///< Dirty lines evicted.
     /** Always 0: no modelled path invalidates a line. Kept so the
      *  exported stats trees keep their shape. */
     stats::Scalar invalidations;
-    stats::Formula missRate;
+    stats::Formula missRate; ///< misses / accesses.
 
   private:
     // The line tag itself lives only in the packed tags_ array (the

@@ -5,10 +5,10 @@ namespace pmodv::mem
 
 MainMemory::MainMemory(stats::Group *parent, const MemoryParams &params)
     : stats::Group(parent, "mem"),
-      dramReads(this, "dram_reads", "reads served by DRAM"),
-      dramWrites(this, "dram_writes", "writes served by DRAM"),
-      nvmReads(this, "nvm_reads", "reads served by NVM"),
-      nvmWrites(this, "nvm_writes", "writes served by NVM"),
+      dramReads(this, "dram_reads"),
+      dramWrites(this, "dram_writes"),
+      nvmReads(this, "nvm_reads"),
+      nvmWrites(this, "nvm_writes"),
       params_(params)
 {
 }

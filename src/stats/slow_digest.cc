@@ -30,10 +30,8 @@ mix(std::uint64_t x)
 } // namespace
 
 SlowRequestDigest::SlowRequestDigest(Group *parent, std::string name,
-                                     std::string desc, unsigned k,
-                                     std::uint64_t seed)
-    : StatBase(parent, std::move(name), std::move(desc)), k_(k),
-      seed_(seed)
+                                     unsigned k, std::uint64_t seed)
+    : StatBase(parent, std::move(name)), k_(k), seed_(seed)
 {
     panic_if(k == 0, "slow-request digest needs K > 0");
     entries_.reserve(k);

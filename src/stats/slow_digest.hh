@@ -89,8 +89,7 @@ struct SlowRequestEntry
 class SlowRequestDigest : public StatBase
 {
   public:
-    SlowRequestDigest(Group *parent, std::string name, std::string desc,
-                      unsigned k,
+    SlowRequestDigest(Group *parent, std::string name, unsigned k,
                       std::uint64_t seed = kSlowDigestDefaultSeed);
 
     /** Consider @p entry for the top K; keeps at most K entries. */

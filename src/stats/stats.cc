@@ -9,8 +9,8 @@
 namespace pmodv::stats
 {
 
-StatBase::StatBase(Group *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+StatBase::StatBase(Group *parent, std::string name)
+    : name_(std::move(name))
 {
     panic_if(!parent, "statistic '%s' needs a parent group",
              name_.c_str());

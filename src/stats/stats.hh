@@ -48,33 +48,27 @@ class Visitor
     virtual void visitScalar(const Scalar &stat) = 0;
     virtual void visitHistogram(const Histogram &stat) = 0;
     virtual void visitFormula(const Formula &stat) = 0;
-    /** Defaulted (not pure) so visitors predating epoch sampling —
-     *  including out-of-tree ones — keep compiling unchanged. */
-    virtual void visitTimeSeries(const TimeSeries &) {}
-    /** Defaulted for the same reason (visitors predating the
-     *  slow-request forensics digest keep compiling unchanged). */
-    virtual void visitSlowDigest(const SlowRequestDigest &) {}
+    virtual void visitTimeSeries(const TimeSeries &stat) = 0;
+    virtual void visitSlowDigest(const SlowRequestDigest &stat) = 0;
 };
 
 /** Base class for all statistics; handles naming and registration. */
 class StatBase
 {
   public:
-    StatBase(Group *parent, std::string name, std::string desc);
+    StatBase(Group *parent, std::string name);
     virtual ~StatBase() = default;
 
     StatBase(const StatBase &) = delete;
     StatBase &operator=(const StatBase &) = delete;
 
     const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
 
     /** Double-dispatch into @p visitor. */
     virtual void accept(Visitor &visitor) const = 0;
 
   private:
     std::string name_;
-    std::string desc_;
 };
 
 /**
@@ -85,8 +79,8 @@ class StatBase
 class Scalar : public StatBase
 {
   public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
+    Scalar(Group *parent, std::string name)
+        : StatBase(parent, std::move(name))
     {
     }
 
@@ -165,10 +159,8 @@ double quantileFromBuckets(std::uint64_t samples, std::uint64_t min,
 class Histogram : public StatBase
 {
   public:
-    Histogram(Group *parent, std::string name, std::string desc,
-              unsigned num_buckets = 24)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          buckets_(num_buckets, 0)
+    Histogram(Group *parent, std::string name, unsigned num_buckets = 24)
+        : StatBase(parent, std::move(name)), buckets_(num_buckets, 0)
     {
     }
 
@@ -226,10 +218,8 @@ class Histogram : public StatBase
 class Formula : public StatBase
 {
   public:
-    Formula(Group *parent, std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(parent, std::move(name), std::move(desc)),
-          fn_(std::move(fn))
+    Formula(Group *parent, std::string name, std::function<double()> fn)
+        : StatBase(parent, std::move(name)), fn_(std::move(fn))
     {
     }
 

@@ -43,8 +43,8 @@ namespace pmodv::stats
 class TimeSeries : public StatBase
 {
   public:
-    TimeSeries(Group *parent, std::string name, std::string desc)
-        : StatBase(parent, std::move(name), std::move(desc))
+    TimeSeries(Group *parent, std::string name)
+        : StatBase(parent, std::move(name))
     {
     }
 

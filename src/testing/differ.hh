@@ -26,9 +26,10 @@
  *                    one-record path's total after every span, its
  *                    stats tree and its event ring.
  *
- * Every op becomes TraceRecords fed through System::put, so the fuzz
- * runs the machine the benchmarks replay, and the oracles read the
- * System's counters. After each attach the
+ * Every op becomes TraceRecords fed to System::replayBatch as
+ * one-record spans, so the fuzz runs the machine the benchmarks
+ * replay, and the oracles read the System's counters. After each
+ * attach the
  * harness flushes the new range from every core's TLB (the mmap
  * shootdown a real kernel performs), so a translation cached while
  * the slot was still unmapped cannot masquerade as a scheme

@@ -9,9 +9,8 @@ TlbHierarchy::TlbHierarchy(stats::Group *parent,
                            const TlbHierarchyParams &params,
                            const AddressSpace &space)
     : stats::Group(parent, "dtlb"),
-      walks(this, "walks", "page table walks performed"),
-      missLatency(this, "miss_latency",
-                  "translation cycles added per L1 TLB miss"),
+      walks(this, "walks"),
+      missLatency(this, "miss_latency"),
       params_(params), space_(space), fillPolicy_(&defaultPolicy_)
 {
     l1_ = std::make_unique<Tlb>(this, params_.l1);

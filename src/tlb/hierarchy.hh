@@ -104,7 +104,7 @@ class TlbHierarchy : public stats::Group
     Tlb &l2() { return *l2_; }
     const TlbHierarchyParams &params() const { return params_; }
 
-    stats::Scalar walks;
+    stats::Scalar walks; ///< Page table walks performed.
     stats::Histogram missLatency; ///< Cycles added per L1 miss.
 
   private:

@@ -11,13 +11,11 @@ namespace pmodv::tlb
 
 Tlb::Tlb(stats::Group *parent, const TlbParams &params)
     : stats::Group(parent, params.name),
-      hits(this, "hits", "translations that hit"),
-      misses(this, "misses", "translations that missed"),
-      evictions(this, "evictions",
-                "valid entries displaced by capacity replacement"),
-      flushedEntries(this, "flushed_entries",
-                     "entries dropped by invalidations"),
-      missRate(this, "miss_rate", "misses / lookups",
+      hits(this, "hits"),
+      misses(this, "misses"),
+      evictions(this, "evictions"),
+      flushedEntries(this, "flushed_entries"),
+      missRate(this, "miss_rate",
                [this]() {
                    const std::uint64_t total =
                        hits.value() + misses.value();

@@ -113,8 +113,8 @@ class Tlb : public stats::Group
     stats::Scalar hits;
     stats::Scalar misses;
     stats::Scalar evictions; ///< Valid entries displaced by capacity.
-    stats::Scalar flushedEntries;
-    stats::Formula missRate;
+    stats::Scalar flushedEntries; ///< Entries dropped by invalidations.
+    stats::Formula missRate;      ///< misses / lookups.
 
   private:
     std::size_t setIndexFor(Addr vpn) const

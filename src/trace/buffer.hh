@@ -68,6 +68,30 @@ struct TraceSummary
     /** Total record count across all types. */
     std::uint64_t totalRecords() const;
 
+    /** Total load+store records. */
+    std::uint64_t memAccesses() const
+    {
+        return count(RecordType::Load) + count(RecordType::Store);
+    }
+
+    /**
+     * SETPERM + WRPKRU records: the paper's permission "switches",
+     * reported per second in Tables V/VI.
+     */
+    std::uint64_t permissionSwitches() const
+    {
+        return count(RecordType::SetPerm) + count(RecordType::Wrpkru);
+    }
+
+    /** Completed workload operations (OpEnd markers). */
+    std::uint64_t operations() const { return count(RecordType::OpEnd); }
+
+    /** Total dynamic instructions: blocks + mem accesses + switches. */
+    std::uint64_t totalInstructions() const
+    {
+        return instBlockInsts + memAccesses() + permissionSwitches();
+    }
+
     /** True when every count matches @p other exactly. */
     bool matches(const TraceSummary &other) const;
 };

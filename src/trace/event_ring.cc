@@ -28,8 +28,8 @@ eventKindName(EventKind kind)
 EventRing::EventRing(stats::Group *parent, std::string name,
                      std::size_t capacity)
     : stats::Group(parent, std::move(name)),
-      recorded(this, "recorded", "events posted to the ring"),
-      dropped(this, "dropped", "events overwritten before being read"),
+      recorded(this, "recorded"),
+      dropped(this, "dropped"),
       ring_(capacity)
 {
     fatal_if(capacity == 0, "event ring needs a non-zero capacity");

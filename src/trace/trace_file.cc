@@ -53,11 +53,15 @@ encode(const TraceRecord &rec)
 /**
  * Record @p index of trace file @p path, narrowed to a TraceRecord.
  * fatal() on a record of unknown type, one naming a domain at or
- * above kMaxDomains, and one whose payload a 16-byte record cannot
- * hold (see TraceRecord).
+ * above kMaxDomains, one whose payload a 16-byte record cannot hold
+ * (see TraceRecord), and an Attach of a domain that is still
+ * attached. @p attached holds, per domain, whether the records before
+ * this one left it attached; an Attach sets its bit and a Detach
+ * clears it. A Detach of a domain that is not attached passes.
  */
 TraceRecord
-decode(const FileRecord &f, const std::string &path, std::uint64_t index)
+decode(const FileRecord &f, const std::string &path, std::uint64_t index,
+       std::vector<bool> &attached)
 {
     const auto idx = static_cast<unsigned long long>(index);
     fatal_if(static_cast<std::size_t>(f.type) >= kNumRecordTypes,
@@ -89,6 +93,18 @@ decode(const FileRecord &f, const std::string &path, std::uint64_t index)
              path.c_str(), idx, recordTypeName(f.type).c_str(),
              static_cast<unsigned long long>(f.addr),
              static_cast<unsigned long long>(f.value), why);
+    if (rec.type == RecordType::Attach) {
+        if (rec.aux >= attached.size())
+            attached.resize(rec.aux + 1);
+        fatal_if(attached[rec.aux],
+                 "trace file '%s' is corrupt: record %llu attaches "
+                 "domain %u, which is already attached",
+                 path.c_str(), idx, rec.aux);
+        attached[rec.aux] = true;
+    } else if (rec.type == RecordType::Detach &&
+               rec.aux < attached.size()) {
+        attached[rec.aux] = false;
+    }
     rec.flags = f.flags;
     return rec;
 }
@@ -305,6 +321,7 @@ TraceFileReader::view()
     std::vector<FileRecord> chunk(std::min(count_, kChunkRecords));
     RecordStore store;
     std::uint64_t checksum = kFnvOffsetBasis;
+    std::vector<bool> attached;
     for (std::uint64_t done = 0; done < count_;) {
         const std::uint64_t n = std::min(count_ - done, kChunkRecords);
         const std::size_t bytes = n * sizeof(FileRecord);
@@ -316,7 +333,7 @@ TraceFileReader::view()
                  path_.c_str());
         for (std::uint64_t i = 0; i < n; ++i) {
             checksum = fnv1a(checksum, chunk[i]);
-            store.push(decode(chunk[i], path_, done + i));
+            store.push(decode(chunk[i], path_, done + i, attached));
         }
         done += n;
     }
@@ -336,7 +353,7 @@ TraceFileReader::next(TraceRecord &rec)
              "cannot read record %llu of trace file '%s'",
              static_cast<unsigned long long>(readSoFar_), path_.c_str());
     streamChecksum_ = fnv1a(streamChecksum_, f);
-    rec = decode(f, path_, readSoFar_++);
+    rec = decode(f, path_, readSoFar_++, streamAttached_);
     // decode() has rejected unknown types, so add() cannot fail.
     (void)streamSummary_.add(rec);
     return true;

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "trace/buffer.hh"
 #include "trace/sinks.hh"
@@ -129,7 +130,8 @@ class TraceFileReader
      * independent of the next() cursor, decoding the body into a
      * RecordStore. fatal() on a record of unknown type, naming a
      * domain at or above kMaxDomains or not fitting a 16-byte
-     * TraceRecord, and on a checksum or a count mismatch.
+     * TraceRecord, on an Attach of a domain still attached, and on a
+     * checksum or a count mismatch.
      */
     std::shared_ptr<const TraceBuffer> view();
 
@@ -155,9 +157,11 @@ class TraceFileReader
     std::size_t headerBytes_ = 0;
     TraceSummary headerSummary_; ///< Valid for v2 files only.
     std::uint64_t headerChecksum_ = 0; ///< Valid for v2 files only.
-    /** FNV-1a and summary of the records next() has read so far. */
+    /** FNV-1a, summary and attached domains (see decode) of the
+     *  records next() has read so far. */
     std::uint64_t streamChecksum_ = kFnvOffsetBasis;
     TraceSummary streamSummary_;
+    std::vector<bool> streamAttached_;
 };
 
 } // namespace pmodv::trace

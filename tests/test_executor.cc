@@ -77,7 +77,7 @@ TEST(Executor, MatchesSerialReplayBitForBit)
 
     common::ThreadPool pool(4);
     Executor executor(pool);
-    const MicroPoint pt = executor.runMicro(spec);
+    const MicroPoint pt = executor.runMicro({spec}).front();
 
     ASSERT_EQ(pt.schemes.size(), kinds.size());
     for (SchemeKind k : kinds) {
@@ -127,8 +127,8 @@ TEST(Executor, WhisperDeterministicAcrossJobCounts)
 
     common::ThreadPool serial(1);
     common::ThreadPool wide(4);
-    const WhisperRow row1 = Executor(serial).runWhisper(spec);
-    const WhisperRow row4 = Executor(wide).runWhisper(spec);
+    const WhisperRow row1 = Executor(serial).runWhisper({spec}).front();
+    const WhisperRow row4 = Executor(wide).runWhisper({spec}).front();
 
     EXPECT_EQ(row1.schemes, row4.schemes);
     EXPECT_DOUBLE_EQ(row1.switchesPerSec, row4.switchesPerSec);
@@ -204,7 +204,7 @@ TEST(Executor, DuplicateSchemesReplayOnce)
     executor.setPerfettoExporter(nullptr);
     executor.setProgress(true);
     ::testing::internal::CaptureStderr();
-    const MicroPoint pt = executor.runMicro(micro);
+    const MicroPoint pt = executor.runMicro({micro}).front();
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(pt.schemes.size(), 3u);
     EXPECT_NE(err.find("replays 3/3"), std::string::npos) << err;
@@ -295,7 +295,7 @@ TEST(ExperimentSuite, JsonReportIsWellFormed)
 TEST(Executor, StatsAttributionSumsToTotalCycles)
 {
     common::ThreadPool pool(2);
-    const MicroPoint pt = Executor(pool).runMicro(avlSpec(64));
+    const MicroPoint pt = Executor(pool).runMicro({avlSpec(64)}).front();
     for (const auto &[kind, r] : pt.schemes) {
         const std::string &json = r.statsJson;
         // Extract a top-level scalar from the compact JSON payload.
@@ -350,7 +350,7 @@ TEST(Executor, ProgressSkipsEmptySweepsAndCountsCaptures)
     MicroPointSpec spec = avlSpec(16);
     spec.params.numOps = 200;
     ::testing::internal::CaptureStderr();
-    executor.runMicro(spec);
+    executor.runMicro({spec});
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("captures 1/1  replays 5/5"), std::string::npos)
         << err;

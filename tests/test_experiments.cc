@@ -31,7 +31,7 @@ runMicroPoint(const std::string &bench,
     spec.config = config;
     spec.schemes = schemes;
     common::ThreadPool pool(2);
-    return Executor(pool).runMicro(spec);
+    return Executor(pool).runMicro({spec}).front();
 }
 
 WhisperRow
@@ -44,7 +44,7 @@ runWhisper(const std::string &name,
     spec.params = wparams;
     spec.config = config;
     common::ThreadPool pool(2);
-    return Executor(pool).runWhisper(spec);
+    return Executor(pool).runWhisper({spec}).front();
 }
 
 workloads::MicroParams

@@ -259,7 +259,7 @@ TEST(Forensics, AdmissionGatingMatchesOfferingEverything)
                 std::vector<std::unique_ptr<stats::SlowRequestDigest>> d;
                 for (unsigned c = 0; c <= kClasses; ++c)
                     d.push_back(std::make_unique<stats::SlowRequestDigest>(
-                        &root, tag + std::to_string(c), "", k));
+                        &root, tag + std::to_string(c), k));
                 return d; // [0] global, [1 + c] class c.
             };
             auto all = makeDigests("all");

@@ -18,6 +18,7 @@
 #include "trace/trace_file.hh"
 #include "workloads/micro/micro.hh"
 #include "workloads/whisper/whisper.hh"
+#include "replay_util.hh"
 
 namespace pmodv
 {
@@ -156,10 +157,12 @@ TEST(Integration, SchemeStatsConsistentAfterReplay)
     params.pmoBytes = Addr{1} << 20;
     params.numOps = 400;
     params.initialNodes = 64;
-    // A System is itself a TraceSink: the capture streams into it.
-    core::System sys(core::SimConfig{}, SchemeKind::MpkVirt);
-    workloads::TraceCtx ctx(sys, params.seed);
+    trace::VectorSink capture;
+    workloads::TraceCtx ctx(capture, params.seed);
     workloads::makeMicro("ll", params)->run(ctx);
+    core::System sys(core::SimConfig{}, SchemeKind::MpkVirt);
+    sys.replayBatch(capture.records());
+    sys.finish();
 
     auto &scheme = sys.scheme();
     // Every shootdown belongs to a key remap.
@@ -197,9 +200,10 @@ TEST(Integration, RuntimeEnforcementMatchesSimulatedScheme)
     // Simulated scheme denies the equivalent raw trace.
     core::SimConfig cfg;
     core::System sys(cfg, SchemeKind::MpkVirt);
-    sys.put(trace::TraceRecord::attach(0, att.domain, att.vaBase,
-                                       att.vaSize, Perm::ReadWrite));
-    sys.put(trace::TraceRecord::load(0, rt.vaOf(oid), 8, true));
+    test::feed(sys, trace::TraceRecord::attach(0, att.domain, att.vaBase,
+                                               att.vaSize,
+                                               Perm::ReadWrite));
+    test::feed(sys, trace::TraceRecord::load(0, rt.vaOf(oid), 8, true));
     EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 1.0);
 }
 

@@ -158,20 +158,19 @@ TEST_P(MicroTraceShape, TwoSwitchesPerOpAndAttachFirst)
     trace::VectorSink buffer;
     TraceCtx ctx(buffer, params.seed);
     workload->run(ctx);
-    trace::CountingSink sink;
-    sink.addBatch(buffer.records());
+    const trace::RecordStore store = buffer.take();
+    const trace::TraceSummary &summary = store.summary();
 
-    EXPECT_EQ(sink.count(trace::RecordType::Attach), params.numPmos);
-    EXPECT_EQ(sink.operations(), params.numOps);
+    EXPECT_EQ(summary.count(trace::RecordType::Attach), params.numPmos);
+    EXPECT_EQ(summary.operations(), params.numOps);
     // 2 per op + the initial per-domain grant.
-    EXPECT_EQ(sink.permissionSwitches(),
+    EXPECT_EQ(summary.permissionSwitches(),
               2 * params.numOps + params.numPmos);
-    EXPECT_GT(sink.pmoAccesses(), params.numOps); // Real work happened.
+    EXPECT_GT(summary.pmoAccesses, params.numOps); // Real work happened.
 
     // Attaches precede everything else.
-    const auto &recs = buffer.records();
     for (unsigned i = 0; i < params.numPmos; ++i)
-        EXPECT_EQ(recs[i].type, trace::RecordType::Attach);
+        EXPECT_EQ(store[i].type, trace::RecordType::Attach);
 }
 
 TEST_P(MicroTraceShape, OpsBracketedBySetPerm)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "replay_util.hh"
 
 namespace pmodv
 {
@@ -225,7 +226,7 @@ TEST(MultiCore, SingleCoreHasNoBus)
     EXPECT_EQ(sys.numCores(), 1u);
 }
 
-/** put() and replayBatch() agree record for record at K>1. */
+/** One-record spans and one whole batch agree at K>1. */
 TEST(MultiCore, BatchAndPutAgreeMultiCore)
 {
     auto t = preamble(/*remote_tid=*/1);
@@ -239,7 +240,7 @@ TEST(MultiCore, BatchAndPutAgreeMultiCore)
 
     System stepped(configWithCores(2), SchemeKind::MpkVirt);
     for (const auto &rec : t)
-        stepped.put(rec);
+        test::feed(stepped, rec);
     stepped.finish();
 
     EXPECT_EQ(batched.totalCycles(), stepped.totalCycles());

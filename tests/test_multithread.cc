@@ -12,6 +12,7 @@
 #include <map>
 
 #include "core/system.hh"
+#include "replay_util.hh"
 
 namespace pmodv
 {
@@ -72,8 +73,7 @@ TEST_P(MultiThread, PingPongRunsWithoutFaults)
 {
     core::SimConfig cfg;
     core::System sys(cfg, GetParam());
-    for (const auto &rec : pingPongTrace(20, 8))
-        sys.put(rec);
+    sys.replayBatch(pingPongTrace(20, 8));
     EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 0.0)
         << arch::schemeName(GetParam());
 }
@@ -86,12 +86,14 @@ TEST_P(MultiThread, CrossThreadAccessDenied)
     core::SimConfig cfg;
     core::System sys(cfg, GetParam());
     for (unsigned d = 1; d <= 2; ++d) {
-        sys.put(TraceRecord::attach(0, d, kBase + (d - 1) * kStride,
-                                    kSize, Perm::ReadWrite));
+        test::feed(sys,
+                   TraceRecord::attach(0, d, kBase + (d - 1) * kStride,
+                                       kSize, Perm::ReadWrite));
     }
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
-    sys.put(TraceRecord::load(0, kBase, 8, true));          // OK.
-    sys.put(TraceRecord::load(0, kBase + kStride, 8, true)); // Denied.
+    test::feed(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true)); // OK.
+    test::feed(sys, TraceRecord::load(0, kBase + kStride, 8,
+                                      true)); // Denied.
     EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 1.0);
 }
 
@@ -154,12 +156,11 @@ TEST(MultiThread, PermissionsFollowThreadsNotCore)
          {SchemeKind::MpkVirt, SchemeKind::DomainVirt}) {
         core::SimConfig cfg;
         core::System sys(cfg, kind);
-        for (const auto &rec : pingPongTrace(50, 2))
-            sys.put(rec);
+        sys.replayBatch(pingPongTrace(50, 2));
         // Thread 1 (currently scheduled last in the ping-pong? make
         // sure: switch to thread 1) touches thread 0's domain.
-        sys.put(TraceRecord::threadSwitch(1));
-        sys.put(TraceRecord::load(1, kBase, 8, true));
+        test::feed(sys, TraceRecord::threadSwitch(1));
+        test::feed(sys, TraceRecord::load(1, kBase, 8, true));
         EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 1.0)
             << arch::schemeName(kind);
     }
@@ -169,8 +170,7 @@ TEST(MultiThread, ContextSwitchCountsTracked)
 {
     core::SimConfig cfg;
     core::System sys(cfg, SchemeKind::DomainVirt);
-    for (const auto &rec : pingPongTrace(10, 2))
-        sys.put(rec);
+    sys.replayBatch(pingPongTrace(10, 2));
     // 2 setup switches + 2 per round x 10 rounds.
     EXPECT_DOUBLE_EQ(static_cast<stats::Group &>(sys).lookup(
                          "domain_virt.context_switches"),

@@ -37,7 +37,7 @@ exactQuantile(std::vector<std::uint64_t> values, double q)
 struct Fed
 {
     Group root{nullptr, "root"};
-    Histogram hist{&root, "h", "test histogram"};
+    Histogram hist{&root, "h"};
     std::vector<std::uint64_t> values;
 
     void
@@ -162,7 +162,7 @@ TEST(Quantile, OverflowBucketUsesTrackedMax)
     // top bucket (hi == 0 sentinel). Tail quantiles must interpolate
     // up to the tracked max, never to an imaginary bucket edge.
     Group root{nullptr, "root"};
-    Histogram h{&root, "h", "tiny", 4};
+    Histogram h{&root, "h", 4};
     for (int i = 0; i < 90; ++i)
         h.sample(1);
     for (int i = 0; i < 10; ++i)

@@ -3,10 +3,10 @@
  * Batch-split invariance of the replay engine: for every protection
  * scheme, one System::replayBatch over a whole trace must produce
  * bit-identical observable state — total cycles, the full stats tree
- * (timeline included), and the event ring — to feeding the same
- * records one by one through TraceSink::put(), which replays each as
- * a one-record batch. The reference outputs themselves are pinned by
- * tests/test_golden_k1.cc.
+ * (timeline included), and the event ring — to replaying the same
+ * records one by one as one-record spans, and to any other split of
+ * the trace into spans. The reference outputs themselves are pinned
+ * by tests/test_golden_k1.cc.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "stats/export.hh"
 #include "workloads/micro/micro.hh"
 #include "workloads/whisper/whisper.hh"
+#include "replay_util.hh"
 
 namespace pmodv
 {
@@ -32,12 +33,12 @@ constexpr SchemeKind kAllSchemes[] = {
     SchemeKind::MpkVirt,      SchemeKind::DomainVirt,
 };
 
-/** Replay @p records one at a time through put(). */
+/** Replay @p records one at a time, as one-record spans. */
 void
-replayLegacy(core::System &sys, const std::vector<TraceRecord> &records)
+replayOneByOne(core::System &sys, const std::vector<TraceRecord> &records)
 {
     for (const TraceRecord &rec : records)
-        sys.put(rec);
+        test::feed(sys, rec);
     sys.finish();
 }
 
@@ -56,14 +57,14 @@ replayBatched(core::System &sys, const std::vector<TraceRecord> &records)
  * the event ring contents.
  */
 void
-expectIdentical(const core::System &legacy, const core::System &batch,
+expectIdentical(const core::System &stepped, const core::System &batch,
                 SchemeKind kind, const char *workload)
 {
-    EXPECT_EQ(legacy.totalCycles(), batch.totalCycles())
+    EXPECT_EQ(stepped.totalCycles(), batch.totalCycles())
         << arch::schemeName(kind) << " on " << workload;
-    EXPECT_EQ(stats::toJsonString(legacy), stats::toJsonString(batch))
+    EXPECT_EQ(stats::toJsonString(stepped), stats::toJsonString(batch))
         << arch::schemeName(kind) << " on " << workload;
-    EXPECT_EQ(legacy.events().snapshot(), batch.events().snapshot())
+    EXPECT_EQ(stepped.events().snapshot(), batch.events().snapshot())
         << arch::schemeName(kind) << " on " << workload;
 }
 
@@ -72,11 +73,11 @@ compareAllSchemes(const std::vector<TraceRecord> &records,
                   const core::SimConfig &cfg, const char *workload)
 {
     for (SchemeKind kind : kAllSchemes) {
-        core::System legacy(cfg, kind);
+        core::System stepped(cfg, kind);
         core::System batch(cfg, kind);
-        replayLegacy(legacy, records);
+        replayOneByOne(stepped, records);
         replayBatched(batch, records);
-        expectIdentical(legacy, batch, kind, workload);
+        expectIdentical(stepped, batch, kind, workload);
     }
 }
 

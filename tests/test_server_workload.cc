@@ -406,7 +406,7 @@ TEST(ServerSuite, TailDivergesPastTheKeyCliff)
                     SchemeKind::DomainVirt};
     common::ThreadPool pool(4);
     exp::Executor executor(pool);
-    const exp::ServerRow row = executor.runServer(spec);
+    const exp::ServerRow row = executor.runServer({spec}).front();
 
     const exp::ServerLatency &libmpk =
         row.latency.at(SchemeKind::LibMpk);

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "stats/export.hh"
+#include "stats/slow_digest.hh"
 #include "stats/stats.hh"
+#include "stats/timeseries.hh"
 
 namespace pmodv::stats
 {
@@ -21,7 +23,7 @@ namespace
 TEST(Scalar, Accumulates)
 {
     Group root(nullptr, "root");
-    Scalar s(&root, "count", "a counter");
+    Scalar s(&root, "count");
     EXPECT_EQ(s.value(), 0u);
     ++s;
     s += 4;
@@ -35,7 +37,7 @@ TEST(Scalar, Accumulates)
 TEST(Histogram, MomentsAndBuckets)
 {
     Group root(nullptr, "root");
-    Histogram h(&root, "hist", "a histogram");
+    Histogram h(&root, "hist");
     h.sample(0);
     h.sample(1);
     h.sample(2);
@@ -53,9 +55,9 @@ TEST(Histogram, MomentsAndBuckets)
 TEST(Formula, LazyEvaluation)
 {
     Group root(nullptr, "root");
-    Scalar a(&root, "a", "");
-    Scalar b(&root, "b", "");
-    Formula ratio(&root, "ratio", "a/b", [&]() {
+    Scalar a(&root, "a");
+    Scalar b(&root, "b");
+    Formula ratio(&root, "ratio", [&]() {
         return b.value() == 0 ? 0.0
                               : static_cast<double>(a.value()) /
                                     static_cast<double>(b.value());
@@ -70,8 +72,8 @@ TEST(Group, NestedDumpContainsAllPaths)
 {
     Group root(nullptr, "sys");
     Group child(&root, "cpu");
-    Scalar top(&root, "cycles", "top level");
-    Scalar inner(&child, "insts", "inner");
+    Scalar top(&root, "cycles");
+    Scalar inner(&child, "insts");
     top = 10;
     inner = 20;
 
@@ -83,7 +85,7 @@ TEST(Group, LookupByDottedPath)
     Group root(nullptr, "");
     Group cpu(&root, "cpu");
     Group tlb(&cpu, "tlb");
-    Scalar misses(&tlb, "misses", "");
+    Scalar misses(&tlb, "misses");
     misses = 42;
     EXPECT_DOUBLE_EQ(root.lookup("cpu.tlb.misses"), 42.0);
     EXPECT_DOUBLE_EQ(cpu.lookup("tlb.misses"), 42.0);
@@ -94,7 +96,7 @@ TEST(Group, LookupByDottedPath)
 TEST(Group, LookupHistogramSamples)
 {
     Group root(nullptr, "");
-    Histogram h(&root, "hist", "");
+    Histogram h(&root, "hist");
     h.sample(1);
     h.sample(2);
     EXPECT_DOUBLE_EQ(root.lookup("hist"), 2.0);
@@ -113,7 +115,7 @@ TEST(Group, ChildDestructionUnregisters)
     Group root(nullptr, "");
     {
         Group child(&root, "ephemeral");
-        Scalar s(&child, "x", "");
+        Scalar s(&child, "x");
         s = 1;
     }
     EXPECT_EQ(toJsonString(root).find("ephemeral"), std::string::npos);
@@ -122,7 +124,7 @@ TEST(Group, ChildDestructionUnregisters)
 TEST(Histogram, BucketEdgeHelpers)
 {
     Group root(nullptr, "");
-    Histogram h(&root, "hist", "");
+    Histogram h(&root, "hist");
     // Bucket 0 holds the value 0; bucket i >= 1 holds [2^(i-1), 2^i).
     EXPECT_EQ(h.bucketLow(0), 0u);
     EXPECT_EQ(h.bucketHigh(0), 1u);
@@ -161,21 +163,31 @@ class RecordingVisitor : public Visitor
     {
         log.push_back("formula:" + s.name());
     }
+    void visitTimeSeries(const TimeSeries &s) override
+    {
+        log.push_back("timeseries:" + s.name());
+    }
+    void visitSlowDigest(const SlowRequestDigest &s) override
+    {
+        log.push_back("digest:" + s.name());
+    }
 };
 
 TEST(Visitor, TraversalIsRegistrationOrderStatsBeforeChildren)
 {
     Group root(nullptr, "sys");
-    Scalar a(&root, "a", "");
+    Scalar a(&root, "a");
     Group child(&root, "cpu");
-    Scalar b(&child, "b", "");
-    Scalar c(&root, "c", ""); // Registered after the child group.
+    Scalar b(&child, "b");
+    TimeSeries t(&child, "t");
+    Scalar c(&root, "c"); // Registered after the child group.
+    SlowRequestDigest d(&root, "d", 1);
 
     RecordingVisitor v;
     root.accept(v);
     const std::vector<std::string> expected{
-        "begin:sys", "scalar:a", "scalar:c",
-        "begin:cpu", "scalar:b", "end:cpu", "end:sys"};
+        "begin:sys", "scalar:a",     "scalar:c", "digest:d", "begin:cpu",
+        "scalar:b",  "timeseries:t", "end:cpu",  "end:sys"};
     EXPECT_EQ(v.log, expected);
 }
 
@@ -183,13 +195,13 @@ TEST(Visitor, TraversalIsRegistrationOrderStatsBeforeChildren)
 struct SampleTree
 {
     Group root{nullptr, "sys"};
-    Scalar cycles{&root, "cycles", "total"};
-    Formula half{&root, "half", "cycles/2",
+    Scalar cycles{&root, "cycles"};
+    Formula half{&root, "half",
                  [this]() {
                      return static_cast<double>(cycles.value()) / 2.0;
                  }};
     Group cpu{&root, "cpu"};
-    Histogram lat{&cpu, "lat", "latency"};
+    Histogram lat{&cpu, "lat"};
 
     SampleTree()
     {
@@ -221,7 +233,7 @@ TEST(Export, JsonIsBalancedDeterministicAndFinite)
 TEST(Export, JsonRoundTripsNonIntegralValues)
 {
     Group root(nullptr, "sys");
-    Formula pi(&root, "pi", "", [] { return 3.14159265358979312; });
+    Formula pi(&root, "pi", [] { return 3.14159265358979312; });
     const std::string json = toJsonString(root);
     const auto pos = json.find("\"pi\":");
     ASSERT_NE(pos, std::string::npos);
@@ -232,7 +244,7 @@ TEST(Export, JsonRoundTripsNonIntegralValues)
 TEST(Export, ScalarsPastDoublePrecisionExportExactly)
 {
     Group root(nullptr, "sys");
-    Scalar s(&root, "big", "");
+    Scalar s(&root, "big");
     s += std::uint64_t{1} << 53;
     ++s;
     EXPECT_EQ(s.value(), 9007199254740993u);
@@ -259,7 +271,7 @@ TEST(Export, UnnamedChildGroupMergesIntoParentObject)
 {
     Group root(nullptr, "sys");
     Group unnamed(&root, "");
-    Scalar inner(&unnamed, "x", "");
+    Scalar inner(&unnamed, "x");
     inner = 7;
     const std::string json = toJsonString(root);
     EXPECT_NE(json.find("\"x\":7"), std::string::npos);

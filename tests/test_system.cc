@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the replay System: exact cycle accounting for known
- * record sequences, record semantics, live fan-out, and determinism.
+ * record sequences, record semantics, one capture replayed under
+ * several schemes, and determinism.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "replay_util.hh"
+#include "trace/sinks.hh"
 
 namespace pmodv::core
 {
@@ -43,9 +46,9 @@ visible(const SimConfig &cfg, Cycles tlb_lat, Cycles mem_lat)
 TEST(System, InstBlockCycles)
 {
     System sys(testConfig(), SchemeKind::NoProtection);
-    sys.put(TraceRecord::instBlock(0, 8)); // 8 insts / 4-wide = 2.
+    test::feed(sys, TraceRecord::instBlock(0, 8)); // 8 insts / 4-wide = 2.
     EXPECT_EQ(sys.totalCycles(), 2u);
-    sys.put(TraceRecord::instBlock(0, 9)); // ceil(9/4) = 3.
+    test::feed(sys, TraceRecord::instBlock(0, 9)); // ceil(9/4) = 3.
     EXPECT_EQ(sys.totalCycles(), 5u);
     EXPECT_DOUBLE_EQ(sys.instructions.value(), 17.0);
 }
@@ -54,8 +57,8 @@ TEST(System, ColdPmoLoadLatency)
 {
     SimConfig cfg = testConfig();
     System sys(cfg, SchemeKind::NoProtection);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::load(0, kBase, 8, true));
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true));
     // Cold: TLB walk (4+30) + L1 miss, L2 miss, NVM (1+8+360).
     const Cycles expect = visible(cfg, 34, 1 + 8 + 360);
     EXPECT_EQ(sys.totalCycles(), expect);
@@ -66,10 +69,10 @@ TEST(System, WarmLoadIsOneCycle)
 {
     SimConfig cfg = testConfig();
     System sys(cfg, SchemeKind::NoProtection);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::load(0, kBase, 8, true));
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true));
     const Cycles after_cold = sys.totalCycles();
-    sys.put(TraceRecord::load(0, kBase, 8, true));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true));
     EXPECT_EQ(sys.totalCycles(), after_cold + 1);
 }
 
@@ -78,10 +81,10 @@ TEST(System, NonPmoLoadUsesDram)
     SimConfig cfg = testConfig();
     System a(cfg, SchemeKind::NoProtection);
     System b(cfg, SchemeKind::NoProtection);
-    a.put(TraceRecord::load(0, 0x5000, 8, false)); // DRAM.
-    b.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(a, TraceRecord::load(0, 0x5000, 8, false)); // DRAM.
+    test::feed(b, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
     const Cycles before = b.totalCycles();
-    b.put(TraceRecord::load(0, kBase, 8, true)); // NVM.
+    test::feed(b, TraceRecord::load(0, kBase, 8, true)); // NVM.
     EXPECT_LT(a.totalCycles(), b.totalCycles() - before);
 }
 
@@ -91,8 +94,8 @@ TEST(System, SetPermCostsByScheme)
     System none(cfg, SchemeKind::NoProtection);
     System lower(cfg, SchemeKind::Lowerbound);
     const auto rec = TraceRecord::setPerm(0, 1, Perm::ReadWrite);
-    none.put(rec);
-    lower.put(rec);
+    test::feed(none, rec);
+    test::feed(lower, rec);
     EXPECT_EQ(none.totalCycles(), 0u);
     EXPECT_EQ(lower.totalCycles(), cfg.prot.wrpkruCycles);
 }
@@ -100,10 +103,10 @@ TEST(System, SetPermCostsByScheme)
 TEST(System, OpMarkersCountOperations)
 {
     System sys(testConfig(), SchemeKind::NoProtection);
-    sys.put(TraceRecord::opBegin(0));
-    sys.put(TraceRecord::opEnd(0));
-    sys.put(TraceRecord::opBegin(0));
-    sys.put(TraceRecord::opEnd(0));
+    test::feed(sys, TraceRecord::opBegin(0));
+    test::feed(sys, TraceRecord::opEnd(0));
+    test::feed(sys, TraceRecord::opBegin(0));
+    test::feed(sys, TraceRecord::opEnd(0));
     EXPECT_DOUBLE_EQ(sys.operations.value(), 2.0);
     EXPECT_EQ(sys.totalCycles(), 0u);
 }
@@ -111,12 +114,12 @@ TEST(System, OpMarkersCountOperations)
 TEST(System, OpCyclesHistogramSamplesPerOperation)
 {
     System sys(testConfig(), SchemeKind::NoProtection);
-    sys.put(TraceRecord::opBegin(0));
-    sys.put(TraceRecord::instBlock(0, 40)); // 10 cycles.
-    sys.put(TraceRecord::opEnd(0));
-    sys.put(TraceRecord::opBegin(0));
-    sys.put(TraceRecord::instBlock(0, 400)); // 100 cycles.
-    sys.put(TraceRecord::opEnd(0));
+    test::feed(sys, TraceRecord::opBegin(0));
+    test::feed(sys, TraceRecord::instBlock(0, 40)); // 10 cycles.
+    test::feed(sys, TraceRecord::opEnd(0));
+    test::feed(sys, TraceRecord::opBegin(0));
+    test::feed(sys, TraceRecord::instBlock(0, 400)); // 100 cycles.
+    test::feed(sys, TraceRecord::opEnd(0));
     EXPECT_EQ(sys.opCycles.samples(), 2u);
     EXPECT_EQ(sys.opCycles.min(), 10u);
     EXPECT_EQ(sys.opCycles.max(), 100u);
@@ -126,7 +129,7 @@ TEST(System, OpCyclesHistogramSamplesPerOperation)
 TEST(System, OpEndWithoutBeginIsTolerated)
 {
     System sys(testConfig(), SchemeKind::NoProtection);
-    sys.put(TraceRecord::opEnd(0)); // Stray end: counted, no sample.
+    test::feed(sys, TraceRecord::opEnd(0)); // Stray end: counted, no sample.
     EXPECT_DOUBLE_EQ(sys.operations.value(), 1.0);
     EXPECT_EQ(sys.opCycles.samples(), 0u);
 }
@@ -138,16 +141,18 @@ TEST(System, LargePageAttachReducesWalks)
     System large(cfg, SchemeKind::NoProtection);
     const Addr base = Addr{1} << 33; // 2MB-aligned.
     const Addr size = Addr{2} << 21; // 4MB.
-    small.put(TraceRecord::attach(0, 1, base, size, Perm::ReadWrite,
-                                  PageSize::Size4K));
-    large.put(TraceRecord::attach(0, 1, base, size, Perm::ReadWrite,
-                                  PageSize::Size2M));
+    test::feed(small, TraceRecord::attach(0, 1, base, size,
+                                          Perm::ReadWrite,
+                                          PageSize::Size4K));
+    test::feed(large, TraceRecord::attach(0, 1, base, size,
+                                          Perm::ReadWrite,
+                                          PageSize::Size2M));
     // Touch 1024 distinct 4KB pages spanning both 2MB frames.
     for (unsigned i = 0; i < 1024; ++i) {
         const auto rec =
             TraceRecord::load(0, base + Addr{i} * 4096, 8, true);
-        small.put(rec);
-        large.put(rec);
+        test::feed(small, rec);
+        test::feed(large, rec);
     }
     const double small_walks =
         static_cast<stats::Group &>(small).lookup("dtlb.walks");
@@ -161,31 +166,31 @@ TEST(System, LargePageAttachReducesWalks)
 TEST(System, DeniedAccessesCounted)
 {
     System sys(testConfig(), SchemeKind::Mpk);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::load(0, kBase, 8, true)); // No SETPERM yet.
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true)); // No SETPERM yet.
     EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 1.0);
-    sys.put(TraceRecord::setPerm(0, 1, Perm::Read));
-    sys.put(TraceRecord::load(0, kBase, 8, true));
+    test::feed(sys, TraceRecord::setPerm(0, 1, Perm::Read));
+    test::feed(sys, TraceRecord::load(0, kBase, 8, true));
     EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 1.0);
 }
 
 TEST(System, DetachUnmapsRegion)
 {
     System sys(testConfig(), SchemeKind::NoProtection);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::detach(0, 1));
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::detach(0, 1));
     EXPECT_EQ(sys.addressSpace().numRegions(), 0u);
     // Re-attach at the same base works.
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
     EXPECT_EQ(sys.addressSpace().numRegions(), 1u);
 }
 
 TEST(System, ThreadSwitchRoutedToScheme)
 {
     System sys(testConfig(), SchemeKind::DomainVirt);
-    sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-    sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
-    sys.put(TraceRecord::threadSwitch(1));
+    test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+    test::feed(sys, TraceRecord::threadSwitch(1));
     EXPECT_DOUBLE_EQ(
         static_cast<stats::Group &>(sys).lookup(
             "domain_virt.context_switches"),
@@ -195,8 +200,9 @@ TEST(System, ThreadSwitchRoutedToScheme)
 TEST(System, ThreadSwitchToRunningThreadDependsOnCoreCount)
 {
     const auto setup = [](System &sys) {
-        sys.put(TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite));
-        sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+        test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize,
+                                            Perm::ReadWrite));
+        test::feed(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
     };
     const auto lookup = [](System &sys, const std::string &path) {
         return static_cast<stats::Group &>(sys).lookup(path);
@@ -206,7 +212,7 @@ TEST(System, ThreadSwitchToRunningThreadDependsOnCoreCount)
     // one naming the running thread (the runtime emits those).
     System one(testConfig(), SchemeKind::DomainVirt);
     setup(one);
-    one.put(TraceRecord::threadSwitch(0));
+    test::feed(one, TraceRecord::threadSwitch(0));
     EXPECT_DOUBLE_EQ(lookup(one, "domain_virt.context_switches"), 1.0);
 
     // Several cores: a switch to the thread already running on its
@@ -215,14 +221,14 @@ TEST(System, ThreadSwitchToRunningThreadDependsOnCoreCount)
     cfg.topology.numCores = 2;
     System two(cfg, SchemeKind::DomainVirt);
     setup(two);
-    two.put(TraceRecord::threadSwitch(0));
+    test::feed(two, TraceRecord::threadSwitch(0));
     EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 0.0);
     EXPECT_DOUBLE_EQ(lookup(two, "core0.ctx_switches"), 0.0);
     EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 0.0);
-    two.put(TraceRecord::threadSwitch(1));
+    test::feed(two, TraceRecord::threadSwitch(1));
     EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 1.0);
     EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 1.0);
-    two.put(TraceRecord::threadSwitch(1));
+    test::feed(two, TraceRecord::threadSwitch(1));
     EXPECT_DOUBLE_EQ(lookup(two, "domain_virt.context_switches"), 1.0);
     EXPECT_DOUBLE_EQ(lookup(two, "core0.ctx_switches"), 0.0);
     EXPECT_DOUBLE_EQ(lookup(two, "core1.ctx_switches"), 1.0);
@@ -232,7 +238,7 @@ TEST(System, SecondsMatchFrequency)
 {
     SimConfig cfg = testConfig();
     System sys(cfg, SchemeKind::NoProtection);
-    sys.put(TraceRecord::instBlock(0, 4 * 2'200'000));
+    test::feed(sys, TraceRecord::instBlock(0, 4 * 2'200'000));
     EXPECT_NEAR(sys.seconds(), 1e-3, 1e-9); // 2.2e6 cycles at 2.2 GHz.
 }
 
@@ -240,43 +246,42 @@ TEST(System, Determinism)
 {
     auto run = []() {
         System sys(testConfig(), SchemeKind::MpkVirt);
-        sys.put(TraceRecord::attach(0, 1, kBase, kSize,
-                                    Perm::ReadWrite));
-        sys.put(TraceRecord::setPerm(0, 1, Perm::ReadWrite));
+        test::feed(sys, TraceRecord::attach(0, 1, kBase, kSize,
+                                            Perm::ReadWrite));
+        test::feed(sys, TraceRecord::setPerm(0, 1, Perm::ReadWrite));
         for (int i = 0; i < 100; ++i)
-            sys.put(TraceRecord::load(0, kBase + i * 4096 % kSize, 8,
-                                      true));
+            test::feed(sys, TraceRecord::load(0, kBase + i * 4096 % kSize,
+                                              8, true));
         return sys.totalCycles();
     };
     EXPECT_EQ(run(), run());
 }
 
-TEST(System, FanoutSinkFeedsEverySchemeLive)
+TEST(System, OneCaptureReplaysUnderEveryScheme)
 {
-    // Fanning one live trace out record by record to several Systems
-    // (and a counter) replays it under every scheme.
-    System none(testConfig(), SchemeKind::NoProtection);
-    System lower(testConfig(), SchemeKind::Lowerbound);
-    System virt(testConfig(), SchemeKind::DomainVirt);
-    trace::CountingSink counter;
-    const std::vector<trace::TraceSink *> sinks{&counter, &none, &lower,
-                                                &virt};
+    // One captured trace replays as a span through one System per
+    // scheme, and its capture summary counts the same records.
+    trace::VectorSink capture;
     for (const TraceRecord &rec :
          {TraceRecord::attach(0, 1, kBase, kSize, Perm::ReadWrite),
           TraceRecord::setPerm(0, 1, Perm::ReadWrite),
           TraceRecord::load(0, kBase, 8, true),
-          TraceRecord::instBlock(0, 40)}) {
-        for (trace::TraceSink *sink : sinks)
-            sink->put(rec);
+          TraceRecord::instBlock(0, 40)})
+        capture.put(rec);
+    const trace::RecordStore store = capture.take();
+    System none(testConfig(), SchemeKind::NoProtection);
+    System lower(testConfig(), SchemeKind::Lowerbound);
+    System virt(testConfig(), SchemeKind::DomainVirt);
+    for (System *sys : {&none, &lower, &virt}) {
+        sys->replayBatch({store.data(), store.size()});
+        sys->finish();
     }
-    for (trace::TraceSink *sink : sinks)
-        sink->finish();
     EXPECT_GT(none.totalCycles(), 0u);
     EXPECT_GT(lower.totalCycles(), none.totalCycles());
     EXPECT_EQ(virt.deniedAccesses.value(), 0u);
     EXPECT_GT(virt.totalCycles(), none.totalCycles());
-    EXPECT_EQ(counter.permissionSwitches(), 1u);
-    EXPECT_EQ(counter.memAccesses(), 1u);
+    EXPECT_EQ(store.summary().permissionSwitches(), 1u);
+    EXPECT_EQ(store.summary().memAccesses(), 1u);
 }
 
 TEST(System, LowerboundOverheadIsPermissionChangeCost)

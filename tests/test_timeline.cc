@@ -192,8 +192,8 @@ trackTotal(const stats::TimeSeries &ts, std::size_t t)
 TEST(TimeSeries, DisabledByDefaultIsANoOp)
 {
     stats::Group root(nullptr, "");
-    stats::Scalar counter(&root, "ctr", "");
-    stats::TimeSeries ts(&root, "tl", "");
+    stats::Scalar counter(&root, "ctr");
+    stats::TimeSeries ts(&root, "tl");
 
     EXPECT_FALSE(ts.enabled());
     ts.track(counter, "ctr"); // No-op while disabled.
@@ -208,8 +208,8 @@ TEST(TimeSeries, DisabledByDefaultIsANoOp)
 TEST(TimeSeries, EpochDeltasSumToFinalCounterValue)
 {
     stats::Group root(nullptr, "");
-    stats::Scalar counter(&root, "ctr", "");
-    stats::TimeSeries ts(&root, "tl", "");
+    stats::Scalar counter(&root, "ctr");
+    stats::TimeSeries ts(&root, "tl");
     ts.configure(100, 16);
     ts.track(counter, "ctr");
 
@@ -230,8 +230,8 @@ TEST(TimeSeries, EpochDeltasSumToFinalCounterValue)
 TEST(TimeSeries, CoalescingBoundsRowsAndPreservesTotals)
 {
     stats::Group root(nullptr, "");
-    stats::Scalar counter(&root, "ctr", "");
-    stats::TimeSeries ts(&root, "tl", "");
+    stats::Scalar counter(&root, "ctr");
+    stats::TimeSeries ts(&root, "tl");
     ts.configure(10, 4); // Tiny bound: force repeated coalescing.
     ts.track(counter, "ctr");
 
@@ -307,8 +307,7 @@ TEST(SystemTimeline, EpochDeltasSumToAggregateCounters)
 {
     const auto records = captureAvl();
     core::System sys(sampledConfig(), SchemeKind::MpkVirt);
-    for (const TraceRecord &rec : records)
-        sys.put(rec);
+    sys.replayBatch(records);
     sys.finish();
 
     const stats::TimeSeries &tl = sys.timeline;
@@ -341,8 +340,7 @@ TEST(SystemTimeline, DisabledByDefault)
 {
     const auto records = captureAvl(8, 500);
     core::System sys(core::SimConfig{}, SchemeKind::MpkVirt);
-    for (const TraceRecord &rec : records)
-        sys.put(rec);
+    sys.replayBatch(records);
     sys.finish();
     EXPECT_FALSE(sys.timeline.enabled());
     EXPECT_EQ(sys.timeline.numEpochs(), 0u);
@@ -367,8 +365,7 @@ TEST(TxnCommit, OpMarkersCarryThePrimaryDomain)
 
     // And the replayed event ring carries them through.
     core::System sys(sampledConfig(), SchemeKind::MpkVirt);
-    for (const TraceRecord &rec : records)
-        sys.put(rec);
+    sys.replayBatch(records);
     sys.finish();
     std::size_t commits = 0, attributed = 0;
     for (const trace::Event &ev : sys.events().snapshot()) {
@@ -387,8 +384,7 @@ TEST(HotDomains, ProfiledSchemeReportsActivity)
 {
     const auto records = captureAvl();
     core::System sys(sampledConfig(), SchemeKind::MpkVirt);
-    for (const TraceRecord &rec : records)
-        sys.put(rec);
+    sys.replayBatch(records);
     sys.finish();
 
     const arch::DomainProfile &profile = sys.scheme().domainProfile();
@@ -410,8 +406,7 @@ TEST(Perfetto, ExportIsWellFormedAndCoversEventClasses)
     const auto records = captureAvl();
     core::SimConfig config = sampledConfig();
     core::System sys(config, SchemeKind::MpkVirt);
-    for (const TraceRecord &rec : records)
-        sys.put(rec);
+    sys.replayBatch(records);
     sys.finish();
 
     trace::PerfettoExporter exporter = exp::makeExporter(config);

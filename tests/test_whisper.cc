@@ -38,18 +38,18 @@ TEST_P(WhisperShape, RunsAndEmitsSaneTrace)
     pmo::Namespace ns;
     trace::VectorSink buffer;
     workload->run(ns, buffer);
-    trace::CountingSink sink;
-    sink.addBatch(buffer.records());
+    const trace::RecordStore store = buffer.take();
+    const trace::TraceSummary &summary = store.summary();
 
     // Exactly one PMO, attached before anything else.
-    EXPECT_EQ(sink.count(trace::RecordType::Attach), 1u);
-    EXPECT_EQ(buffer.records().front().type, trace::RecordType::Attach);
-    EXPECT_EQ(sink.operations(), tinyParams().numTxns);
-    EXPECT_GT(sink.pmoAccesses(), 0u);
+    EXPECT_EQ(summary.count(trace::RecordType::Attach), 1u);
+    EXPECT_EQ(store[0].type, trace::RecordType::Attach);
+    EXPECT_EQ(summary.operations(), tinyParams().numTxns);
+    EXPECT_GT(summary.pmoAccesses, 0u);
 
     // The paper's discipline: a SETPERM pair wraps every PMO access
     // in the measured phase.
-    EXPECT_EQ(sink.permissionSwitches(), 2 * sink.pmoAccesses());
+    EXPECT_EQ(summary.permissionSwitches(), 2 * summary.pmoAccesses);
 }
 
 TEST_P(WhisperShape, SwitchRecordsBracketAccesses)
@@ -128,10 +128,11 @@ TEST(Whisper, SwitchRatesOrderedRoughlyLikeTableV)
     auto rate = [&](const std::string &name) {
         auto workload = makeWhisper(name, p);
         pmo::Namespace ns;
-        trace::CountingSink sink;
+        trace::VectorSink sink;
         workload->run(ns, sink);
-        return static_cast<double>(sink.permissionSwitches()) /
-               static_cast<double>(sink.totalInstructions());
+        const trace::RecordStore store = sink.take();
+        return static_cast<double>(store.summary().permissionSwitches()) /
+               static_cast<double>(store.summary().totalInstructions());
     };
     EXPECT_GT(rate("ycsb"), rate("echo"));
 }

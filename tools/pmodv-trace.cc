@@ -147,30 +147,29 @@ cmdInfo(int argc, char **argv)
     // view() verifies the checksum for v2 files and hands back the
     // one-pass summary; no per-record counting pass needed.
     const auto buf = reader.view();
-    trace::CountingSink counter;
-    counter.addSummary(buf->summary());
+    const trace::TraceSummary &summary = buf->summary();
     std::printf("format version:       %u\n", reader.version());
     std::printf("records:              %llu\n",
                 static_cast<unsigned long long>(reader.recordCount()));
     std::printf("instructions:         %llu\n",
                 static_cast<unsigned long long>(
-                    counter.totalInstructions()));
+                    summary.totalInstructions()));
     std::printf("memory accesses:      %llu (%llu to PMOs)\n",
-                static_cast<unsigned long long>(counter.memAccesses()),
-                static_cast<unsigned long long>(counter.pmoAccesses()));
+                static_cast<unsigned long long>(summary.memAccesses()),
+                static_cast<unsigned long long>(summary.pmoAccesses));
     std::printf("permission switches:  %llu\n",
                 static_cast<unsigned long long>(
-                    counter.permissionSwitches()));
+                    summary.permissionSwitches()));
     std::printf("attaches / detaches:  %llu / %llu\n",
                 static_cast<unsigned long long>(
-                    counter.count(trace::RecordType::Attach)),
+                    summary.count(trace::RecordType::Attach)),
                 static_cast<unsigned long long>(
-                    counter.count(trace::RecordType::Detach)));
+                    summary.count(trace::RecordType::Detach)));
     std::printf("operations:           %llu\n",
-                static_cast<unsigned long long>(counter.operations()));
+                static_cast<unsigned long long>(summary.operations()));
     std::printf("thread switches:      %llu\n",
                 static_cast<unsigned long long>(
-                    counter.count(trace::RecordType::ThreadSwitch)));
+                    summary.count(trace::RecordType::ThreadSwitch)));
     return 0;
 }
 
