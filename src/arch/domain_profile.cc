@@ -13,12 +13,6 @@ DomainProfile::grow(DomainId d)
     return table_[d];
 }
 
-DomainCounters
-DomainProfile::counters(DomainId d) const
-{
-    return d < table_.size() ? table_[d] : DomainCounters{};
-}
-
 std::size_t
 DomainProfile::numActiveDomains() const
 {

@@ -70,9 +70,6 @@ class DomainProfile
         c.shootdownPages += pages;
     }
 
-    /** Counters of @p d (zeros when never touched). */
-    DomainCounters counters(DomainId d) const;
-
     /** Domains with at least one non-zero counter. */
     std::size_t numActiveDomains() const;
 

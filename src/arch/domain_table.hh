@@ -1,7 +1,8 @@
 /**
  * @file
  * The per-domain registry every key/domain scheme keeps its tenants
- * in, and the per-thread permission row each of them carries.
+ * in: one DomainRow per attached domain, with the per-thread
+ * permission row each of them carries.
  */
 
 #ifndef PMODV_ARCH_DOMAIN_TABLE_HH
@@ -76,31 +77,56 @@ class PermRow
 };
 
 /**
+ * One attached domain as every key/domain scheme records it: its id,
+ * the key it holds (kInvalidKey when none; stock MPK's kNullKey when
+ * domainless; domain_virt has no keys), its range for shootdowns and
+ * detach, and each thread's permission (the DTT payload of mpk_virt,
+ * the Permission Table row of domain_virt).
+ */
+struct DomainRow
+{
+    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
+    ProtKey key = kInvalidKey;
+    Addr base = 0;
+    Addr size = 0;
+    PermRow perms;
+};
+
+static_assert(sizeof(DomainRow) == 48, "a registry row is 48 bytes");
+
+/**
  * The per-domain registry of every key/domain scheme: rows indexed by
  * DomainId (dense small integers below kMaxDomains, as in
  * DomainProfile), stored contiguously. Growth moves rows, so a row
  * pointer is valid only until the next claim(). A row whose `domain`
  * is kNullDomain is not attached; detach resets it in place.
  */
-template <typename T>
 class DomainTable
 {
   public:
     /** @p d's row, or nullptr when @p d is not attached. */
-    T *find(DomainId d) { return has(d) ? &rows_[d] : nullptr; }
-    const T *find(DomainId d) const { return has(d) ? &rows_[d] : nullptr; }
+    DomainRow *find(DomainId d) { return has(d) ? &rows_[d] : nullptr; }
 
-    /** Attach @p d: its row, created on first use. */
-    T &
-    claim(DomainId d)
+    const DomainRow *
+    find(DomainId d) const
+    {
+        return has(d) ? &rows_[d] : nullptr;
+    }
+
+    /** Attach @p d at [base, base+size): its row, created on first use. */
+    DomainRow &
+    claim(DomainId d, Addr base, Addr size)
     {
         panic_if(d == kNullDomain || d >= kMaxDomains,
                  "domain %u is outside the registry", d);
         panic_if(has(d), "domain %u attached twice", d);
         if (d >= rows_.size())
             rows_.resize(std::size_t{d} + 1);
-        rows_[d].domain = d;
-        return rows_[d];
+        DomainRow &row = rows_[d];
+        row.domain = d;
+        row.base = base;
+        row.size = size;
+        return row;
     }
 
   private:
@@ -110,7 +136,7 @@ class DomainTable
         return d < rows_.size() && rows_[d].domain != kNullDomain;
     }
 
-    std::vector<T> rows_;
+    std::vector<DomainRow> rows_;
 };
 
 } // namespace pmodv::arch

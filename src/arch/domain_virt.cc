@@ -8,9 +8,8 @@ namespace pmodv::arch
 
 DomainVirtScheme::DomainVirtScheme(stats::Group *parent,
                                    const ProtParams &params,
-                                   const CoreTopology &topo,
-                                   const tlb::AddressSpace &space)
-    : ProtectionScheme(parent, "domain_virt", params, topo, space),
+                                   const CoreTopology &topo)
+    : ProtectionScheme(parent, "domain_virt", params, topo),
       drtWalks(this, "drt_walks"),
       ptlbWritebacks(this, "ptlb_writebacks"),
       contextSwitches(this, "context_switches")
@@ -62,7 +61,7 @@ DomainVirtScheme::fill(ThreadId, Addr, const tlb::Region *region,
 Perm
 DomainVirtScheme::ptGet(DomainId domain, ThreadId tid) const
 {
-    const DrtInfo *info = domains_.find(domain);
+    const DomainRow *info = domains_.find(domain);
     return info ? info->perms.get(tid) : Perm::None;
 }
 
@@ -70,7 +69,7 @@ void
 DomainVirtScheme::writeback(ThreadId tid, const PtlbEntry &entry)
 {
     ++ptlbWritebacks;
-    if (DrtInfo *info = domains_.find(entry.domain))
+    if (DomainRow *info = domains_.find(entry.domain))
         info->perms.set(tid, entry.perm);
 }
 
@@ -146,7 +145,7 @@ DomainVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // SETPERM on an unattached domain is a no-op (as in every other
     // scheme): without this guard the PT/PTLB would accumulate
     // phantom grants a later attach of the same id would inherit.
-    DrtInfo *info = domains_.find(domain);
+    DomainRow *info = domains_.find(domain);
     if (!info)
         return cycles;
 
@@ -185,27 +184,24 @@ Cycles
 DomainVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                          Perm)
 {
-    DrtInfo &info = domains_.claim(domain);
-    info.base = base;
-    info.size = size;
+    domains_.claim(domain, base, size);
     return 0;
 }
 
 Cycles
 DomainVirtScheme::detach(ThreadId, DomainId domain)
 {
-    DrtInfo *found = domains_.find(domain);
-    if (!found)
+    DomainRow *info = domains_.find(domain);
+    if (!info)
         return 0;
-    DrtInfo &info = *found;
     // Stale PTLB state for this domain is dropped on every core
     // (dirty values are dead: the domain is going away).
     for (auto &p : ptlbs_)
         p->invalidate(domain);
     // The unmap itself invalidates the translations on every core
     // (normal munmap shootdown, part of the detach syscall).
-    flushRangeAllCores(info.base, info.size);
-    info = DrtInfo{};
+    flushRangeAllCores(info->base, info->size);
+    *info = {};
     return 0;
 }
 
@@ -231,7 +227,7 @@ DomainVirtScheme::contextSwitch(ThreadId, ThreadId to)
 Perm
 DomainVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    const DrtInfo *info = domains_.find(domain);
+    const DomainRow *info = domains_.find(domain);
     if (!info)
         return Perm::ReadWrite; // Not a domain: page permission rules.
     for (CoreId c = 0; c < curTid_.size(); ++c) {

@@ -26,29 +26,13 @@
 namespace pmodv::arch
 {
 
-/**
- * Per-domain payload in DRT root entries: bounds for detach, and the
- * domain's row of the OS-managed Permission Table (PT), the
- * (domain, thread) -> 2-bit permission map. The PT is plain cacheable
- * memory in the paper; it is modelled functionally (its Table VIII
- * footprint is computed in exp/area.cc).
- */
-struct DrtInfo
-{
-    DomainId domain = kNullDomain; ///< kNullDomain: not attached.
-    Addr base = 0;
-    Addr size = 0;
-    PermRow perms;
-};
-
 /** Hardware domain virtualization. */
 class DomainVirtScheme : public ProtectionScheme,
                          private tlb::TlbFillPolicy
 {
   public:
     DomainVirtScheme(stats::Group *parent, const ProtParams &params,
-                     const CoreTopology &topo,
-                     const tlb::AddressSpace &space);
+                     const CoreTopology &topo);
 
     void registerTimelineTracks(stats::TimeSeries &timeline) override;
 
@@ -62,8 +46,6 @@ class DomainVirtScheme : public ProtectionScheme,
 
     /** Core 0's PTLB (the only one on single-core machines). */
     Ptlb &ptlb() { return *ptlbs_[0]; }
-    /** Core @p core's private PTLB. */
-    Ptlb &ptlbAt(CoreId core) { return *ptlbs_[core]; }
 
     /** @p tid's permission for @p domain in the PT (None if unattached). */
     Perm ptGet(DomainId domain, ThreadId tid) const;
@@ -94,7 +76,14 @@ class DomainVirtScheme : public ProtectionScheme,
      */
     Cycles installPtlb(ThreadId tid, const PtlbEntry &entry);
 
-    DomainTable<DrtInfo> domains_;
+    /**
+     * The DRT root entries' payloads: each domain's range, for detach,
+     * and its row of the OS-managed Permission Table (PT), the
+     * (domain, thread) -> 2-bit permission map. The PT is plain
+     * cacheable memory in the paper; it is modelled functionally (its
+     * Table VIII footprint is computed in exp/area.cc).
+     */
+    DomainTable domains_;
     /** Per-core PTLBs; [0] exists from construction. */
     std::vector<std::unique_ptr<Ptlb>> ptlbs_;
     /** Per core: the thread whose permissions its PTLB caches. */

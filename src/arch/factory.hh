@@ -16,8 +16,7 @@ namespace pmodv::arch
 /** Instantiate the scheme @p kind under @p parent. */
 std::unique_ptr<ProtectionScheme>
 makeScheme(SchemeKind kind, stats::Group *parent,
-           const ProtParams &params, const CoreTopology &topo,
-           const tlb::AddressSpace &space);
+           const ProtParams &params, const CoreTopology &topo);
 
 } // namespace pmodv::arch
 

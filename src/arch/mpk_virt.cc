@@ -9,9 +9,8 @@ namespace pmodv::arch
 
 MpkVirtScheme::MpkVirtScheme(stats::Group *parent,
                              const ProtParams &params,
-                             const CoreTopology &topo,
-                             const tlb::AddressSpace &space)
-    : ProtectionScheme(parent, "mpk_virt", params, topo, space),
+                             const CoreTopology &topo)
+    : KeyScheme(parent, "mpk_virt", params, topo),
       dttWalks(this, "dtt_walks"),
       dttlbWritebacks(this, "dttlb_writebacks"),
       contextSwitches(this, "context_switches")
@@ -31,7 +30,7 @@ MpkVirtScheme::registerTimelineTracks(stats::TimeSeries &timeline)
 void
 MpkVirtScheme::onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb)
 {
-    tlb->setFillPolicy(this);
+    KeyScheme::onCoreAttached(core, tlb);
     // Core 0's DTTLB is built in the constructor ("dttlb"); each
     // further core gets a private one.
     while (dttlbs_.size() <= core) {
@@ -48,36 +47,16 @@ MpkVirtScheme::invalidateDomainAllDttlbs(DomainId domain)
         d->invalidate(domain);
 }
 
-void
-MpkVirtScheme::bindKey(ThreadId tid, DttInfo &info, ProtKey key)
-{
-    info.key = key;
-    keys_.touch(key);
-    if (topo_.numCores > 1) {
-        // Threads on other cores keep running without a context
-        // switch, so the remap must be made globally coherent now:
-        // the key's old grants are wiped and every thread's stored
-        // permission for the new holder is reloaded from the DTT.
-        pkrus_.loadKey(key, info.perms.threads());
-    } else {
-        // PKRU of the running thread reflects the new domain
-        // immediately; other threads reconstruct on their next
-        // context switch in.
-        pkrus_.forThread(tid).setPerm(key, info.perms.get(tid));
-    }
-    ++keyRemaps;
-}
-
 Cycles
-MpkVirtScheme::cacheInDttlb(DttInfo &info)
+MpkVirtScheme::cacheInDttlb(const DomainRow &row)
 {
     DttlbEntry entry;
     entry.used = true;
-    entry.base = info.base;
-    entry.size = info.size;
-    entry.domain = info.domain;
-    entry.key = info.key == kInvalidKey ? kNullKey : info.key;
-    entry.valid = info.key != kInvalidKey;
+    entry.base = row.base;
+    entry.size = row.size;
+    entry.domain = row.domain;
+    entry.key = row.key == kInvalidKey ? kNullKey : row.key;
+    entry.valid = row.key != kInvalidKey;
     entry.dirty = true;
 
     const auto evicted = dttlbs_[activeCore_]->insert(entry);
@@ -94,29 +73,26 @@ MpkVirtScheme::cacheInDttlb(DttInfo &info)
 }
 
 Cycles
-MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
+MpkVirtScheme::resolveKey(ThreadId tid, DomainRow &row)
 {
     Cycles cycles = 0;
 
-    if (info.key != kInvalidKey) {
-        keys_.touch(info.key);
+    if (row.key != kInvalidKey) {
+        keys_.touch(row.key);
         return cycles;
     }
 
-    // Check the free-key structure.
+    // Check the free-key structure. With no free key the LRU victim's
+    // key is reassigned; threads on other cores keep running without a
+    // context switch, so takeKey() makes the remap coherent in every
+    // thread's PKRU at once.
     cycles += params_.freeKeyCheckCycles;
     cycEntryChange += params_.freeKeyCheckCycles;
-    ProtKey key = keys_.claim(info.domain);
-    if (key == kInvalidKey) {
-        // No free key: reassign the LRU victim's key.
-        const ProtKey victim = keys_.victim();
-        DttInfo &vinfo = *domains_.find(keys_.holder(victim));
-
+    if (const DomainRow *victim = takeKey(row)) {
         // Unmap the victim: DTT payload updated, DTTLB entry marked
         // invalid + dirty.
-        vinfo.key = kInvalidKey;
         for (auto &d : dttlbs_) {
-            if (DttlbEntry *ve = d->find(vinfo.domain)) {
+            if (DttlbEntry *ve = d->find(victim->domain)) {
                 ve->valid = false;
                 ve->key = kNullKey;
                 ve->dirty = true;
@@ -127,13 +103,10 @@ MpkVirtScheme::resolveKey(ThreadId tid, DttInfo &info)
 
         // Ranged TLB shootdown of the victim's pages, so no stale
         // VA->key mapping survives.
-        const ShootdownRange range{vinfo.base, vinfo.size};
-        cycles += evictKey(tid, vinfo.domain, victim, {&range, 1});
-        keys_.release(victim);
-        key = keys_.claim(info.domain); // The only free key: the victim's.
+        const ShootdownRange range{victim->base, victim->size};
+        cycles += evictKey(tid, victim->domain, row.key, {&range, 1});
     }
 
-    bindKey(tid, info, key);
     cycles += params_.pkruUpdateCycles;
     cycEntryChange += params_.pkruUpdateCycles;
     return cycles;
@@ -151,12 +124,12 @@ MpkVirtScheme::fill(ThreadId tid, Addr va, const tlb::Region *region,
     Cycles cycles = 0;
 
     Dttlb &dttlb = *dttlbs_[activeCore_];
-    DttInfo *info = nullptr;
+    DomainRow *row = nullptr;
     if (DttlbEntry *hit = dttlb.lookupVa(va)) {
         // DTTLB hit: its 1-cycle CAM lookup overlaps the page walk,
         // so no extra latency is charged (DESIGN.md §5).
-        info = domains_.find(hit->domain);
-        panic_if(!info, "DTTLB caches unknown domain");
+        row = domains_.find(hit->domain);
+        panic_if(!row, "DTTLB caches unknown domain");
     } else {
         // DTTLB miss: walk the DTT (Table II: 30 cycles). The walk
         // finds the domain the page walk's region already names.
@@ -165,35 +138,17 @@ MpkVirtScheme::fill(ThreadId tid, Addr va, const tlb::Region *region,
         profile_.fillMiss(region->domain);
         cycTableMiss += params_.dttWalkCycles;
         dttlb.missLatency.sample(params_.dttWalkCycles);
-        info = domains_.find(region->domain);
-        panic_if(!info, "mapped PMO region missing from the DTT");
-        postEvent(trace::EventKind::DttlbRefill, tid, info->domain,
+        row = domains_.find(region->domain);
+        panic_if(!row, "mapped PMO region missing from the DTT");
+        postEvent(trace::EventKind::DttlbRefill, tid, row->domain,
                   params_.dttWalkCycles);
     }
 
-    cycles += resolveKey(tid, *info);
-    cycles += cacheInDttlb(*info);
+    cycles += resolveKey(tid, *row);
+    cycles += cacheInDttlb(*row);
 
-    entry.key = info->key == kInvalidKey ? kNullKey : info->key;
+    entry.key = row->key == kInvalidKey ? kNullKey : row->key;
     return cycles;
-}
-
-CheckResult
-MpkVirtScheme::checkAccess(const AccessContext &ctx)
-{
-    const ProtKey key = ctx.entry->key;
-    Perm domain_perm = Perm::ReadWrite; // Domainless: page perm only.
-    if (key != kNullKey) {
-        keys_.touch(key);
-        if (const DomainId holder = keys_.holder(key);
-            holder != kNullDomain)
-            profile_.access(holder);
-        domain_perm = pkrus_.forThread(ctx.tid).permFor(key);
-    }
-    CheckResult res = judge(ctx, domain_perm, 0);
-    if (!res.allowed)
-        ++protectionFaults;
-    return res;
 }
 
 Cycles
@@ -202,13 +157,12 @@ MpkVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     perm = permNormalizeHw(perm);
     Cycles cycles = chargeSetPerm();
 
-    DttInfo *found = domains_.find(domain);
-    if (!found)
+    DomainRow *row = domains_.find(domain);
+    if (!row)
         return cycles; // SETPERM on an unattached domain: no-op.
 
     profile_.setPerm(domain);
-    DttInfo &info = *found;
-    info.perms.set(tid, perm);
+    row->perms.set(tid, perm);
 
     // The DTTLB entry (if cached) is invalidated so the next fill
     // re-reads the DTT, and a key-holding domain is reflected in PKRU
@@ -217,8 +171,8 @@ MpkVirtScheme::setPerm(ThreadId tid, DomainId domain, Perm perm)
     // this is what makes the single-PMO case perform *identically* to
     // stock MPK (paper §VI-A).
     invalidateDomainAllDttlbs(domain);
-    if (info.key != kInvalidKey)
-        pkrus_.forThread(tid).setPerm(info.key, perm);
+    if (row->key != kInvalidKey)
+        pkrus_.forThread(tid).setPerm(row->key, perm);
     return cycles;
 }
 
@@ -226,32 +180,29 @@ Cycles
 MpkVirtScheme::attach(ThreadId, DomainId domain, Addr base, Addr size,
                       Perm)
 {
-    DttInfo &info = domains_.claim(domain);
-    info.base = base;
-    info.size = size;
+    domains_.claim(domain, base, size);
     return 0;
 }
 
 Cycles
 MpkVirtScheme::detach(ThreadId, DomainId domain)
 {
-    DttInfo *found = domains_.find(domain);
-    if (!found)
+    DomainRow *row = domains_.find(domain);
+    if (!row)
         return 0;
-    DttInfo &info = *found;
-    if (info.key != kInvalidKey) {
-        keys_.release(info.key);
+    if (row->key != kInvalidKey) {
+        keys_.release(row->key);
         // The munmap behind detach invalidates every core's stale
         // translations; functional, so no IPI cost is charged.
-        flushRangeAllCores(info.base, info.size);
+        flushRangeAllCores(row->base, row->size);
     }
     invalidateDomainAllDttlbs(domain);
-    info = DttInfo{};
+    *row = {};
     return 0;
 }
 
 Cycles
-MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
+MpkVirtScheme::contextSwitch(ThreadId, ThreadId)
 {
     ++contextSwitches;
     Cycles cycles = 0;
@@ -267,36 +218,19 @@ MpkVirtScheme::contextSwitch(ThreadId, ThreadId to)
         cycEntryChange += params_.contextSwitchWritebackCycles;
     }
 
-    // Reconstruct the incoming thread's PKRU from the DTT: for every
-    // key-holding domain, load the domain's permission for `to`.
-    Pkru &pkru = pkrus_.forThread(to);
-    for (ProtKey k = 1; k < kNumProtKeys; ++k) {
-        if (const DttInfo *info = domains_.find(keys_.holder(k)))
-            pkru.setPerm(k, info->perms.get(to));
-    }
+    // No PKRU work: takeKey() loads a key into every thread's PKRU
+    // and setPerm() updates the row and that thread's PKRU together,
+    // so the incoming thread's register is already current.
     return cycles;
 }
 
 Perm
 MpkVirtScheme::effectivePerm(ThreadId tid, DomainId domain) const
 {
-    const DttInfo *info = domains_.find(domain);
-    if (!info)
+    const DomainRow *row = domains_.find(domain);
+    if (!row)
         return Perm::ReadWrite; // Not a domain: page permission rules.
-    return info->perms.get(tid);
-}
-
-DomainId
-MpkVirtScheme::domainOfKey(ProtKey key) const
-{
-    return key < kNumProtKeys ? keys_.holder(key) : kNullDomain;
-}
-
-ProtKey
-MpkVirtScheme::keyOf(DomainId domain) const
-{
-    const DttInfo *info = domains_.find(domain);
-    return info ? info->key : kInvalidKey;
+    return row->perms.get(tid);
 }
 
 } // namespace pmodv::arch

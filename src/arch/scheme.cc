@@ -47,9 +47,8 @@ schemeFromName(const std::string &name)
 
 ProtectionScheme::ProtectionScheme(stats::Group *parent, std::string name,
                                    const ProtParams &params,
-                                   const CoreTopology &topo,
-                                   const tlb::AddressSpace &space)
-    : stats::Group(parent, name),
+                                   const CoreTopology &topo)
+    : stats::Group(parent, std::move(name)),
       cycPermissionChange(this, "cyc_permission_change"),
       cycEntryChange(this, "cyc_entry_change"),
       cycTableMiss(this, "cyc_table_miss"),
@@ -64,8 +63,7 @@ ProtectionScheme::ProtectionScheme(stats::Group *parent, std::string name,
       shootdowns(this, "shootdowns"),
       shootdownPages(this, "shootdown_pages"),
       protectionFaults(this, "protection_faults"),
-      params_(params), topo_(topo), space_(space),
-      label_(std::move(name))
+      params_(params), topo_(topo)
 {
     topo_.validate();
 }
@@ -87,14 +85,6 @@ ProtectionScheme::attachCore(CoreId core, tlb::TlbHierarchy *tlb)
 void
 ProtectionScheme::onCoreAttached(CoreId, tlb::TlbHierarchy *)
 {
-}
-
-tlb::TlbHierarchy &
-ProtectionScheme::tlbAt(CoreId core) const
-{
-    fatal_if(core >= coreTlbs_.size() || !coreTlbs_[core],
-             "no TLB attached for core %u", core);
-    return *coreTlbs_[core];
 }
 
 std::uint64_t

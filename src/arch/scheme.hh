@@ -8,6 +8,10 @@
  * legal, maintaining real PKRU/DTT/DTTLB/PT/PTLB state) and *timing*
  * (it reports the extra cycles its structures consumed, bucketed into
  * the overhead categories of the paper's Table VII).
+ *
+ * The two baselines are one pass-through class (arch/factory.cc); the
+ * three key-based schemes share KeyScheme (arch/key_scheme.hh), and
+ * domain_virt derives from ProtectionScheme directly.
  */
 
 #ifndef PMODV_ARCH_SCHEME_HH
@@ -60,20 +64,19 @@ struct AccessContext
 /**
  * Base class of all protection schemes.
  *
- * Lifecycle: the System constructs the scheme with the shared
- * AddressSpace and core topology, then attaches each core's private
- * TLB hierarchy via attachCore() (core 0 first). Schemes that stamp
- * keys/domains into TLB entries, or keep per-core translation caches
- * (DTTLB/PTLB), hook onCoreAttached(). Multi-core machines also
- * connect the shared ShootdownBus; single-core machines don't, and
- * schemes flush their one core's TLB in line there.
+ * Lifecycle: the System constructs the scheme with the core topology,
+ * then attaches each core's private TLB hierarchy via attachCore()
+ * (core 0 first). Schemes that stamp keys/domains into TLB entries,
+ * or keep per-core translation caches (DTTLB/PTLB), hook
+ * onCoreAttached(). Multi-core machines also connect the shared
+ * ShootdownBus; single-core machines don't, and schemes flush their
+ * one core's TLB in line there.
  */
 class ProtectionScheme : public stats::Group
 {
   public:
     ProtectionScheme(stats::Group *parent, std::string name,
-                     const ProtParams &params, const CoreTopology &topo,
-                     const tlb::AddressSpace &space);
+                     const ProtParams &params, const CoreTopology &topo);
     ~ProtectionScheme() override = default;
 
     /**
@@ -83,19 +86,7 @@ class ProtectionScheme : public stats::Group
      */
     bool alwaysAllows() const { return alwaysAllows_; }
 
-    /** Scheme display name. */
-    const std::string &schemeLabel() const { return label_; }
-
     const ProtParams &params() const { return params_; }
-
-    /**
-     * The scheme's statistics subtree. Every scheme IS a
-     * stats::Group; this accessor is the uniform way consumers reach
-     * it (arch::makeScheme attaches it under the owning System, so
-     * the subtree shows up in the System's dumps automatically).
-     */
-    stats::Group &statsGroup() { return *this; }
-    const stats::Group &statsGroup() const { return *this; }
 
     /**
      * Connect the event flight recorder (not owned; typically the
@@ -124,10 +115,6 @@ class ProtectionScheme : public stats::Group
      * scheme (core 0 is the default).
      */
     void setActiveCore(CoreId core) { activeCore_ = core; }
-
-    CoreId activeCore() const { return activeCore_; }
-
-    const CoreTopology &topology() const { return topo_; }
 
     /**
      * Check one memory access against the domain permissions. Page
@@ -227,16 +214,6 @@ class ProtectionScheme : public stats::Group
      */
     virtual void onCoreAttached(CoreId core, tlb::TlbHierarchy *tlb);
 
-    /** Core @p core's TLB hierarchy (fatal if unattached). */
-    tlb::TlbHierarchy &tlbAt(CoreId core) const;
-
-    /** Number of cores whose TLBs have been attached. */
-    unsigned
-    numAttachedCores() const
-    {
-        return static_cast<unsigned>(coreTlbs_.size());
-    }
-
     /**
      * Functionally flush [base, base+size) from EVERY core's TLB,
      * uncharged — the munmap/detach coherence path, not a modelled
@@ -272,7 +249,6 @@ class ProtectionScheme : public stats::Group
 
     ProtParams params_;
     CoreTopology topo_;
-    const tlb::AddressSpace &space_;
     /** All attached cores' TLBs, indexed by CoreId. */
     std::vector<tlb::TlbHierarchy *> coreTlbs_;
     ShootdownBus *bus_ = nullptr;
@@ -281,83 +257,7 @@ class ProtectionScheme : public stats::Group
     DomainProfile profile_;
 
   private:
-    std::string label_;
     bool alwaysAllows_ = false;
-};
-
-/** The unprotected baseline: every access allowed, zero cost. */
-class NoProtectionScheme : public ProtectionScheme
-{
-  public:
-    NoProtectionScheme(stats::Group *parent, const ProtParams &params,
-                       const CoreTopology &topo,
-                       const tlb::AddressSpace &space)
-        : ProtectionScheme(parent, "none", params, topo, space)
-    {
-        setAlwaysAllows();
-    }
-
-    CheckResult
-    checkAccess(const AccessContext &) override
-    {
-        return {};
-    }
-
-    Cycles setPerm(ThreadId, DomainId, Perm) override { return 0; }
-    Cycles attach(ThreadId, DomainId, Addr, Addr, Perm) override
-    {
-        return 0;
-    }
-    Cycles detach(ThreadId, DomainId) override { return 0; }
-    Cycles contextSwitch(ThreadId, ThreadId) override { return 0; }
-
-    Perm
-    effectivePerm(ThreadId, DomainId) const override
-    {
-        return Perm::ReadWrite;
-    }
-};
-
-/**
- * The ideal lowerbound: permission-change instructions cost their
- * WRPKRU latency but protection structures are free and every access
- * is (correctly, by construction of the workloads) allowed.
- */
-class LowerboundScheme : public ProtectionScheme
-{
-  public:
-    LowerboundScheme(stats::Group *parent, const ProtParams &params,
-                     const CoreTopology &topo,
-                     const tlb::AddressSpace &space)
-        : ProtectionScheme(parent, "lowerbound", params, topo, space)
-    {
-        setAlwaysAllows();
-    }
-
-    CheckResult
-    checkAccess(const AccessContext &) override
-    {
-        return {};
-    }
-
-    Cycles
-    setPerm(ThreadId, DomainId, Perm) override
-    {
-        return chargeSetPerm();
-    }
-
-    Cycles attach(ThreadId, DomainId, Addr, Addr, Perm) override
-    {
-        return 0;
-    }
-    Cycles detach(ThreadId, DomainId) override { return 0; }
-    Cycles contextSwitch(ThreadId, ThreadId) override { return 0; }
-
-    Perm
-    effectivePerm(ThreadId, DomainId) const override
-    {
-        return Perm::ReadWrite;
-    }
 };
 
 } // namespace pmodv::arch

@@ -3,20 +3,22 @@
  * The cross-core TLB shootdown bus.
  *
  * With more than one core, a key eviction (mpk_virt) or pkey_mprotect
- * remap (libmpk) can no longer invalidate "the TLB" — each core owns
- * a private TLB hierarchy, and the initiating core must broadcast the
- * stale ranges as inter-processor interrupts. The bus models the cost
- * side of that protocol the way libmpk describes it: every core is
- * interrupted, but only cores *actually holding stale entries* pay
- * the ranged-invalidation cost; the rest acknowledge and return
- * (filtered responses).
+ * remap (libmpk), both handed over by KeyScheme::takeKey() and shot
+ * down by ProtectionScheme::evictKey(), can no longer invalidate "the
+ * TLB" — each core owns a private TLB hierarchy, and the initiating
+ * core must broadcast the stale ranges as inter-processor interrupts.
+ * The bus models the cost side of that protocol the way libmpk
+ * describes it: every core is interrupted, but only cores *actually
+ * holding stale entries* pay the ranged-invalidation cost; the rest
+ * acknowledge and return (filtered responses).
  *
  * The bus is shared cross-core state owned by core::System and is
  * only constructed for multi-core topologies — single-core replay
- * keeps the legacy in-line flush path, bit-identical to the
- * pre-topology model. domain_virt never touches the bus: its PT/PTLB
- * permissions are not cached in the address TLBs, which is the
- * paper's central cost asymmetry.
+ * flushes the stale ranges in line for one flat charge. Only the
+ * shootdown differs with the core count: the key hand-over itself
+ * reloads every thread's PKRU at every K. domain_virt never touches
+ * the bus: its PT/PTLB permissions are not cached in the address
+ * TLBs, which is the paper's central cost asymmetry.
  */
 
 #ifndef PMODV_ARCH_SHOOTDOWN_BUS_HH
@@ -88,19 +90,6 @@ class ShootdownBus : public stats::Group
      */
     ShootdownResult broadcast(CoreId initiator, ThreadId tid,
                               std::span<const ShootdownRange> ranges);
-
-    /** broadcast() of a single contiguous range. */
-    ShootdownResult
-    broadcast(CoreId initiator, ThreadId tid, Addr base, Addr size)
-    {
-        const ShootdownRange range{base, size};
-        return broadcast(initiator, tid, std::span(&range, 1));
-    }
-
-    unsigned numCores() const
-    {
-        return static_cast<unsigned>(cores_.size());
-    }
 
     stats::Scalar broadcasts;     ///< Eviction broadcasts issued.
     stats::Scalar ipisSent;       ///< Remote cores interrupted.

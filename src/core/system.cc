@@ -85,7 +85,7 @@ System::System(const SimConfig &config, arch::SchemeKind scheme,
         cores_.push_back(std::make_unique<CoreContext>(
             this, k, multi_core, config_, space_));
     scheme_ = arch::makeScheme(scheme, this, config_.prot,
-                               config_.topology, space_);
+                               config_.topology);
     for (unsigned k = 0; k < num_cores; ++k)
         scheme_->attachCore(k, &cores_[k]->tlb);
     if (multi_core) {

@@ -125,15 +125,6 @@ AddressSpace::find(Addr addr) const
     return prev.contains(addr) ? &prev : nullptr;
 }
 
-const Region *
-AddressSpace::findDomain(DomainId domain) const
-{
-    for (std::uint32_t i : order_)
-        if (regions_[i].domain == domain)
-            return &regions_[i];
-    return nullptr;
-}
-
 std::vector<Region>
 AddressSpace::regions() const
 {

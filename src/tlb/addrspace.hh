@@ -43,8 +43,8 @@ struct Region
  * region touching the chunk, so such a walk costs one probe instead of
  * a binary search over order_ (DESIGN.md §8). Shared chunks and
  * regions over kMaxIndexedChunks chunks fall back to that search.
- * The pointers find() and findDomain() return are valid until the
- * next map() or unmapDomain().
+ * The pointer find() returns is valid until the next map() or
+ * unmapDomain().
  */
 class AddressSpace
 {
@@ -62,9 +62,6 @@ class AddressSpace
 
     /** The region containing @p addr, or nullptr when unmapped. */
     const Region *find(Addr addr) const;
-
-    /** The region of @p domain (lowest base), or nullptr. */
-    const Region *findDomain(DomainId domain) const;
 
     /** All regions, ordered by base address. */
     std::vector<Region> regions() const;

@@ -40,7 +40,7 @@ class SchemeHarness
     {
         tlb_ = std::make_unique<tlb::TlbHierarchy>(
             &root_, tlb::TlbHierarchyParams{}, space_);
-        scheme_ = arch::makeScheme(kind, &root_, params, topo, space_);
+        scheme_ = arch::makeScheme(kind, &root_, params, topo);
         scheme_->attachCore(0, tlb_.get());
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the per-domain registry rows: PermRow's inline and
- * spilled storage, and DomainTable's dense indexing.
+ * spilled storage, and DomainTable's dense indexing of DomainRows.
  */
 
 #include <cstdint>
@@ -102,21 +102,19 @@ TEST(PermRow, GetPastTheEndIsNone)
     EXPECT_EQ(row.threads().size(), 13u);
 }
 
-struct Row
-{
-    DomainId domain = kNullDomain;
-    PermRow perms;
-};
-
 TEST(DomainTable, SparseIdsAndGrowthKeepRows)
 {
-    DomainTable<Row> table;
+    DomainTable table;
     EXPECT_EQ(table.find(5), nullptr);
-    table.claim(5).perms.set(9, Perm::Read); // A spilled row...
-    table.claim(2).perms.set(1, Perm::ReadWrite);
-    table.claim(4096); // ...moved by this growth.
+    // A spilled row, moved by the growth to 4096.
+    table.claim(5, 0x5000, 0x1000).perms.set(9, Perm::Read);
+    table.claim(2, 0x2000, 0x1000).perms.set(1, Perm::ReadWrite);
+    table.claim(4096, 0x9000, 0x1000);
     ASSERT_NE(table.find(5), nullptr);
     EXPECT_EQ(table.find(5)->domain, 5u);
+    EXPECT_EQ(table.find(5)->key, kInvalidKey);
+    EXPECT_EQ(table.find(5)->base, 0x5000u);
+    EXPECT_EQ(table.find(4096)->size, 0x1000u);
     EXPECT_EQ(table.find(5)->perms.get(9), Perm::Read);
     EXPECT_EQ(table.find(2)->perms.get(1), Perm::ReadWrite);
     EXPECT_EQ(table.find(4096)->perms.threads().size(), 0u);
@@ -127,14 +125,16 @@ TEST(DomainTable, SparseIdsAndGrowthKeepRows)
     // Detach resets a row in place; a re-claim starts from nothing.
     *table.find(5) = {};
     EXPECT_EQ(table.find(5), nullptr);
-    EXPECT_EQ(table.claim(5).perms.get(9), Perm::None);
+    const DomainRow &again = table.claim(5, 0x7000, 0x2000);
+    EXPECT_EQ(again.perms.get(9), Perm::None);
+    EXPECT_EQ(again.base, 0x7000u);
 }
 
 TEST(DomainTableDeathTest, RejectsNullAndOutOfRangeIds)
 {
-    DomainTable<Row> table;
-    EXPECT_DEATH(table.claim(kNullDomain), "outside the registry");
-    EXPECT_DEATH(table.claim(kMaxDomains), "outside the registry");
+    DomainTable table;
+    EXPECT_DEATH(table.claim(kNullDomain, 0, 0), "outside the registry");
+    EXPECT_DEATH(table.claim(kMaxDomains, 0, 0), "outside the registry");
 }
 
 } // namespace

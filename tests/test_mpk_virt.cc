@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the hardware MPK-virtualization design: DTTLB
- * behaviour, DTT-backed key remapping, shootdowns, and context-switch
- * PKRU reconstruction.
+ * behaviour, DTT-backed key remapping, shootdowns, and the PKRU state
+ * a thread finds after a context switch.
  */
 
 #include <optional>
@@ -362,8 +362,9 @@ TEST(MpkVirt, ContextSwitchReconstructsPkru)
     h.scheme().setPerm(7, 1, Perm::Read);
     EXPECT_TRUE(h.canWrite(0, pmoBase(0))); // Maps the key for tid 0.
 
-    // Switch to thread 7: its PKRU is rebuilt from the DTT, so the
-    // still-mapped key now carries thread 7's Read-only permission.
+    // Mapping the key loaded it into every thread's PKRU from the DTT
+    // row, so thread 7's register already carries its Read-only
+    // permission, and the switch to thread 7 leaves it so.
     h.scheme().contextSwitch(0, 7);
     EXPECT_TRUE(h.canRead(7, pmoBase(0)));
     EXPECT_FALSE(h.canWrite(7, pmoBase(0)));

@@ -15,8 +15,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "arch/mpk.hh"
 #include "core/system.hh"
 #include "replay_util.hh"
+#include "tlb_helpers.hh"
 
 namespace pmodv
 {
@@ -196,6 +198,42 @@ TEST(MultiCore, LibMpkEvictionBroadcastsToStaleHolder)
     EXPECT_DOUBLE_EQ(bus->ipisResponded.value(), 1.0);
     EXPECT_DOUBLE_EQ(bus->ipisFiltered.value(), 0.0);
     EXPECT_EQ(countIpis(sys), 1u);
+}
+
+/**
+ * Stock MPK at K=2: the 16th attach finds no free key and goes
+ * domainless. Its detach has no key to flush by, so it flushes the
+ * PMO's range from every core's TLB, or stale translations would keep
+ * the dead region's page rights.
+ */
+TEST(MultiCore, MpkDomainlessDetachFlushesEveryCore)
+{
+    System sys(configWithCores(2), SchemeKind::Mpk);
+    std::vector<TraceRecord> t;
+    for (unsigned d = 1; d <= 16; ++d)
+        t.push_back(TraceRecord::attach(0, d, base(d), kRegionSize,
+                                        Perm::ReadWrite));
+    t.push_back(TraceRecord::load(0, base(16), 8, true)); // core 0
+    t.push_back(TraceRecord::load(1, base(16), 8, true)); // core 1
+    sys.replayBatch(t);
+
+    auto &mpk = static_cast<arch::MpkScheme &>(sys.scheme());
+    EXPECT_DOUBLE_EQ(mpk.keyExhausted.value(), 1.0);
+    EXPECT_EQ(mpk.keyOf(16), kNullKey);
+    EXPECT_DOUBLE_EQ(sys.deniedAccesses.value(), 0.0);
+    for (arch::CoreId k = 0; k < 2; ++k)
+        ASSERT_NE(test::cached(sys.coreAt(k).tlb.l1(), base(16)), nullptr)
+            << "core " << k;
+
+    sys.replayBatch(std::vector{TraceRecord::detach(0, 16)});
+    sys.finish();
+    EXPECT_EQ(mpk.keyOf(16), kInvalidKey);
+    for (arch::CoreId k = 0; k < 2; ++k) {
+        EXPECT_EQ(test::cached(sys.coreAt(k).tlb.l1(), base(16)), nullptr)
+            << "core " << k;
+        EXPECT_EQ(test::cached(sys.coreAt(k).tlb.l2(), base(16)), nullptr)
+            << "core " << k;
+    }
 }
 
 /** domain_virt never shoots down, whatever the core count. */

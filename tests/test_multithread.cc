@@ -2,9 +2,9 @@
  * @file
  * Multi-threaded trace semantics at the System level: context
  * switches, per-thread permission windows and the cost asymmetry the
- * paper highlights — MPK virtualization flushes the DTTLB and
- * reconstructs PKRU on a switch, domain virtualization keeps the TLB
- * and only spills dirty PTLB entries.
+ * paper highlights — MPK virtualization flushes the DTTLB on a
+ * switch, domain virtualization keeps the TLB and only spills dirty
+ * PTLB entries.
  */
 
 #include <gtest/gtest.h>

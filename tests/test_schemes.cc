@@ -12,8 +12,7 @@
 #include <map>
 
 #include "arch/domain_virt.hh"
-#include "arch/libmpk.hh"
-#include "arch/mpk_virt.hh"
+#include "arch/key_scheme.hh"
 #include "common/rng.hh"
 #include "scheme_test_util.hh"
 #include "tlb_helpers.hh"
@@ -213,10 +212,8 @@ class DenseRegistry : public ::testing::TestWithParam<SchemeKind>
 ProtKey
 keyOf(SchemeHarness &h, DomainId d)
 {
-    if (auto *v = dynamic_cast<arch::MpkVirtScheme *>(&h.scheme()))
-        return v->keyOf(d);
-    if (auto *l = dynamic_cast<arch::LibMpkScheme *>(&h.scheme()))
-        return l->keyOf(d);
+    if (auto *k = dynamic_cast<arch::KeyScheme *>(&h.scheme()))
+        return k->keyOf(d);
     return kInvalidKey;
 }
 
@@ -296,8 +293,9 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(arch::schemeName(info.param));
     });
 
-// At K > 1 a key changing hands is loaded into every thread's PKRU
-// from the holder's whole row, spilled threads included.
+// At every core count a key changing hands is loaded into every
+// thread's PKRU from the holder's whole row, spilled threads included:
+// a thread that is not running holds no stale grant for the key.
 class KeyRebind : public ::testing::TestWithParam<SchemeKind>
 {
 };
@@ -306,36 +304,37 @@ class KeyRebind : public ::testing::TestWithParam<SchemeKind>
 Perm
 pkruPerm(SchemeHarness &h, ThreadId t, DomainId d)
 {
-    if (auto *v = dynamic_cast<arch::MpkVirtScheme *>(&h.scheme()))
-        return v->pkru(t).permFor(v->keyOf(d));
-    // libmpk reads a key-holding domain's permission from PKRU.
-    return h.scheme().effectivePerm(t, d);
+    const auto &k = static_cast<arch::KeyScheme &>(h.scheme());
+    return k.pkru(t).permFor(k.keyOf(d));
 }
 
 TEST_P(KeyRebind, NineThreadRowLoadsIntoEveryPkru)
 {
-    arch::CoreTopology topo;
-    topo.numCores = 2;
-    SchemeHarness h(GetParam(), {}, topo);
-    const auto perm_of = [](ThreadId t) {
-        const Perm cycle[] = {Perm::Read, Perm::None, Perm::ReadWrite};
-        return cycle[t % 3];
-    };
-    h.attach(1, pmoBase(0), kSize);
-    for (ThreadId t = 0; t <= 8; ++t) // Thread 8 spills the row.
-        h.scheme().setPerm(t, 1, perm_of(t));
-    // Fifteen more domains take every usable key from domain 1.
-    for (unsigned i = 1; i <= 15; ++i) {
-        h.attachGranted(i + 1, pmoBase(i), kSize);
-        EXPECT_TRUE(h.canRead(0, pmoBase(i)));
-    }
-    ASSERT_EQ(keyOf(h, 1), kInvalidKey);
+    for (unsigned cores : {1u, 2u}) {
+        SCOPED_TRACE(std::to_string(cores) + " cores");
+        arch::CoreTopology topo;
+        topo.numCores = cores;
+        SchemeHarness h(GetParam(), {}, topo);
+        const auto perm_of = [](ThreadId t) {
+            const Perm cycle[] = {Perm::Read, Perm::None, Perm::ReadWrite};
+            return cycle[t % 3];
+        };
+        h.attach(1, pmoBase(0), kSize);
+        for (ThreadId t = 0; t <= 8; ++t) // Thread 8 spills the row.
+            h.scheme().setPerm(t, 1, perm_of(t));
+        // Fifteen more domains take every usable key from domain 1.
+        for (unsigned i = 1; i <= 15; ++i) {
+            h.attachGranted(i + 1, pmoBase(i), kSize);
+            EXPECT_TRUE(h.canRead(0, pmoBase(i)));
+        }
+        ASSERT_EQ(keyOf(h, 1), kInvalidKey);
 
-    EXPECT_TRUE(h.canRead(0, pmoBase(0)));
-    ASSERT_NE(keyOf(h, 1), kInvalidKey);
-    for (ThreadId t = 0; t <= 8; ++t)
-        EXPECT_EQ(pkruPerm(h, t, 1), perm_of(t)) << t;
-    EXPECT_EQ(pkruPerm(h, 9, 1), Perm::None); // Past the row.
+        EXPECT_TRUE(h.canRead(0, pmoBase(0)));
+        ASSERT_NE(keyOf(h, 1), kInvalidKey);
+        for (ThreadId t = 0; t <= 8; ++t)
+            EXPECT_EQ(pkruPerm(h, t, 1), perm_of(t)) << t;
+        EXPECT_EQ(pkruPerm(h, 9, 1), Perm::None); // Past the row.
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -52,8 +52,12 @@ TEST(AddressSpace, FindDomainAndPages)
 {
     AddressSpace as;
     as.map(makeRegion(0x10000, 0x4000, 7));
-    EXPECT_NE(as.findDomain(7), nullptr);
-    EXPECT_EQ(as.findDomain(8), nullptr);
+    const Region *r = as.find(0x10000);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->domain, 7u);
+    // No domain outside the region: just below it and just past it.
+    EXPECT_EQ(as.find(0xffff), nullptr);
+    EXPECT_EQ(as.find(0x14000), nullptr);
 }
 
 TEST(AddressSpace, UnmapVariants)
@@ -248,7 +252,11 @@ TEST(AddressSpace, FindMatchesBruteForceOracle)
         ASSERT_FALSE(HasFatalFailure());
         for (DomainId d = 1; d <= 7; ++d) {
             as.unmapDomain(d);
-            EXPECT_EQ(as.findDomain(d), nullptr);
+            for (const Region &r : layout) {
+                if (r.domain == d) {
+                    EXPECT_EQ(as.find(r.base), nullptr) << d;
+                }
+            }
             expectFindsMatchOracle(as, rng, Addr{8} << 30);
         }
         EXPECT_EQ(as.numRegions(), 0u);
