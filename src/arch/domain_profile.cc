@@ -9,7 +9,8 @@ namespace pmodv::arch
 DomainCounters &
 DomainProfile::grow(DomainId d)
 {
-    table_.resize(static_cast<std::size_t>(d) + 1);
+    rows_ = static_cast<std::size_t>(d) + 1;
+    table_.resize(rows_);
     return table_[d];
 }
 

@@ -14,17 +14,6 @@ Pkru::reset()
     value_ = 0xfffffffcu;
 }
 
-Perm
-Pkru::permFor(ProtKey key) const
-{
-    panic_if(key >= kNumProtKeys, "PKRU key %u out of range", key);
-    const bool ad = value_ & (1u << (2 * key));
-    const bool wd = value_ & (1u << (2 * key + 1));
-    if (ad)
-        return Perm::None;
-    return wd ? Perm::Read : Perm::ReadWrite;
-}
-
 void
 Pkru::setPerm(ProtKey key, Perm perm)
 {

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pmodv::arch
@@ -40,7 +41,16 @@ class Pkru
     void setRaw(std::uint32_t v) { value_ = v; }
 
     /** Permission the register grants for @p key. */
-    Perm permFor(ProtKey key) const;
+    Perm
+    permFor(ProtKey key) const
+    {
+        panic_if(key >= kNumProtKeys, "PKRU key %u out of range", key);
+        const bool ad = value_ & (1u << (2 * key));
+        const bool wd = value_ & (1u << (2 * key + 1));
+        if (ad)
+            return Perm::None;
+        return wd ? Perm::Read : Perm::ReadWrite;
+    }
 
     /** Set the permission bits of one key (pkey_set). */
     void setPerm(ProtKey key, Perm perm);

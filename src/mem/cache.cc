@@ -66,21 +66,8 @@ Cache::victimWay(std::size_t si) const
 }
 
 CacheResult
-Cache::access(Addr addr, AccessType type)
+Cache::fill(std::size_t si, std::uint64_t ptag, AccessType type)
 {
-    const std::uint64_t ptag = packTag(lineTag(addr));
-    const std::size_t si = setIndex(addr);
-    const int w = simd::findU64(tags_.data() + si * params_.assoc,
-                                params_.assoc, ptag);
-    if (w >= 0) {
-        ++hits;
-        const std::size_t flat = si * params_.assoc + w;
-        if (type == AccessType::Write)
-            lines_[flat].dirty = true;
-        touchWay(si, static_cast<unsigned>(w));
-        return {true, false};
-    }
-
     ++misses;
     const unsigned victim = victimWay(si);
     const std::size_t flat = si * params_.assoc + victim;
@@ -95,7 +82,7 @@ Cache::access(Addr addr, AccessType type)
     line.valid = true;
     line.dirty = (type == AccessType::Write);
     tags_[flat] = ptag;
-    touchWay(si, victim);
+    lruRank_[si] = lru::touchRank(lruRank_[si], victim, params_.assoc);
     return {false, wb};
 }
 

@@ -57,9 +57,23 @@ class Cache : public stats::Group
 
     /**
      * Access the line containing @p addr. Misses allocate; stores mark
-     * the line dirty.
+     * the line dirty. A hit resolves inline; a miss takes fill().
      */
-    CacheResult access(Addr addr, AccessType type);
+    CacheResult
+    access(Addr addr, AccessType type)
+    {
+        // Dispatch once on the configured width so the probe and the
+        // rank update compile with constant widths for Table II's
+        // geometries (8-way L1D, 16-way L2).
+        switch (params_.assoc) {
+          case 8:
+            return accessImpl<8>(addr, type);
+          case 16:
+            return accessImpl<16>(addr, type);
+          default:
+            return accessImpl<0>(addr, type);
+        }
+    }
 
     // Stats (public so formulas above can reference them).
     stats::Scalar hits;
@@ -90,21 +104,16 @@ class Cache : public stats::Group
     /** Packed probe tag mirrored per way in tags_ (0 = invalid). */
     static std::uint64_t packTag(Addr tag) { return (tag << 1) | 1; }
 
-    /** First way of set @p si in the flat line array. */
-    Line *setWays(std::size_t si)
-    {
-        return lines_.data() + si * params_.assoc;
-    }
-    const Line *setWays(std::size_t si) const
-    {
-        return lines_.data() + si * params_.assoc;
-    }
+    /**
+     * Body of access(), specialized on the associativity (A == 0 reads
+     * params_.assoc at runtime): the probe and the hit bookkeeping.
+     */
+    template <unsigned A> CacheResult accessImpl(Addr addr, AccessType type);
+
+    /** Allocate the line tagged @p ptag in set @p si after a miss. */
+    CacheResult fill(std::size_t si, std::uint64_t ptag, AccessType type);
 
     unsigned victimWay(std::size_t si) const;
-    void touchWay(std::size_t si, unsigned way)
-    {
-        lruRank_[si] = lru::touchRank(lruRank_[si], way, params_.assoc);
-    }
 
     CacheParams params_;
     unsigned numSets_;
@@ -124,6 +133,24 @@ class Cache : public stats::Group
     /** Valid-way count per set: a full set skips the free-way probe. */
     std::vector<std::uint8_t> setValid_;
 };
+
+template <unsigned A>
+inline CacheResult
+Cache::accessImpl(Addr addr, AccessType type)
+{
+    const unsigned assoc = A ? A : params_.assoc;
+    const std::uint64_t ptag = packTag(lineTag(addr));
+    const std::size_t si = setIndex(addr);
+    const int w = simd::findU64(tags_.data() + si * assoc, assoc, ptag);
+    if (w < 0)
+        return fill(si, ptag, type);
+    ++hits;
+    if (type == AccessType::Write)
+        lines_[si * assoc + w].dirty = true;
+    lruRank_[si] =
+        lru::touchRank(lruRank_[si], static_cast<unsigned>(w), assoc);
+    return {true, false};
+}
 
 } // namespace pmodv::mem
 

@@ -13,15 +13,10 @@ CacheHierarchy::CacheHierarchy(stats::Group *parent,
 }
 
 HierarchyResult
-CacheHierarchy::access(Addr addr, AccessType type, MemClass cls)
+CacheHierarchy::missL1(Addr addr, AccessType type, MemClass cls)
 {
     HierarchyResult res;
-    res.latency = params_.l1.hitLatency;
-    if (l1_->access(addr, type).hit) {
-        res.hitLevel = 1;
-        return res;
-    }
-    res.latency += params_.l2.hitLatency;
+    res.latency = params_.l1.hitLatency + params_.l2.hitLatency;
     if (l2_->access(addr, type).hit) {
         res.hitLevel = 2;
         return res;

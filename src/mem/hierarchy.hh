@@ -41,14 +41,26 @@ class CacheHierarchy : public stats::Group
   public:
     CacheHierarchy(stats::Group *parent, const HierarchyParams &params);
 
-    /** Access @p addr; @p cls selects DRAM vs NVM on a full miss. */
-    HierarchyResult access(Addr addr, AccessType type, MemClass cls);
+    /**
+     * Access @p addr; @p cls selects DRAM vs NVM on a full miss. An L1
+     * hit resolves inline; a miss takes missL1().
+     */
+    HierarchyResult
+    access(Addr addr, AccessType type, MemClass cls)
+    {
+        if (l1_->access(addr, type).hit)
+            return {params_.l1.hitLatency, 1};
+        return missL1(addr, type, cls);
+    }
 
     Cache &l1() { return *l1_; }
     Cache &l2() { return *l2_; }
     MainMemory &memory() { return *memory_; }
 
   private:
+    /** The L2, else main memory, after @p addr missed the L1D. */
+    HierarchyResult missL1(Addr addr, AccessType type, MemClass cls);
+
     HierarchyParams params_;
     std::unique_ptr<Cache> l1_;
     std::unique_ptr<Cache> l2_;

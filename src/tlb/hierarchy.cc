@@ -18,16 +18,9 @@ TlbHierarchy::TlbHierarchy(stats::Group *parent,
 }
 
 TranslateResult
-TlbHierarchy::translate(ThreadId tid, Addr va)
+TlbHierarchy::missL1(ThreadId tid, Addr va)
 {
     TranslateResult res;
-
-    if (TlbEntry *e = l1_->lookup(va)) {
-        res.entry = e;
-        res.l1Hit = true;
-        return res;
-    }
-
     res.latency += params_.l2.accessLatency;
     if (TlbEntry *e = l2_->lookup(va)) {
         // Promote into L1 (the L1 lookup above just missed).

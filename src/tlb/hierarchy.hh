@@ -90,9 +90,19 @@ class TlbHierarchy : public stats::Group
 
     /**
      * Translate @p va for thread @p tid, walking and filling on a
-     * full miss.
+     * full miss. An L1 hit resolves inline; a miss takes missL1().
      */
-    TranslateResult translate(ThreadId tid, Addr va);
+    TranslateResult
+    translate(ThreadId tid, Addr va)
+    {
+        if (TlbEntry *e = l1_->lookup(va)) {
+            TranslateResult res;
+            res.entry = e;
+            res.l1Hit = true;
+            return res;
+        }
+        return missL1(tid, va);
+    }
 
     /** Ranged invalidation in both levels (Range_Flush). */
     unsigned flushRange(Addr base, Addr size);
@@ -108,6 +118,10 @@ class TlbHierarchy : public stats::Group
     stats::Histogram missLatency; ///< Cycles added per L1 miss.
 
   private:
+    /** The L2 lookup and promote, else the walk and the fill policy,
+     *  after @p va missed the L1. */
+    TranslateResult missL1(ThreadId tid, Addr va);
+
     TlbHierarchyParams params_;
     const AddressSpace &space_;
     TlbFillPolicy *fillPolicy_;

@@ -56,48 +56,6 @@ Tlb::Tlb(stats::Group *parent, const TlbParams &params)
 }
 
 template <unsigned A>
-TlbEntry *
-Tlb::lookupImpl(Addr va)
-{
-    const unsigned assoc = A ? A : params_.assoc;
-    // Pages of different sizes index differently; try each supported
-    // size (smallest first — by far the common case). Sizes with no
-    // valid entry anywhere are skipped outright.
-    for (PageSize ps :
-         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
-        if (sizeValid_[static_cast<unsigned>(ps)] == 0)
-            continue;
-        const Addr vpn = va >> pageShift(ps);
-        const std::size_t si = setIndexFor(vpn);
-        const int w = simd::findU64(tags_.data() + si * assoc, assoc,
-                                    packTag(vpn, ps));
-        if (w >= 0) {
-            ++hits;
-            touchWay(si, static_cast<unsigned>(w));
-            return &ways_[si * assoc + w];
-        }
-    }
-    ++misses;
-    return nullptr;
-}
-
-TlbEntry *
-Tlb::lookup(Addr va)
-{
-    // Dispatch once on the configured width so the probe loops above
-    // compile with constant trip counts for Table II's geometries
-    // (4-way L1, 6-way L2).
-    switch (params_.assoc) {
-      case 4:
-        return lookupImpl<4>(va);
-      case 6:
-        return lookupImpl<6>(va);
-      default:
-        return lookupImpl<0>(va);
-    }
-}
-
-template <unsigned A>
 TlbEntry &
 Tlb::insertImpl(const TlbEntry &entry)
 {

@@ -74,7 +74,21 @@ class Tlb : public stats::Group
      * replacement state and statistics. The returned pointer stays
      * valid until the next insert/flush.
      */
-    TlbEntry *lookup(Addr va);
+    TlbEntry *
+    lookup(Addr va)
+    {
+        // Dispatch once on the configured width so the probe loops
+        // compile with constant trip counts for Table II's geometries
+        // (4-way L1, 6-way L2).
+        switch (params_.assoc) {
+          case 4:
+            return lookupImpl<4>(va);
+          case 6:
+            return lookupImpl<6>(va);
+          default:
+            return lookupImpl<0>(va);
+        }
+    }
 
     /**
      * Install @p entry in a free way of its set, else over the
@@ -134,16 +148,6 @@ class Tlb : public stats::Group
                (static_cast<std::uint64_t>(ps) << 1) | 1;
     }
 
-    /** First way of set @p si in the flat way array. */
-    TlbEntry *setWays(std::size_t si)
-    {
-        return ways_.data() + si * params_.assoc;
-    }
-    const TlbEntry *setWays(std::size_t si) const
-    {
-        return ways_.data() + si * params_.assoc;
-    }
-
     /** log2 of the 4K pages per chunk, the 2 MB span of one PMD. */
     static constexpr unsigned kChunkShift = 9;
 
@@ -181,7 +185,8 @@ class Tlb : public stats::Group
      * Bodies of lookup()/insert(), specialized on the associativity
      * (A == 0 reads params_.assoc at runtime). The public entry points
      * dispatch on Table II's widths, 4 and 6, so the SIMD probe loops
-     * fully unroll with compile-time trip counts.
+     * fully unroll with compile-time trip counts. The lookup is inline
+     * (below the class); the fill stays in tlb.cc.
      */
     template <unsigned A> TlbEntry *lookupImpl(Addr va);
     template <unsigned A> TlbEntry &insertImpl(const TlbEntry &entry);
@@ -217,6 +222,32 @@ class Tlb : public stats::Group
     std::vector<std::uint16_t> chunkValid_;
     unsigned chunkHashShift_ = 0;
 };
+
+template <unsigned A>
+inline TlbEntry *
+Tlb::lookupImpl(Addr va)
+{
+    const unsigned assoc = A ? A : params_.assoc;
+    // Pages of different sizes index differently; try each supported
+    // size (smallest first — by far the common case). Sizes with no
+    // valid entry anywhere are skipped outright.
+    for (PageSize ps :
+         {PageSize::Size4K, PageSize::Size2M, PageSize::Size1G}) {
+        if (sizeValid_[static_cast<unsigned>(ps)] == 0)
+            continue;
+        const Addr vpn = va >> pageShift(ps);
+        const std::size_t si = setIndexFor(vpn);
+        const int w = simd::findU64(tags_.data() + si * assoc, assoc,
+                                    packTag(vpn, ps));
+        if (w >= 0) {
+            ++hits;
+            touchWay(si, static_cast<unsigned>(w));
+            return &ways_[si * assoc + w];
+        }
+    }
+    ++misses;
+    return nullptr;
+}
 
 } // namespace pmodv::tlb
 

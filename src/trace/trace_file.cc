@@ -53,7 +53,8 @@ encode(const TraceRecord &rec)
 /**
  * Record @p index of trace file @p path, narrowed to a TraceRecord.
  * fatal() on a record of unknown type, one naming a domain at or
- * above kMaxDomains, one whose payload a 16-byte record cannot hold
+ * above kMaxDomains, a Wrpkru of a key at or above kNumProtKeys, one
+ * whose payload a 16-byte record cannot hold
  * (see TraceRecord), and an Attach of a domain that is still
  * attached. @p attached holds, per domain, whether the records before
  * this one left it attached; an Attach sets its bit and a Detach
@@ -72,6 +73,10 @@ decode(const FileRecord &f, const std::string &path, std::uint64_t index,
              "trace file '%s' is corrupt: record %llu names domain %u, "
              "beyond the bound of %u domains",
              path.c_str(), idx, rec.aux, kMaxDomains);
+    fatal_if(rec.type == RecordType::Wrpkru && rec.aux >= kNumProtKeys,
+             "trace file '%s' is corrupt: record %llu writes PKRU key "
+             "%u, beyond the %u protection keys",
+             path.c_str(), idx, rec.aux, kNumProtKeys);
     const char *why = nullptr;
     if (rec.type == RecordType::Attach) {
         why = attachUnencodable(f.addr, f.value);

@@ -3,13 +3,14 @@
  * Randomized property tests that pit the timing structures against
  * simple reference oracles:
  *
- *  - the set-associative cache vs a per-set LRU list,
+ *  - the set-associative cache vs a per-set LRU list with dirty bits,
  *  - the TLB vs an exact map (presence after flush sequences),
  *  - the VA radix tree vs an interval map.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <memory>
@@ -31,6 +32,13 @@ namespace
 // Cache vs per-set LRU oracle.
 // ---------------------------------------------------------------
 
+/** Outcome of one access: hit, and whether a dirty line was evicted. */
+struct OracleResult
+{
+    bool hit;
+    bool writeback;
+};
+
 class CacheOracle
 {
   public:
@@ -39,26 +47,39 @@ class CacheOracle
         lists_.resize(sets);
     }
 
-    /** Returns true on hit, mirroring an LRU cache. */
-    bool
-    access(Addr line)
+    /** An LRU, write-back, write-allocate cache of line numbers. */
+    OracleResult
+    access(Addr line, bool write)
     {
         auto &list = lists_[line % sets_];
-        auto it = std::find(list.begin(), list.end(), line);
+        auto it = std::find_if(list.begin(), list.end(),
+                               [line](const Way &w) {
+                                   return w.line == line;
+                               });
         if (it != list.end()) {
+            const Way hit{line, it->dirty || write};
             list.erase(it);
-            list.push_front(line);
-            return true;
+            list.push_front(hit);
+            return {true, false};
         }
-        list.push_front(line);
-        if (list.size() > ways_)
+        list.push_front({line, write});
+        bool wb = false;
+        if (list.size() > ways_) {
+            wb = list.back().dirty;
             list.pop_back();
-        return false;
+        }
+        return {false, wb};
     }
 
   private:
+    struct Way
+    {
+        Addr line;
+        bool dirty;
+    };
+
     unsigned sets_, ways_;
-    std::vector<std::list<Addr>> lists_;
+    std::vector<std::list<Way>> lists_; ///< Most recent first.
 };
 
 class CacheFuzz : public ::testing::TestWithParam<std::uint64_t>
@@ -67,21 +88,36 @@ class CacheFuzz : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(CacheFuzz, MatchesLruOracle)
 {
-    stats::Group root(nullptr, "");
-    mem::CacheParams params;
-    params.sizeBytes = 4096; // 64 lines.
-    params.assoc = 4;        // 16 sets.
-    params.lineBytes = 64;
-    mem::Cache cache(&root, params);
-    CacheOracle oracle(16, 4);
+    // Table II's L1D and L2 widths take the cache's compile-time
+    // probes; 4 ways takes the runtime-width one.
+    for (const unsigned ways : {8u, 16u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << ways << " ways");
+        constexpr unsigned kSets = 16;
+        stats::Group root(nullptr, "");
+        mem::CacheParams params;
+        params.sizeBytes = kSets * ways * 64;
+        params.assoc = ways;
+        params.lineBytes = 64;
+        mem::Cache cache(&root, params);
+        ASSERT_EQ(cache.numSets(), kSets);
+        CacheOracle oracle(kSets, ways);
 
-    Rng rng(GetParam());
-    for (int i = 0; i < 20000; ++i) {
-        const Addr line = rng.next(256); // 4x capacity: heavy churn.
-        const Addr addr = line * 64 + rng.next(64);
-        const bool hit =
-            cache.access(addr, AccessType::Read).hit;
-        ASSERT_EQ(hit, oracle.access(line)) << "iteration " << i;
+        Rng rng(GetParam());
+        const Addr lines = 4 * kSets * ways; // 4x capacity: heavy churn.
+        std::uint64_t writebacks = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const Addr line = rng.next(lines);
+            const Addr addr = line * 64 + rng.next(64);
+            const bool write = rng.next(4) == 0;
+            const mem::CacheResult got = cache.access(
+                addr, write ? AccessType::Write : AccessType::Read);
+            const OracleResult want = oracle.access(line, write);
+            ASSERT_EQ(got.hit, want.hit) << "iteration " << i;
+            ASSERT_EQ(got.writeback, want.writeback) << "iteration " << i;
+            writebacks += want.writeback ? 1 : 0;
+        }
+        EXPECT_GT(writebacks, 0u);
+        EXPECT_EQ(cache.writebacks.value(), writebacks);
     }
 }
 

@@ -967,6 +967,36 @@ TEST_F(TraceFileTest, RejectsAttachOfAttachedDomain)
     EXPECT_EQ(streamed, 4u);
 }
 
+TEST_F(TraceFileTest, RejectsWrpkruKeyOutOfRange)
+{
+    // A one-record file writing PKRU key 20 (RW): the key is rejected
+    // with its record index on load, in either format, instead of
+    // reaching a scheme's PKRU.
+    const DiskRecord bad{RecordType::Wrpkru, 3, 0, 20, 0, 0};
+    const char *why =
+        "record 0 writes PKRU key 20, beyond the 16 protection keys";
+    const auto read_all = [this] {
+        TraceFileReader reader(path_.string());
+        TraceRecord rec;
+        while (reader.next(rec)) {
+        }
+    };
+    writeV1Disk({bad});
+    EXPECT_EXIT(TraceFileReader(path_.string()).view(),
+                ::testing::ExitedWithCode(1), why);
+    EXPECT_EXIT(read_all(), ::testing::ExitedWithCode(1), why);
+    writeV2With({TraceRecord::wrpkru(0, 1, Perm::ReadWrite)}, 0, bad);
+    EXPECT_EXIT(TraceFileReader(path_.string()).view(),
+                ::testing::ExitedWithCode(1), why);
+    EXPECT_EXIT(read_all(), ::testing::ExitedWithCode(1), why);
+
+    // Key 15, the last one, still loads.
+    writeV1Disk({{RecordType::Wrpkru, 3, 0, 15, 0, 0}});
+    const auto buf = TraceFileReader(path_.string()).view();
+    ASSERT_EQ(buf->size(), 1u);
+    EXPECT_EQ(buf->records()[0].aux, 15u);
+}
+
 #ifdef PMODV_TRACE_TOOL
 /**
  * Run `pmodv-trace` with @p args; return its exit status and leave
